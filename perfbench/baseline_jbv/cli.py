@@ -1,0 +1,417 @@
+"""Command line interface.
+
+Subcommands: bands, construct (thm15 | thm16), density, diagnose, verify,
+intersect.  Structured results are JSON, grids are CSV.  Exit codes: 0 on
+success, 1 on numerical failure, 2 on usage errors.
+
+Defaults for the tunable flags (tol, cap, margin, mode, seed, points) may be
+supplied by a JSON file named by the JBV_CONFIG environment variable; explicit
+flags always win over the config file, which wins over built-in defaults.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import math
+import os
+import sys
+
+from .coeffs import CoefficientSpec
+from .constructions import (build_schedule, slow_cosine_spec,
+                            staircase_comb_spec)
+from .density import ApproximantSpec, ac_density
+from .diagnostics import growth_statistic, verify_gap_window_growth
+from .errors import (DegenerateBlockError, HorizonError, OutsideBandError,
+                     PoleOfMError, PreconditionError, RootIsolationError)
+from .periodic import PeriodicJacobi, band_structure, comb_potential, \
+    gap_report, intersection_over_family
+
+_CONFIG_KEYS = ("tol", "cap", "margin", "mode", "seed", "points")
+
+
+def _load_config() -> dict:
+    path = os.environ.get("JBV_CONFIG")
+    if not path:
+        return {}
+    with open(path) as fh:
+        doc = json.load(fh)
+    return {k: v for k, v in doc.items() if k in _CONFIG_KEYS}
+
+
+def _cfg(args, name: str, default):
+    value = getattr(args, name, None)
+    if value is not None:
+        return value
+    return args._config.get(name, default)
+
+
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+        if not text.endswith("\n"):
+            sys.stdout.write("\n")
+
+
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _load_spec(path: str) -> CoefficientSpec:
+    with open(path) as fh:
+        return CoefficientSpec.from_dict(json.load(fh))
+
+
+def _parse_float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok != ""]
+
+
+# ---------------------------------------------------------------------------
+# bands
+
+def _cmd_bands(args) -> int:
+    tol = float(_cfg(args, "tol", 1e-10))
+    if args.file:
+        with open(args.file) as fh:
+            P = PeriodicJacobi.from_dict(json.load(fh))
+    else:
+        if args.q is None or args.a is None or args.b is None:
+            raise ValueError("either --file or all of --q/--a/--b are required")
+        P = PeriodicJacobi.of(args.q, _parse_float_list(args.a),
+                              _parse_float_list(args.b))
+    bs = band_structure(P, tol)
+    doc = {
+        "q": bs.q,
+        "bands": [list(iv.as_pair()) for iv in bs.bands],
+        "gaps": [[g.lo, g.hi] for g in bs.gaps if not g.closed],
+        "closed_gaps": [g.center for g in bs.gaps if g.closed],
+        "q_interior": [list(p) for p in bs.q_interior.as_pairs()],
+        "critical_points": list(bs.critical_points),
+        "discriminant": list(bs.discriminant.coeffs),
+    }
+    _emit(json.dumps(doc, indent=2), args.out)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# construct
+
+def _schedule_path(out: str) -> str:
+    root, ext = os.path.splitext(out)
+    return f"{root}.schedule{ext or '.json'}"
+
+
+def _cmd_construct(args) -> int:
+    if args.construction == "thm16":
+        spec = slow_cosine_spec(args.lam, args.gamma)
+        _emit(spec.to_json(), args.out)
+        return 0
+    cap = int(_cfg(args, "cap", 10 ** 6))
+    mode = _cfg(args, "mode", "empirical")
+    margin = float(_cfg(args, "margin", 1.0))
+    sched = build_schedule(args.q, args.lam, args.levels,
+                           growth_margin=margin, cap=cap, mode=mode)
+    spec = staircase_comb_spec(sched)
+    if not args.out:
+        raise ValueError("construct thm15 requires --out")
+    _emit(spec.to_json(), args.out)
+    spath = args.schedule_out or _schedule_path(args.out)
+    _emit(sched.to_json(), spath)
+    summary = {"spec": args.out, "schedule": spath, "mode": sched.mode,
+               "truncated": sched.truncated, "horizon": sched.horizon,
+               "levels_realized": len(sched.rows)}
+    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# density
+
+def _parse_grid(text: str) -> list[float]:
+    try:
+        lo_s, hi_s, steps_s = text.split(":")
+        lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
+    except Exception as exc:
+        raise ValueError(f"grid must look like lo:hi:steps, got {text!r}") from exc
+    if steps < 1:
+        raise ValueError("grid needs at least one step")
+    if steps == 1:
+        return [0.5 * (lo + hi)]
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+
+
+def _cmd_density(args) -> int:
+    spec = _load_spec(args.spec)
+    aspec = ApproximantSpec(spec, args.q, args.N)
+    rows = []
+    ok = 0
+    for x in _parse_grid(args.grid):
+        try:
+            f = ac_density(aspec, x, args.s)
+            rows.append([x, f, args.N, args.q, "ok"])
+            ok += 1
+        except OutsideBandError:
+            rows.append([x, None, args.N, args.q, "outside"])
+        except (DegenerateBlockError, PoleOfMError, HorizonError) as exc:
+            rows.append([x, None, args.N, args.q, f"error:{type(exc).__name__}"])
+    header = ["x", "f", "N", "q", "status"]
+    if args.format == "json":
+        _emit(json.dumps({"rows": [dict(zip(header, r)) for r in rows]},
+                         indent=2), args.out)
+    else:
+        _emit(_csv_text(header, [[repr(r[0]), "" if r[1] is None else repr(r[1]),
+                                  r[2], r[3], r[4]] for r in rows]), args.out)
+    return 0 if ok else 1
+
+
+# ---------------------------------------------------------------------------
+# diagnose
+
+def _cmd_diagnose(args) -> int:
+    spec = _load_spec(args.spec)
+    if not args.x:
+        raise ValueError("at least one --x is required")
+    results = []
+    for x in args.x:
+        if spec.kind == "staircase_comb" and abs(x) > 5.0:
+            sys.stderr.write(
+                f"warning: x={x} lies outside the crude spectral bound [-5, 5] "
+                "for this sequence; computing anyway\n")
+        gs = growth_statistic(spec, x, args.N)
+        results.append({
+            "x": x,
+            "n": gs.n,
+            "statistic": [[n, _linear(v)] for n, v in gs.trace],
+            "statistic_log": [[n, v] for n, v in gs.trace],
+            "running_max": _linear(gs.log_running_max),
+            "running_max_log": gs.log_running_max,
+        })
+    doc: dict = {"N": args.N, "results": results}
+    if args.verify_gap:
+        if args.period is None:
+            raise ValueError("--verify-gap requires --period")
+        m, k, e, delta = args.verify_gap.split(",")
+        report = verify_gap_window_growth(spec, args.period, int(m), int(k),
+                                          float(e), float(delta))
+        doc["verify_gap"] = {
+            "m": report.m, "k": report.k, "E": report.E, "delta": report.delta,
+            "checked": len(report.l_values),
+            "violations": list(report.violations),
+            "passed": report.passed,
+        }
+    _emit(json.dumps(doc, indent=2), args.out)
+    return 0
+
+
+def _linear(log_value: float) -> float | None:
+    """exp(log_value), or None where that would leave float range (JSON has
+    no Infinity)."""
+    return math.exp(log_value) if log_value < 700.0 else None
+
+
+# ---------------------------------------------------------------------------
+# verify
+
+def _cmd_verify(args) -> int:
+    if args.random is not None:
+        return _verify_random(args)
+    if not args.spec:
+        raise ValueError("either --random or --spec with window flags is required")
+    if None in (args.period, args.m, args.k, args.E, args.delta):
+        raise ValueError("explicit verification needs --period, --m, --k, "
+                         "--E and --delta")
+    spec = _load_spec(args.spec)
+    report = verify_gap_window_growth(spec, args.period, args.m, args.k,
+                                      args.E, args.delta)
+    if args.format == "json":
+        _emit(json.dumps({
+            "m": report.m, "k": report.k, "E": report.E, "delta": report.delta,
+            "rows": [{"l": l, "norm": n, "bound": b,
+                      "status": "pass" if l not in report.violations else "fail"}
+                     for l, n, b in zip(report.l_values, report.norms,
+                                        report.bounds)],
+            "passed": report.passed}, indent=2), args.out)
+        return 0 if report.passed else 1
+    rows = [[l, repr(norm), repr(bound), "pass" if l not in report.violations else "fail"]
+            for l, norm, bound in zip(report.l_values, report.norms, report.bounds)]
+    _emit(_csv_text(["l", "norm", "bound", "status"], rows), args.out)
+    return 0 if report.passed else 1
+
+
+def _verify_random(args) -> int:
+    import numpy as np
+
+    seed = int(_cfg(args, "seed", 12345))
+    rng = np.random.default_rng(seed)
+    rows = []
+    all_pass = True
+    for case in range(args.random):
+        q = int(rng.integers(2, 5))
+        w = float(rng.uniform(0.1, 1.0))
+        comb = comb_potential(q, w)
+        rep = gap_report(comb)
+        gap = rep.gap_intervals[int(rng.integers(0, len(rep.gap_intervals)))]
+        delta = 0.25 * gap.width
+        e = float(rng.uniform(gap.lo + delta, gap.hi - delta))
+        m = int(rng.integers(1, 20))
+        k = m + int(rng.integers(8, 40))
+        report = verify_gap_window_growth(comb.as_spec(), q, m, k, e, delta)
+        all_pass = all_pass and report.passed
+        rows.append([case, q, repr(w), m, k, repr(e), repr(delta),
+                     len(report.l_values), len(report.violations),
+                     "pass" if report.passed else "fail"])
+    _emit(_csv_text(
+        ["case", "q", "w", "m", "k", "E", "delta", "checked", "violations",
+         "status"], rows), args.out)
+    return 0 if all_pass else 1
+
+
+# ---------------------------------------------------------------------------
+# intersect
+
+def _cmd_intersect(args) -> int:
+    tol = float(_cfg(args, "tol", 1e-10))
+    if args.family:
+        with open(args.family) as fh:
+            docs = json.load(fh)
+        family = [PeriodicJacobi.from_dict(d) for d in docs]
+    else:
+        if args.q is None or args.lam is None:
+            raise ValueError("either --family or --q/--lambda are required")
+        points = int(_cfg(args, "points", 101))
+        if points < 1:
+            raise ValueError("need at least one family member")
+        lam = args.lam
+        if points == 1:
+            betas = [0.0]
+        else:
+            betas = [-lam + 2.0 * lam * i / (points - 1) for i in range(points)]
+        family = [PeriodicJacobi.of(args.q, [1.0] * args.q, [beta] * args.q)
+                  for beta in betas]
+    result = intersection_over_family(family, args.mode, tol)
+    doc = {
+        "mode": args.mode,
+        "members": len(family),
+        "pairs": [list(p) for p in result.as_pairs()],
+        "intervals": [{"lo": iv.lo, "hi": iv.hi, "closed_lo": iv.closed_lo,
+                       "closed_hi": iv.closed_hi} for iv in result.intervals],
+    }
+    _emit(json.dumps(doc, indent=2), args.out)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="jbv",
+        description="Band structures, spectral densities and transfer-matrix "
+                    "growth diagnostics for Jacobi matrices with step-q "
+                    "bounded-variation coefficients.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("bands", help="band structure of a periodic block")
+    p.add_argument("--q", type=int)
+    p.add_argument("--a", help="comma separated off-diagonal block")
+    p.add_argument("--b", help="comma separated diagonal block")
+    p.add_argument("--file", help="JSON file with {q, a, b}")
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_bands)
+
+    p = sub.add_parser("construct", help="write counterexample coefficient specs")
+    csub = p.add_subparsers(dest="construction", required=True)
+    p15 = csub.add_parser("thm15", help="staircase + comb sequence")
+    p15.add_argument("--q", type=int, required=True)
+    p15.add_argument("--lambda", dest="lam", type=float, required=True)
+    p15.add_argument("--levels", type=int, required=True)
+    p15.add_argument("--cap", type=int, default=None)
+    p15.add_argument("--mode", choices=("empirical", "analytic"), default=None)
+    p15.add_argument("--margin", type=float, default=None)
+    p15.add_argument("--out", required=True)
+    p15.add_argument("--schedule-out")
+    p15.set_defaults(func=_cmd_construct)
+    p16 = csub.add_parser("thm16", help="slow cosine sequence")
+    p16.add_argument("--lambda", dest="lam", type=float, required=True)
+    p16.add_argument("--gamma", type=float, required=True)
+    p16.add_argument("--out")
+    p16.set_defaults(func=_cmd_construct)
+
+    p = sub.add_parser("density", help="a.c. density of an approximant on a grid")
+    p.add_argument("--spec", required=True, help="base coefficient spec (JSON)")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--grid", required=True, help="lo:hi:steps")
+    p.add_argument("--s", type=int, choices=(-1, 1), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_density)
+
+    p = sub.add_parser("diagnose", help="transfer-matrix growth statistics")
+    p.add_argument("--spec", required=True)
+    p.add_argument("--x", type=float, action="append")
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--verify-gap", help="m,k,E,delta window check")
+    p.add_argument("--period", type=int, help="period for --verify-gap")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_diagnose)
+
+    p = sub.add_parser("verify", help="gap-window growth certification (CSV)")
+    p.add_argument("--spec")
+    p.add_argument("--period", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--E", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--random", type=int,
+                   help="run this many randomized admissible windows")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_verify)
+
+    p = sub.add_parser("intersect",
+                       help="intersection of spectra or q-interiors over a family")
+    p.add_argument("--family", help="JSON list of {q, a, b}")
+    p.add_argument("--q", type=int)
+    p.add_argument("--lambda", dest="lam", type=float,
+                   help="half-width of the constant-shift family")
+    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--mode", choices=("spectrum", "qinterior"), default="spectrum")
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_intersect)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args._config = _load_config()
+    except (OSError, json.JSONDecodeError) as exc:
+        sys.stderr.write(f"error reading JBV_CONFIG: {exc}\n")
+        return 2
+    try:
+        return args.func(args)
+    except (ValueError, PreconditionError, OSError, json.JSONDecodeError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except (RootIsolationError, ArithmeticError, RuntimeError) as exc:
+        sys.stderr.write(f"numerical failure: {exc}\n")
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,218 @@
+"""Growth statistics, gap-window norm bounds and truncation oracles.
+
+These are the certification tools: exponential transfer-matrix growth at an
+energy (statistic above any level) rules out a.c. spectrum there, while a
+bounded statistic is evidence, not proof, of its presence.  Checks at finitely
+many energies can never certify an almost-everywhere statement.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .coeffs import CoefficientSpec, coefficient_arrays
+from .errors import PreconditionError
+from .periodic import PeriodicJacobi, band_structure
+from .transfer import GrowthScanner, transfer_product
+
+__all__ = [
+    "GrowthStatistic", "growth_statistic", "gap_growth_lower_bound",
+    "GapWindowReport", "verify_gap_window_growth", "AcIntervalEstimate",
+    "ac_interval_estimate", "sturm_count",
+]
+
+
+@dataclass(frozen=True)
+class GrowthStatistic:
+    """Prefix-normalized transfer growth at one energy.
+
+    value = (1 / (N log^2 N)) sum_{n<=N} ||T_{1,n}(x)||^2, running_max its
+    maximum over prefixes 2 <= n <= N.  Logs are natural; linear fields
+    saturate at inf when the log value exceeds float range.
+    """
+
+    x: float
+    n: int
+    value: float
+    log_value: float
+    running_max: float
+    log_running_max: float
+    trace: tuple[tuple[int, float], ...]  # sampled (n, log statistic) pairs
+
+
+def growth_statistic(spec: CoefficientSpec, x: float, N: int,
+                     trace_points: int = 32) -> GrowthStatistic:
+    """Scan T_{1,n}(x) up to n = N with scaled products; never overflows."""
+    if N < 2:
+        raise ValueError("need N >= 2")
+    checkpoints = sorted(set(
+        int(round(N ** (i / max(trace_points - 1, 1)))) for i in range(trace_points)
+    ) | {N})
+    checkpoints = [c for c in checkpoints if c >= 2]
+    scanner = GrowthScanner(x)
+    trace: list[tuple[int, float]] = []
+    prev = 0
+    chunk = 65536
+    for cp in checkpoints:
+        n = prev
+        while n < cp:
+            stop = min(n + chunk, cp)
+            a, b = coefficient_arrays(spec, n + 1, stop + 1)
+            scanner.feed_arrays(a.tolist(), b.tolist())
+            n = stop
+        trace.append((cp, scanner.statistic_log))
+        prev = cp
+    return GrowthStatistic(
+        x=x, n=N,
+        value=scanner.statistic, log_value=scanner.statistic_log,
+        running_max=scanner.running_max, log_running_max=scanner.running_max_log,
+        trace=tuple(trace),
+    )
+
+
+def gap_growth_lower_bound(delta: float, l: int) -> float:
+    """(1/2) delta^2 (1 + delta^2)^{(l-3)/2}: guaranteed norm growth after l
+    steps across a window whose local spectrum misses (E-delta, E+delta)."""
+    if not delta > 0:
+        raise ValueError("gap radius must be positive")
+    if l < 4:
+        raise ValueError("bound is stated for l >= 4")
+    return 0.5 * delta * delta * (1.0 + delta * delta) ** (0.5 * (l - 3))
+
+
+@dataclass(frozen=True)
+class GapWindowReport:
+    """Comparison of actual window norms against the guaranteed lower bound."""
+
+    m: int
+    k: int
+    E: float
+    delta: float
+    l_values: tuple[int, ...]
+    norms: tuple[float, ...]
+    bounds: tuple[float, ...]
+    violations: tuple[int, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def verify_gap_window_growth(spec: CoefficientSpec, q: int, m: int, k: int,
+                             E: float, delta: float) -> GapWindowReport:
+    """Check the norm lower bound on a window where the sequence is periodic.
+
+    Preconditions (each failure names the offending check): the window [m, k]
+    of spec must be a discrete Schroedinger piece (a = 1), it must tile the
+    q-periodic comparison block built from its first q entries, and that
+    block's spectrum must avoid (E - delta, E + delta).  Then for every
+    l in {4, ..., k - m} the norm ||T_{m, m+l}(E)|| must reach the bound.
+    """
+    if k - m < 4:
+        raise PreconditionError("window-length: need k - m >= 4")
+    a, b = coefficient_arrays(spec, m, k + 1)
+    if np.max(np.abs(a - 1.0)) > 1e-12:
+        raise PreconditionError("schroedinger-window: a is not identically 1")
+    if k - m + 1 < q:
+        raise PreconditionError("window-length: shorter than one period")
+    block_b = b[:q]
+    tiled = np.take(block_b, np.arange(k - m + 1) % q)
+    if np.max(np.abs(b - tiled)) > 1e-12:
+        raise PreconditionError("window-periodicity: window does not tile its "
+                                "leading q entries")
+    comparison = PeriodicJacobi.of(q, [1.0] * q, block_b)
+    bs = band_structure(comparison, tol=1e-10)
+    for band in bs.bands:
+        if band.lo < E + delta and band.hi > E - delta:
+            raise PreconditionError(
+                f"spectrum-avoidance: band [{band.lo}, {band.hi}] meets "
+                f"({E - delta}, {E + delta})")
+    l_values, norms, bounds, violations = [], [], [], []
+    for l in range(4, k - m + 1):
+        norm = transfer_product(spec, m, m + l, E).op_norm()
+        bound = gap_growth_lower_bound(delta, l)
+        l_values.append(l)
+        norms.append(norm)
+        bounds.append(bound)
+        if norm < bound * (1.0 - 1e-12):
+            violations.append(l)
+    return GapWindowReport(m, k, E, delta, tuple(l_values), tuple(norms),
+                           tuple(bounds), tuple(violations))
+
+
+@dataclass(frozen=True)
+class AcIntervalEstimate:
+    """Windowed estimate of [limsup (b - 2a), liminf (b + 2a)].
+
+    For step-1 bounded-variation coefficients this bracket is the essential
+    support of the a.c. spectrum; `empty` means the estimate crossed over and
+    no a.c. spectrum is indicated.
+    """
+
+    lo: float
+    hi: float
+    empty: bool
+    lower_trace: tuple[float, ...]   # per-window max of b - 2a
+    upper_trace: tuple[float, ...]   # per-window min of b + 2a
+    stabilized: bool
+    window_length: int
+
+    def as_pair(self) -> tuple[float, float] | None:
+        return None if self.empty else (self.lo, self.hi)
+
+
+def ac_interval_estimate(spec: CoefficientSpec, horizon: int) -> AcIntervalEstimate:
+    """Estimate the asymptotic bracket over tail windows of length horizon/8.
+
+    The traces let a caller judge convergence; `stabilized` compares the last
+    four windows against the final one at threshold 1e-3.
+    """
+    if horizon < 16:
+        raise ValueError("horizon too short to form tail windows")
+    wlen = horizon // 8
+    lower_trace, upper_trace = [], []
+    for i in range(8):
+        start = i * wlen + 1
+        stop = horizon + 1 if i == 7 else (i + 1) * wlen + 1
+        a, b = coefficient_arrays(spec, start, stop)
+        lower_trace.append(float(np.max(b - 2.0 * a)))
+        upper_trace.append(float(np.min(b + 2.0 * a)))
+    lo, hi = lower_trace[-1], upper_trace[-1]
+    stabilized = (max(abs(v - lo) for v in lower_trace[-4:]) <= 1e-3 and
+                  max(abs(v - hi) for v in upper_trace[-4:]) <= 1e-3)
+    return AcIntervalEstimate(lo, hi, empty=lo > hi,
+                              lower_trace=tuple(lower_trace),
+                              upper_trace=tuple(upper_trace),
+                              stabilized=stabilized, window_length=wlen)
+
+
+def sturm_count(spec, size: int, x: float) -> int:
+    """Eigenvalues below x of the leading size-by-size truncation.
+
+    Counts negative pivots of the shifted tridiagonal leading-minor
+    recurrence, with the standard tiny-pivot perturbation so the recurrence
+    never divides by zero.  Accepts a coefficient spec or an approximant.
+    """
+    if size < 1:
+        raise ValueError("truncation size must be >= 1")
+    cspec = spec.as_spec() if hasattr(spec, "as_spec") else spec
+    a, b = coefficient_arrays(cspec, 1, size + 1)
+    a = a.tolist()
+    b = b.tolist()
+    amax = max(a[:-1], default=1.0) if size > 1 else 1.0
+    pivmin = 1e-300 * max(1.0, amax * amax)
+    count = 0
+    d = b[0] - x
+    if abs(d) <= pivmin:
+        d = -pivmin
+    if d < 0.0:
+        count += 1
+    for i in range(1, size):
+        d = (b[i] - x) - (a[i - 1] * a[i - 1]) / d
+        if abs(d) <= pivmin:
+            d = -pivmin
+        if d < 0.0:
+            count += 1
+    return count

@@ -1,0 +1,146 @@
+"""2x2 complex matrices and overflow-safe scaled products.
+
+Everything transfer-matrix shaped in this package is carried by `Matrix2`.
+Long ordered products grow exponentially by design, so `ScaledMatrix2` keeps a
+unit-scale mantissa together with an accumulated natural-log scale factor.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+# raw entry magnitude at which a product switches to the scaled representation
+RESCALE_LIMIT = 1e100
+
+
+@dataclass(frozen=True)
+class Matrix2:
+    e11: complex
+    e12: complex
+    e21: complex
+    e22: complex
+
+    @staticmethod
+    def identity() -> "Matrix2":
+        return Matrix2(1.0, 0.0, 0.0, 1.0)
+
+    def __matmul__(self, o: "Matrix2") -> "Matrix2":
+        return Matrix2(
+            self.e11 * o.e11 + self.e12 * o.e21,
+            self.e11 * o.e12 + self.e12 * o.e22,
+            self.e21 * o.e11 + self.e22 * o.e21,
+            self.e21 * o.e12 + self.e22 * o.e22,
+        )
+
+    def __sub__(self, o: "Matrix2") -> "Matrix2":
+        return Matrix2(self.e11 - o.e11, self.e12 - o.e12,
+                       self.e21 - o.e21, self.e22 - o.e22)
+
+    def scaled(self, c: complex) -> "Matrix2":
+        return Matrix2(c * self.e11, c * self.e12, c * self.e21, c * self.e22)
+
+    def trace(self) -> complex:
+        return self.e11 + self.e22
+
+    def det(self) -> complex:
+        return self.e11 * self.e22 - self.e12 * self.e21
+
+    def adjugate(self) -> "Matrix2":
+        """Adjugate; equals the inverse whenever det = 1."""
+        return Matrix2(self.e22, -self.e12, -self.e21, self.e11)
+
+    def entries(self) -> tuple[complex, complex, complex, complex]:
+        return (self.e11, self.e12, self.e21, self.e22)
+
+    def max_abs(self) -> float:
+        return max(abs(self.e11), abs(self.e12), abs(self.e21), abs(self.e22))
+
+    def fro2(self) -> float:
+        return (abs(self.e11) ** 2 + abs(self.e12) ** 2
+                + abs(self.e21) ** 2 + abs(self.e22) ** 2)
+
+    def op_norm(self) -> float:
+        """Operator 2-norm via the closed-form largest singular value.
+
+        Uses the ratio form s_max^2 = (F/2)(1 + sqrt(1 - (2|det|/F)^2)) so the
+        intermediate never squares F, which keeps entries near the rescale
+        limit finite.
+        """
+        f = self.fro2()
+        if f == 0.0:
+            return 0.0
+        r = 2.0 * abs(self.det()) / f
+        disc = 1.0 - r * r
+        if disc < 0.0:
+            disc = 0.0
+        return math.sqrt(0.5 * f * (1.0 + math.sqrt(disc)))
+
+    def is_real(self, tol: float = 0.0) -> bool:
+        return max(abs(complex(e).imag) for e in self.entries()) <= tol
+
+    def close_to(self, other: "Matrix2", tol: float) -> bool:
+        return (self - other).max_abs() <= tol
+
+
+def one_step_matrix(a: float, b: float, z: complex) -> Matrix2:
+    """One-step update matrix ((z-b)/a, -1/a; a, 0) of the Jacobi recurrence.
+
+    Unimodular: det = 1 exactly in exact arithmetic.
+    """
+    if not a > 0:
+        raise ValueError(f"off-diagonal coefficient must be positive, got {a}")
+    return Matrix2((z - b) / a, -1.0 / a, a, 0.0)
+
+
+def _normalized(m: Matrix2, log_scale: float) -> "ScaledMatrix2":
+    c = m.max_abs()
+    if c > RESCALE_LIMIT:
+        m = m.scaled(1.0 / c)
+        log_scale += math.log(c)
+    return ScaledMatrix2(m, log_scale)
+
+
+@dataclass(frozen=True)
+class ScaledMatrix2:
+    """A matrix stored as mantissa * exp(log_scale).
+
+    For unimodular products the operator norm is at least 1, so only upward
+    rescaling is ever needed.
+    """
+
+    mantissa: Matrix2
+    log_scale: float = 0.0
+
+    @staticmethod
+    def of(m: Matrix2) -> "ScaledMatrix2":
+        return _normalized(m, 0.0)
+
+    def left_mul(self, a: Matrix2) -> "ScaledMatrix2":
+        return _normalized(a @ self.mantissa, self.log_scale)
+
+    def __matmul__(self, o: "ScaledMatrix2") -> "ScaledMatrix2":
+        return _normalized(self.mantissa @ o.mantissa,
+                           self.log_scale + o.log_scale)
+
+    def op_norm_log(self) -> float:
+        return math.log(self.mantissa.op_norm()) + self.log_scale
+
+    def op_norm(self) -> float:
+        try:
+            return math.exp(self.op_norm_log())
+        except OverflowError:
+            return math.inf
+
+    def log_abs_det(self) -> float:
+        """log |det|; accurate while the mantissa's singular-value spread stays
+        within double precision (cancellation floors it at ~1e-16 of the
+        squared norm)."""
+        d = abs(self.mantissa.det())
+        if d == 0.0:
+            return -math.inf
+        return math.log(d) + 2.0 * self.log_scale
+
+    def to_matrix2(self) -> Matrix2:
+        """Materialize the plain matrix; raises OverflowError if too large."""
+        return self.mantissa.scaled(math.exp(self.log_scale))
