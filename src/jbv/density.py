@@ -16,9 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coeffs import CoefficientSpec, eval_coefficients, eventually_periodic_spec
+import numpy as np
+
+from .coeffs import (CoefficientSpec, coefficient_arrays, eval_coefficients,
+                     eventually_periodic_spec)
 from .errors import OutsideBandError, PoleOfMError
-from .transfer import eigen_branch, q_step_block, weyl_branch_sign
+from .transfer import (Diagonalization, QStepBlock, eigen_branch, q_step_block,
+                       transfer_scan, weyl_branch_sign)
 
 __all__ = [
     "ApproximantSpec", "WeylSolution", "approximant_coefficients",
@@ -71,26 +75,44 @@ class WeylSolution:
         return self.values[0]
 
 
+def _unscaled(t: np.ndarray, e) -> np.ndarray:
+    """t * 2**e entrywise, complex t included."""
+    return np.ldexp(t.real, e) + 1j * np.ldexp(t.imag, e)
+
+
+def _solve(aspec: ApproximantSpec, block_n: QStepBlock, s: int,
+           keep_values: bool = False) -> tuple[Diagonalization, tuple, list]:
+    """Seed u_N = (lam_N - D_N, C_N) from block N's eigen branch s and solve
+    u_m = Phi_m^{-1} u_{m+1} down to u_0: one backward scan over indices
+    Nq .. 1, with real blocks where z is real.  Returns the branch, u_0 as
+    (mantissa column, power of two) and, with keep_values, the unscaled
+    u_N, ..., u_0."""
+    diag = eigen_branch(block_n, s)
+    seed = np.array([[diag.lam - block_n.D], [block_n.C]])
+    q = aspec.q
+    a, b = coefficient_arrays(aspec.base, 1, aspec.N * q + 1)
+    u0, values, done = (seed[:, 0], 0), [seed[:, 0].tolist()], 0
+    for scan in transfer_scan(a[::-1], b[::-1], block_n.z, seed,
+                              prefixes=keep_values, inverse=True):
+        u0 = scan.t[:, 0], scan.e
+        if keep_values:
+            # u_m is reached once index mq + 1 is undone: every q-th step
+            at = np.arange((q - 1 - done) % q, len(scan.prefix_e), q)
+            values += _unscaled(scan.prefix_t[:, 0, at], scan.prefix_e[at]).T.tolist()
+            done += len(scan.prefix_e)
+    return diag, u0, values
+
+
 def weyl_solution(aspec: ApproximantSpec, z: complex, s: int) -> WeylSolution:
     """Seed u_N = (lam_N - D_N, C_N) at block N, then solve backwards.
 
-    Block inverses use the adjugate, exact for unimodular blocks.
+    Block inverses are exact for unimodular blocks.
     """
     zc = complex(z)
-    spec = aspec.as_spec()
-    block_n = q_step_block(spec, aspec.q, aspec.N, zc)
-    diag = eigen_branch(block_n, s)
-    u1 = diag.lam - block_n.D
-    u2 = block_n.C
-    values = [(u1, u2)]
-    for m in range(aspec.N - 1, -1, -1):
-        phi = q_step_block(spec, aspec.q, m, zc).Phi
-        inv = phi.adjugate()
-        u1, u2 = (inv.e11 * u1 + inv.e12 * u2, inv.e21 * u1 + inv.e22 * u2)
-        values.append((u1, u2))
-    values.reverse()
-    return WeylSolution(zc, s, tuple(values), diag.lam, block_n.C,
-                        block_n.D, block_n.Delta)
+    block_n = q_step_block(aspec.as_spec(), aspec.q, aspec.N, zc)
+    diag, _, values = _solve(aspec, block_n, s, keep_values=True)
+    return WeylSolution(zc, s, tuple(map(tuple, reversed(values))),
+                        diag.lam, block_n.C, block_n.D, block_n.Delta)
 
 
 def wronskian_defect(u: WeylSolution) -> float:
@@ -106,44 +128,27 @@ def wronskian_defect(u: WeylSolution) -> float:
     return worst
 
 
-def _density_given_sign(aspec: ApproximantSpec, x: float, s: int
-                        ) -> tuple[float, WeylSolution]:
-    u = weyl_solution(aspec, complex(x), s)
-    mod2 = abs(u.u0[1]) ** 2
-    if mod2 < 1e-24:
-        raise PoleOfMError(
-            f"second component of u_0 is numerically zero at x={x}; "
-            "this flags a bug for energies inside the band interior")
-    f = -(u.C.real * u.lam.imag) / (math.pi * mod2)
-    return f, u
-
-
 def ac_density(aspec: ApproximantSpec, x: float, s: int | None = None) -> float:
     """Spectral density of the approximant at a real energy in the interior of
     block N's bands.
 
-    With s=None the branch sign is selected by nonnegativity of the result
-    (the two branches give values of opposite sign).
+    With s=None the branch sign is the one that makes the result nonnegative.
+    At real x the s = -1 seed and solution are the exact conjugates of the
+    s = +1 ones, so f(-1) = -f(+1) bit for bit and one solve decides both.
     """
     block_n = q_step_block(aspec.as_spec(), aspec.q, aspec.N, complex(x))
     if abs(block_n.Delta.real) >= 2.0 - 1e-9 or abs(block_n.Delta.imag) > 1e-9:
         raise OutsideBandError(
             f"x={x}: block-N discriminant {block_n.Delta.real:.12g} is not "
             "inside (-2, 2)")
-    if s is not None:
-        f, _ = _density_given_sign(aspec, x, s)
-        return f
-    f, _ = _density_given_sign(aspec, x, +1)
-    if f >= 0.0:
-        return f
-    f, _ = _density_given_sign(aspec, x, -1)
-    return f
-
-
-def density_sign(aspec: ApproximantSpec, x: float) -> int:
-    """The branch sign that makes the density nonnegative at x."""
-    f, _ = _density_given_sign(aspec, x, +1)
-    return 1 if f >= 0.0 else -1
+    diag, (u0, e), _ = _solve(aspec, block_n, 1 if s is None else s)
+    mod2 = abs(complex(_unscaled(u0[1], e))) ** 2
+    if mod2 < 1e-24:
+        raise PoleOfMError(
+            f"second component of u_0 is numerically zero at x={x}; "
+            "this flags a bug for energies inside the band interior")
+    f = -(block_n.C.real * diag.lam.imag) / (math.pi * mod2)
+    return abs(f) if s is None else f
 
 
 def m_function(aspec: ApproximantSpec, z: complex, s: int | None = None) -> complex:
@@ -155,9 +160,11 @@ def m_function(aspec: ApproximantSpec, z: complex, s: int | None = None) -> comp
     zc = complex(z)
     if zc.imag <= 0.0:
         raise ValueError("the Weyl function is evaluated for Im z > 0")
+    block_n = q_step_block(aspec.as_spec(), aspec.q, aspec.N, zc)
     if s is None:
-        s = weyl_branch_sign(q_step_block(aspec.as_spec(), aspec.q, aspec.N, zc))
-    u = weyl_solution(aspec, zc, s)
-    if u.u0[1] == 0:
+        s = weyl_branch_sign(block_n)
+    _, (u0, _), _ = _solve(aspec, block_n, s)
+    u1, u2 = u0.tolist()
+    if u2 == 0:
         raise PoleOfMError(f"u_0[1] = 0 at z={zc}")
-    return -u.u0[0] / u.u0[1]
+    return -u1 / u2

@@ -1,16 +1,32 @@
 """q-step transfer blocks, long ordered products and coupling diagnostics.
 
 Block m is the ordered one-step product over indices mq+1 .. (m+1)q (highest
-index leftmost).  Long products are kept in the scaled representation so
-log-norms stay available far past float overflow; the per-step accumulator
-`GrowthScanner` additionally tracks sum_n ||T_{1,n}(x)||^2 in log space.
+index leftmost).  Long products are kept as mantissa * 2**e so log-norms stay
+available far past float overflow.
+
+`transfer_scan` is the kernel behind every long product.  One kernel call
+takes at most CHUNK = 32768 steps, with the product carried from call to
+call, so memory stays at one chunk.  Over its L steps it is a blocked
+parallel prefix (Blelloch 1990): (1) one loop of ceil(sqrt(L)) steps scans
+all blocks of that length side by side, each from the identity; (2) a
+sequential pass multiplies the block products onto the carried product;
+(3) on request, one broadcast multiply of each in-block prefix by its
+block's normalised entry product gives the product after every step.  A
+product whose largest entry passes RESCALE_LIMIT (1e100) is divided by a
+power of two, which is exact.  `GrowthScanner` feeds runs of SCAN_MIN (256)
+steps or more through the kernel and shorter runs step by step; fed one
+step at a time it is the sequential reference.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .coeffs import CoefficientSpec, coefficient_arrays, eval_coefficients
 from .errors import DegenerateBlockError, NonDiagonalizableFrameError
@@ -18,12 +34,15 @@ from .matrix2 import RESCALE_LIMIT, Matrix2, ScaledMatrix2, one_step_matrix
 from .periodic import PeriodicJacobi, discriminant_polynomial
 
 __all__ = [
-    "QStepBlock", "Diagonalization", "CouplingSeries", "GrowthScanner",
-    "q_step_block", "transfer_product", "eigen_branch", "coupling_series",
-    "branch_sign_for_interval", "weyl_branch_sign", "block_matrix",
+    "QStepBlock", "Diagonalization", "CouplingSeries", "GrowthScanner", "Scan",
+    "q_step_block", "transfer_product", "transfer_scan", "log_norm2",
+    "eigen_branch", "coupling_series", "branch_sign_for_interval",
+    "weyl_branch_sign",
 ]
 
-_LOG_RESCALE = math.log(RESCALE_LIMIT)
+CHUNK = 32768  # steps per kernel call
+SCAN_MIN = 256  # GrowthScanner.feed_arrays runs shorter than this go step by step
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -55,14 +74,6 @@ class QStepBlock:
         return self.Phi.e22
 
 
-def block_matrix(P: PeriodicJacobi, z: complex) -> Matrix2:
-    """Ordered one-step product over one period block, index 1 rightmost."""
-    m = Matrix2.identity()
-    for a, b in zip(P.a, P.b):
-        m = one_step_matrix(a, b, z) @ m
-    return m
-
-
 def q_step_block(spec: CoefficientSpec, q: int, m: int, z: complex) -> QStepBlock:
     """Transfer block over coefficient indices mq+1 .. (m+1)q."""
     if q < 1 or m < 0:
@@ -74,34 +85,113 @@ def q_step_block(spec: CoefficientSpec, q: int, m: int, z: complex) -> QStepBloc
     return QStepBlock(m, phi, z)
 
 
-def _product_scan_real(a: list[float], b: list[float], x: float) -> ScaledMatrix2:
-    t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
-    ls = 0.0
-    for i in range(len(a)):
-        ai = a[i]
-        p = (x - b[i]) / ai
-        qv = -1.0 / ai
-        r11 = p * t11 + qv * t21
-        r12 = p * t12 + qv * t22
-        t21 = ai * t11
-        t22 = ai * t12
-        t11, t12 = r11, r12
-        m = max(abs(t11), abs(t12), abs(t21), abs(t22))
-        if m > RESCALE_LIMIT:
-            inv = 1.0 / m
-            t11 *= inv
-            t12 *= inv
-            t21 *= inv
-            t22 *= inv
-            ls += math.log(m)
-    return ScaledMatrix2(Matrix2(t11, t12, t21, t22), ls)
+class Scan(NamedTuple):
+    """A product t * 2**e: t of shape (2, c) holds a 2x2 matrix (c = 2) or a
+    column (c = 1), e is an integer.  prefix_t and prefix_e, of shapes
+    (2, c, L) and (L,), hold the product after each of the L steps of the
+    kernel call that made it, when asked for."""
+
+    t: np.ndarray
+    e: int
+    prefix_t: np.ndarray | None = None
+    prefix_e: np.ndarray | None = None
 
 
-def _product_scan_complex(a: list[float], b: list[float], x: complex) -> ScaledMatrix2:
-    t = ScaledMatrix2.of(Matrix2.identity())
-    for i in range(len(a)):
-        t = t.left_mul(one_step_matrix(a[i], b[i], x))
-    return t
+def _rescaled(t: np.ndarray, limit: float = RESCALE_LIMIT):
+    """t with each matrix (over the first two axes) whose largest entry
+    passes `limit` divided by the power of two that brings that entry into
+    [0.5, 1), which is exact, and the exponents taken out."""
+    top = np.abs(t).max(axis=(0, 1))
+    shift = np.where(top > limit, np.frexp(top)[1], 0)
+    return t * np.ldexp(1.0, -shift), shift
+
+
+def log_norm2(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log ||t * 2**e||^2 (operator norm) for t of shape (2, 2) + e.shape,
+    by the ratio form of `Matrix2.op_norm`."""
+    f = (np.abs(t) ** 2).sum(axis=(0, 1))
+    r = 2.0 * np.abs(t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]) / f
+    disc = np.maximum(1.0 - r * r, 0.0)
+    return np.log(0.5 * f * (1.0 + np.sqrt(disc))) + (2.0 * _LN2) * e
+
+
+def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: np.ndarray | None = None,
+                  prefixes: bool = False, inverse: bool = False) -> Iterator[Scan]:
+    """Multiply the one-step matrices of (a[i], b[i]) at energy z onto
+    `start` in array order (a[0]'s acts first), CHUNK steps per kernel call
+    with the product carried from call to call; yields each call's Scan.
+
+    start defaults to the identity; a (2, 1) array carries a column.  With
+    inverse=True each step is replaced by its inverse, so reversed arrays
+    solve the recursion backwards.  With prefixes=True each Scan also holds
+    the product after every step of its call.
+    """
+    z = complex(z)
+    z = z.real if z.imag == 0.0 else z
+    carry = Scan(np.eye(2) if start is None else start, 0)
+    for lo in range(0, len(a), CHUNK):
+        carry = _scan_chunk(a[lo:lo + CHUNK], b[lo:lo + CHUNK], z, carry,
+                            prefixes, inverse)
+        yield carry
+
+
+def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan, prefixes: bool,
+                inverse: bool) -> Scan:
+    L = len(a)
+    flip = slice(None, None, -1 if inverse else 1)
+    ct, ce = carry.t[flip], carry.e
+    size = math.isqrt(L - 1) + 1
+    blocks, pad = -(-L // size), -L % size
+    # in swapped coordinates the inverse of ((p, -1/a), (a, 0)) is
+    # ((p, -a), (1/a, 0)); steps past L are the rotation ((0, -1), (1, 0)),
+    # which act after the last block's product is read
+    p = np.zeros(blocks * size, np.result_type(z, b))
+    p[:L] = (z - b) / a
+    p = p.reshape(blocks, size)
+    qv, r = (-a, 1.0 / a) if inverse else (-1.0 / a, a)
+    qv = np.append(qv, np.full(pad, -1.0)).reshape(blocks, size)
+    r = np.append(r, np.ones(pad)).reshape(blocks, size)
+
+    # 1. all blocks side by side, each from the identity
+    t = np.zeros((2, 2, blocks), p.dtype)
+    t[0, 0] = t[1, 1] = 1.0
+    e = np.zeros(blocks, np.int64)
+    if prefixes:
+        inner_t = np.empty(t.shape + (size,), t.dtype)
+        inner_e = np.empty((blocks, size), np.int64)
+    for j in range(size):
+        row1 = p[:, j] * t[0] + qv[:, j] * t[1]
+        t[1] = r[:, j] * t[0]
+        t[0] = row1
+        if np.abs(t).max() > RESCALE_LIMIT:
+            t, shift = _rescaled(t)
+            e = e + shift
+        if prefixes:
+            inner_t[..., j], inner_e[:, j] = t, e
+        if j == size - 1 - pad:
+            last = t[..., -1].copy(), e[-1]
+    t[..., -1], e[-1] = last
+
+    # 2. the block products onto the carry, one after another
+    blk = t.transpose(2, 0, 1)
+    entries = []
+    for k in range(blocks):
+        entries.append((ct, ce))
+        ct, ce = blk[k] @ ct, ce + int(e[k])
+        if np.abs(ct).max() > RESCALE_LIMIT:
+            ct, shift = _rescaled(ct)
+            ce += int(shift)
+    if not prefixes:
+        return Scan(ct[flip], ce)
+
+    # 3. every in-block prefix times its block's entry product, normalised
+    # first so that the products stay in float range
+    et, shift = _rescaled(np.stack([c for c, _ in entries], axis=2), 0.0)
+    ee = np.array([x for _, x in entries]) + shift
+    pt = np.einsum("imks,mck->icks", inner_t, et)
+    pt = pt.reshape(pt.shape[:2] + (-1,))[flip, :, :L]
+    pe = (inner_e + ee[:, None]).reshape(-1)[:L]
+    return Scan(ct[flip], ce, pt, pe)
 
 
 def transfer_product(spec: CoefficientSpec, m: int, n: int, x: complex) -> ScaledMatrix2:
@@ -111,11 +201,8 @@ def transfer_product(spec: CoefficientSpec, m: int, n: int, x: complex) -> Scale
     """
     if not (1 <= m <= n):
         raise ValueError("need 1 <= m <= n")
-    avals, bvals = coefficient_arrays(spec, m, n + 1)
-    xc = complex(x)
-    if xc.imag == 0.0:
-        return _product_scan_real(avals.tolist(), bvals.tolist(), xc.real)
-    return _product_scan_complex(avals.tolist(), bvals.tolist(), xc)
+    *_, scan = transfer_scan(*coefficient_arrays(spec, m, n + 1), x)
+    return ScaledMatrix2(Matrix2(*scan.t.ravel().tolist()), scan.e * _LN2)
 
 
 class GrowthScanner:
@@ -141,7 +228,16 @@ class GrowthScanner:
     def feed(self, a: float, b: float) -> None:
         self.feed_arrays([a], [b])
 
-    def feed_arrays(self, avals, bvals) -> None:
+    def feed_arrays(self, avals, bvals):
+        """Feed coefficients in index order: runs shorter than SCAN_MIN step
+        by step, longer ones through `transfer_scan`.  Returns the log
+        statistic after each step (-inf while n < 2), a list for a short
+        run and an array for a long one."""
+        if len(avals) >= SCAN_MIN:
+            return self._feed_scan(np.asarray(avals, np.float64),
+                                   np.asarray(bvals, np.float64))
+        if isinstance(avals, np.ndarray):
+            avals, bvals = avals.tolist(), bvals.tolist()
         x = self.x
         t11, t12, t21, t22 = self.t11, self.t12, self.t21, self.t22
         ls = self.log_scale
@@ -150,6 +246,8 @@ class GrowthScanner:
         n = self.n
         log = math.log
         sqrt = math.sqrt
+        stats = []
+        stat = -math.inf
         for i in range(len(avals)):
             ai = avals[i]
             p = (x - bvals[i]) / ai
@@ -188,11 +286,30 @@ class GrowthScanner:
                 stat = log_sum - ln_n - 2.0 * log(ln_n)
                 if stat > run_max:
                     run_max = stat
+            stats.append(stat)
         self.t11, self.t12, self.t21, self.t22 = t11, t12, t21, t22
         self.log_scale = ls
         self.log_sum = log_sum
         self.running_max_log = run_max
         self.n = n
+        return stats
+
+    def _feed_scan(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        start = np.array([[self.t11, self.t12], [self.t21, self.t22]])
+        log_scale, stats = self.log_scale, []
+        for scan in transfer_scan(a, b, self.x, start, prefixes=True):
+            terms = log_norm2(scan.prefix_t, scan.prefix_e) + 2.0 * log_scale
+            sums = np.logaddexp.accumulate(np.append(self.log_sum, terms))[1:]
+            n = np.arange(self.n + 1, self.n + 1 + len(terms), dtype=np.float64)
+            ln_n = np.log(np.maximum(n, 2.0))
+            stat = np.where(n >= 2.0, sums - ln_n - 2.0 * np.log(ln_n), -np.inf)
+            self.running_max_log = max(self.running_max_log, float(stat.max()))
+            self.log_sum = float(sums[-1])
+            self.n += len(terms)
+            stats.append(stat)
+        (self.t11, self.t12), (self.t21, self.t22) = scan.t.tolist()
+        self.log_scale = log_scale + scan.e * _LN2
+        return np.concatenate(stats)
 
     @property
     def statistic_log(self) -> float:
@@ -214,10 +331,6 @@ class GrowthScanner:
             return math.exp(self.running_max_log)
         except OverflowError:
             return math.inf
-
-    def product(self) -> ScaledMatrix2:
-        return ScaledMatrix2(Matrix2(self.t11, self.t12, self.t21, self.t22),
-                             self.log_scale)
 
 
 _PRINCIPAL_EPS = 1e-12

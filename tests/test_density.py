@@ -170,6 +170,11 @@ def test_density_outside_band_raises():
         ac_density(free_aspec(0), 2.0)  # band edge is degenerate
 
 
+def test_density_rejects_bad_branch_sign():
+    with pytest.raises(ValueError, match="branch sign"):
+        ac_density(free_aspec(0), 0.0, s=0)
+
+
 def test_density_formula_is_real():
     # the formula evaluated without taking real parts has rounding-level
     # imaginary residue at real energies
