@@ -48,6 +48,11 @@ def _cfg(args, name: str, default):
     return args._config.get(name, default)
 
 
+def _json(doc) -> str:
+    """Strict JSON: a NaN or infinity raises instead of being written."""
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -98,7 +103,7 @@ def _cmd_bands(args) -> int:
         "critical_points": list(bs.critical_points),
         "discriminant": list(bs.discriminant.coeffs),
     }
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(_json(doc), args.out)
     return 0
 
 
@@ -113,7 +118,7 @@ def _schedule_path(out: str) -> str:
 def _cmd_construct(args) -> int:
     if args.construction == "thm16":
         spec = slow_cosine_spec(args.lam, args.gamma)
-        _emit(spec.to_json(), args.out)
+        _emit(_json(spec.to_dict()), args.out)
         return 0
     cap = int(_cfg(args, "cap", 10 ** 6))
     mode = _cfg(args, "mode", "empirical")
@@ -123,13 +128,13 @@ def _cmd_construct(args) -> int:
     spec = staircase_comb_spec(sched)
     if not args.out:
         raise ValueError("construct thm15 requires --out")
-    _emit(spec.to_json(), args.out)
+    _emit(_json(spec.to_dict()), args.out)
     spath = args.schedule_out or _schedule_path(args.out)
-    _emit(sched.to_json(), spath)
+    _emit(_json(sched.to_dict()), spath)
     summary = {"spec": args.out, "schedule": spath, "mode": sched.mode,
                "truncated": sched.truncated, "horizon": sched.horizon,
                "levels_realized": len(sched.rows)}
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    sys.stdout.write(_json(summary) + "\n")
     return 0
 
 
@@ -165,8 +170,7 @@ def _cmd_density(args) -> int:
             rows.append([x, None, args.N, args.q, f"error:{type(exc).__name__}"])
     header = ["x", "f", "N", "q", "status"]
     if args.format == "json":
-        _emit(json.dumps({"rows": [dict(zip(header, r)) for r in rows]},
-                         indent=2), args.out)
+        _emit(_json({"rows": [dict(zip(header, r)) for r in rows]}), args.out)
     else:
         _emit(_csv_text(header, [[repr(r[0]), "" if r[1] is None else repr(r[1]),
                                   r[2], r[3], r[4]] for r in rows]), args.out)
@@ -191,9 +195,9 @@ def _cmd_diagnose(args) -> int:
             "x": x,
             "n": gs.n,
             "statistic": [[n, _linear(v)] for n, v in gs.trace],
-            "statistic_log": [[n, v] for n, v in gs.trace],
+            "statistic_log": [[n, _finite(v)] for n, v in gs.trace],
             "running_max": _linear(gs.log_running_max),
-            "running_max_log": gs.log_running_max,
+            "running_max_log": _finite(gs.log_running_max),
         })
     doc: dict = {"N": args.N, "results": results}
     if args.verify_gap:
@@ -208,7 +212,7 @@ def _cmd_diagnose(args) -> int:
             "violations": list(report.violations),
             "passed": report.passed,
         }
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(_json(doc), args.out)
     return 0
 
 
@@ -216,6 +220,11 @@ def _linear(log_value: float) -> float | None:
     """exp(log_value), or None where that would leave float range (JSON has
     no Infinity)."""
     return math.exp(log_value) if log_value < 700.0 else None
+
+
+def _finite(log_value: float) -> float | None:
+    """log_value, or None where it is not finite (JSON has no Infinity)."""
+    return log_value if math.isfinite(log_value) else None
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +242,13 @@ def _cmd_verify(args) -> int:
     report = verify_gap_window_growth(spec, args.period, args.m, args.k,
                                       args.E, args.delta)
     if args.format == "json":
-        _emit(json.dumps({
+        _emit(_json({
             "m": report.m, "k": report.k, "E": report.E, "delta": report.delta,
             "rows": [{"l": l, "norm": n, "bound": b,
                       "status": "pass" if l not in report.violations else "fail"}
                      for l, n, b in zip(report.l_values, report.norms,
                                         report.bounds)],
-            "passed": report.passed}, indent=2), args.out)
+            "passed": report.passed}), args.out)
         return 0 if report.passed else 1
     rows = [[l, repr(norm), repr(bound), "pass" if l not in report.violations else "fail"]
             for l, norm, bound in zip(report.l_values, report.norms, report.bounds)]
@@ -305,7 +314,7 @@ def _cmd_intersect(args) -> int:
         "intervals": [{"lo": iv.lo, "hi": iv.hi, "closed_lo": iv.closed_lo,
                        "closed_hi": iv.closed_hi} for iv in result.intervals],
     }
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(_json(doc), args.out)
     return 0
 
 

@@ -54,7 +54,13 @@ class CoefficientSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown coefficient kind: {self.kind!r}")
-        _VALIDATORS[self.kind](self.params)
+        try:
+            _VALIDATORS[self.kind](self.params)
+        except KeyError as exc:
+            raise ValueError(f"{self.kind} spec is missing params entry {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"{self.kind} spec has an ill-typed params entry: "
+                             f"{exc}") from exc
         if self.length_hint is not None and self.length_hint < 1:
             raise ValueError("length_hint must be positive")
 
@@ -69,12 +75,14 @@ class CoefficientSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "CoefficientSpec":
-        if not isinstance(doc, dict) or "kind" not in doc or "params" not in doc:
-            raise ValueError("coefficient spec document needs 'kind' and 'params'")
+        if not (isinstance(doc, dict) and "kind" in doc
+                and isinstance(doc.get("params"), dict)):
+            raise ValueError("coefficient spec document needs 'kind' and a "
+                             "'params' object")
         kind = doc["kind"]
         params = dict(doc["params"])
         if kind == "eventually_periodic":
-            params["base"] = CoefficientSpec.from_dict(_as_plain_spec(params["base"]))
+            params["base"] = CoefficientSpec.from_dict(_as_plain_spec(params.get("base")))
         return CoefficientSpec(kind, params, doc.get("length_hint"))
 
     @staticmethod
@@ -104,10 +112,15 @@ def _check_positive_a(values) -> None:
             raise ValueError(f"all off-diagonal coefficients must be positive, got {a}")
 
 
+def _check_finite_b(values) -> None:
+    for b in values:
+        if not math.isfinite(b):
+            raise ValueError(f"all diagonal coefficients must be finite, got {b}")
+
+
 def _validate_constant(p: dict) -> None:
     _check_positive_a([p["a"]])
-    if not math.isfinite(p["b"]):
-        raise ValueError("diagonal coefficient must be finite")
+    _check_finite_b([p["b"]])
 
 
 def _validate_periodic(p: dict) -> None:
@@ -117,6 +130,7 @@ def _validate_periodic(p: dict) -> None:
     if len(p["a"]) != q or len(p["b"]) != q:
         raise ValueError("periodic blocks must have length q")
     _check_positive_a(p["a"])
+    _check_finite_b(p["b"])
 
 
 def _validate_eventually_periodic(p: dict) -> None:
@@ -151,6 +165,7 @@ def _validate_explicit(p: dict) -> None:
     if len(p["a"]) != len(p["b"]) or not p["a"]:
         raise ValueError("explicit a and b must be nonempty and equally long")
     _check_positive_a(p["a"])
+    _check_finite_b(p["b"])
 
 
 _VALIDATORS = {

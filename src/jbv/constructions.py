@@ -25,7 +25,7 @@ import numpy as np
 
 from .coeffs import (CoefficientSpec, coefficient_arrays, staircase_level_value)
 from .periodic import comb_potential, gap_report
-from .transfer import GrowthScanner
+from .transfer import SCAN_MIN, GrowthScanner, log_norm2, transfer_scan
 
 __all__ = [
     "Schedule", "build_schedule", "slow_cosine_spec", "staircase_comb_spec",
@@ -193,8 +193,14 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
         # hair before ceil: an exactly integral 4/delta must not round up
         m_list.append(max(2 ** level, math.ceil(4.0 / rep.min_width - 1e-6)))
 
+    if mode == "empirical":
+        # every search energy is known now: one lane per step and gap center,
+        # in the order the search reaches them
+        lanes = _Lanes(np.array([
+            z + staircase_level_value(level, k, m_l, lam)
+            for level, (m_l, centers) in enumerate(zip(m_list, centers_list), 1)
+            for k in range(m_l) for z in centers]))
     rows: list[tuple[int, ...]] = []
-    b_prefix: list[float] = []  # realized diagonal, used by empirical scans
     truncated = False
     end = 0
     for level in range(1, levels + 1):
@@ -206,19 +212,15 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
             v = staircase_level_value(level, k, m_list[li], lam)
             n0 = row[-1]
             if mode == "empirical":
-                n_next, win_vals = _empirical_step(
-                    q, lam, level, v, w_list[li], centers_list[li], n0,
-                    b_prefix, growth_margin, cap)
-                b_prefix.extend(win_vals)
+                n_next = _empirical_step(q, level, v, w_list[li], lanes,
+                                         len(centers_list[li]), n0,
+                                         growth_margin, cap)
             else:
                 n_next = _analytic_step(level, delta_list[li], n0,
                                         growth_margin, cap)
             if n_next is None:
                 truncated = True
                 n_next = cap
-                if mode == "empirical":
-                    # keep the realized diagonal aligned with the breakpoints
-                    del b_prefix[cap:]
             if n_next > row[-1]:
                 row.append(n_next)
         rows.append(tuple(row))
@@ -234,31 +236,76 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
     return sched
 
 
-def _empirical_step(q: int, lam: float, level: int, v: float, w_l: float,
-                    centers, n0: int, b_prefix: list[float],
-                    growth_margin: float, cap: int
-                    ) -> tuple[int | None, list[float]]:
+class _Lanes:
+    """T_{1,n}(x) = t * 2**e and log sum_{n' <= n} ||T_{1,n'}(x)||^2 at many
+    energies x, all at the same n; each coefficient run is multiplied onto
+    every lane in one `transfer_scan`, so no energy's prefix is scanned
+    twice."""
+
+    def __init__(self, x: np.ndarray) -> None:
+        self.x = x
+        self.t = np.broadcast_to(np.eye(2)[..., None], (2, 2, len(x)))
+        self.e = np.zeros(len(x), np.int64)
+        self.log_sum = np.full(len(x), -np.inf)
+        self.n = 0
+
+    def take(self, count: int) -> list[GrowthScanner]:
+        """GrowthScanners resumed from the first `count` lanes, which leave."""
+        scanners = []
+        for i in range(count):
+            sc = GrowthScanner(float(self.x[i]))
+            (sc.t11, sc.t12), (sc.t21, sc.t22) = self.t[..., i].tolist()
+            sc.n, sc.log_scale = self.n, int(self.e[i]) * math.log(2.0)
+            sc.log_sum = float(self.log_sum[i])
+            scanners.append(sc)
+        self.x, self.t, self.e, self.log_sum = (
+            v[..., count:] for v in (self.x, self.t, self.e, self.log_sum))
+        return scanners
+
+    def feed(self, b: list[float]) -> None:
+        """Multiply the run b_{n+1}, ..., b_{n+len(b)} (with a = 1) onto every
+        lane."""
+        if len(self.x):
+            for scan in transfer_scan(np.ones(len(b)), np.array(b), self.x,
+                                      self.t, prefixes=True):
+                terms = log_norm2(scan.prefix_t, scan.prefix_e + self.e)
+                top = terms.max(axis=0)
+                run = top + np.log(np.exp(terms - top).sum(axis=0))
+                self.log_sum = np.logaddexp(self.log_sum, run)
+            self.t, self.e = scan.t, self.e + scan.e
+        self.n += len(b)
+
+
+def _empirical_step(q: int, level: int, v: float, w_l: float, lanes: _Lanes,
+                    count: int, n0: int, growth_margin: float,
+                    cap: int) -> int | None:
     """Extend one staircase step until the prefix-sum statistic of the actual
-    transfer products clears level * n log^2 n at every shifted gap center."""
-    scanners = [GrowthScanner(z + v) for z in centers]
-    ones = [1.0] * len(b_prefix)
-    for sc in scanners:
-        sc.feed_arrays(ones, b_prefix)
-    win_vals: list[float] = []
-    n = n0
-    while True:
-        n += 1
-        if n > cap:
-            return None, win_vals
-        bn = v + (w_l if n % q == 0 else 0.0)
-        win_vals.append(bn)
-        for sc in scanners:
-            sc.feed(1.0, bn)
-        if n < max(n0 + 5, 3):
-            continue
-        thr = _threshold_log(level, growth_margin, n)
-        if all(sc.statistic_log >= thr for sc in scanners):
-            return n, win_vals
+    transfer products clears level * n log^2 n at every shifted gap center.
+
+    The step's `count` energies leave `lanes` as scanners at n0 and read
+    ahead in runs; the window found is then multiplied onto the lanes of the
+    steps still to come."""
+    scanners = lanes.take(count)
+    window: list[float] = []
+    while n0 + len(window) < cap:
+        lo = n0 + len(window) + 1
+        # read ahead as far as the window has come, at least the shortest
+        # window, and below SCAN_MIN, so that the run takes the per-step
+        # loop that `feed` takes
+        ahead = min(max(len(window), 5), SCAN_MIN - 1)
+        run = [v + (w_l if n % q == 0 else 0.0)
+               for n in range(lo, min(lo + ahead, cap + 1))]
+        stats = [sc.feed_arrays([1.0] * len(run), run) for sc in scanners]
+        for i, n in enumerate(range(lo, lo + len(run))):
+            if n < n0 + 5:
+                continue
+            thr = _threshold_log(level, growth_margin, n)
+            if all(s[i] >= thr for s in stats):
+                window += run[:i + 1]
+                lanes.feed(window)
+                return n
+        window += run
+    return None
 
 
 def _analytic_step(level: int, delta: float, n0: int,

@@ -79,9 +79,6 @@ class Matrix2:
     def is_real(self, tol: float = 0.0) -> bool:
         return max(abs(complex(e).imag) for e in self.entries()) <= tol
 
-    def close_to(self, other: "Matrix2", tol: float) -> bool:
-        return (self - other).max_abs() <= tol
-
 
 def one_step_matrix(a: float, b: float, z: complex) -> Matrix2:
     """One-step update matrix ((z-b)/a, -1/a; a, 0) of the Jacobi recurrence.

@@ -4,18 +4,25 @@ Block m is the ordered one-step product over indices mq+1 .. (m+1)q (highest
 index leftmost).  Long products are kept as mantissa * 2**e so log-norms stay
 available far past float overflow.
 
-`transfer_scan` is the kernel behind every long product.  One kernel call
-takes at most CHUNK = 32768 steps, with the product carried from call to
-call, so memory stays at one chunk.  Over its L steps it is a blocked
-parallel prefix (Blelloch 1990): (1) one loop of ceil(sqrt(L)) steps scans
-all blocks of that length side by side, each from the identity; (2) a
-sequential pass multiplies the block products onto the carried product;
-(3) on request, one broadcast multiply of each in-block prefix by its
-block's normalised entry product gives the product after every step.  A
-product whose largest entry passes RESCALE_LIMIT (1e100) is divided by a
-power of two, which is exact.  `GrowthScanner` feeds runs of SCAN_MIN (256)
-steps or more through the kernel and shorter runs step by step; fed one
-step at a time it is the sequential reference.
+`transfer_scan` is the kernel behind every long product.  It takes one
+energy or an energy axis of E energies (lanes): the coefficient run is
+shared, and each lane keeps its own product, exponent and rescaling in a
+trailing array axis.  One kernel call takes at most CHUNK = 32768 steps at
+one energy, or LANE_CHUNK = 8192 steps times lanes, with the products
+carried from call to call, so memory stays at one chunk.  A call's arrays
+hold about 32 bytes per step and lane; the smaller lane chunk keeps the
+schedule search's peak memory near that of the scans it replaced, at no
+measurable cost in speed.  Over its L steps a call is a blocked parallel
+prefix (Blelloch 1990): (1) one loop of ceil(sqrt(L)) steps scans all
+blocks of that length of all lanes side by side, each from the identity;
+(2) a sequential pass multiplies the block products onto the carried
+products, all lanes in one matmul; (3) on request, one broadcast multiply
+of each in-block prefix by its block's normalised entry product gives the
+product after every step.  A product whose largest entry passes
+RESCALE_LIMIT (1e100) is divided by a power of two, which is exact.
+`GrowthScanner` feeds runs of SCAN_MIN (256) steps or more through the
+kernel and shorter runs step by step; fed one step at a time it is the
+sequential reference.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ __all__ = [
     "weyl_branch_sign",
 ]
 
-CHUNK = 32768  # steps per kernel call
+CHUNK = 32768  # steps per kernel call at one energy
+LANE_CHUNK = 8192  # steps times lanes per kernel call on an energy axis
 SCAN_MIN = 256  # GrowthScanner.feed_arrays runs shorter than this go step by step
 _LN2 = math.log(2.0)
 
@@ -89,21 +97,22 @@ class Scan(NamedTuple):
     """A product t * 2**e: t of shape (2, c) holds a 2x2 matrix (c = 2) or a
     column (c = 1), e is an integer.  prefix_t and prefix_e, of shapes
     (2, c, L) and (L,), hold the product after each of the L steps of the
-    kernel call that made it, when asked for."""
+    kernel call that made it, when asked for.  With an energy axis of E
+    lanes every field gains a trailing axis of length E (e has shape (E,))."""
 
     t: np.ndarray
-    e: int
+    e: int | np.ndarray
     prefix_t: np.ndarray | None = None
     prefix_e: np.ndarray | None = None
 
 
-def _rescaled(t: np.ndarray, limit: float = RESCALE_LIMIT):
-    """t with each matrix (over the first two axes) whose largest entry
+def _rescaled(t: np.ndarray, limit: float = RESCALE_LIMIT, axis=(0, 1)):
+    """t with each matrix (over the two axes `axis`) whose largest entry
     passes `limit` divided by the power of two that brings that entry into
     [0.5, 1), which is exact, and the exponents taken out."""
-    top = np.abs(t).max(axis=(0, 1))
+    top = np.abs(t).max(axis=axis, keepdims=True)
     shift = np.where(top > limit, np.frexp(top)[1], 0)
-    return t * np.ldexp(1.0, -shift), shift
+    return t * np.ldexp(1.0, -shift), shift.squeeze(axis)
 
 
 def log_norm2(t: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -118,26 +127,51 @@ def log_norm2(t: np.ndarray, e: np.ndarray) -> np.ndarray:
 def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: np.ndarray | None = None,
                   prefixes: bool = False, inverse: bool = False) -> Iterator[Scan]:
     """Multiply the one-step matrices of (a[i], b[i]) at energy z onto
-    `start` in array order (a[0]'s acts first), CHUNK steps per kernel call
-    with the product carried from call to call; yields each call's Scan.
+    `start` in array order (a[0]'s acts first), with the product carried
+    from kernel call to kernel call; yields each call's Scan.
 
+    z is one energy or a numpy array of E energies, the lanes: one call
+    then multiplies the shared coefficient run onto every lane, each with
+    its own product and rescaling, and start (if given) and every field of
+    the Scan gain a trailing lane axis.  A call takes at most
+    LANE_CHUNK // E steps (CHUNK at one energy).
     start defaults to the identity; a (2, 1) array carries a column.  With
     inverse=True each step is replaced by its inverse, so reversed arrays
     solve the recursion backwards.  With prefixes=True each Scan also holds
     the product after every step of its call.
     """
-    z = complex(z)
-    z = z.real if z.imag == 0.0 else z
-    carry = Scan(np.eye(2) if start is None else start, 0)
-    for lo in range(0, len(a), CHUNK):
-        carry = _scan_chunk(a[lo:lo + CHUNK], b[lo:lo + CHUNK], z, carry,
+    if isinstance(z, np.ndarray) and z.ndim:
+        if np.iscomplexobj(z) and not np.any(z.imag):
+            z = z.real
+        if start is None:
+            start = np.broadcast_to(np.eye(2)[..., None], (2, 2) + z.shape)
+        carry = Scan(start, np.zeros(z.shape, np.int64))
+        steps = max(1, LANE_CHUNK // z.size)
+    else:
+        z = complex(z)
+        z = z.real if z.imag == 0.0 else z
+        carry, steps = Scan(np.eye(2) if start is None else start, 0), CHUNK
+    for lo in range(0, len(a), steps):
+        carry = _scan_chunk(a[lo:lo + steps], b[lo:lo + steps], z, carry,
                             prefixes, inverse)
         yield carry
 
 
-def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan, prefixes: bool,
-                inverse: bool) -> Scan:
-    L = len(a)
+def _matrix_last(t: np.ndarray) -> np.ndarray:
+    """View with the two matrix axes moved from the front to the back."""
+    return t.transpose(*range(2, t.ndim), 0, 1)
+
+
+def _matrix_first(t: np.ndarray) -> np.ndarray:
+    """View with the two matrix axes moved from the back to the front."""
+    return t.transpose(t.ndim - 2, t.ndim - 1, *range(t.ndim - 2))
+
+
+def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
+                prefixes: bool, inverse: bool) -> Scan:
+    # every array below ends in the lane axis, or nothing at one energy
+    L, lane = len(a), getattr(z, "shape", ())
+    ones = (1,) * len(lane)
     flip = slice(None, None, -1 if inverse else 1)
     ct, ce = carry.t[flip], carry.e
     size = math.isqrt(L - 1) + 1
@@ -145,20 +179,20 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan, prefixes: bool,
     # in swapped coordinates the inverse of ((p, -1/a), (a, 0)) is
     # ((p, -a), (1/a, 0)); steps past L are the rotation ((0, -1), (1, 0)),
     # which act after the last block's product is read
-    p = np.zeros(blocks * size, np.result_type(z, b))
-    p[:L] = (z - b) / a
-    p = p.reshape(blocks, size)
+    p = np.zeros((blocks * size,) + lane, np.result_type(z, b))
+    p[:L] = (z - b.reshape((L,) + ones)) / a.reshape((L,) + ones)
+    p = p.reshape((blocks, size) + lane)
     qv, r = (-a, 1.0 / a) if inverse else (-1.0 / a, a)
-    qv = np.append(qv, np.full(pad, -1.0)).reshape(blocks, size)
-    r = np.append(r, np.ones(pad)).reshape(blocks, size)
+    qv = np.append(qv, np.full(pad, -1.0)).reshape((blocks, size) + ones)
+    r = np.append(r, np.ones(pad)).reshape((blocks, size) + ones)
 
-    # 1. all blocks side by side, each from the identity
-    t = np.zeros((2, 2, blocks), p.dtype)
+    # 1. all blocks (of all lanes) side by side, each from the identity
+    t = np.zeros((2, 2, blocks) + lane, p.dtype)
     t[0, 0] = t[1, 1] = 1.0
-    e = np.zeros(blocks, np.int64)
+    e = np.zeros((blocks,) + lane, np.int64)
     if prefixes:
-        inner_t = np.empty(t.shape + (size,), t.dtype)
-        inner_e = np.empty((blocks, size), np.int64)
+        inner_t = np.empty((2, 2, blocks, size) + lane, t.dtype)
+        inner_e = np.empty((blocks, size) + lane, np.int64)
     for j in range(size):
         row1 = p[:, j] * t[0] + qv[:, j] * t[1]
         t[1] = r[:, j] * t[0]
@@ -167,30 +201,33 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan, prefixes: bool,
             t, shift = _rescaled(t)
             e = e + shift
         if prefixes:
-            inner_t[..., j], inner_e[:, j] = t, e
+            inner_t[:, :, :, j], inner_e[:, j] = t, e
         if j == size - 1 - pad:
-            last = t[..., -1].copy(), e[-1]
-    t[..., -1], e[-1] = last
+            last = t[:, :, -1].copy(), e[-1].copy()
+    t[:, :, -1], e[-1] = last
 
-    # 2. the block products onto the carry, one after another
-    blk = t.transpose(2, 0, 1)
+    # 2. the block products onto the carry, one after another; matrix axes
+    # last, so that one matmul multiplies every lane
+    blk, ct = _matrix_last(t), _matrix_last(ct)
     entries = []
     for k in range(blocks):
         entries.append((ct, ce))
-        ct, ce = blk[k] @ ct, ce + int(e[k])
+        ct, ce = blk[k] @ ct, ce + e[k]
         if np.abs(ct).max() > RESCALE_LIMIT:
-            ct, shift = _rescaled(ct)
-            ce += int(shift)
+            ct, shift = _rescaled(ct, axis=(-2, -1))
+            ce = ce + shift
+    ct = _matrix_first(ct)
     if not prefixes:
         return Scan(ct[flip], ce)
 
     # 3. every in-block prefix times its block's entry product, normalised
     # first so that the products stay in float range
-    et, shift = _rescaled(np.stack([c for c, _ in entries], axis=2), 0.0)
+    et = np.ascontiguousarray(_matrix_first(np.array([c for c, _ in entries])))
+    et, shift = _rescaled(et, 0.0)
     ee = np.array([x for _, x in entries]) + shift
-    pt = np.einsum("imks,mck->icks", inner_t, et)
-    pt = pt.reshape(pt.shape[:2] + (-1,))[flip, :, :L]
-    pe = (inner_e + ee[:, None]).reshape(-1)[:L]
+    pt = np.einsum("imks...,mck...->icks...", inner_t, et)
+    pt = pt.reshape(pt.shape[:2] + (-1,) + lane)[flip, :, :L]
+    pe = (inner_e + ee[:, None]).reshape((-1,) + lane)[:L]
     return Scan(ct[flip], ce, pt, pe)
 
 
@@ -308,7 +345,7 @@ class GrowthScanner:
             self.n += len(terms)
             stats.append(stat)
         (self.t11, self.t12), (self.t21, self.t22) = scan.t.tolist()
-        self.log_scale = log_scale + scan.e * _LN2
+        self.log_scale = log_scale + int(scan.e) * _LN2
         return np.concatenate(stats)
 
     @property

@@ -2,7 +2,8 @@
 
 Each helper computes its quantity by a route disjoint from the library path it
 checks: interpolation instead of polynomial matrix products, dense banded
-solves instead of Weyl seeds, plain numpy products instead of scaled scans.
+solves instead of Weyl seeds, plain numpy products instead of scaled scans,
+a prefix replayed at every step instead of energy lanes carried forward.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 
-from jbv import coefficient_arrays, discriminant_value, spectral_bracket
+from jbv import (GrowthScanner, coefficient_arrays, discriminant_value,
+                 spectral_bracket, staircase_level_value)
 
 
 def interp_discriminant_coeffs(P) -> np.ndarray:
@@ -112,3 +114,66 @@ def chebu_sine(n: int, x: float) -> float:
 def free_truncation_eigs(n: int) -> list[float]:
     """Eigenvalues 2 cos(k pi/(n+1)) of the free n-by-n truncation."""
     return sorted(2.0 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1))
+
+
+def _threshold_log(level: int, margin: float, n: int) -> float:
+    ln_n = math.log(n)
+    return math.log(margin * level) + ln_n + 2.0 * math.log(ln_n)
+
+
+def replayed_schedule_rows(sched) -> tuple[tuple[int, ...], ...]:
+    """Breakpoint rows of an empirical schedule by the sequential search: at
+    every step a fresh GrowthScanner per shifted gap center replays the whole
+    realized prefix, then takes the step one index at a time.  Quadratic in
+    the horizon; w, centers, m, margin and cap are taken from `sched`."""
+    q, lam, cap = sched.q, sched.lam, sched.cap
+    rows: list[tuple[int, ...]] = []
+    b_prefix: list[float] = []  # realized diagonal
+    truncated = False
+    end = 0
+    for level in range(1, sched.levels + 1):
+        li = level - 1
+        row = [end]
+        for k in range(sched.m[li]):
+            if truncated:
+                break
+            v = staircase_level_value(level, k, sched.m[li], lam)
+            n0 = row[-1]
+            n_next, win_vals = _replayed_step(q, level, v, sched.w[li],
+                                              sched.centers[li], n0, b_prefix,
+                                              sched.margin, cap)
+            b_prefix.extend(win_vals)
+            if n_next is None:
+                truncated = True
+                n_next = cap
+                # keep the realized diagonal aligned with the breakpoints
+                del b_prefix[cap:]
+            if n_next > row[-1]:
+                row.append(n_next)
+        rows.append(tuple(row))
+        end = row[-1]
+        if truncated:
+            break
+    return tuple(rows)
+
+
+def _replayed_step(q, level, v, w_l, centers, n0, b_prefix, growth_margin, cap):
+    scanners = [GrowthScanner(z + v) for z in centers]
+    ones = [1.0] * len(b_prefix)
+    for sc in scanners:
+        sc.feed_arrays(ones, b_prefix)
+    win_vals: list[float] = []
+    n = n0
+    while True:
+        n += 1
+        if n > cap:
+            return None, win_vals
+        bn = v + (w_l if n % q == 0 else 0.0)
+        win_vals.append(bn)
+        for sc in scanners:
+            sc.feed(1.0, bn)
+        if n < max(n0 + 5, 3):
+            continue
+        thr = _threshold_log(level, growth_margin, n)
+        if all(sc.statistic_log >= thr for sc in scanners):
+            return n, win_vals

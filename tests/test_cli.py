@@ -10,6 +10,15 @@ from jbv.cli import main
 from oracles import free_density
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -27,7 +36,7 @@ def read_csv(text):
 def test_bands_free_q2(capsys):
     code, out, _ = run(capsys, "bands", "--q", "2", "--a", "1,1", "--b", "0,0")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_loads(out)
     assert doc["bands"][0] == pytest.approx([-2.0, 0.0], abs=1e-9)
     assert doc["bands"][1] == pytest.approx([0.0, 2.0], abs=1e-9)
     assert doc["gaps"] == []
@@ -38,7 +47,7 @@ def test_bands_free_q2(capsys):
 def test_bands_comb_gap(capsys):
     code, out, _ = run(capsys, "bands", "--q", "2", "--a", "1,1", "--b", "0,0.5")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_loads(out)
     assert doc["gaps"][0] == pytest.approx([0.0, 0.5], abs=1e-9)
 
 
@@ -53,7 +62,7 @@ def test_bands_file_input(tmp_path, capsys):
     p.write_text(json.dumps({"q": 1, "a": [1.0], "b": [0.25]}))
     code, out, _ = run(capsys, "bands", "--file", str(p))
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_loads(out)
     assert doc["bands"][0] == pytest.approx([-1.75, 2.25], abs=1e-9)
 
 
@@ -83,9 +92,9 @@ def test_construct_thm15(tmp_path, capsys):
                           "--cap", "100000", "--mode", "empirical",
                           "--out", str(out))
     assert code == 0
-    summary = json.loads(stdout)
+    summary = strict_loads(stdout)
     assert not summary["truncated"]
-    sched = Schedule.from_dict(json.loads(
+    sched = Schedule.from_dict(strict_loads(
         (tmp_path / "spec.schedule.json").read_text()))
     sched.validate()
     assert sched.rows[0][0] == 0
@@ -149,7 +158,7 @@ def test_diagnose_free(tmp_path, capsys):
     code, out, _ = run(capsys, "diagnose", "--spec", str(p), "--x", "0.0",
                        "--N", "200")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_loads(out)
     res = doc["results"][0]
     assert res["x"] == 0.0
     final_n, final_stat = res["statistic"][-1]
@@ -166,7 +175,7 @@ def test_diagnose_warns_outside_crude_bound(tmp_path, capsys):
                          "--x", "6.0", "--N", "50")
     assert code == 0
     assert "warning" in err
-    assert json.loads(out)["results"][0]["x"] == 6.0
+    assert strict_loads(out)["results"][0]["x"] == 6.0
 
 
 def test_diagnose_deterministic(tmp_path, capsys):
@@ -208,11 +217,11 @@ def test_intersect_shift_family(capsys):
     code, out, _ = run(capsys, "intersect", "--q", "2", "--lambda", "0.5",
                        "--points", "11", "--mode", "spectrum")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_loads(out)
     assert doc["pairs"] == [pytest.approx([-1.5, 1.5], abs=1e-8)]
     code, out, _ = run(capsys, "intersect", "--q", "2", "--lambda", "0.5",
                        "--points", "11", "--mode", "qinterior")
-    doc = json.loads(out)
+    doc = strict_loads(out)
     assert len(doc["pairs"]) == 2
     assert doc["pairs"][0] == pytest.approx([-1.5, -0.5], abs=1e-7)
     assert doc["pairs"][1] == pytest.approx([0.5, 1.5], abs=1e-7)
@@ -225,7 +234,7 @@ def test_intersect_family_file(tmp_path, capsys):
     p.write_text(json.dumps(fam))
     code, out, _ = run(capsys, "intersect", "--family", str(p), "--mode", "spectrum")
     assert code == 0
-    assert json.loads(out)["pairs"] == [pytest.approx([-1.5, 2.0], abs=1e-8)]
+    assert strict_loads(out)["pairs"] == [pytest.approx([-1.5, 2.0], abs=1e-8)]
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +247,11 @@ def test_env_config_defaults(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "intersect", "--q", "2", "--lambda", "0.5",
                        "--mode", "spectrum")
     assert code == 0
-    assert json.loads(out)["members"] == 3
+    assert strict_loads(out)["members"] == 3
     # explicit flag wins over the config file
     code, out, _ = run(capsys, "intersect", "--q", "2", "--lambda", "0.5",
                        "--points", "5", "--mode", "spectrum")
-    assert json.loads(out)["members"] == 5
+    assert strict_loads(out)["members"] == 5
 
 
 def test_outputs_round_trip_through_cli(tmp_path, capsys):
@@ -263,10 +272,10 @@ def test_construct_thm15_cap_truncation_reported(tmp_path, capsys):
                           "--lambda", "0.5", "--levels", "2", "--cap", "2000",
                           "--mode", "analytic", "--out", str(out))
     assert code == 0
-    summary = json.loads(stdout)
+    summary = strict_loads(stdout)
     assert summary["truncated"]
     assert summary["horizon"] == 2000
-    sched = Schedule.from_dict(json.loads(
+    sched = Schedule.from_dict(strict_loads(
         (tmp_path / "trunc.schedule.json").read_text()))
     sched.validate()
     spec = CoefficientSpec.from_json(out.read_text())
@@ -279,13 +288,13 @@ def test_diagnose_staircase_running_max(tmp_path, capsys):
                      "--levels", "1", "--cap", "100000", "--margin", "1.1",
                      "--out", str(spec_path))
     assert code == 0
-    sched = Schedule.from_dict(json.loads(
+    sched = Schedule.from_dict(strict_loads(
         (tmp_path / "spec.schedule.json").read_text()))
     center = sched.centers[0][0]
     code, out, _ = run(capsys, "diagnose", "--spec", str(spec_path),
                        "--x", str(center), "--N", str(sched.rows[0][-1]))
     assert code == 0
-    res = json.loads(out)["results"][0]
+    res = strict_loads(out)["results"][0]
     assert res["running_max"] is None or res["running_max"] >= 1.0
     assert res["running_max_log"] >= 0.0
 
@@ -295,7 +304,7 @@ def test_density_json_format(tmp_path, capsys):
     code, out, _ = run(capsys, "density", "--spec", str(p), "--q", "1",
                        "--N", "0", "--grid", "0:1:3", "--format", "json")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_loads(out)
     assert doc["rows"][0]["status"] == "ok"
     assert doc["rows"][0]["f"] == pytest.approx(free_density(0.0), abs=1e-9)
 
@@ -308,5 +317,47 @@ def test_verify_json_format(tmp_path, capsys):
                        "--m", "1", "--k", "20", "--E", "0.25", "--delta", "0.12",
                        "--format", "json")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_loads(out)
     assert doc["passed"] and all(r["status"] == "pass" for r in doc["rows"])
+
+
+def test_every_json_output_is_strict(tmp_path, capsys):
+    spec, comb = tmp_path / "st.json", tmp_path / "comb.json"
+    comb.write_text(json.dumps({"kind": "periodic",
+                                "params": {"q": 2, "a": [1.0, 1.0], "b": [0.0, 0.5]}}))
+    code, summary, _ = run(capsys, "construct", "thm15", "--q", "2",
+                           "--lambda", "0.5", "--levels", "2", "--out", str(spec))
+    assert code == 0
+    outputs = [summary, spec.read_text(),
+               (tmp_path / "st.schedule.json").read_text()]
+    for argv in (["construct", "thm16", "--lambda", "0.5", "--gamma", "0.4"],
+                 ["bands", "--q", "2", "--a", "1,1", "--b", "0,0.5"],
+                 ["density", "--spec", str(spec), "--q", "2", "--N", "20",
+                  "--grid=-2.4:2.4:9", "--format", "json"],
+                 ["diagnose", "--spec", str(spec), "--x", "0.1", "--N", "200"],
+                 ["diagnose", "--spec", str(comb), "--x", "0.25", "--x", "600.0",
+                  "--N", "300", "--verify-gap", "1,20,0.25,0.12", "--period", "2"],
+                 ["verify", "--spec", str(comb), "--period", "2", "--m", "1",
+                  "--k", "20", "--E", "0.25", "--delta", "0.12", "--format", "json"],
+                 ["intersect", "--q", "3", "--lambda", "0.5", "--points", "5"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        outputs.append(out)
+    for text in outputs:
+        strict_loads(text)
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"q": 2, "a": [1.0, 1.0], "b": [math.nan, 0.0]}, "finite"),
+    ({"q": 2, "a": [1.0, 1.0]}, "missing params entry 'b'"),
+    ({"q": 2, "a": [1.0, 1.0], "b": ["0", 0.0]}, "ill-typed"),
+])
+def test_diagnose_rejects_malformed_periodic_spec(tmp_path, capsys, params, message):
+    # a NaN diagonal used to be scanned (exit 0, NaN statistics) and a
+    # missing one ended in a KeyError traceback (exit 1)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"kind": "periodic", "params": params}))
+    code, out, err = run(capsys, "diagnose", "--spec", str(p), "--x", "0.3",
+                         "--N", "100")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err

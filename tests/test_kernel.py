@@ -1,5 +1,6 @@
-"""The blocked transfer kernel against the sequential loops it replaced, and
-the density solve on it against an mpmath recursion."""
+"""The blocked transfer kernel against the sequential loops it replaced, its
+energy axis against single-energy scans, the schedule search on it against
+the prefix replay, and the density solve on it against an mpmath recursion."""
 
 import math
 
@@ -13,7 +14,8 @@ from jbv import (ApproximantSpec, GrowthScanner, Matrix2, OutsideBandError,
                  explicit_spec, growth_statistic, one_step_matrix,
                  periodic_spec, slow_cosine_spec, staircase_comb_spec,
                  transfer_product)
-from jbv.transfer import CHUNK, SCAN_MIN, log_norm2, transfer_scan
+from jbv.transfer import CHUNK, LANE_CHUNK, SCAN_MIN, log_norm2, transfer_scan
+from oracles import replayed_schedule_rows
 
 COSINE = slow_cosine_spec(0.5, 0.4)
 STAIRCASE_SCHEDULE = build_schedule(2, 0.5, levels=3)
@@ -157,6 +159,104 @@ def test_growth_scanner_long_runs_match_single_steps():
             assert getattr(sc, attr) == pytest.approx(getattr(ref, attr),
                                                       rel=KERNEL_RTOL)
         assert_same_product(scanner_product(sc), scanner_product(ref))
+
+
+# ---------------------------------------------------------------------------
+# the energy axis: lanes against separate single-energy scans
+
+LANE_RTOL = 1e-12
+
+
+def single_energy_scans(a, b, z, start, steps):
+    """Per-step products (mantissa, exponent) and the final one at one
+    energy, from single-energy kernel calls over the pieces a lane call cuts
+    (`steps` = LANE_CHUNK // lanes), so that the association is the same."""
+    pre_t, pre_e, t, e = [], [], start, 0
+    for lo in range(0, len(a), steps):
+        *_, scan = transfer_scan(a[lo:lo + steps], b[lo:lo + steps], z, t,
+                                 prefixes=True)
+        pre_t.append(scan.prefix_t)
+        pre_e.append(scan.prefix_e + e)
+        t, e = scan.t, e + int(scan.e)
+    return np.concatenate(pre_t, axis=2), np.concatenate(pre_e), t, e
+
+
+def assert_lanes_match_single(a, b, zs, start=None):
+    zs = np.asarray(zs)
+    lanes = list(transfer_scan(a, b, zs, start, prefixes=True))
+    assert len(lanes) == -(-len(a) // (LANE_CHUNK // len(zs)))
+    pre_t = np.concatenate([s.prefix_t for s in lanes], axis=2)
+    pre_e = np.concatenate([s.prefix_e for s in lanes])
+    assert pre_t.shape[2:] == pre_e.shape == (len(a), len(zs))
+    for i, z in enumerate(zs.tolist()):
+        lane_start = np.eye(2) if start is None else start[..., i]
+        t, e, ft, fe = single_energy_scans(a, b, z, lane_start,
+                                           LANE_CHUNK // len(zs))
+        assert np.array_equal(pre_e[:, i], e)
+        assert lanes[-1].e[i] == fe
+        scale = np.abs(t).max(axis=(0, 1))
+        assert np.all(np.abs(pre_t[..., i] - t).max(axis=(0, 1))
+                      <= LANE_RTOL * scale)
+        assert np.abs(lanes[-1].t[..., i] - ft).max() <= LANE_RTOL * np.abs(ft).max()
+
+
+energies = st.lists(st.one_of(
+    st.floats(-3.0, 3.0),
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(1e-3, 1.0))),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_len=specs_with_length(), zs=energies, frac=st.floats(0.0, 1.0),
+       seeded=st.booleans())
+def test_energy_axis_matches_single_energy_scans(spec_len, zs, frac, seeded):
+    # real and complex lanes, every length from 1 to the spec's, from the
+    # identity or from a start matrix per lane
+    spec, horizon = spec_len
+    a, b = coefficient_arrays(spec, 1, max(1, round(frac * horizon)) + 1)
+    start = (np.random.default_rng(len(a)).normal(size=(2, 2, len(zs)))
+             if seeded else None)
+    assert_lanes_match_single(a, b, zs, start)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 99])
+def test_energy_axis_short_and_ragged_lengths(n):
+    a, b = coefficient_arrays(STAIRCASE, 1, n + 1)
+    assert_lanes_match_single(a, b, [0.3, 1.7 + 0.1j, 2.6])
+
+
+def test_energy_axis_across_two_chunk_boundaries():
+    a, b = coefficient_arrays(COSINE, 1, 2 * CHUNK + 38)
+    assert_lanes_match_single(a, b, [1.0, 2.6])
+    assert_lanes_match_single(a, b, [0.4 + 0.05j, -1.2])
+
+
+def test_energy_axis_off_band_rescale_path():
+    # x = 2.6 is off the cosine spectrum: the products pass the rescale limit
+    # many times in one call, in one lane and not in the other
+    a, b = coefficient_arrays(COSINE, 1, 20001)
+    assert_lanes_match_single(a, b, [2.6, 0.3])
+    *_, scan = transfer_scan(a, b, np.array([2.6, 0.3]))
+    assert scan.e[0] > 1000 > scan.e[1]
+
+
+# ---------------------------------------------------------------------------
+# the empirical schedule search on energy lanes against the prefix replay
+
+
+@pytest.mark.parametrize("q, levels, margin", [
+    (2, 2, 1.0), (2, 5, 1.0), (3, 3, 1.0), (4, 3, 1.0),
+    (2, 5, 1.5), (3, 3, 1.5), (4, 3, 1.5)])
+def test_schedule_rows_equal_prefix_replay(q, levels, margin):
+    sched = build_schedule(q, 0.5, levels, growth_margin=margin)
+    assert not sched.truncated
+    assert sched.rows == replayed_schedule_rows(sched)
+
+
+def test_truncated_schedule_rows_equal_prefix_replay():
+    sched = build_schedule(2, 0.5, 5, cap=1500)
+    assert sched.truncated and sched.horizon == 1500
+    assert sched.rows == replayed_schedule_rows(sched)
 
 
 # ---------------------------------------------------------------------------
