@@ -80,6 +80,17 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok != ""]
 
 
+def _finite_float(text: str) -> float:
+    """A finite float; NaN and infinities are usage errors (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # bands
 
@@ -144,9 +155,10 @@ def _cmd_construct(args) -> int:
 def _parse_grid(text: str) -> list[float]:
     try:
         lo_s, hi_s, steps_s = text.split(":")
-        lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
+        lo, hi, steps = _finite_float(lo_s), _finite_float(hi_s), int(steps_s)
     except Exception as exc:
-        raise ValueError(f"grid must look like lo:hi:steps, got {text!r}") from exc
+        raise ValueError("grid must look like lo:hi:steps with finite bounds, "
+                         f"got {text!r}") from exc
     if steps < 1:
         raise ValueError("grid needs at least one step")
     if steps == 1:
@@ -205,7 +217,7 @@ def _cmd_diagnose(args) -> int:
             raise ValueError("--verify-gap requires --period")
         m, k, e, delta = args.verify_gap.split(",")
         report = verify_gap_window_growth(spec, args.period, int(m), int(k),
-                                          float(e), float(delta))
+                                          _finite_float(e), _finite_float(delta))
         doc["verify_gap"] = {
             "m": report.m, "k": report.k, "E": report.E, "delta": report.delta,
             "checked": len(report.l_values),
@@ -292,6 +304,8 @@ def _cmd_intersect(args) -> int:
     if args.family:
         with open(args.family) as fh:
             docs = json.load(fh)
+        if not isinstance(docs, list):
+            raise ValueError("--family must hold a JSON list of {q, a, b} blocks")
         family = [PeriodicJacobi.from_dict(d) for d in docs]
     else:
         if args.q is None or args.lam is None:
@@ -368,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="transfer-matrix growth statistics")
     p.add_argument("--spec", required=True)
-    p.add_argument("--x", type=float, action="append")
+    p.add_argument("--x", type=_finite_float, action="append")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--verify-gap", help="m,k,E,delta window check")
     p.add_argument("--period", type=int, help="period for --verify-gap")
@@ -380,8 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--E", type=float)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--E", type=_finite_float)
+    p.add_argument("--delta", type=_finite_float)
     p.add_argument("--random", type=int,
                    help="run this many randomized admissible windows")
     p.add_argument("--seed", type=int, default=None)
@@ -414,7 +428,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, PreconditionError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, PreconditionError, OSError,
+            json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (RootIsolationError, ArithmeticError, RuntimeError) as exc:

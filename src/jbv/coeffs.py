@@ -3,7 +3,9 @@
 A `CoefficientSpec` is a finitely describable rule producing the pair
 (a_n, b_n) for any index n >= 1, with a_n > 0.  Rules are evaluated lazily so
 sequences reaching n ~ 10^7 never materialize unless asked for; `explicit` is
-the exception and exists for tests.
+the exception and exists for tests.  There is one evaluator,
+`coefficient_arrays`, over an index range; `eval_coefficients` is its
+length-1 call.
 
 JSON interchange format (used by every CLI subcommand):
 
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any
 
@@ -155,10 +156,25 @@ def _validate_staircase_comb(p: dict) -> None:
         raise ValueError("coupling must be finite")
     if not (isinstance(p["q"], int) and p["q"] >= 2):
         raise ValueError("period must be an integer >= 2")
-    sched = p["schedule"]
-    for key in ("w", "m", "rows"):
-        if key not in sched:
-            raise ValueError(f"schedule table missing {key!r}")
+    rows, w, m = (p["schedule"][key] for key in ("rows", "w", "m"))
+    end = 0
+    for level, row in enumerate(rows, 1):
+        if not (isinstance(row, list) and row
+                and all(isinstance(n, int) for n in row)):
+            raise ValueError(f"schedule row {level} must be a nonempty list "
+                             "of integers")
+        if row[0] != end or any(n1 >= n2 for n1, n2 in zip(row, row[1:])):
+            raise ValueError(f"schedule row {level} must increase strictly "
+                             f"from {end}")
+        end = row[-1]
+    if end == 0:
+        raise ValueError("schedule has no realized windows")
+    if len(w) < len(rows) or len(m) < len(rows):
+        raise ValueError("schedule needs a w and an m entry per row")
+    if not all(math.isfinite(x) for x in w):
+        raise ValueError("schedule comb couplings w must be finite")
+    if not all(isinstance(x, int) and x >= 1 for x in m):
+        raise ValueError("schedule step counts m must be positive integers")
 
 
 def _validate_explicit(p: dict) -> None:
@@ -208,31 +224,14 @@ def explicit_spec(a, b) -> CoefficientSpec:
 
 
 # ---------------------------------------------------------------------------
-# scalar evaluation
+# evaluation
 
 def eval_coefficients(spec: CoefficientSpec, n: int) -> tuple[float, float]:
     """The pair (a_n, b_n) of the rule at index n >= 1.  Pure and deterministic."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"coefficient index must be an integer >= 1, got {n}")
-    return _EVAL[spec.kind](spec, int(n))
-
-
-def _eval_constant(spec, n):
-    p = spec.params
-    return (p["a"], p["b"])
-
-
-def _eval_periodic(spec, n):
-    p = spec.params
-    r = (n - 1) % p["q"]
-    return (p["a"][r], p["b"][r])
-
-
-def _eval_eventually_periodic(spec, n):
-    p = spec.params
-    q, N = p["q"], p["N"]
-    m, r = divmod(n - 1, q)
-    return eval_coefficients(_base_spec(spec), min(m, N) * q + r + 1)
+    a, b = coefficient_arrays(spec, int(n), int(n) + 1)
+    return (float(a[0]), float(b[0]))
 
 
 def _base_spec(spec) -> CoefficientSpec:
@@ -242,48 +241,12 @@ def _base_spec(spec) -> CoefficientSpec:
     return CoefficientSpec.from_dict(base)
 
 
-def _eval_cosine_power(spec, n):
-    p = spec.params
-    return (1.0, p["lam"] * math.cos(n ** p["gamma"]))
-
-
-def _eval_staircase_comb(spec, n):
-    p = spec.params
-    sched = p["schedule"]
-    rights, stair, wcomb = _staircase_tables(sched, p["lam"])
-    if n > rights[-1]:
-        raise HorizonError(
-            f"index {n} beyond realized schedule horizon {rights[-1]}")
-    i = bisect_left(rights, n)
-    b = stair[i]
-    if n % p["q"] == 0:
-        b += wcomb[i]
-    return (1.0, b)
-
-
-def _eval_explicit(spec, n):
-    p = spec.params
-    if n > len(p["a"]):
-        raise HorizonError(f"index {n} beyond explicit table of length {len(p['a'])}")
-    return (p["a"][n - 1], p["b"][n - 1])
-
-
-_EVAL = {
-    "constant": _eval_constant,
-    "periodic": _eval_periodic,
-    "eventually_periodic": _eval_eventually_periodic,
-    "cosine_power": _eval_cosine_power,
-    "staircase_comb": _eval_staircase_comb,
-    "explicit": _eval_explicit,
-}
-
-
-def _staircase_tables(sched: dict, lam: float):
+def staircase_tables(sched: dict, lam: float):
     """Flatten the schedule into per-window right endpoints and values.
 
     Windows are the half-open index ranges (n_{l,k}, n_{l,k+1}]; the tables
     list, per window, its right endpoint, its staircase value and the comb
-    coupling of its level.
+    coupling of its level, as arrays.
     """
     rights: list[int] = []
     stair: list[float] = []
@@ -296,13 +259,8 @@ def _staircase_tables(sched: dict, lam: float):
             rights.append(row[k + 1])
             stair.append(staircase_level_value(level, k, m_l, lam))
             wcomb.append(w_l)
-    if not rights:
-        raise ValueError("schedule has no realized windows")
-    return rights, stair, wcomb
+    return np.array(rights), np.array(stair), np.array(wcomb)
 
-
-# ---------------------------------------------------------------------------
-# vectorized evaluation
 
 def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -322,20 +280,20 @@ def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int
         q, N = p["q"], p["N"]
         m, r = np.divmod(n - 1, q)
         idx = np.minimum(m, N) * q + r  # 0-based index into the base prefix
-        base_a, base_b = coefficient_arrays(_base_spec(spec), 1, (N + 1) * q + 1)
-        return (base_a[idx], base_b[idx])
+        lo, hi = (int(idx.min()), int(idx.max()) + 1) if len(idx) else (0, 0)
+        base_a, base_b = coefficient_arrays(_base_spec(spec), lo + 1, hi + 1)
+        return (base_a[idx - lo], base_b[idx - lo])
     if spec.kind == "cosine_power":
         p = spec.params
         return (np.ones(n.shape), p["lam"] * np.cos(n.astype(np.float64) ** p["gamma"]))
     if spec.kind == "staircase_comb":
         p = spec.params
-        rights, stair, wcomb = _staircase_tables(p["schedule"], p["lam"])
+        rights, stair, wcomb = staircase_tables(p["schedule"], p["lam"])
         if stop - 1 > rights[-1]:
             raise HorizonError(
                 f"index {stop - 1} beyond realized schedule horizon {rights[-1]}")
-        idx = np.searchsorted(np.asarray(rights), n, side="left")
-        b = np.asarray(stair)[idx] + np.where(n % p["q"] == 0,
-                                              np.asarray(wcomb)[idx], 0.0)
+        idx = np.searchsorted(rights, n, side="left")
+        b = stair[idx] + np.where(n % p["q"] == 0, wcomb[idx], 0.0)
         return (np.ones(n.shape), b)
     if spec.kind == "explicit":
         p = spec.params

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (CoefficientSpec, coefficient_arrays, staircase_level_value)
+from .coeffs import (CoefficientSpec, coefficient_arrays, staircase_level_value,
+                     staircase_tables)
 from .periodic import comb_potential, gap_report
 from .transfer import SCAN_MIN, GrowthScanner, log_norm2, transfer_scan
 
@@ -353,16 +354,11 @@ def staircase_bv_breakdown(spec: CoefficientSpec, horizon: int | None = None) ->
     sched = Schedule.from_dict(spec.params["schedule"])
     q, lam = sched.q, sched.lam
     horizon = sched.horizon if horizon is None else min(horizon, sched.horizon)
-    rights, stair, wcomb = [], [], []
-    for li, row in enumerate(sched.rows):
-        for k in range(len(row) - 1):
-            rights.append(row[k + 1])
-            stair.append(staircase_level_value(li + 1, k, sched.m[li], lam))
-            wcomb.append(sched.w[li])
+    rights, stair, wcomb = staircase_tables(spec.params["schedule"], lam)
     n = np.arange(1, horizon + 1)
-    idx = np.searchsorted(np.asarray(rights), n, side="left")
-    s_vals = np.asarray(stair)[idx]
-    w_vals = np.where(n % q == 0, np.asarray(wcomb)[idx], 0.0)
+    idx = np.searchsorted(rights, n, side="left")
+    s_vals = stair[idx]
+    w_vals = np.where(n % q == 0, wcomb[idx], 0.0)
     dcomb = w_vals[q:] - w_vals[:-q]
     dstair = s_vals[1:] - s_vals[:-1]
     levels_used = len(sched.rows)

@@ -109,7 +109,7 @@ def weyl_solution(aspec: ApproximantSpec, z: complex, s: int) -> WeylSolution:
     Block inverses are exact for unimodular blocks.
     """
     zc = complex(z)
-    block_n = q_step_block(aspec.as_spec(), aspec.q, aspec.N, zc)
+    block_n = q_step_block(aspec.base, aspec.q, aspec.N, zc)
     diag, _, values = _solve(aspec, block_n, s, keep_values=True)
     return WeylSolution(zc, s, tuple(map(tuple, reversed(values))),
                         diag.lam, block_n.C, block_n.D, block_n.Delta)
@@ -136,7 +136,7 @@ def ac_density(aspec: ApproximantSpec, x: float, s: int | None = None) -> float:
     At real x the s = -1 seed and solution are the exact conjugates of the
     s = +1 ones, so f(-1) = -f(+1) bit for bit and one solve decides both.
     """
-    block_n = q_step_block(aspec.as_spec(), aspec.q, aspec.N, complex(x))
+    block_n = q_step_block(aspec.base, aspec.q, aspec.N, complex(x))
     if abs(block_n.Delta.real) >= 2.0 - 1e-9 or abs(block_n.Delta.imag) > 1e-9:
         raise OutsideBandError(
             f"x={x}: block-N discriminant {block_n.Delta.real:.12g} is not "
@@ -160,7 +160,7 @@ def m_function(aspec: ApproximantSpec, z: complex, s: int | None = None) -> comp
     zc = complex(z)
     if zc.imag <= 0.0:
         raise ValueError("the Weyl function is evaluated for Im z > 0")
-    block_n = q_step_block(aspec.as_spec(), aspec.q, aspec.N, zc)
+    block_n = q_step_block(aspec.base, aspec.q, aspec.N, zc)
     if s is None:
         s = weyl_branch_sign(block_n)
     _, (u0, _), _ = _solve(aspec, block_n, s)

@@ -56,25 +56,18 @@ class Matrix2:
     def max_abs(self) -> float:
         return max(abs(self.e11), abs(self.e12), abs(self.e21), abs(self.e22))
 
-    def fro2(self) -> float:
-        return (abs(self.e11) ** 2 + abs(self.e12) ** 2
-                + abs(self.e21) ** 2 + abs(self.e22) ** 2)
-
     def op_norm(self) -> float:
         """Operator 2-norm via the closed-form largest singular value.
 
-        Uses the ratio form s_max^2 = (F/2)(1 + sqrt(1 - (2|det|/F)^2)) so the
-        intermediate never squares F, which keeps entries near the rescale
-        limit finite.
+        s_max^2 = (p + s + hypot(p - s, 2|r|)) / 2, p and s the squared row
+        norms, r the rows' inner product: a sum of nonnegative terms, so a
+        nearly orthogonal matrix loses no digits to cancellation; finite for
+        entries up to about 1e150.
         """
-        f = self.fro2()
-        if f == 0.0:
-            return 0.0
-        r = 2.0 * abs(self.det()) / f
-        disc = 1.0 - r * r
-        if disc < 0.0:
-            disc = 0.0
-        return math.sqrt(0.5 * f * (1.0 + math.sqrt(disc)))
+        p = abs(self.e11) ** 2 + abs(self.e12) ** 2
+        s = abs(self.e21) ** 2 + abs(self.e22) ** 2
+        r = self.e11 * self.e21.conjugate() + self.e12 * self.e22.conjugate()
+        return math.sqrt(0.5 * (p + s + math.hypot(p - s, 2.0 * abs(r))))
 
     def is_real(self, tol: float = 0.0) -> bool:
         return max(abs(complex(e).imag) for e in self.entries()) <= tol
@@ -88,6 +81,15 @@ def one_step_matrix(a: float, b: float, z: complex) -> Matrix2:
     if not a > 0:
         raise ValueError(f"off-diagonal coefficient must be positive, got {a}")
     return Matrix2((z - b) / a, -1.0 / a, a, 0.0)
+
+
+def block_product(a, b, z: complex) -> Matrix2:
+    """Ordered one-step product over the pairs (a[i], b[i]) at z, the first
+    pair's step rightmost (it acts first)."""
+    m = Matrix2.identity()
+    for ai, bi in zip(a, b):
+        m = one_step_matrix(ai, bi, z) @ m
+    return m
 
 
 def _normalized(m: Matrix2, log_scale: float) -> "ScaledMatrix2":

@@ -19,8 +19,8 @@ import numpy.polynomial.polynomial as npoly
 from .coeffs import CoefficientSpec, periodic_spec
 from .errors import RootIsolationError
 from .intervals import Interval, IntervalUnion
-from .matrix2 import Matrix2, one_step_matrix
-from .polynomial import PolynomialReal, bisect_root
+from .matrix2 import block_product, one_step_matrix
+from .polynomial import PolynomialReal, bisect_root, sign_change_roots
 
 __all__ = [
     "PeriodicJacobi", "Gap", "BandStructure", "GapReport",
@@ -65,7 +65,11 @@ class PeriodicJacobi:
 
     @staticmethod
     def from_dict(doc: dict) -> "PeriodicJacobi":
-        return PeriodicJacobi.of(doc["q"], doc["a"], doc["b"])
+        try:
+            return PeriodicJacobi.of(doc["q"], doc["a"], doc["b"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError("a periodic block needs an integer 'q' and lists "
+                             f"'a' and 'b' of numbers: {exc!r}") from exc
 
 
 def discriminant_value(P: PeriodicJacobi, z: complex) -> complex:
@@ -73,10 +77,7 @@ def discriminant_value(P: PeriodicJacobi, z: complex) -> complex:
 
     Factors are applied from index 1 up to index q, index 1 rightmost.
     """
-    m = Matrix2.identity()
-    for a, b in zip(P.a, P.b):
-        m = one_step_matrix(a, b, z) @ m
-    return m.trace()
+    return block_product(P.a, P.b, z).trace()
 
 
 def discriminant_polynomial(P: PeriodicJacobi) -> PolynomialReal:
@@ -176,24 +177,6 @@ class GapReport:
     all_open: bool
 
 
-def _simple_roots(poly: PolynomialReal, samples: list[float], tol: float) -> list[float]:
-    vals = [poly(s) for s in samples]
-    roots: list[float] = []
-    for i in range(len(samples) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            if not roots or abs(roots[-1] - samples[i]) > tol:
-                roots.append(samples[i])
-            continue
-        if v1 == 0.0:
-            continue
-        if (v0 < 0.0) != (v1 < 0.0):
-            roots.append(bisect_root(poly, samples[i], samples[i + 1], v0, v1, tol))
-    if vals[-1] == 0.0 and (not roots or abs(roots[-1] - samples[-1]) > tol):
-        roots.append(samples[-1])
-    return roots
-
-
 def _edge_roots(poly: PolynomialReal, samples: list[float],
                 crit: list[float], tol: float, noise: float) -> list[float]:
     """All roots of D = +2 and D = -2, with multiplicity.
@@ -269,7 +252,7 @@ def band_structure(P: PeriodicJacobi, tol: float = 1e-10) -> BandStructure:
     for attempt in range(4):
         pts = 64 * P.q * (4 ** attempt)
         grid = [lo + (hi - lo) * i / pts for i in range(pts + 1)]
-        crit = _simple_roots(dpoly, grid, tol) if P.q > 1 else []
+        crit = sign_change_roots(dpoly, grid, tol) if P.q > 1 else []
         if len(crit) != P.q - 1:
             continue
         samples = sorted(set(grid) | set(crit))

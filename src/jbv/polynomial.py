@@ -74,23 +74,21 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
 
 def sign_change_roots(f: Callable[[float], float], samples: Sequence[float],
                       tol: float) -> list[float]:
-    """Roots isolated from strict sign changes between consecutive samples.
+    """Roots isolated from strict sign changes between consecutive samples,
+    bisected to width tol.
 
-    A sample value that is exactly zero is reported as a root itself.
+    A sample value that is exactly zero is reported as a root itself, unless
+    it lies within tol of the root before it.
     """
     vals = [f(s) for s in samples]
     roots: list[float] = []
-    for i in range(len(samples) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            if not roots or roots[-1] != samples[i]:
+    for i, v in enumerate(vals):
+        if v == 0.0:
+            if not roots or abs(roots[-1] - samples[i]) > tol:
                 roots.append(samples[i])
             continue
-        if v1 == 0.0:
-            continue  # handled as the left endpoint of the next segment
-        if (v0 < 0.0) != (v1 < 0.0):
-            roots.append(bisect_root(f, samples[i], samples[i + 1], v0, v1, tol))
-    if vals and vals[-1] == 0.0:
-        if not roots or roots[-1] != samples[-1]:
-            roots.append(samples[-1])
+        # a zero at the next sample is that sample's own root
+        v1 = vals[i + 1] if i + 1 < len(vals) else 0.0
+        if v1 != 0.0 and (v < 0.0) != (v1 < 0.0):
+            roots.append(bisect_root(f, samples[i], samples[i + 1], v, v1, tol))
     return roots

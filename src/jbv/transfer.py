@@ -35,9 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coeffs import CoefficientSpec, coefficient_arrays, eval_coefficients
+# eval_coefficients stays bound here: perfbench/tracing.py wraps this name
+from .coeffs import CoefficientSpec, coefficient_arrays, eval_coefficients  # noqa: F401
 from .errors import DegenerateBlockError, NonDiagonalizableFrameError
-from .matrix2 import RESCALE_LIMIT, Matrix2, ScaledMatrix2, one_step_matrix
+from .matrix2 import RESCALE_LIMIT, Matrix2, ScaledMatrix2, block_product
 from .periodic import PeriodicJacobi, discriminant_polynomial
 
 __all__ = [
@@ -86,11 +87,8 @@ def q_step_block(spec: CoefficientSpec, q: int, m: int, z: complex) -> QStepBloc
     """Transfer block over coefficient indices mq+1 .. (m+1)q."""
     if q < 1 or m < 0:
         raise ValueError("need q >= 1 and m >= 0")
-    phi = Matrix2.identity()
-    for n in range(m * q + 1, (m + 1) * q + 1):
-        a, b = eval_coefficients(spec, n)
-        phi = one_step_matrix(a, b, z) @ phi
-    return QStepBlock(m, phi, z)
+    a, b = coefficient_arrays(spec, m * q + 1, (m + 1) * q + 1)
+    return QStepBlock(m, block_product(a.tolist(), b.tolist(), z), z)
 
 
 class Scan(NamedTuple):
@@ -117,11 +115,15 @@ def _rescaled(t: np.ndarray, limit: float = RESCALE_LIMIT, axis=(0, 1)):
 
 def log_norm2(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     """log ||t * 2**e||^2 (operator norm) for t of shape (2, 2) + e.shape,
-    by the ratio form of `Matrix2.op_norm`."""
-    f = (np.abs(t) ** 2).sum(axis=(0, 1))
-    r = 2.0 * np.abs(t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]) / f
-    disc = np.maximum(1.0 - r * r, 0.0)
-    return np.log(0.5 * f * (1.0 + np.sqrt(disc))) + (2.0 * _LN2) * e
+    by the formula of `Matrix2.op_norm` with f = p + s factored out of the
+    hypot, since numpy's hypot is several times slower than its sqrt."""
+    t11, t12, t21, t22 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
+    p = (t11 * t11.conj() + t12 * t12.conj()).real
+    s = (t21 * t21.conj() + t22 * t22.conj()).real
+    f = p + s
+    d = (p - s) / f
+    c = 2.0 * np.abs(t11 * t21.conj() + t12 * t22.conj()) / f
+    return np.log(0.5 * f * (1.0 + np.sqrt(d * d + c * c))) + (2.0 * _LN2) * e
 
 
 def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: np.ndarray | None = None,
@@ -282,7 +284,7 @@ class GrowthScanner:
         run_max = self.running_max_log
         n = self.n
         log = math.log
-        sqrt = math.sqrt
+        hypot = math.hypot
         stats = []
         stat = -math.inf
         for i in range(len(avals)):
@@ -303,15 +305,12 @@ class GrowthScanner:
                 t22 *= inv
                 ls += log(m)
             n += 1
-            # squared operator norm of the current product, in log space;
-            # ratio form keeps intermediates finite near the rescale limit
-            f = t11 * t11 + t12 * t12 + t21 * t21 + t22 * t22
-            d = t11 * t22 - t12 * t21
-            r = 2.0 * abs(d) / f
-            disc = 1.0 - r * r
-            if disc < 0.0:
-                disc = 0.0
-            term = log(0.5 * f * (1.0 + sqrt(disc))) + 2.0 * ls
+            # log of the squared operator norm, by the formula of
+            # Matrix2.op_norm
+            p = t11 * t11 + t12 * t12
+            s = t21 * t21 + t22 * t22
+            r = t11 * t21 + t12 * t22
+            term = log(0.5 * (p + s + hypot(p - s, 2.0 * r))) + 2.0 * ls
             if log_sum == -math.inf:
                 log_sum = term
             elif term <= log_sum:

@@ -20,7 +20,10 @@ def strict_loads(text):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage exit
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -361,3 +364,76 @@ def test_diagnose_rejects_malformed_periodic_spec(tmp_path, capsys, params, mess
                          "--N", "100")
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["diagnose", "--x", "nan", "--N", "50"],
+    ["diagnose", "--x", "inf", "--N", "50"],
+    ["diagnose", "--x", "0.25", "--N", "50", "--verify-gap", "1,20,nan,0.12",
+     "--period", "2"],
+    ["verify", "--period", "2", "--m", "1", "--k", "20", "--E", "nan",
+     "--delta", "0.12"],
+    ["verify", "--period", "2", "--m", "1", "--k", "20", "--E", "0.25",
+     "--delta", "nan"],
+    ["density", "--q", "2", "--N", "3", "--grid=nan:1:3"],
+    ["density", "--q", "2", "--N", "3", "--grid=-1:inf:3"],
+])
+def test_non_finite_numeric_flags_exit_2(tmp_path, capsys, flags):
+    # each used to exit 0 with NaN rows marked ok or pass
+    comb = tmp_path / "comb.json"
+    comb.write_text(json.dumps({"kind": "periodic", "params": {
+        "q": 2, "a": [1.0, 1.0], "b": [0.0, 0.5]}}))
+    code, out, err = run(capsys, flags[0], "--spec", str(comb), *flags[1:])
+    assert code == 2 and out == ""
+    assert "not a finite number" in err or "finite bounds" in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("bands --file", {"q": 2, "a": [1.0, 1.0]}),
+    ("intersect --family", {"q": 2}),
+    ("intersect --family", [{"q": 2, "a": 1.0, "b": [0.0, 0.0]}]),
+    ("intersect --family", [{"q": None, "a": [1.0], "b": [0.0]}]),
+])
+def test_malformed_periodic_block_files_exit_2(tmp_path, capsys, command, doc):
+    # a missing key or a wrong type used to end in a traceback
+    p = tmp_path / "block.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command.split(), str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+GOOD_SCHEDULE = {"rows": [[0, 4, 9], [9, 14]], "w": [0.5, 0.25], "m": [2, 4]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"rows": [[0, "x", 5]]}, "list of integers"),
+    ({"w": [], "m": []}, "w and an m entry per row"),
+    ({"rows": [[0, 10, 5]]}, "increase strictly"),
+    ({"rows": [[3, 10]]}, "increase strictly from 0"),
+    ({"rows": [[0, 4, 9], [10, 14]]}, "increase strictly from 9"),
+    ({"rows": []}, "no realized windows"),
+    ({"rows": [[0]]}, "no realized windows"),
+    ({"m": [0, 4]}, "positive integers"),
+    ({"w": [0.5, "x"]}, "ill-typed"),
+])
+def test_diagnose_rejects_malformed_staircase_schedule(tmp_path, capsys, change,
+                                                       message):
+    # the first three used to exit 0, end in an IndexError traceback, and
+    # scan with an unsorted breakpoint table
+    p = tmp_path / "st.json"
+    p.write_text(json.dumps({"kind": "staircase_comb", "params": {
+        "lam": 0.5, "q": 2, "schedule": {**GOOD_SCHEDULE, **change}}}))
+    code, out, err = run(capsys, "diagnose", "--spec", str(p), "--x", "0.3",
+                         "--N", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_diagnose_accepts_the_well_formed_staircase_schedule(tmp_path, capsys):
+    p = tmp_path / "st.json"
+    p.write_text(json.dumps({"kind": "staircase_comb", "params": {
+        "lam": 0.5, "q": 2, "schedule": GOOD_SCHEDULE}}))
+    code, _, _ = run(capsys, "diagnose", "--spec", str(p), "--x", "0.3",
+                     "--N", "14")
+    assert code == 0

@@ -5,7 +5,7 @@ import pytest
 
 from jbv import (CoefficientSpec, HorizonError, coefficient_arrays,
                  constant_spec, eval_coefficients, eventually_periodic_spec,
-                 explicit_spec, free_spec, periodic_spec)
+                 explicit_spec, free_spec, periodic_spec, staircase_level_value)
 
 
 def test_constant_rule():
@@ -68,20 +68,76 @@ def test_json_round_trip_bit_exact():
             assert eval_coefficients(back, n) == eval_coefficients(spec, n)
 
 
+STAIRCASE = CoefficientSpec("staircase_comb", {
+    "lam": 0.5, "q": 2,
+    "schedule": {"rows": [[0, 3, 7], [7, 12]], "w": [0.5, 0.25], "m": [2, 4]}})
+
+
+def staircase_closed_form(n):
+    # window k of level l is (rows[l][k], rows[l][k + 1]]
+    sched = STAIRCASE.params["schedule"]
+    for level, row in enumerate(sched["rows"], 1):
+        for k in range(len(row) - 1):
+            if row[k] < n <= row[k + 1]:
+                comb = sched["w"][level - 1] if n % 2 == 0 else 0.0
+                return staircase_level_value(level, k, sched["m"][level - 1],
+                                             0.5) + comb
+    raise AssertionError(n)
+
+
 def test_arrays_match_scalar():
+    # both entry points against closed forms of every kind
     rng = np.random.default_rng(11)
-    specs = [
-        constant_spec(1.2, 0.4),
-        periodic_spec(3, 0.5 + rng.random(3), rng.standard_normal(3)),
-        eventually_periodic_spec(
-            explicit_spec(0.5 + rng.random(8), rng.standard_normal(8)), 2, 3),
-        CoefficientSpec("cosine_power", {"lam": 0.7, "gamma": 0.3}),
+    pa, pb = (0.5 + rng.random(3)).tolist(), rng.standard_normal(3).tolist()
+    ea, eb = (0.5 + rng.random(8)).tolist(), rng.standard_normal(8).tolist()
+    cases = [
+        (constant_spec(1.2, 0.4), 40, lambda n: (1.2, 0.4)),
+        (periodic_spec(3, pa, pb), 40, lambda n: (pa[(n - 1) % 3], pb[(n - 1) % 3])),
+        (explicit_spec(ea, eb), 8, lambda n: (ea[n - 1], eb[n - 1])),
+        # freeze rule: block index clipped at N = 3, base index min(m, N) q + r
+        (eventually_periodic_spec(explicit_spec(ea, eb), 2, 3), 40,
+         lambda n: (ea[min((n - 1) // 2, 3) * 2 + (n - 1) % 2],
+                    eb[min((n - 1) // 2, 3) * 2 + (n - 1) % 2])),
+        (STAIRCASE, 12, lambda n: (1.0, staircase_closed_form(n))),
     ]
-    for spec in specs:
-        a, b = coefficient_arrays(spec, 3, 40)
-        for i, n in enumerate(range(3, 40)):
-            ae, be = eval_coefficients(spec, n)
-            assert a[i] == ae and b[i] == be
+    for spec, last, closed in cases:
+        a, b = coefficient_arrays(spec, 1, last + 1)
+        for n in range(1, last + 1):
+            pair = eval_coefficients(spec, n)
+            assert pair == (a[n - 1], b[n - 1]) == closed(n)
+            assert all(type(v) is float for v in pair)
+
+
+@pytest.mark.parametrize("lam, gamma", [(0.7, 0.3), (0.5, 0.4), (1.9, 0.49)])
+def test_cosine_rule_matches_closed_form(lam, gamma):
+    # numpy's and libm's pow may round n**gamma apart by an ulp, which cos
+    # carries over: 2 ulp of the argument plus 2 ulp at unit scale
+    spec = CoefficientSpec("cosine_power", {"lam": lam, "gamma": gamma})
+    ns = list(range(1, 200)) + [10 ** 5 + 7, 123456, 299999]
+    for n in ns:
+        ref = lam * math.cos(n ** gamma)
+        tol = 2.0 * lam * (math.ulp(n ** gamma) + math.ulp(1.0))
+        a, b = eval_coefficients(spec, n)
+        assert a == 1.0 and abs(b - ref) <= tol
+        assert coefficient_arrays(spec, n, n + 1)[1][0] == b
+
+
+def test_horizon_error_from_both_entry_points():
+    short = explicit_spec([1.0] * 6, [0.0] * 6)
+    for spec, past in ((short, 7), (STAIRCASE, 13),
+                       (eventually_periodic_spec(short, 2, 5), 12)):
+        with pytest.raises(HorizonError):
+            eval_coefficients(spec, past)
+        with pytest.raises(HorizonError):
+            coefficient_arrays(spec, 1, past + 1)
+
+
+def test_eventually_periodic_reads_only_the_base_range_it_needs():
+    # indices 1..2 need base entries 1..2, not the whole prefix 1..(N+1)q = 12
+    base = explicit_spec([1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1])
+    a, b = coefficient_arrays(eventually_periodic_spec(base, 2, 5), 1, 3)
+    assert a.tolist() == [1.0, 2.0] and b.tolist() == [6.0, 5.0]
+    assert eval_coefficients(eventually_periodic_spec(base, 2, 5), 6) == (6.0, 1.0)
 
 
 def test_total_and_positive_on_random_specs():

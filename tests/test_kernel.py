@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from jbv import (ApproximantSpec, GrowthScanner, Matrix2, OutsideBandError,
                  ScaledMatrix2, ac_density, build_schedule, coefficient_arrays,
-                 explicit_spec, growth_statistic, one_step_matrix,
+                 explicit_spec, free_spec, growth_statistic, one_step_matrix,
                  periodic_spec, slow_cosine_spec, staircase_comb_spec,
                  transfer_product)
 from jbv.transfer import CHUNK, LANE_CHUNK, SCAN_MIN, log_norm2, transfer_scan
@@ -136,6 +136,38 @@ def test_kernel_across_chunk_boundary():
         assert gs.trace[-2][0] > CHUNK   # checkpoints read from later chunks
         for cp, v in gs.trace:
             assert v == pytest.approx(stat[cp - 2], rel=KERNEL_RTOL, abs=KERNEL_RTOL)
+
+
+def test_operator_norms_of_nearly_orthogonal_products_match_mpmath():
+    # the free spec at x = 1e-9 multiplies near-rotations, so every product
+    # is nearly orthogonal: a 1 - r^2 form of the norm loses half the digits
+    # there.  The kernel, GrowthScanner's per-step loop and Matrix2.op_norm
+    # are each held to 1e-12 in log ||T_{1,n}||^2 and in the statistic.
+    mpmath = pytest.importorskip("mpmath")
+    x, n = 1e-9, 700
+    with mpmath.workdps(50):
+        step = mpmath.matrix([[mpmath.mpf(x), -1], [1, 0]])
+        t, total, ref, ref_stat = mpmath.eye(2), 0, [], []
+        for k in range(1, n + 1):
+            t = step * t
+            p = t[0, 0] ** 2 + t[0, 1] ** 2
+            s = t[1, 0] ** 2 + t[1, 1] ** 2
+            r = t[0, 0] * t[1, 0] + t[0, 1] * t[1, 1]
+            norm2 = (p + s + mpmath.sqrt((p - s) ** 2 + 4 * r * r)) / 2
+            total += norm2
+            ref.append(float(mpmath.log(norm2)))
+            if k >= 2:
+                ref_stat.append(float(mpmath.log(total) - mpmath.log(k)
+                                      - 2 * mpmath.log(mpmath.log(k))))
+    a, b = coefficient_arrays(free_spec(), 1, n + 1)
+    kernel = np.concatenate([log_norm2(s.prefix_t, s.prefix_e)
+                             for s in transfer_scan(a, b, x, prefixes=True)])
+    assert np.max(np.abs(kernel - ref)) <= 1e-12
+    op_norms, _ = sequential_log_norms(a, b, x)
+    assert np.max(np.abs(op_norms - ref)) <= 1e-12
+    sc = GrowthScanner(x)
+    stats = [sc.feed_arrays([1.0], [0.0])[0] for _ in range(n)]
+    assert np.max(np.abs(np.array(stats[1:]) - ref_stat)) <= 1e-12
 
 
 def test_growth_scanner_long_runs_match_single_steps():

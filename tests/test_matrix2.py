@@ -81,3 +81,13 @@ def test_bisection_helpers():
     roots = sign_change_roots(f, [-2.0, -1.0, 0.0, 1.0, 2.0], 1e-12)
     assert len(roots) == 2
     assert roots[0] == pytest.approx(-math.sqrt(2.0), abs=1e-11)
+
+
+def test_sign_change_roots_exact_zero_samples():
+    # a sample where f is exactly zero is a root itself, with no bisection
+    # on either side of it
+    f = lambda x: x * (x - 1.0)
+    assert sign_change_roots(f, [-1.0, 0.0, 0.5, 1.0, 2.0], 1e-12) == [0.0, 1.0]
+    # zero samples closer than tol are one root
+    flat = lambda x: 0.0 if abs(x) < 1e-12 else x
+    assert sign_change_roots(flat, [-1.0, 0.0, 5e-13, 1.0], 1e-12) == [0.0]

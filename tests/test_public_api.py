@@ -1,0 +1,50 @@
+"""The names `jbv/__init__.py` exports are the library's contract: adding or
+removing one is deliberate, and a removal is recorded in CHANGES.md."""
+
+import types
+
+import jbv
+
+EXPORTED = {
+    # coefficient rules
+    "CoefficientSpec", "coefficient_arrays", "constant_spec",
+    "eval_coefficients", "eventually_periodic_spec", "explicit_spec",
+    "free_spec", "periodic_spec",
+    # constructions
+    "Schedule", "build_schedule", "bv_energy", "slow_cosine_spec",
+    "staircase_bv_breakdown", "staircase_comb_spec", "staircase_level_value",
+    # densities
+    "ApproximantSpec", "WeylSolution", "ac_density", "approximant_coefficients",
+    "m_function", "weyl_solution", "wronskian_defect",
+    # diagnostics
+    "AcIntervalEstimate", "GapWindowReport", "GrowthStatistic",
+    "ac_interval_estimate", "gap_growth_lower_bound", "growth_statistic",
+    "sturm_count", "verify_gap_window_growth",
+    # errors
+    "DegenerateBlockError", "HorizonError", "NonDiagonalizableFrameError",
+    "OutsideBandError", "PoleOfMError", "PreconditionError",
+    "RootIsolationError",
+    # intervals
+    "Interval", "IntervalUnion", "interval_union_intersect",
+    # 2x2 matrices
+    "Matrix2", "ScaledMatrix2", "one_step_matrix",
+    # periodic blocks
+    "BandStructure", "Gap", "GapReport", "PeriodicJacobi", "band_structure",
+    "chebyshev_second_kind", "comb_potential", "discriminant_polynomial",
+    "discriminant_value", "free_critical_points", "gap_report",
+    "intersection_over_family", "same_discriminant", "spectral_bracket",
+    # polynomials
+    "PolynomialReal",
+    # transfer matrices
+    "CouplingSeries", "Diagonalization", "GrowthScanner", "QStepBlock",
+    "branch_sign_for_interval", "coupling_series", "eigen_branch",
+    "q_step_block", "strip_margins", "transfer_product", "weyl_branch_sign",
+}
+
+
+def test_exported_names_are_pinned():
+    exported = {name for name, value in vars(jbv).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported == EXPORTED
+    assert isinstance(jbv.__version__, str)
