@@ -63,12 +63,19 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _emit_table(args, header: list[str], rows: list[list], **fields) -> None:
+    """The rows as CSV (floats by repr, None as empty), or with --format json
+    as the "rows" entry after `fields`, each row keyed by the header."""
+    if args.format == "json":
+        _emit(_json({**fields, "rows": [dict(zip(header, r)) for r in rows]}),
+              args.out)
+        return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    writer.writerows([repr(v) if isinstance(v, float) else "" if v is None else str(v)
+                      for v in r] for r in rows)
+    _emit(buf.getvalue(), args.out)
 
 
 def _load_spec(path: str) -> CoefficientSpec:
@@ -180,12 +187,7 @@ def _cmd_density(args) -> int:
             rows.append([x, None, args.N, args.q, "outside"])
         except (DegenerateBlockError, PoleOfMError, HorizonError) as exc:
             rows.append([x, None, args.N, args.q, f"error:{type(exc).__name__}"])
-    header = ["x", "f", "N", "q", "status"]
-    if args.format == "json":
-        _emit(_json({"rows": [dict(zip(header, r)) for r in rows]}), args.out)
-    else:
-        _emit(_csv_text(header, [[repr(r[0]), "" if r[1] is None else repr(r[1]),
-                                  r[2], r[3], r[4]] for r in rows]), args.out)
+    _emit_table(args, ["x", "f", "N", "q", "status"], rows)
     return 0 if ok else 1
 
 
@@ -253,18 +255,10 @@ def _cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
     report = verify_gap_window_growth(spec, args.period, args.m, args.k,
                                       args.E, args.delta)
-    if args.format == "json":
-        _emit(_json({
-            "m": report.m, "k": report.k, "E": report.E, "delta": report.delta,
-            "rows": [{"l": l, "norm": n, "bound": b,
-                      "status": "pass" if l not in report.violations else "fail"}
-                     for l, n, b in zip(report.l_values, report.norms,
-                                        report.bounds)],
-            "passed": report.passed}), args.out)
-        return 0 if report.passed else 1
-    rows = [[l, repr(norm), repr(bound), "pass" if l not in report.violations else "fail"]
+    rows = [[l, norm, bound, "pass" if l not in report.violations else "fail"]
             for l, norm, bound in zip(report.l_values, report.norms, report.bounds)]
-    _emit(_csv_text(["l", "norm", "bound", "status"], rows), args.out)
+    _emit_table(args, ["l", "norm", "bound", "status"], rows, m=report.m, k=report.k,
+                E=report.E, delta=report.delta, passed=report.passed)
     return 0 if report.passed else 1
 
 
@@ -287,12 +281,10 @@ def _verify_random(args) -> int:
         k = m + int(rng.integers(8, 40))
         report = verify_gap_window_growth(comb.as_spec(), q, m, k, e, delta)
         all_pass = all_pass and report.passed
-        rows.append([case, q, repr(w), m, k, repr(e), repr(delta),
-                     len(report.l_values), len(report.violations),
-                     "pass" if report.passed else "fail"])
-    _emit(_csv_text(
-        ["case", "q", "w", "m", "k", "E", "delta", "checked", "violations",
-         "status"], rows), args.out)
+        rows.append([case, q, w, m, k, e, delta, len(report.l_values),
+                     len(report.violations), "pass" if report.passed else "fail"])
+    _emit_table(args, ["case", "q", "w", "m", "k", "E", "delta", "checked",
+                       "violations", "status"], rows)
     return 0 if all_pass else 1
 
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -53,20 +55,21 @@ class CoefficientSpec:
     length_hint: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown coefficient kind: {self.kind!r}")
-        try:
-            _VALIDATORS[self.kind](self.params)
-        except KeyError as exc:
-            raise ValueError(f"{self.kind} spec is missing params entry {exc}") from exc
-        except TypeError as exc:
-            raise ValueError(f"{self.kind} spec has an ill-typed params entry: "
-                             f"{exc}") from exc
-        if self.length_hint is not None and self.length_hint < 1:
-            raise ValueError("length_hint must be positive")
+        with params_errors(self.kind):
+            base = self.params["base"] if self.kind == "eventually_periodic" else None
+            if isinstance(base, dict):
+                # the one parse of a nested base: evaluation reads the spec
+                object.__setattr__(self, "params", {
+                    **self.params, "base": CoefficientSpec.from_dict(base)})
+            check_params(self.kind, self.params)
+            if self.length_hint is not None and self.length_hint < 1:
+                raise ValueError("length_hint must be positive")
 
     def to_dict(self) -> dict:
-        doc: dict[str, Any] = {"kind": self.kind, "params": _params_to_plain(self)}
+        params = dict(self.params)
+        if self.kind == "eventually_periodic":
+            params["base"] = params["base"].to_dict()
+        doc: dict[str, Any] = {"kind": self.kind, "params": params}
         if self.length_hint is not None:
             doc["length_hint"] = self.length_hint
         return doc
@@ -80,32 +83,35 @@ class CoefficientSpec:
                 and isinstance(doc.get("params"), dict)):
             raise ValueError("coefficient spec document needs 'kind' and a "
                              "'params' object")
-        kind = doc["kind"]
-        params = dict(doc["params"])
-        if kind == "eventually_periodic":
-            params["base"] = CoefficientSpec.from_dict(_as_plain_spec(params.get("base")))
-        return CoefficientSpec(kind, params, doc.get("length_hint"))
+        return CoefficientSpec(doc["kind"], dict(doc["params"]), doc.get("length_hint"))
 
     @staticmethod
     def from_json(text: str) -> "CoefficientSpec":
         return CoefficientSpec.from_dict(json.loads(text))
 
 
-def _as_plain_spec(obj) -> dict:
-    if isinstance(obj, CoefficientSpec):
-        return obj.to_dict()
-    return obj
-
-
-def _params_to_plain(spec: CoefficientSpec) -> dict:
-    params = dict(spec.params)
-    if spec.kind == "eventually_periodic":
-        params["base"] = _as_plain_spec(params["base"])
-    return params
-
-
 # ---------------------------------------------------------------------------
-# validation
+# validation: the one statement of each format's rules
+
+@contextmanager
+def params_errors(kind: str):
+    """Raise the KeyError of a missing entry and the TypeError of an ill-typed
+    one, met while reading or checking `kind` params, as ValueError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{kind} spec is missing params entry {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{kind} spec has an ill-typed params entry: {exc}") from exc
+
+
+def check_params(kind: str, params: dict) -> None:
+    """Raise ValueError unless `params` are valid params of a `kind` spec."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown coefficient kind: {kind!r}")
+    with params_errors(kind):
+        _VALIDATORS[kind](params)
+
 
 def _check_positive_a(values) -> None:
     for a in values:
@@ -139,8 +145,7 @@ def _validate_eventually_periodic(p: dict) -> None:
         raise ValueError("period must be a positive integer")
     if not (isinstance(p["N"], int) and p["N"] >= 0):
         raise ValueError("freeze block index N must be a nonnegative integer")
-    base = p["base"]
-    if not isinstance(base, (CoefficientSpec, dict)):
+    if not isinstance(p["base"], CoefficientSpec):
         raise ValueError("base must be a coefficient spec")
 
 
@@ -157,17 +162,7 @@ def _validate_staircase_comb(p: dict) -> None:
     if not (isinstance(p["q"], int) and p["q"] >= 2):
         raise ValueError("period must be an integer >= 2")
     rows, w, m = (p["schedule"][key] for key in ("rows", "w", "m"))
-    end = 0
-    for level, row in enumerate(rows, 1):
-        if not (isinstance(row, list) and row
-                and all(isinstance(n, int) for n in row)):
-            raise ValueError(f"schedule row {level} must be a nonempty list "
-                             "of integers")
-        if row[0] != end or any(n1 >= n2 for n1, n2 in zip(row, row[1:])):
-            raise ValueError(f"schedule row {level} must increase strictly "
-                             f"from {end}")
-        end = row[-1]
-    if end == 0:
+    if check_schedule_rows(rows) == 0:
         raise ValueError("schedule has no realized windows")
     if len(w) < len(rows) or len(m) < len(rows):
         raise ValueError("schedule needs a w and an m entry per row")
@@ -175,6 +170,23 @@ def _validate_staircase_comb(p: dict) -> None:
         raise ValueError("schedule comb couplings w must be finite")
     if not all(isinstance(x, int) and x >= 1 for x in m):
         raise ValueError("schedule step counts m must be positive integers")
+
+
+def check_schedule_rows(rows) -> int:
+    """The end of the last schedule row, after checking that each row is a
+    nonempty list of integers increasing strictly from where the row before
+    it ended, the first from 0."""
+    end = 0
+    for level, row in enumerate(rows, 1):
+        if not (isinstance(row, (list, tuple)) and row
+                and all(isinstance(n, int) for n in row)):
+            raise ValueError(f"schedule row {level} must be a nonempty list "
+                             "of integers")
+        if row[0] != end or any(n1 >= n2 for n1, n2 in zip(row, row[1:])):
+            raise ValueError(f"schedule row {level} must increase strictly "
+                             f"from {end}")
+        end = row[-1]
+    return end
 
 
 def _validate_explicit(p: dict) -> None:
@@ -207,14 +219,16 @@ def free_spec() -> CoefficientSpec:
 
 
 def periodic_spec(q: int, a, b) -> CoefficientSpec:
-    return CoefficientSpec("periodic", {"q": int(q),
-                                        "a": [float(x) for x in a],
-                                        "b": [float(x) for x in b]})
+    with params_errors("periodic"):
+        return CoefficientSpec("periodic", {"q": operator.index(q),
+                                            "a": [float(x) for x in a],
+                                            "b": [float(x) for x in b]})
 
 
 def eventually_periodic_spec(base: CoefficientSpec, q: int, N: int) -> CoefficientSpec:
-    return CoefficientSpec("eventually_periodic",
-                           {"base": base, "q": int(q), "N": int(N)})
+    with params_errors("eventually_periodic"):
+        return CoefficientSpec("eventually_periodic", {
+            "base": base, "q": operator.index(q), "N": operator.index(N)})
 
 
 def explicit_spec(a, b) -> CoefficientSpec:
@@ -232,13 +246,6 @@ def eval_coefficients(spec: CoefficientSpec, n: int) -> tuple[float, float]:
         raise ValueError(f"coefficient index must be an integer >= 1, got {n}")
     a, b = coefficient_arrays(spec, int(n), int(n) + 1)
     return (float(a[0]), float(b[0]))
-
-
-def _base_spec(spec) -> CoefficientSpec:
-    base = spec.params["base"]
-    if isinstance(base, CoefficientSpec):
-        return base
-    return CoefficientSpec.from_dict(base)
 
 
 def staircase_tables(sched: dict, lam: float):
@@ -281,7 +288,7 @@ def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int
         m, r = np.divmod(n - 1, q)
         idx = np.minimum(m, N) * q + r  # 0-based index into the base prefix
         lo, hi = (int(idx.min()), int(idx.max()) + 1) if len(idx) else (0, 0)
-        base_a, base_b = coefficient_arrays(_base_spec(spec), lo + 1, hi + 1)
+        base_a, base_b = coefficient_arrays(p["base"], lo + 1, hi + 1)
         return (base_a[idx - lo], base_b[idx - lo])
     if spec.kind == "cosine_power":
         p = spec.params

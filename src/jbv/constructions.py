@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (CoefficientSpec, coefficient_arrays, staircase_level_value,
-                     staircase_tables)
+from .coeffs import (CoefficientSpec, check_schedule_rows, coefficient_arrays,
+                     staircase_level_value, staircase_tables)
 from .periodic import comb_potential, gap_report
 from .transfer import SCAN_MIN, GrowthScanner, log_norm2, transfer_scan
 
@@ -94,16 +94,11 @@ class Schedule:
                 raise ValueError(f"level {level}: m={m_l} below 2^{level}")
             if m_l < 4.0 / d_l - 1e-6:
                 raise ValueError(f"level {level}: m={m_l} below 4/delta={4.0 / d_l}")
-        prev_end = 0
+        check_schedule_rows(self.rows)
         for li, row in enumerate(self.rows):
-            if row[0] != prev_end:
-                raise ValueError(f"level {li + 1} does not start at {prev_end}")
-            if any(n1 >= n2 for n1, n2 in zip(row, row[1:])):
-                raise ValueError(f"level {li + 1} breakpoints not increasing")
             if not self.truncated and len(row) != self.m[li] + 1:
                 raise ValueError(f"level {li + 1} has {len(row) - 1} windows, "
                                  f"expected {self.m[li]}")
-            prev_end = row[-1]
 
     def to_dict(self) -> dict:
         return {
@@ -171,8 +166,8 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
         raise ValueError(f"coupling must lie in (0, 2), got {lam}")
     if levels < 1:
         raise ValueError("need at least one level")
-    if growth_margin < 1.0:
-        raise ValueError("growth margin must be >= 1")
+    if not (1.0 <= growth_margin < math.inf):
+        raise ValueError(f"growth margin must be finite and >= 1, got {growth_margin}")
     if cap < 16:
         raise ValueError("cap too small to hold any window")
     if mode not in ("empirical", "analytic"):
@@ -351,21 +346,20 @@ def staircase_bv_breakdown(spec: CoefficientSpec, horizon: int | None = None) ->
     """
     if spec.kind != "staircase_comb":
         raise ValueError("breakdown applies to staircase_comb specs")
-    sched = Schedule.from_dict(spec.params["schedule"])
-    q, lam = sched.q, sched.lam
-    horizon = sched.horizon if horizon is None else min(horizon, sched.horizon)
-    rights, stair, wcomb = staircase_tables(spec.params["schedule"], lam)
+    q, lam, sched = (spec.params[key] for key in ("q", "lam", "schedule"))
+    rights, stair, wcomb = staircase_tables(sched, lam)
+    last = sched["rows"][-1][-1]
+    horizon = last if horizon is None else min(horizon, last)
     n = np.arange(1, horizon + 1)
     idx = np.searchsorted(rights, n, side="left")
     s_vals = stair[idx]
     w_vals = np.where(n % q == 0, wcomb[idx], 0.0)
     dcomb = w_vals[q:] - w_vals[:-q]
     dstair = s_vals[1:] - s_vals[:-1]
-    levels_used = len(sched.rows)
-    wl = np.asarray(sched.w[:levels_used])
-    dw = np.diff(wl)
+    levels_used = len(sched["rows"])
+    dw = np.diff(np.asarray(sched["w"][:levels_used]))
     comb_bound = q * float(np.dot(dw, dw)) if len(dw) else 0.0
-    stair_bound = 4.0 * lam * lam * sum(1.0 / m for m in sched.m[:levels_used])
+    stair_bound = 4.0 * lam * lam * sum(1.0 / m for m in sched["m"][:levels_used])
     return {
         "comb_sum": float(np.dot(dcomb, dcomb)),
         "comb_bound": comb_bound,

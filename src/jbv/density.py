@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (CoefficientSpec, coefficient_arrays, eval_coefficients,
-                     eventually_periodic_spec)
+from .coeffs import (CoefficientSpec, check_params, coefficient_arrays,
+                     eval_coefficients, eventually_periodic_spec)
 from .errors import OutsideBandError, PoleOfMError
 from .transfer import (Diagonalization, QStepBlock, eigen_branch, q_step_block,
                        transfer_scan, weyl_branch_sign)
@@ -39,10 +39,8 @@ class ApproximantSpec:
     N: int
 
     def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError("period must be >= 1")
-        if self.N < 0:
-            raise ValueError("freeze block index must be >= 0")
+        check_params("eventually_periodic",
+                     {"base": self.base, "q": self.q, "N": self.N})
 
     def as_spec(self) -> CoefficientSpec:
         return eventually_periodic_spec(self.base, self.q, self.N)

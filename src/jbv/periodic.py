@@ -11,12 +11,13 @@ classifies closed gaps through the critical points of D.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .coeffs import CoefficientSpec, periodic_spec
+from .coeffs import CoefficientSpec, check_params, params_errors, periodic_spec
 from .errors import RootIsolationError
 from .intervals import Interval, IntervalUnion
 from .matrix2 import block_product, one_step_matrix
@@ -40,19 +41,13 @@ class PeriodicJacobi:
     b: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError("period must be >= 1")
-        if len(self.a) != self.q or len(self.b) != self.q:
-            raise ValueError("coefficient blocks must have length q")
-        if any(not (x > 0 and math.isfinite(x)) for x in self.a):
-            raise ValueError("all off-diagonal coefficients must be positive")
-        if any(not math.isfinite(x) for x in self.b):
-            raise ValueError("all diagonal coefficients must be finite")
+        check_params("periodic", {"q": self.q, "a": self.a, "b": self.b})
 
     @staticmethod
     def of(q: int, a, b) -> "PeriodicJacobi":
-        return PeriodicJacobi(int(q), tuple(float(x) for x in a),
-                              tuple(float(x) for x in b))
+        with params_errors("periodic"):
+            return PeriodicJacobi(operator.index(q), tuple(float(x) for x in a),
+                                  tuple(float(x) for x in b))
 
     def as_spec(self) -> CoefficientSpec:
         return periodic_spec(self.q, self.a, self.b)
@@ -65,11 +60,8 @@ class PeriodicJacobi:
 
     @staticmethod
     def from_dict(doc: dict) -> "PeriodicJacobi":
-        try:
+        with params_errors("periodic"):
             return PeriodicJacobi.of(doc["q"], doc["a"], doc["b"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError("a periodic block needs an integer 'q' and lists "
-                             f"'a' and 'b' of numbers: {exc!r}") from exc
 
 
 def discriminant_value(P: PeriodicJacobi, z: complex) -> complex:

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from jbv import CoefficientSpec, Schedule, eval_coefficients
+from jbv import (CoefficientSpec, Schedule, eval_coefficients,
+                 staircase_bv_breakdown)
 from jbv.cli import main
 from oracles import free_density
 
@@ -110,6 +111,17 @@ def test_construct_thm15_rejects_bad_lambda(tmp_path, capsys):
                        "--lambda", "2.5", "--levels", "1",
                        "--out", str(tmp_path / "s.json"))
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf"])
+def test_construct_thm15_rejects_non_finite_margin(tmp_path, capsys, margin):
+    # each used to run every step to the cap before the JSON writer met it
+    code, out, err = run(capsys, "construct", "thm15", "--q", "2",
+                         "--lambda", "0.5", "--levels", "1", "--cap", "2000",
+                         "--margin", margin, "--out", str(tmp_path / "s.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "growth margin" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +336,31 @@ def test_verify_json_format(tmp_path, capsys):
     assert doc["passed"] and all(r["status"] == "pass" for r in doc["rows"])
 
 
+@pytest.mark.parametrize("argv", [
+    # x = -2.5 lies outside the band: f is None, an empty CSV cell
+    ["density", "--q", "1", "--N", "0", "--grid=-2.5:1:4"],
+    ["verify", "--period", "2", "--m", "1", "--k", "20", "--E", "0.25",
+     "--delta", "0.12"],
+    ["verify", "--random", "2"],
+])
+def test_json_rows_equal_csv_rows(tmp_path, capsys, argv):
+    # verify --random used to write CSV whatever --format said
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"kind": "constant", "params": {"a": 1.0, "b": 0.0}} if argv[0] == "density"
+        else {"kind": "periodic", "params": {"q": 2, "a": [1.0, 1.0], "b": [0.0, 0.5]}}))
+    if "--random" not in argv:
+        argv = argv + ["--spec", str(spec)]
+    code, out, _ = run(capsys, *argv)
+    header, rows = read_csv(out)
+    json_code, json_out, _ = run(capsys, *argv, "--format", "json")
+    doc = strict_loads(json_out)
+    assert code == json_code == 0
+    assert all(list(row) == header for row in doc["rows"])
+    assert [["" if v is None else str(v) for v in row.values()]
+            for row in doc["rows"]] == rows
+
+
 def test_every_json_output_is_strict(tmp_path, capsys):
     spec, comb = tmp_path / "st.json", tmp_path / "comb.json"
     comb.write_text(json.dumps({"kind": "periodic",
@@ -393,6 +430,10 @@ def test_non_finite_numeric_flags_exit_2(tmp_path, capsys, flags):
     ("intersect --family", {"q": 2}),
     ("intersect --family", [{"q": 2, "a": 1.0, "b": [0.0, 0.0]}]),
     ("intersect --family", [{"q": None, "a": [1.0], "b": [0.0]}]),
+    # a non-integral q used to be truncated: 2.7 gave a q=2 band structure
+    ("bands --file", {"q": 2.7, "a": [1.0, 1.0], "b": [0.0, 0.5]}),
+    ("intersect --family", [{"q": 2, "a": [1.0, 1.0], "b": [0.0, 0.5]},
+                            {"q": 2.7, "a": [1.0, 1.0], "b": [0.0, 0.6]}]),
 ])
 def test_malformed_periodic_block_files_exit_2(tmp_path, capsys, command, doc):
     # a missing key or a wrong type used to end in a traceback
@@ -437,3 +478,14 @@ def test_diagnose_accepts_the_well_formed_staircase_schedule(tmp_path, capsys):
     code, _, _ = run(capsys, "diagnose", "--spec", str(p), "--x", "0.3",
                      "--N", "14")
     assert code == 0
+
+
+def test_staircase_bv_breakdown_reads_the_spec_params():
+    # used to need all twelve schedule keys (KeyError 'q' on this spec).  The
+    # diagonal is -0.5 on 1..4, 0 on 5..9 and 0.5 on 10..14, plus w_l at even
+    # n: w = 0.5 up to 9 and 0.25 from 10
+    spec = CoefficientSpec("staircase_comb", {"lam": 0.5, "q": 2,
+                                              "schedule": GOOD_SCHEDULE})
+    assert staircase_bv_breakdown(spec) == {
+        "comb_sum": 0.25 ** 2, "comb_bound": 2 * 0.25 ** 2,
+        "staircase_sum": 2 * 0.5 ** 2, "staircase_bound": 4 * 0.25 * (1 / 2 + 1 / 4)}

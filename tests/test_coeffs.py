@@ -1,11 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jbv import (CoefficientSpec, HorizonError, coefficient_arrays,
                  constant_spec, eval_coefficients, eventually_periodic_spec,
                  explicit_spec, free_spec, periodic_spec, staircase_level_value)
+from jbv.coeffs import KINDS
 
 
 def test_constant_rule():
@@ -157,6 +161,87 @@ def test_bad_inputs():
         periodic_spec(2, [1.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         eval_coefficients(free_spec(), 0)
+
+
+@pytest.mark.parametrize("q, N", [(2.5, 3), (2, 3.5), (0, 3), (2, -1)])
+def test_eventually_periodic_factory_rejects_non_integers(q, N):
+    # 2.5 and 3.5 used to be truncated
+    with pytest.raises(ValueError):
+        eventually_periodic_spec(free_spec(), q, N)
+
+
+def test_eventually_periodic_factory_converts_numpy_integers():
+    spec = eventually_periodic_spec(free_spec(), np.int64(2), np.int32(3))
+    assert type(spec.params["q"]) is int and type(spec.params["N"]) is int
+    json.dumps(spec.to_dict(), allow_nan=False)
+
+
+@pytest.mark.parametrize("base", [
+    {"kind": "constant", "params": {"a": -1.0, "b": 0.0}},
+    {"kind": "constant", "params": {"a": 1.0}},
+    {"kind": "nope", "params": {}},
+    {"params": {"a": 1.0, "b": 0.0}},
+])
+def test_eventually_periodic_rejects_an_invalid_dict_base_at_construction(base):
+    # used to be accepted and to fail only when first evaluated
+    with pytest.raises(ValueError):
+        CoefficientSpec("eventually_periodic", {"base": base, "q": 2, "N": 1})
+
+
+def test_eventually_periodic_parses_a_dict_base_once():
+    base = {"kind": "periodic", "params": {"q": 2, "a": [1.0, 2.0], "b": [0.5, -0.5]}}
+    spec = CoefficientSpec("eventually_periodic", {"base": base, "q": 2, "N": 1})
+    assert spec.params["base"] == CoefficientSpec.from_dict(base)
+    assert spec.to_dict()["params"]["base"] == base
+    assert CoefficientSpec.from_dict(spec.to_dict()) == spec
+
+
+FINITE = st.floats(-3.0, 3.0)
+POSITIVE = st.floats(0.1, 3.0)
+
+
+@st.composite
+def specs_with_period(draw, kinds=KINDS):
+    """A spec of any kind and a q; kinds without a period get one too, and
+    every spec is defined on 1..3q."""
+    kind, q = draw(st.sampled_from(kinds)), draw(st.integers(1, 4))
+    if kind == "constant":
+        return constant_spec(draw(POSITIVE), draw(FINITE)), q
+    if kind == "periodic":
+        return periodic_spec(q, draw(st.lists(POSITIVE, min_size=q, max_size=q)),
+                             draw(st.lists(FINITE, min_size=q, max_size=q))), q
+    if kind == "eventually_periodic":
+        # indices 1..3q lie in blocks 0..2, so the base is read on 1..3q at most
+        base, q = draw(specs_with_period(("periodic", "explicit", "cosine_power")))
+        return eventually_periodic_spec(base, q, draw(st.integers(0, 3))), q
+    if kind == "cosine_power":
+        return CoefficientSpec("cosine_power", {
+            "lam": draw(FINITE), "gamma": draw(st.floats(0.01, 0.99))}), q
+    if kind == "staircase_comb":
+        steps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+        ends = np.cumsum([0] + steps).tolist()
+        ends[-1] = max(ends[-1], 3 * q)
+        cut = draw(st.integers(1, len(ends) - 1))
+        rows = [ends[:cut + 1], ends[cut:]] if cut < len(ends) - 1 else [ends]
+        return CoefficientSpec("staircase_comb", {
+            "lam": draw(FINITE), "q": q + 1, "schedule": {
+                "rows": rows, "w": [0.5 ** level for level in range(1, len(rows) + 1)],
+                "m": [len(row) - 1 for row in rows]}}), q
+    n = draw(st.integers(3 * q, 3 * q + 4))
+    return explicit_spec(draw(st.lists(POSITIVE, min_size=n, max_size=n)),
+                         draw(st.lists(FINITE, min_size=n, max_size=n))), q
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs_with_period())
+def test_spec_json_round_trip_keeps_every_bit(spec_q):
+    spec, q = spec_q
+    back = CoefficientSpec.from_dict(json.loads(json.dumps(spec.to_dict(),
+                                                           allow_nan=False)))
+    assert back == spec
+    for got, want in zip(coefficient_arrays(back, 1, 3 * q + 1),
+                         coefficient_arrays(spec, 1, 3 * q + 1)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_determinism_across_processes():

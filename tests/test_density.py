@@ -170,6 +170,16 @@ def test_density_outside_band_raises():
         ac_density(free_aspec(0), 2.0)  # band edge is degenerate
 
 
+@pytest.mark.parametrize("q, N, base", [
+    (2.5, 3, free_spec()), (2, 3.0, free_spec()), (0, 3, free_spec()),
+    (2, -1, free_spec()), (1, 0, {"kind": "constant", "params": {"a": 1.0, "b": 0.0}}),
+])
+def test_approximant_spec_rejects_what_the_spec_validator_rejects(q, N, base):
+    # a non-integral q or N, and a base that is no spec, used to be accepted
+    with pytest.raises(ValueError):
+        ApproximantSpec(base, q, N)
+
+
 def test_density_rejects_bad_branch_sign():
     with pytest.raises(ValueError, match="branch sign"):
         ac_density(free_aspec(0), 0.0, s=0)

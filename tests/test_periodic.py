@@ -1,12 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jbv import (PeriodicJacobi, band_structure, chebyshev_second_kind,
                  comb_potential, discriminant_polynomial, discriminant_value,
                  free_critical_points, gap_report, intersection_over_family,
-                 one_step_matrix, spectral_bracket)
+                 one_step_matrix, periodic_spec, spectral_bracket)
 from oracles import chebu_sine, comb2_band_edges, interp_discriminant_coeffs
 
 
@@ -283,3 +286,52 @@ def test_band_structure_near_degenerate_blocks():
         for g in bs.gaps:
             assert g.closed == (g.width < 1e-10)
             assert min(abs(g.center - c) for c in bs.critical_points) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the block format is checked by the periodic spec validator
+
+def _value_error_as_none(build):
+    try:
+        return build()
+    except ValueError:
+        return None
+
+
+ENTRY = st.one_of(st.floats(0.1, 2.0),
+                  st.sampled_from([-1.0, 0.0, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def block_inputs(draw):
+    q = draw(st.one_of(st.integers(-1, 4), st.integers(-1, 4).map(np.int64),
+                       st.sampled_from([2.7, 2.0])))
+    n = draw(st.one_of(st.just(max(int(q), 0)), st.integers(0, 5)))
+    entries = st.lists(ENTRY, min_size=n, max_size=n)
+    return q, draw(entries), draw(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_inputs())
+def test_block_and_periodic_spec_accept_the_same_inputs(inputs):
+    q, a, b = inputs
+    P = _value_error_as_none(lambda: PeriodicJacobi.of(q, a, b))
+    spec = _value_error_as_none(lambda: periodic_spec(q, a, b))
+    assert (P is None) == (spec is None)
+    if P is not None:
+        assert P.to_dict() == spec.params
+        text = json.dumps(P.to_dict(), allow_nan=False)
+        assert PeriodicJacobi.from_dict(json.loads(text)) == P
+
+
+def test_numpy_integer_period_serialises():
+    P = PeriodicJacobi.of(np.int64(2), np.ones(2), np.zeros(2))
+    assert type(P.q) is int
+    assert json.loads(json.dumps(P.to_dict(), allow_nan=False))["q"] == 2
+
+
+@pytest.mark.parametrize("q", [2.7, 2.0, "2", None])
+def test_block_rejects_a_non_integral_period(q):
+    # 2.7 used to be truncated to a q=2 block
+    with pytest.raises(ValueError):
+        PeriodicJacobi.of(q, [1.0, 1.0], [0.0, 0.5])
