@@ -5,8 +5,8 @@ intersect.  Structured results are JSON, grids are CSV.  Exit codes: 0 on
 success, 1 on numerical failure, 2 on usage errors.
 
 Defaults for the tunable flags (tol, cap, margin, mode, seed, points) may be
-supplied by a JSON file named by the JBV_CONFIG environment variable; explicit
-flags always win over the config file, which wins over built-in defaults.
+supplied by a JSON object in the file named by the JBV_CONFIG environment
+variable, checked as spec files are; explicit flags win over it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from .coeffs import CoefficientSpec
+from .coeffs import CoefficientSpec, as_int, as_real
 from .constructions import (build_schedule, slow_cosine_spec,
                             staircase_comb_spec)
 from .density import ApproximantSpec, ac_density
@@ -29,23 +29,33 @@ from .errors import (DegenerateBlockError, HorizonError, OutsideBandError,
 from .periodic import PeriodicJacobi, band_structure, comb_potential, \
     gap_report, intersection_over_family
 
-_CONFIG_KEYS = ("tol", "cap", "margin", "mode", "seed", "points")
+_MODES = ("empirical", "analytic")
+
+
+def _mode(value, name: str) -> str:
+    if value not in _MODES:
+        raise ValueError(f"{name} must be one of {_MODES}, got {value!r}")
+    return value
+
+
+# each tunable flag's built-in default and the rule a JBV_CONFIG value obeys
+_CONFIG = {"tol": (1e-10, as_real), "cap": (10 ** 6, as_int),
+           "margin": (1.0, as_real), "mode": ("empirical", _mode),
+           "seed": (12345, as_int), "points": (101, as_int)}
 
 
 def _load_config() -> dict:
+    """The tunable flags' defaults: JBV_CONFIG's, checked, over the built-in ones."""
+    config = {key: default for key, (default, _) in _CONFIG.items()}
     path = os.environ.get("JBV_CONFIG")
-    if not path:
-        return {}
-    with open(path) as fh:
-        doc = json.load(fh)
-    return {k: v for k, v in doc.items() if k in _CONFIG_KEYS}
-
-
-def _cfg(args, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return args._config.get(name, default)
+    if path:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("the config must be a JSON object")
+        config.update((key, rule(doc[key], key))
+                      for key, (_, rule) in _CONFIG.items() if key in doc)
+    return config
 
 
 def _json(doc) -> str:
@@ -102,7 +112,6 @@ def _finite_float(text: str) -> float:
 # bands
 
 def _cmd_bands(args) -> int:
-    tol = float(_cfg(args, "tol", 1e-10))
     if args.file:
         with open(args.file) as fh:
             P = PeriodicJacobi.from_dict(json.load(fh))
@@ -111,7 +120,7 @@ def _cmd_bands(args) -> int:
             raise ValueError("either --file or all of --q/--a/--b are required")
         P = PeriodicJacobi.of(args.q, _parse_float_list(args.a),
                               _parse_float_list(args.b))
-    bs = band_structure(P, tol)
+    bs = band_structure(P, args.tol)
     doc = {
         "q": bs.q,
         "bands": [list(iv.as_pair()) for iv in bs.bands],
@@ -138,11 +147,8 @@ def _cmd_construct(args) -> int:
         spec = slow_cosine_spec(args.lam, args.gamma)
         _emit(_json(spec.to_dict()), args.out)
         return 0
-    cap = int(_cfg(args, "cap", 10 ** 6))
-    mode = _cfg(args, "mode", "empirical")
-    margin = float(_cfg(args, "margin", 1.0))
     sched = build_schedule(args.q, args.lam, args.levels,
-                           growth_margin=margin, cap=cap, mode=mode)
+                           growth_margin=args.margin, cap=args.cap, mode=args.mode)
     spec = staircase_comb_spec(sched)
     if not args.out:
         raise ValueError("construct thm15 requires --out")
@@ -265,8 +271,7 @@ def _cmd_verify(args) -> int:
 def _verify_random(args) -> int:
     import numpy as np
 
-    seed = int(_cfg(args, "seed", 12345))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     all_pass = True
     for case in range(args.random):
@@ -292,7 +297,6 @@ def _verify_random(args) -> int:
 # intersect
 
 def _cmd_intersect(args) -> int:
-    tol = float(_cfg(args, "tol", 1e-10))
     if args.family:
         with open(args.family) as fh:
             docs = json.load(fh)
@@ -302,7 +306,7 @@ def _cmd_intersect(args) -> int:
     else:
         if args.q is None or args.lam is None:
             raise ValueError("either --family or --q/--lambda are required")
-        points = int(_cfg(args, "points", 101))
+        points = args.points
         if points < 1:
             raise ValueError("need at least one family member")
         lam = args.lam
@@ -312,7 +316,7 @@ def _cmd_intersect(args) -> int:
             betas = [-lam + 2.0 * lam * i / (points - 1) for i in range(points)]
         family = [PeriodicJacobi.of(args.q, [1.0] * args.q, [beta] * args.q)
                   for beta in betas]
-    result = intersection_over_family(family, args.mode, tol)
+    result = intersection_over_family(family, args.mode, args.tol)
     doc = {
         "mode": args.mode,
         "members": len(family),
@@ -327,7 +331,7 @@ def _cmd_intersect(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config: dict) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jbv",
         description="Band structures, spectral densities and transfer-matrix "
@@ -340,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", help="comma separated off-diagonal block")
     p.add_argument("--b", help="comma separated diagonal block")
     p.add_argument("--file", help="JSON file with {q, a, b}")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=config["tol"])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bands)
 
@@ -350,9 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p15.add_argument("--q", type=int, required=True)
     p15.add_argument("--lambda", dest="lam", type=float, required=True)
     p15.add_argument("--levels", type=int, required=True)
-    p15.add_argument("--cap", type=int, default=None)
-    p15.add_argument("--mode", choices=("empirical", "analytic"), default=None)
-    p15.add_argument("--margin", type=float, default=None)
+    p15.add_argument("--cap", type=int, default=config["cap"])
+    p15.add_argument("--mode", choices=_MODES, default=config["mode"])
+    p15.add_argument("--margin", type=float, default=config["margin"])
     p15.add_argument("--out", required=True)
     p15.add_argument("--schedule-out")
     p15.set_defaults(func=_cmd_construct)
@@ -390,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_finite_float)
     p.add_argument("--random", type=int,
                    help="run this many randomized admissible windows")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=config["seed"])
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
@@ -401,9 +405,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--lambda", dest="lam", type=float,
                    help="half-width of the constant-shift family")
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", type=int, default=config["points"])
     p.add_argument("--mode", choices=("spectrum", "qinterior"), default="spectrum")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=config["tol"])
     p.add_argument("--out")
     p.set_defaults(func=_cmd_intersect)
 
@@ -411,13 +415,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        args._config = _load_config()
-    except (OSError, json.JSONDecodeError) as exc:
+        config = _load_config()
+    except (OSError, ValueError, TypeError) as exc:
         sys.stderr.write(f"error reading JBV_CONFIG: {exc}\n")
         return 2
+    args = _build_parser(config).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, argparse.ArgumentTypeError, PreconditionError, OSError,

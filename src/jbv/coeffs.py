@@ -19,13 +19,16 @@ Per-kind params:
     cosine_power          {"lam": float, "gamma": float}   # a=1, b=lam*cos(n^gamma)
     staircase_comb        {"lam": float, "q": int, "schedule": <schedule object>}
     explicit              {"a": [float], "b": [float]}     # 1-based, finite
+
+An int is a JSON or numpy integer, never a bool or 2.0; a float is any finite
+int or real, never a bool or a string (`as_int`, `as_real`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
@@ -61,9 +64,9 @@ class CoefficientSpec:
                 # the one parse of a nested base: evaluation reads the spec
                 object.__setattr__(self, "params", {
                     **self.params, "base": CoefficientSpec.from_dict(base)})
-            check_params(self.kind, self.params)
-            if self.length_hint is not None and self.length_hint < 1:
-                raise ValueError("length_hint must be positive")
+            object.__setattr__(self, "params", check_params(self.kind, self.params))
+            if self.length_hint is not None:
+                as_int(self.length_hint, "length_hint", 1)
 
     def to_dict(self) -> dict:
         params = dict(self.params)
@@ -93,6 +96,27 @@ class CoefficientSpec:
 # ---------------------------------------------------------------------------
 # validation: the one statement of each format's rules
 
+def as_int(value, name: str, least: int | None = None) -> int:
+    """The one integer rule for numbers from outside: a Python or numpy integer
+    (never a bool or an integral float such as 2.0), at least `least` if given."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """The one real-number rule for numbers from outside: a finite int, float or
+    numpy real, never a bool or a string."""
+    if (not isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(value, bool)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # no OverflowError on a huge int
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 @contextmanager
 def params_errors(kind: str):
     """Raise the KeyError of a missing entry and the TypeError of an ill-typed
@@ -105,95 +129,76 @@ def params_errors(kind: str):
         raise ValueError(f"{kind} spec has an ill-typed params entry: {exc}") from exc
 
 
-def check_params(kind: str, params: dict) -> None:
-    """Raise ValueError unless `params` are valid params of a `kind` spec."""
+def check_params(kind: str, params: dict) -> dict:
+    """Valid `kind` params with their numbers converted, or a ValueError."""
     if kind not in KINDS:
         raise ValueError(f"unknown coefficient kind: {kind!r}")
     with params_errors(kind):
-        _VALIDATORS[kind](params)
+        return {**params, **_VALIDATORS[kind](params)}
 
 
-def _check_positive_a(values) -> None:
-    for a in values:
-        if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-            raise ValueError(f"all off-diagonal coefficients must be positive, got {a}")
+def _coefficients(p: dict) -> tuple[list[float], list[float]]:
+    """The sequences p["a"], all positive, and p["b"] as float lists."""
+    a, b = [as_real(x, "a") for x in p["a"]], [as_real(x, "b") for x in p["b"]]
+    if not all(x > 0 for x in a):
+        raise ValueError(f"all off-diagonal coefficients must be positive, got {min(a)}")
+    return a, b
 
 
-def _check_finite_b(values) -> None:
-    for b in values:
-        if not math.isfinite(b):
-            raise ValueError(f"all diagonal coefficients must be finite, got {b}")
+def _validate_constant(p: dict) -> dict:
+    (a,), (b,) = _coefficients({"a": [p["a"]], "b": [p["b"]]})
+    return {"a": a, "b": b}
 
 
-def _validate_constant(p: dict) -> None:
-    _check_positive_a([p["a"]])
-    _check_finite_b([p["b"]])
-
-
-def _validate_periodic(p: dict) -> None:
-    q = p["q"]
-    if not (isinstance(q, int) and q >= 1):
-        raise ValueError("period must be a positive integer")
-    if len(p["a"]) != q or len(p["b"]) != q:
+def _validate_periodic(p: dict) -> dict:
+    q, (a, b) = as_int(p["q"], "q", 1), _coefficients(p)
+    if len(a) != q or len(b) != q:
         raise ValueError("periodic blocks must have length q")
-    _check_positive_a(p["a"])
-    _check_finite_b(p["b"])
+    return {"q": q, "a": a, "b": b}
 
 
-def _validate_eventually_periodic(p: dict) -> None:
-    if not (isinstance(p["q"], int) and p["q"] >= 1):
-        raise ValueError("period must be a positive integer")
-    if not (isinstance(p["N"], int) and p["N"] >= 0):
-        raise ValueError("freeze block index N must be a nonnegative integer")
+def _validate_eventually_periodic(p: dict) -> dict:
     if not isinstance(p["base"], CoefficientSpec):
         raise ValueError("base must be a coefficient spec")
+    return {"q": as_int(p["q"], "q", 1), "N": as_int(p["N"], "N", 0)}
 
 
-def _validate_cosine_power(p: dict) -> None:
-    if not math.isfinite(p["lam"]):
-        raise ValueError("coupling must be finite")
-    if not (0.0 < p["gamma"] < 1.0):
+def _validate_cosine_power(p: dict) -> dict:
+    lam, gamma = as_real(p["lam"], "lam"), as_real(p["gamma"], "gamma")
+    if not (0.0 < gamma < 1.0):
         raise ValueError("exponent must lie in (0, 1)")
+    return {"lam": lam, "gamma": gamma}
 
 
-def _validate_staircase_comb(p: dict) -> None:
-    if not math.isfinite(p["lam"]):
-        raise ValueError("coupling must be finite")
-    if not (isinstance(p["q"], int) and p["q"] >= 2):
-        raise ValueError("period must be an integer >= 2")
-    rows, w, m = (p["schedule"][key] for key in ("rows", "w", "m"))
-    if check_schedule_rows(rows) == 0:
+def _validate_staircase_comb(p: dict) -> dict:
+    lam, q, sched = as_real(p["lam"], "lam"), as_int(p["q"], "q", 2), p["schedule"]
+    rows, end = [], 0
+    for level, row in enumerate(sched["rows"], 1):
+        try:
+            row = [as_int(n, "schedule row entry") for n in row]
+        except TypeError:
+            row = []
+        if not row or row[0] != end or any(n1 >= n2 for n1, n2 in zip(row, row[1:])):
+            raise ValueError(f"schedule row {level} must be a nonempty list of "
+                             f"integers that increase strictly from {end}")
+        rows.append(row)
+        end = row[-1]
+    if end == 0:
         raise ValueError("schedule has no realized windows")
+    w = [as_real(x, "schedule w") for x in sched["w"]]
+    m = [as_int(x, "schedule m") for x in sched["m"]]
     if len(w) < len(rows) or len(m) < len(rows):
         raise ValueError("schedule needs a w and an m entry per row")
-    if not all(math.isfinite(x) for x in w):
-        raise ValueError("schedule comb couplings w must be finite")
-    if not all(isinstance(x, int) and x >= 1 for x in m):
+    if not all(x >= 1 for x in m):
         raise ValueError("schedule step counts m must be positive integers")
+    return {"lam": lam, "q": q, "schedule": {**sched, "rows": rows, "w": w, "m": m}}
 
 
-def check_schedule_rows(rows) -> int:
-    """The end of the last schedule row, after checking that each row is a
-    nonempty list of integers increasing strictly from where the row before
-    it ended, the first from 0."""
-    end = 0
-    for level, row in enumerate(rows, 1):
-        if not (isinstance(row, (list, tuple)) and row
-                and all(isinstance(n, int) for n in row)):
-            raise ValueError(f"schedule row {level} must be a nonempty list "
-                             "of integers")
-        if row[0] != end or any(n1 >= n2 for n1, n2 in zip(row, row[1:])):
-            raise ValueError(f"schedule row {level} must increase strictly "
-                             f"from {end}")
-        end = row[-1]
-    return end
-
-
-def _validate_explicit(p: dict) -> None:
-    if len(p["a"]) != len(p["b"]) or not p["a"]:
+def _validate_explicit(p: dict) -> dict:
+    a, b = _coefficients(p)
+    if len(a) != len(b) or not a:
         raise ValueError("explicit a and b must be nonempty and equally long")
-    _check_positive_a(p["a"])
-    _check_finite_b(p["b"])
+    return {"a": a, "b": b}
 
 
 _VALIDATORS = {
@@ -207,10 +212,10 @@ _VALIDATORS = {
 
 
 # ---------------------------------------------------------------------------
-# factories
+# factories: the validator converts their numbers
 
 def constant_spec(a: float, b: float) -> CoefficientSpec:
-    return CoefficientSpec("constant", {"a": float(a), "b": float(b)})
+    return CoefficientSpec("constant", {"a": a, "b": b})
 
 
 def free_spec() -> CoefficientSpec:
@@ -219,21 +224,15 @@ def free_spec() -> CoefficientSpec:
 
 
 def periodic_spec(q: int, a, b) -> CoefficientSpec:
-    with params_errors("periodic"):
-        return CoefficientSpec("periodic", {"q": operator.index(q),
-                                            "a": [float(x) for x in a],
-                                            "b": [float(x) for x in b]})
+    return CoefficientSpec("periodic", {"q": q, "a": a, "b": b})
 
 
 def eventually_periodic_spec(base: CoefficientSpec, q: int, N: int) -> CoefficientSpec:
-    with params_errors("eventually_periodic"):
-        return CoefficientSpec("eventually_periodic", {
-            "base": base, "q": operator.index(q), "N": operator.index(N)})
+    return CoefficientSpec("eventually_periodic", {"base": base, "q": q, "N": N})
 
 
 def explicit_spec(a, b) -> CoefficientSpec:
-    a = [float(x) for x in a]
-    b = [float(x) for x in b]
+    a = list(a)
     return CoefficientSpec("explicit", {"a": a, "b": b}, length_hint=len(a))
 
 
@@ -242,9 +241,8 @@ def explicit_spec(a, b) -> CoefficientSpec:
 
 def eval_coefficients(spec: CoefficientSpec, n: int) -> tuple[float, float]:
     """The pair (a_n, b_n) of the rule at index n >= 1.  Pure and deterministic."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"coefficient index must be an integer >= 1, got {n}")
-    a, b = coefficient_arrays(spec, int(n), int(n) + 1)
+    n = as_int(n, "coefficient index")
+    a, b = coefficient_arrays(spec, n, n + 1)  # raises ValueError for n < 1
     return (float(a[0]), float(b[0]))
 
 

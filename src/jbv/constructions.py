@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (CoefficientSpec, check_schedule_rows, coefficient_arrays,
-                     staircase_level_value, staircase_tables)
+from .coeffs import (CoefficientSpec, as_int, as_real, check_params,
+                     coefficient_arrays, params_errors, staircase_level_value,
+                     staircase_tables)
 from .periodic import comb_potential, gap_report
 from .transfer import SCAN_MIN, GrowthScanner, log_norm2, transfer_scan
 
@@ -40,7 +41,7 @@ def slow_cosine_spec(lam: float, gamma: float) -> CoefficientSpec:
         raise ValueError(f"coupling must lie in (0, 2), got {lam}")
     if not (0.0 < gamma < 0.5):
         raise ValueError(f"exponent must lie in (0, 1/2), got {gamma}")
-    return CoefficientSpec("cosine_power", {"lam": float(lam), "gamma": float(gamma)})
+    return CoefficientSpec("cosine_power", {"lam": lam, "gamma": gamma})
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,9 @@ class Schedule:
         return self.rows[-1][-1]
 
     def validate(self) -> None:
-        if self.q < 2:
-            raise ValueError("period must be >= 2")
+        """The spec validator's rules, then the construction's invariants."""
+        check_params("staircase_comb", {"lam": self.lam, "q": self.q,
+                                        "schedule": self.to_dict()})
         if not (0.0 < self.lam < 2.0):
             raise ValueError("coupling must lie in (0, 2)")
         if not self.w or self.w[0] > 1.0:
@@ -94,7 +96,6 @@ class Schedule:
                 raise ValueError(f"level {level}: m={m_l} below 2^{level}")
             if m_l < 4.0 / d_l - 1e-6:
                 raise ValueError(f"level {level}: m={m_l} below 4/delta={4.0 / d_l}")
-        check_schedule_rows(self.rows)
         for li, row in enumerate(self.rows):
             if not self.truncated and len(row) != self.m[li] + 1:
                 raise ValueError(f"level {li + 1} has {len(row) - 1} windows, "
@@ -115,15 +116,18 @@ class Schedule:
 
     @staticmethod
     def from_dict(doc: dict) -> "Schedule":
-        return Schedule(
-            q=int(doc["q"]), lam=float(doc["lam"]), levels=int(doc["levels"]),
-            w=tuple(doc["w"]), delta=tuple(doc["delta"]),
-            centers=tuple(tuple(c) for c in doc["centers"]),
-            m=tuple(int(x) for x in doc["m"]),
-            rows=tuple(tuple(int(x) for x in r) for r in doc["rows"]),
-            mode=doc["mode"], margin=float(doc["margin"]), cap=int(doc["cap"]),
-            truncated=bool(doc["truncated"]),
-        )
+        with params_errors("schedule"):
+            return Schedule(
+                q=as_int(doc["q"], "q"), lam=as_real(doc["lam"], "lam"),
+                levels=as_int(doc["levels"], "levels"),
+                w=tuple(as_real(x, "w") for x in doc["w"]),
+                delta=tuple(as_real(x, "delta") for x in doc["delta"]),
+                centers=tuple(tuple(as_real(x, "centers") for x in c)
+                              for c in doc["centers"]),
+                m=tuple(as_int(x, "m") for x in doc["m"]),
+                rows=tuple(tuple(as_int(x, "rows") for x in r) for r in doc["rows"]),
+                mode=doc["mode"], margin=as_real(doc["margin"], "margin"),
+                cap=as_int(doc["cap"], "cap"), truncated=bool(doc["truncated"]))
 
 
 def staircase_comb_spec(schedule: Schedule) -> CoefficientSpec:
@@ -160,16 +164,12 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
       far at the level's shifted gap-center energies, which yields desk-scale
       schedules with the same certified growth.
     """
-    if q < 2:
-        raise ValueError("period must be >= 2")
+    q, levels = as_int(q, "q", 2), as_int(levels, "levels", 1)
+    cap = as_int(cap, "cap", 16)
     if not (0.0 < lam < 2.0):
         raise ValueError(f"coupling must lie in (0, 2), got {lam}")
-    if levels < 1:
-        raise ValueError("need at least one level")
-    if not (1.0 <= growth_margin < math.inf):
-        raise ValueError(f"growth margin must be finite and >= 1, got {growth_margin}")
-    if cap < 16:
-        raise ValueError("cap too small to hold any window")
+    if as_real(growth_margin, "growth margin") < 1.0:
+        raise ValueError(f"growth margin must be >= 1, got {growth_margin}")
     if mode not in ("empirical", "analytic"):
         raise ValueError(f"mode must be 'empirical' or 'analytic', got {mode!r}")
 

@@ -11,13 +11,13 @@ classifies closed gaps through the critical points of D.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .coeffs import CoefficientSpec, check_params, params_errors, periodic_spec
+from .coeffs import (CoefficientSpec, as_int, check_params, params_errors,
+                     periodic_spec)
 from .errors import RootIsolationError
 from .intervals import Interval, IntervalUnion
 from .matrix2 import block_product, one_step_matrix
@@ -45,9 +45,8 @@ class PeriodicJacobi:
 
     @staticmethod
     def of(q: int, a, b) -> "PeriodicJacobi":
-        with params_errors("periodic"):
-            return PeriodicJacobi(operator.index(q), tuple(float(x) for x in a),
-                                  tuple(float(x) for x in b))
+        p = check_params("periodic", {"q": q, "a": a, "b": b})
+        return PeriodicJacobi(p["q"], tuple(p["a"]), tuple(p["b"]))
 
     def as_spec(self) -> CoefficientSpec:
         return periodic_spec(self.q, self.a, self.b)
@@ -122,11 +121,10 @@ def chebyshev_second_kind(n: int, x: float) -> float:
 
 def comb_potential(q: int, w: float) -> PeriodicJacobi:
     """Discrete Schroedinger period block with a single bump: b = (0,...,0,w)."""
-    if q < 2:
-        raise ValueError("comb potential needs period >= 2")
+    q = as_int(q, "q", 2)
     if not w > 0:
         raise ValueError("coupling must be positive")
-    return PeriodicJacobi.of(q, [1.0] * q, [0.0] * (q - 1) + [float(w)])
+    return PeriodicJacobi.of(q, [1.0] * q, [0.0] * (q - 1) + [w])
 
 
 @dataclass(frozen=True)

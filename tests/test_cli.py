@@ -489,3 +489,42 @@ def test_staircase_bv_breakdown_reads_the_spec_params():
     assert staircase_bv_breakdown(spec) == {
         "comb_sum": 0.25 ** 2, "comb_bound": 2 * 0.25 ** 2,
         "staircase_sum": 2 * 0.5 ** 2, "staircase_bound": 4 * 0.25 * (1 / 2 + 1 / 4)}
+
+
+BLOCK = {"q": 2, "a": [1.0, 1.0], "b": [0.0, 0.5]}
+
+
+@pytest.mark.parametrize("config, doc, argv, field", [
+    # a numeric string in a block file used to pass through float()
+    (None, {**BLOCK, "a": ["1", "1"]}, ["bands", "--file"], "a"),
+    # true is no integer and no real, in a spec or in a block
+    (None, {"kind": "periodic", "params": {"q": True, "a": [1.0], "b": [0.25]}},
+     ["diagnose", "--x", "0.3", "--N", "50", "--spec"], "q"),
+    (None, {"kind": "periodic", "params": {**BLOCK, "b": [True, 0.5]}},
+     ["diagnose", "--x", "0.3", "--N", "50", "--spec"], "b"),
+    (None, {"q": True, "a": [1.0], "b": [0.25]}, ["bands", "--file"], "q"),
+    (None, [BLOCK, {**BLOCK, "a": [True, 1.0]}], ["intersect", "--family"], "a"),
+    # JBV_CONFIG values used to be truncated by int() or coerced by float()
+    ({"points": 5.7}, None, ["intersect", "--q", "2", "--lambda", "0.5"], "points"),
+    ({"seed": 3.9}, None, ["verify", "--random", "1"], "seed"),
+    ({"cap": 100000.5}, None, ["construct", "thm15", "--q", "2", "--lambda", "0.5",
+                               "--levels", "1", "--mode", "analytic", "--out"], "cap"),
+    ({"tol": "1e-10"}, None, ["bands", "--q", "2", "--a", "1,1", "--b", "0,0.5"], "tol"),
+    ({"mode": "fast"}, None, ["bands", "--q", "2", "--a", "1,1", "--b", "0,0.5"], "mode"),
+    # a config that is no JSON object used to end in an AttributeError traceback
+    ([1, 2], None, ["bands", "--q", "2", "--a", "1,1", "--b", "0,0.5"], "JBV_CONFIG"),
+])
+def test_one_number_rule_at_the_boundary(tmp_path, capsys, monkeypatch, config, doc,
+                                         argv, field):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv("JBV_CONFIG", str(cfg))
+    path = tmp_path / "doc.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    if argv[-1].startswith("--"):
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert field in err and "Traceback" not in err

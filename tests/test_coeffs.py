@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jbv import (CoefficientSpec, HorizonError, coefficient_arrays,
+from jbv import (CoefficientSpec, HorizonError, Schedule, coefficient_arrays,
                  constant_spec, eval_coefficients, eventually_periodic_spec,
                  explicit_spec, free_spec, periodic_spec, staircase_level_value)
 from jbv.coeffs import KINDS
@@ -259,3 +259,22 @@ def test_determinism_across_processes():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert eval(out.stdout.strip()) == here
+
+
+SCHEDULE_DOC = {"q": 2, "lam": 0.5, "levels": 1, "w": [0.5], "delta": [0.5],
+                "centers": [[0.25]], "m": [8], "rows": [[0, 4, 9]],
+                "mode": "empirical", "margin": 1.0, "cap": 1000000, "truncated": True}
+
+
+@pytest.mark.parametrize("change", [{"q": 2.7}, {"cap": 1000000.5}, {"q": True},
+                                    {"rows": [[0, 4.0, 9]]}, {"w": ["0.5"]}])
+def test_schedule_from_dict_truncates_nothing(change):
+    # q = 2.7 and cap = 1000000.5 used to load as 2 and 1000000
+    with pytest.raises(ValueError, match=next(iter(change))):
+        Schedule.from_dict({**SCHEDULE_DOC, **change})
+
+
+def test_schedule_from_dict_keeps_a_valid_document():
+    sched = Schedule.from_dict(SCHEDULE_DOC)
+    assert sched.to_dict() == SCHEDULE_DOC
+    assert type(sched.q) is int and type(sched.lam) is float

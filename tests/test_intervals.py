@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jbv import Interval, IntervalUnion, interval_union_intersect
 
@@ -90,3 +92,51 @@ def test_difference_and_union_membership():
         for x in probes:
             assert d.contains(x) == (a.contains(x) and not b.contains(x))
             assert un.contains(x) == (a.contains(x) or b.contains(x))
+
+
+# half-integer endpoints: shared endpoints are common, and measures add exactly
+ENDPOINT = st.integers(-8, 8).map(lambda k: k / 2)
+
+
+@st.composite
+def intervals(draw):
+    lo, hi = sorted((draw(ENDPOINT), draw(ENDPOINT)))
+    if lo == hi:
+        return Interval.point(lo)
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+UNIONS = st.lists(intervals(), max_size=4).map(IntervalUnion.of)
+
+
+def _endpoints(*sets):
+    return {x for s in sets for iv in s.intervals for x in (iv.lo, iv.hi)}
+
+
+@given(UNIONS, UNIONS, UNIONS)
+def test_intersect_and_union_commute_and_associate(a, b, c):
+    assert a.intersect(b) == b.intersect(a)
+    assert a.union(b) == b.union(a)
+    assert a.intersect(b).intersect(c) == a.intersect(b.intersect(c))
+    assert a.union(b).union(c) == a.union(b.union(c))
+
+
+@given(UNIONS, UNIONS, UNIONS)
+def test_de_morgan_for_difference(a, b, c):
+    assert a.difference(b.union(c)) == a.difference(b).intersect(a.difference(c))
+    assert a.difference(b.intersect(c)) == a.difference(b).union(a.difference(c))
+
+
+@given(UNIONS, UNIONS)
+def test_measure_is_additive(a, b):
+    assert (a.union(b).measure + a.intersect(b).measure
+            == a.measure + b.measure)
+
+
+@given(UNIONS, UNIONS)
+def test_contains_agrees_with_each_operation_at_the_endpoints(a, b):
+    meet, join, diff = a.intersect(b), a.union(b), a.difference(b)
+    for x in _endpoints(a, b, meet, join, diff):
+        assert meet.contains(x) == (a.contains(x) and b.contains(x))
+        assert join.contains(x) == (a.contains(x) or b.contains(x))
+        assert diff.contains(x) == (a.contains(x) and not b.contains(x))
