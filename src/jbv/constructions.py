@@ -117,6 +117,11 @@ class Schedule:
     @staticmethod
     def from_dict(doc: dict) -> "Schedule":
         with params_errors("schedule"):
+            if doc["mode"] not in ("empirical", "analytic"):
+                raise ValueError("mode must be 'empirical' or 'analytic', "
+                                 f"got {doc['mode']!r}")
+            if not isinstance(doc["truncated"], bool):
+                raise TypeError(f"truncated must be a bool, got {doc['truncated']!r}")
             return Schedule(
                 q=as_int(doc["q"], "q"), lam=as_real(doc["lam"], "lam"),
                 levels=as_int(doc["levels"], "levels"),
@@ -127,7 +132,7 @@ class Schedule:
                 m=tuple(as_int(x, "m") for x in doc["m"]),
                 rows=tuple(tuple(as_int(x, "rows") for x in r) for r in doc["rows"]),
                 mode=doc["mode"], margin=as_real(doc["margin"], "margin"),
-                cap=as_int(doc["cap"], "cap"), truncated=bool(doc["truncated"]))
+                cap=as_int(doc["cap"], "cap"), truncated=doc["truncated"])
 
 
 def staircase_comb_spec(schedule: Schedule) -> CoefficientSpec:

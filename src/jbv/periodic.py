@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .coeffs import (CoefficientSpec, as_int, check_params, params_errors,
                      periodic_spec)
 from .errors import RootIsolationError
 from .intervals import Interval, IntervalUnion
 from .matrix2 import block_product, one_step_matrix
-from .polynomial import PolynomialReal, bisect_root, sign_change_roots
+from .polynomial import (PolynomialReal, bisect_root, sign_change_roots,
+                         sign_changes)
 
 __all__ = [
     "PeriodicJacobi", "Gap", "BandStructure", "GapReport",
@@ -40,13 +41,14 @@ class PeriodicJacobi:
     a: tuple[float, ...]
     b: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        check_params("periodic", {"q": self.q, "a": self.a, "b": self.b})
+    def __post_init__(self) -> None:  # the one check; keeps the converted numbers
+        p = check_params("periodic", {"q": self.q, "a": self.a, "b": self.b})
+        for name, value in (("q", p["q"]), ("a", tuple(p["a"])), ("b", tuple(p["b"]))):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def of(q: int, a, b) -> "PeriodicJacobi":
-        p = check_params("periodic", {"q": q, "a": a, "b": b})
-        return PeriodicJacobi(p["q"], tuple(p["a"]), tuple(p["b"]))
+        return PeriodicJacobi(q, a, b)
 
     def as_spec(self) -> CoefficientSpec:
         return periodic_spec(self.q, self.a, self.b)
@@ -71,26 +73,43 @@ def discriminant_value(P: PeriodicJacobi, z: complex) -> complex:
     return block_product(P.a, P.b, z).trace()
 
 
+def _trim(c: list[float]) -> list[float]:
+    """numpy.polynomial's trimseq: drop trailing zeros, keep one entry."""
+    while len(c) > 1 and c[-1] == 0.0:
+        c = c[:-1]
+    return c
+
+
+def _polymul(c1: list[float], c2: list[float]) -> list[float]:
+    """numpy.polynomial's polymul on trimmed float lists, zero signs included:
+    an entry sums at most two products, from +0.0 as np.convolve does."""
+    out = [0.0] * (len(c1) + len(c2) - 1)
+    for i, x in enumerate(c1):
+        for j, y in enumerate(c2):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _polyadd(c1: list[float], c2: list[float]) -> list[float]:
+    """numpy.polynomial's polyadd on trimmed float lists: the longer tail stays."""
+    c1, c2 = sorted((c1, c2), key=len)
+    return _trim([x + y for x, y in zip(c1, c2)] + c2[len(c1):])
+
+
 def discriminant_polynomial(P: PeriodicJacobi) -> PolynomialReal:
     """The discriminant as a degree-q real polynomial.
 
     Built by multiplying one-step matrices with polynomial entries, which is
     exact up to rounding; the leading coefficient is 1/(a_1 ... a_q).
     """
-    m11, m12 = np.array([1.0]), np.array([0.0])
-    m21, m22 = np.array([0.0]), np.array([1.0])
+    m11, m12, m21, m22 = [1.0], [0.0], [0.0], [1.0]
     for a, b in zip(P.a, P.b):
-        p = np.array([-b / a, 1.0 / a])   # (z - b)/a
-        r = np.array([-1.0 / a])
-        s = np.array([a])
-        n11 = npoly.polyadd(npoly.polymul(p, m11), npoly.polymul(r, m21))
-        n12 = npoly.polyadd(npoly.polymul(p, m12), npoly.polymul(r, m22))
-        n21, n22 = npoly.polymul(s, m11), npoly.polymul(s, m12)
-        m11, m12, m21, m22 = n11, n12, n21, n22
-    tr = npoly.polyadd(m11, m22)
-    coeffs = np.zeros(P.q + 1)
-    coeffs[:len(tr)] = tr
-    return PolynomialReal(tuple(float(c) for c in coeffs))
+        p, r, s = [-b / a, 1.0 / a], [-1.0 / a], [a]   # (z - b)/a, -1/a, a
+        m11, m12, m21, m22 = (_polyadd(_polymul(p, m11), _polymul(r, m21)),
+                              _polyadd(_polymul(p, m12), _polymul(r, m22)),
+                              _polymul(s, m11), _polymul(s, m12))
+    tr = _polyadd(m11, m22)
+    return PolynomialReal(tuple(tr + [0.0] * (P.q + 1 - len(tr))))
 
 
 def spectral_bracket(P: PeriodicJacobi) -> tuple[float, float]:
@@ -167,8 +186,8 @@ class GapReport:
     all_open: bool
 
 
-def _edge_roots(poly: PolynomialReal, samples: list[float],
-                crit: list[float], tol: float, noise: float) -> list[float]:
+def _edge_roots(poly: PolynomialReal, samples: np.ndarray, crit: list[float],
+                tol: float, noise: float) -> list[float]:
     """All roots of D = +2 and D = -2, with multiplicity.
 
     Double roots cannot produce sign changes, but they sit exactly at critical
@@ -176,56 +195,41 @@ def _edge_roots(poly: PolynomialReal, samples: list[float],
     evaluation noise floor of +-2 is registered as a double root and its two
     adjacent sample segments are excluded from the sign-change scan.
     """
-    crit_set = set(crit)
+    is_crit = np.zeros(len(samples), dtype=bool)
+    is_crit[np.searchsorted(samples, crit)] = True   # crit are among the samples
     cluster_tol = max(4.0 * tol, 1e-9 * (samples[-1] - samples[0]))
     edges: list[float] = []
     for target in (2.0, -2.0):
-        vals = [poly(s) - target for s in samples]
-        consumed: set[int] = set()          # segment indices to skip
-        roots: list[float] = []
-        zeros = [i for i, v in enumerate(vals) if abs(v) <= noise]
-        # the same root can put several samples below the noise floor (the
-        # located critical point plus grid neighbors), so group zero samples
-        # that are adjacent in the sample list or closer than the resolution
-        clusters: list[list[int]] = []
-        for i in zeros:
-            if clusters and (i == clusters[-1][-1] + 1
-                             or samples[i] - samples[clusters[-1][-1]] <= cluster_tol):
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-        for cluster in clusters:
-            crit_members = [samples[i] for i in cluster if samples[i] in crit_set]
-            if crit_members:
-                for c in crit_members:
-                    roots.extend([c, c])
-            else:
-                roots.append(samples[cluster[0]])
-            for i in cluster:
-                if i > 0:
-                    consumed.add(i - 1)
-                consumed.add(i)
-        for i in range(len(samples) - 1):
-            if i in consumed:
-                continue
-            v0, v1 = vals[i], vals[i + 1]
-            if v0 == 0.0 or v1 == 0.0:
-                continue  # below-noise values were already consumed above
-            if (v0 < 0.0) != (v1 < 0.0):
-                roots.append(bisect_root(lambda x: poly(x) - target,
-                                         samples[i], samples[i + 1], v0, v1, tol))
-        edges.extend(roots)
+        vals = poly(samples) - target
+        zeros = np.flatnonzero(np.abs(vals) <= noise)
+        skip = np.zeros(len(samples), dtype=bool)   # segment i is (i, i+1)
+        if zeros.size:
+            # the same root can put several samples below the noise floor (the
+            # located critical point plus grid neighbors), so group zero samples
+            # that are adjacent in the sample list or closer than the resolution
+            first = np.append(True, (np.diff(zeros) != 1)
+                              & (np.diff(samples[zeros]) > cluster_tol))
+            has_crit = np.logical_or.reduceat(is_crit[zeros], np.flatnonzero(first))
+            edges += np.repeat(samples[zeros[is_crit[zeros]]], 2).tolist()
+            edges += samples[zeros[first]][~has_crit].tolist()
+            skip[zeros] = skip[zeros[zeros > 0] - 1] = True
+        # below-noise values were consumed above; exact zeros take no bisection
+        for i in np.flatnonzero(sign_changes(vals) & ~skip[:-1]).tolist():
+            edges.append(bisect_root(lambda x: poly(x) - target,
+                                     float(samples[i]), float(samples[i + 1]),
+                                     float(vals[i]), float(vals[i + 1]), tol))
     edges.sort()
     return edges
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as silent as float Horner
 def band_structure(P: PeriodicJacobi, tol: float = 1e-10) -> BandStructure:
     """Bands, gaps and the q-interior of a periodic Jacobi matrix.
 
     Band edges are the roots of D -+ 2, isolated to width `tol` by bisection
     over a sample grid that includes the critical points of D.  A gap narrower
     than `tol` is reported closed and its touch region is excluded from the
-    q-interior.
+    q-interior.  Each grid is evaluated as one array Horner pass.
     """
     if not (0.0 < tol <= 1e-3):
         raise ValueError("tolerance must lie in (0, 1e-3]")
@@ -234,18 +238,16 @@ def band_structure(P: PeriodicJacobi, tol: float = 1e-10) -> BandStructure:
     lo_b, hi_b = spectral_bracket(P)
     pad = 0.01 * (hi_b - lo_b) + 1e-6
     lo, hi = lo_b - pad, hi_b + pad
-    scale = poly.abs_bound(max(1.0, abs(lo), abs(hi)))
-    noise = 64.0 * max(P.q, 1) * np.finfo(float).eps * scale
-
-    edges: list[float] = []
-    crit: list[float] = []
+    noise = 64.0 * P.q * np.finfo(float).eps * poly.abs_bound(max(1.0, abs(lo), abs(hi)))
+    edges, crit = [], []
     for attempt in range(4):
         pts = 64 * P.q * (4 ** attempt)
-        grid = [lo + (hi - lo) * i / pts for i in range(pts + 1)]
-        crit = sign_change_roots(dpoly, grid, tol) if P.q > 1 else []
+        grid = lo + (hi - lo) * np.arange(pts + 1) / pts
+        crit = sign_change_roots(dpoly, grid, tol, dpoly(grid)) if P.q > 1 else []
         if len(crit) != P.q - 1:
             continue
-        samples = sorted(set(grid) | set(crit))
+        samples = np.sort(np.append(grid, crit))   # np.unique imports numpy.ma
+        samples = samples[np.append(True, samples[1:] != samples[:-1])]
         edges = _edge_roots(poly, samples, crit, tol, noise)
         if len(edges) == 2 * P.q:
             break
@@ -260,13 +262,11 @@ def band_structure(P: PeriodicJacobi, tol: float = 1e-10) -> BandStructure:
         if abs(poly(mid)) > 2.0 + max(1e-7, 10 * noise):
             raise RootIsolationError(
                 f"band pairing failed: |D({mid})| = {abs(poly(mid))} > 2")
-    gaps = []
-    for i in range(P.q - 1):
-        glo, ghi = edges[2 * i + 1], edges[2 * i + 2]
-        gaps.append(Gap(glo, ghi, closed=(ghi - glo) < tol))
+    gaps = tuple(Gap(glo, ghi, closed=(ghi - glo) < tol)
+                 for glo, ghi in zip(edges[1:-1:2], edges[2::2]))
     q_interior = IntervalUnion.of(
         Interval.open(band.lo, band.hi) for band in bands if band.width > 0.0)
-    return BandStructure(P.q, bands, tuple(gaps), q_interior,
+    return BandStructure(P.q, bands, gaps, q_interior,
                          tuple(c for c in crit if edges[0] <= c <= edges[-1]),
                          poly)
 
@@ -277,12 +277,8 @@ def gap_report(P: PeriodicJacobi, tol: float = 1e-10) -> GapReport:
     bs = band_structure(P, tol)
     open_gaps = tuple(Interval.open(g.lo, g.hi) for g in bs.gaps if not g.closed)
     centers = tuple(g.center for g in bs.gaps)
-    if any(g.closed for g in bs.gaps):
-        min_width = 0.0
-    elif bs.gaps:
-        min_width = min(g.width for g in bs.gaps)
-    else:
-        min_width = 0.0
+    min_width = (0.0 if any(g.closed for g in bs.gaps)
+                 else min((g.width for g in bs.gaps), default=0.0))
     all_open = len(open_gaps) == P.q - 1
     return GapReport(open_gaps, centers, min_width, all_open)
 
@@ -319,23 +315,16 @@ def intersection_over_family(family: list[PeriodicJacobi], mode: str,
         raise ValueError(f"mode must be 'spectrum' or 'qinterior', got {mode!r}")
     structs = [band_structure(P, tol) for P in family]
     if mode == "spectrum":
-        result = structs[0].spectrum
-        for bs in structs[1:]:
-            result = result.intersect(bs.spectrum)
-        return result
+        return reduce(IntervalUnion.intersect, (bs.spectrum for bs in structs))
     q = structs[0].q
     if any(bs.q != q for bs in structs):
         raise ValueError("qinterior intersection needs a family of equal period")
-    result = structs[0].q_interior
-    for bs in structs[1:]:
-        result = result.intersect(bs.q_interior)
+    result = reduce(IntervalUnion.intersect, (bs.q_interior for bs in structs))
     hulls: list[Interval] = []
     for j in range(q - 1):
         regions = [(bs.gaps[j].lo, bs.gaps[j].hi) for bs in structs]
-        if len(regions) == 1:
-            hulls.append(Interval(*regions[0]))
-            continue
-        for (lo0, hi0), (lo1, hi1) in zip(regions, regions[1:]):
+        # a single member's gap is its own hull
+        for (lo0, hi0), (lo1, hi1) in zip(regions, regions[1:] or regions):
             hulls.append(Interval(min(lo0, lo1), max(hi0, hi1)))
     result = result.difference(IntervalUnion.of(hulls))
     # band edges are only resolved to +-tol, so components narrower than that

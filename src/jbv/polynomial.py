@@ -2,7 +2,8 @@
 
 Degrees stay small here (the period of a Jacobi matrix), so the monomial
 basis is adequately conditioned and root isolation works on sign changes
-rather than companion matrices.
+rather than companion matrices.  A sample grid is one ndarray Horner pass, bit
+for bit the scalar values; only the bisection runs per root.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,9 +38,8 @@ class PolynomialReal:
         return acc
 
     def derivative(self) -> "PolynomialReal":
-        if len(self.coeffs) == 1:
-            return PolynomialReal((0.0,))
-        return PolynomialReal(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
+        c = self.coeffs
+        return PolynomialReal(tuple(k * c[k] for k in range(1, len(c))) or (0.0,))
 
     def abs_bound(self, r: float) -> float:
         """sum |c_k| r^k, a bound on |p| over |x| <= r."""
@@ -72,23 +74,27 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
+def sign_changes(vals: np.ndarray) -> np.ndarray:
+    """Mask of the segments (i, i+1) with nonzero end values of opposite signs."""
+    neg = vals < 0.0
+    return (vals[:-1] != 0.0) & (vals[1:] != 0.0) & (neg[:-1] != neg[1:])
+
+
 def sign_change_roots(f: Callable[[float], float], samples: Sequence[float],
-                      tol: float) -> list[float]:
+                      tol: float, vals: np.ndarray | None = None) -> list[float]:
     """Roots isolated from strict sign changes between consecutive samples,
-    bisected to width tol.
+    bisected to width tol; `vals` are f at the samples, if already evaluated.
 
     A sample value that is exactly zero is reported as a root itself, unless
     it lies within tol of the root before it.
     """
-    vals = [f(s) for s in samples]
+    v = np.array([f(s) for s in samples], dtype=float) if vals is None else vals
+    zero = v == 0.0
     roots: list[float] = []
-    for i, v in enumerate(vals):
-        if v == 0.0:
-            if not roots or abs(roots[-1] - samples[i]) > tol:
-                roots.append(samples[i])
-            continue
-        # a zero at the next sample is that sample's own root
-        v1 = vals[i + 1] if i + 1 < len(vals) else 0.0
-        if v1 != 0.0 and (v < 0.0) != (v1 < 0.0):
-            roots.append(bisect_root(f, samples[i], samples[i + 1], v, v1, tol))
+    for i in np.flatnonzero(zero | np.append(sign_changes(v), False)).tolist():
+        if not zero[i]:
+            roots.append(bisect_root(f, float(samples[i]), float(samples[i + 1]),
+                                     float(v[i]), float(v[i + 1]), tol))
+        elif not roots or abs(roots[-1] - samples[i]) > tol:
+            roots.append(float(samples[i]))
     return roots

@@ -3,7 +3,8 @@
 Each helper computes its quantity by a route disjoint from the library path it
 checks: interpolation instead of polynomial matrix products, dense banded
 solves instead of Weyl seeds, plain numpy products instead of scaled scans,
-a prefix replayed at every step instead of energy lanes carried forward.
+a prefix replayed at every step instead of energy lanes carried forward,
+every grid sample evaluated and scanned in Python instead of array passes.
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ import cmath
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 from scipy.linalg import solve_banded
 
-from jbv import (GrowthScanner, coefficient_arrays, discriminant_value,
-                 spectral_bracket, staircase_level_value)
+from jbv import (GrowthScanner, PolynomialReal, coefficient_arrays,
+                 discriminant_value, spectral_bracket, staircase_level_value)
+from jbv.errors import RootIsolationError
+from jbv.polynomial import bisect_root
 
 
 def interp_discriminant_coeffs(P) -> np.ndarray:
@@ -177,3 +181,104 @@ def _replayed_step(q, level, v, w_l, centers, n0, b_prefix, growth_margin, cap):
         thr = _threshold_log(level, growth_margin, n)
         if all(sc.statistic_log >= thr for sc in scanners):
             return n, win_vals
+
+
+def scalar_band_edges(P, tol: float = 1e-10):
+    """Band structure of a periodic block by the sample-at-a-time scan: the
+    discriminant from `numpy.polynomial` products, every grid sample evaluated
+    and compared in Python loops and sets.  Returns (bands, gaps, critical
+    points, discriminant coefficients) as the array scan must reproduce them
+    bit for bit, or raises the same RootIsolationError."""
+    m11, m12, m21, m22 = [1.0], [0.0], [0.0], [1.0]
+    for a, b in zip(P.a, P.b):
+        p, r, s = [-b / a, 1.0 / a], [-1.0 / a], [a]
+        m11, m12, m21, m22 = (
+            npoly.polyadd(npoly.polymul(p, m11), npoly.polymul(r, m21)),
+            npoly.polyadd(npoly.polymul(p, m12), npoly.polymul(r, m22)),
+            npoly.polymul(s, m11), npoly.polymul(s, m12))
+    tr = npoly.polyadd(m11, m22)
+    coeffs = np.zeros(P.q + 1)
+    coeffs[:len(tr)] = tr
+    poly = PolynomialReal(tuple(float(c) for c in coeffs))
+    dpoly = poly.derivative()
+    lo_b, hi_b = spectral_bracket(P)
+    pad = 0.01 * (hi_b - lo_b) + 1e-6
+    lo, hi = lo_b - pad, hi_b + pad
+    noise = (64.0 * max(P.q, 1) * np.finfo(float).eps
+             * poly.abs_bound(max(1.0, abs(lo), abs(hi))))
+    edges: list[float] = []
+    crit: list[float] = []
+    for attempt in range(4):
+        pts = 64 * P.q * (4 ** attempt)
+        grid = [lo + (hi - lo) * i / pts for i in range(pts + 1)]
+        crit = _scalar_sign_change_roots(dpoly, grid, tol) if P.q > 1 else []
+        if len(crit) != P.q - 1:
+            continue
+        samples = sorted(set(grid) | set(crit))
+        edges = _scalar_edge_roots(poly, samples, crit, tol, noise)
+        if len(edges) == 2 * P.q:
+            break
+    else:
+        raise RootIsolationError(
+            f"expected {2 * P.q} band edges and {P.q - 1} critical points, "
+            f"found {len(edges)} and {len(crit)} (q={P.q}, bracket=({lo}, {hi}))")
+    bands = [(edges[2 * i], edges[2 * i + 1]) for i in range(P.q)]
+    for blo, bhi in bands:
+        mid = 0.5 * (blo + bhi)
+        if abs(poly(mid)) > 2.0 + max(1e-7, 10 * noise):
+            raise RootIsolationError(
+                f"band pairing failed: |D({mid})| = {abs(poly(mid))} > 2")
+    gaps = [(edges[2 * i + 1], edges[2 * i + 2],
+             (edges[2 * i + 2] - edges[2 * i + 1]) < tol) for i in range(P.q - 1)]
+    return (bands, gaps, [c for c in crit if edges[0] <= c <= edges[-1]],
+            poly.coeffs)
+
+
+def _scalar_sign_change_roots(f, samples, tol):
+    vals = [f(s) for s in samples]
+    roots: list[float] = []
+    for i, v in enumerate(vals):
+        if v == 0.0:
+            if not roots or abs(roots[-1] - samples[i]) > tol:
+                roots.append(samples[i])
+            continue
+        v1 = vals[i + 1] if i + 1 < len(vals) else 0.0
+        if v1 != 0.0 and (v < 0.0) != (v1 < 0.0):
+            roots.append(bisect_root(f, samples[i], samples[i + 1], v, v1, tol))
+    return roots
+
+
+def _scalar_edge_roots(poly, samples, crit, tol, noise):
+    crit_set = set(crit)
+    cluster_tol = max(4.0 * tol, 1e-9 * (samples[-1] - samples[0]))
+    edges: list[float] = []
+    for target in (2.0, -2.0):
+        vals = [poly(s) - target for s in samples]
+        consumed: set[int] = set()
+        clusters: list[list[int]] = []
+        for i in (i for i, v in enumerate(vals) if abs(v) <= noise):
+            if clusters and (i == clusters[-1][-1] + 1
+                             or samples[i] - samples[clusters[-1][-1]] <= cluster_tol):
+                clusters[-1].append(i)
+            else:
+                clusters.append([i])
+        for cluster in clusters:
+            crit_members = [samples[i] for i in cluster if samples[i] in crit_set]
+            if crit_members:
+                for c in crit_members:
+                    edges.extend([c, c])
+            else:
+                edges.append(samples[cluster[0]])
+            for i in cluster:
+                if i > 0:
+                    consumed.add(i - 1)
+                consumed.add(i)
+        for i in range(len(samples) - 1):
+            v0, v1 = vals[i], vals[i + 1]
+            if i in consumed or v0 == 0.0 or v1 == 0.0:
+                continue
+            if (v0 < 0.0) != (v1 < 0.0):
+                edges.append(bisect_root(lambda x: poly(x) - target,
+                                         samples[i], samples[i + 1], v0, v1, tol))
+    edges.sort()
+    return edges

@@ -208,3 +208,12 @@ def test_schedule_multi_gap_q3():
     # both gap centers of the level get certified growth
     for z in sched.centers[0]:
         assert growth_statistic(spec, z, sched.horizon).running_max >= 1.0
+
+
+@pytest.mark.parametrize("change", [{"truncated": "false"}, {"truncated": 1},
+                                    {"mode": "nope"}])
+def test_schedule_from_dict_checks_truncated_and_mode(small_schedule, change):
+    # "truncated": "false" used to load as True, and "mode": "nope" passed
+    # validate()
+    with pytest.raises(ValueError, match=next(iter(change))):
+        Schedule.from_dict({**small_schedule.to_dict(), **change})

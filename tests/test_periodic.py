@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jbv import (PeriodicJacobi, band_structure, chebyshev_second_kind,
                  comb_potential, discriminant_polynomial, discriminant_value,
                  free_critical_points, gap_report, intersection_over_family,
                  one_step_matrix, periodic_spec, spectral_bracket)
-from oracles import chebu_sine, comb2_band_edges, interp_discriminant_coeffs
+from oracles import (chebu_sine, comb2_band_edges, interp_discriminant_coeffs,
+                     scalar_band_edges)
 
 
 def free_block(q):
@@ -335,3 +336,69 @@ def test_block_rejects_a_non_integral_period(q):
     # 2.7 used to be truncated to a q=2 block
     with pytest.raises(ValueError):
         PeriodicJacobi.of(q, [1.0, 1.0], [0.0, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# the array scan against the sample-at-a-time scan, bit for bit
+
+def _exact(compute):
+    """repr of a result or of the exception raised: floats print distinctly,
+    zero signs included."""
+    try:
+        return repr(compute())
+    except Exception as exc:  # the same failure must come out
+        return repr((type(exc), str(exc)))
+
+
+def _array_band_edges(P):
+    bs = band_structure(P)
+    return ([b.as_pair() for b in bs.bands],
+            [(g.lo, g.hi, g.closed) for g in bs.gaps],
+            list(bs.critical_points), bs.discriminant.coeffs)
+
+
+def _assert_scans_agree(P):
+    assert _exact(lambda: _array_band_edges(P)) == _exact(lambda: scalar_band_edges(P))
+
+
+@settings(max_examples=25)
+@given(st.integers(1, 32).flatmap(lambda q: st.tuples(
+    st.lists(st.floats(0.5, 1.5), min_size=q, max_size=q),
+    st.lists(st.floats(-1.0, 1.0), min_size=q, max_size=q))))
+def test_array_scan_matches_scalar_scan_on_random_blocks(ab):
+    a, b = ab
+    _assert_scans_agree(PeriodicJacobi.of(len(a), a, b))
+
+
+@settings(max_examples=25)
+@given(st.integers(2, 32), st.floats(0.1, 1.0))
+@example(20, 0.5)   # wrong edges, no error (ROADMAP item 3)
+@example(24, 0.5)
+@example(32, 0.5)   # RootIsolationError
+def test_array_scan_matches_scalar_scan_on_comb_blocks(q, w):
+    _assert_scans_agree(comb_potential(q, w))
+
+
+def test_array_scan_matches_scalar_scan_on_verify_random_draws():
+    # comb blocks drawn as `verify --random` draws them
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        q = int(rng.integers(2, 5))
+        _assert_scans_agree(comb_potential(q, float(rng.uniform(0.1, 1.0))))
+
+
+def test_band_scans_leave_numpy_ma_unimported():
+    # np.unique and np.union1d import numpy.ma, about a megabyte of peak RSS
+    import subprocess
+    import sys
+    code = (
+        "import contextlib, io, sys\n"
+        "from jbv import band_structure, cli, comb_potential\n"
+        "band_structure(comb_potential(8, 0.5))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--random', '5', '--seed', '1']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
