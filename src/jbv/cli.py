@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -346,7 +347,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--file", help="JSON file with {q, a, b}")
     p.add_argument("--tol", type=float, default=config["tol"])
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_bands)
 
     p = sub.add_parser("construct", help="write counterexample coefficient specs")
     csub = p.add_subparsers(dest="construction", required=True)
@@ -359,12 +359,10 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p15.add_argument("--margin", type=float, default=config["margin"])
     p15.add_argument("--out", required=True)
     p15.add_argument("--schedule-out")
-    p15.set_defaults(func=_cmd_construct)
     p16 = csub.add_parser("thm16", help="slow cosine sequence")
     p16.add_argument("--lambda", dest="lam", type=float, required=True)
     p16.add_argument("--gamma", type=float, required=True)
     p16.add_argument("--out")
-    p16.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("density", help="a.c. density of an approximant on a grid")
     p.add_argument("--spec", required=True, help="base coefficient spec (JSON)")
@@ -374,7 +372,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, choices=(-1, 1), default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("diagnose", help="transfer-matrix growth statistics")
     p.add_argument("--spec", required=True)
@@ -383,7 +380,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--verify-gap", help="m,k,E,delta window check")
     p.add_argument("--period", type=int, help="period for --verify-gap")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("verify", help="gap-window growth certification (CSV)")
     p.add_argument("--spec")
@@ -397,7 +393,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=config["seed"])
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("intersect",
                        help="intersection of spectra or q-interiors over a family")
@@ -409,9 +404,16 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("spectrum", "qinterior"), default="spectrum")
     p.add_argument("--tol", type=float, default=config["tol"])
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_intersect)
 
     return parser
+
+
+@functools.lru_cache(maxsize=8)
+def _parser(config: tuple) -> argparse.ArgumentParser:
+    """`_build_parser` once per effective config, whose entries come as
+    (key, repr, value): values that compare equal but print differently,
+    such as 0.0 and -0.0, get parsers of their own."""
+    return _build_parser({key: value for key, _, value in config})
 
 
 def main(argv=None) -> int:
@@ -420,9 +422,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, TypeError) as exc:
         sys.stderr.write(f"error reading JBV_CONFIG: {exc}\n")
         return 2
-    args = _build_parser(config).parse_args(argv)
+    args = _parser(tuple((key, repr(value), value)
+                         for key, value in config.items())).parse_args(argv)
     try:
-        return args.func(args)
+        # looked up on every call: the cached parser holds no handler
+        return globals()[f"_cmd_{args.command}"](args)
     except (ValueError, argparse.ArgumentTypeError, PreconditionError, OSError,
             json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

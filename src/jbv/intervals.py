@@ -3,14 +3,19 @@
 Spectra of periodic Jacobi matrices are finite unions of closed bands, while
 their band interiors drop a finite set of touch points.  The difference is
 exactly a few endpoints, so sets carry explicit endpoint flags instead of
-being tracked only up to measure zero.
+being tracked only up to measure zero.  Intersections and differences run as
+one sweep over the sorted endpoints of all operands, which counts how many
+operands cover each endpoint and each open segment between endpoints; it
+only compares endpoints, so results are exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -55,15 +60,6 @@ class Interval:
         return (self.lo, self.hi)
 
 
-def _mk(lo: float, hi: float, clo: bool, chi: bool) -> Interval | None:
-    """Interval if nonempty, else None."""
-    if hi < lo:
-        return None
-    if lo == hi and not (clo and chi):
-        return None
-    return Interval(lo, hi, clo, chi)
-
-
 def _touches(a: Interval, b: Interval) -> bool:
     # assumes b.lo >= a.lo; True when a and b overlap or meet at a point that
     # belongs to at least one of them
@@ -72,31 +68,10 @@ def _touches(a: Interval, b: Interval) -> bool:
     return b.lo == a.hi and (a.closed_hi or b.closed_lo)
 
 
-def _max_lo(a: Interval, b: Interval) -> tuple[float, bool]:
-    if a.lo > b.lo:
-        return a.lo, a.closed_lo
-    if b.lo > a.lo:
-        return b.lo, b.closed_lo
-    return a.lo, a.closed_lo and b.closed_lo
-
-
-def _min_hi(a: Interval, b: Interval) -> tuple[float, bool]:
-    if a.hi < b.hi:
-        return a.hi, a.closed_hi
-    if b.hi < a.hi:
-        return b.hi, b.closed_hi
-    return a.hi, a.closed_hi and b.closed_hi
-
-
-def _carve(a: Interval, b: Interval) -> list[Interval]:
-    """Pieces of `a` not covered by `b`."""
-    lo, clo = _max_lo(a, b)
-    hi, chi = _min_hi(a, b)
-    if _mk(lo, hi, clo, chi) is None:
-        return [a]
-    left = _mk(a.lo, b.lo, a.closed_lo, not b.closed_lo)
-    right = _mk(b.hi, a.hi, not b.closed_hi, a.closed_hi)
-    return [p for p in (left, right) if p is not None]
+def _count_equal(sorted_values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """How many of sorted_values equal each point."""
+    return (np.searchsorted(sorted_values, points, "right")
+            - np.searchsorted(sorted_values, points, "left"))
 
 
 @dataclass(frozen=True)
@@ -138,41 +113,75 @@ class IntervalUnion:
     def contains(self, x: float) -> bool:
         return any(iv.contains(x) for iv in self.intervals)
 
+    @staticmethod
+    def intersect_all(unions: Sequence["IntervalUnion"]) -> "IntervalUnion":
+        """The points that every union contains, by one endpoint sweep.
+
+        Each union is canonical, so it covers a point at most once; a point
+        or open segment is in the result when all unions cover it.  The
+        endpoints E are sorted once, and searchsorted counts, for each E, the
+        intervals that contain it and those that contain the open segment to
+        the next endpoint.  Maximal runs of covered points and segments are
+        the result's intervals, closed where a run starts or ends on a point.
+        """
+        if not unions:
+            raise ValueError("intersect_all needs at least one union")
+        parts = [iv for u in unions for iv in u.intervals]
+        if not parts:
+            return IntervalUnion.empty()
+        lo = np.array([iv.lo for iv in parts])
+        hi = np.array([iv.hi for iv in parts])
+        closed_lo = np.sort(lo[[iv.closed_lo for iv in parts]])
+        closed_hi = np.sort(hi[[iv.closed_hi for iv in parts]])
+        lo.sort()
+        hi.sort()
+        ends = np.sort(np.concatenate((lo, hi)))
+        # distinct endpoints; np.unique would import numpy.ma
+        ends = ends[np.append(True, ends[1:] != ends[:-1])]
+        below = np.searchsorted(hi, ends, "right")   # intervals ending at or before E
+        # an interval contains E when it starts before E and ends after it, or
+        # has E as a closed end (a point interval [E, E] counts once: it also
+        # ends at E without starting before it)
+        at_point = (np.searchsorted(lo, ends, "left") - below
+                    + _count_equal(closed_lo, ends) + _count_equal(closed_hi, ends))
+        on_segment = np.searchsorted(lo, ends, "right") - below
+        # atoms in order: point E_0, segment (E_0, E_1), point E_1, ...
+        covered = np.empty(2 * len(ends) - 1, dtype=bool)
+        covered[0::2] = at_point == len(unions)
+        covered[1::2] = on_segment[:-1] == len(unions)
+        edge = np.diff(np.concatenate(([False], covered, [False])).astype(np.int8))
+        values = ends.tolist()
+        return IntervalUnion(tuple(
+            Interval(values[start // 2], values[stop // 2],
+                     start % 2 == 0, stop % 2 == 1)
+            for start, stop in zip(np.flatnonzero(edge == 1).tolist(),
+                                   np.flatnonzero(edge == -1).tolist())))
+
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        out: list[Interval] = []
-        a, b = self.intervals, other.intervals
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo, clo = _max_lo(a[i], b[j])
-            hi, chi = _min_hi(a[i], b[j])
-            piece = _mk(lo, hi, clo, chi)
-            if piece is not None:
-                out.append(piece)
-            # canonical operands are disjoint, so whichever ends first cannot
-            # meet anything further in the other operand
-            if a[i].hi < b[j].hi:
-                i += 1
-            elif b[j].hi < a[i].hi:
-                j += 1
-            else:
-                i += 1
-                j += 1
-        return IntervalUnion(tuple(out))
+        return IntervalUnion.intersect_all((self, other))
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion.of(self.intervals + other.intervals)
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
-        pieces = list(self.intervals)
-        for b in other.intervals:
-            nxt: list[Interval] = []
-            for a in pieces:
-                nxt.extend(_carve(a, b))
-            pieces = nxt
-        return IntervalUnion.of(pieces)
+        # canonical operands for the sweep, whatever tuples the unions hold
+        return IntervalUnion.intersect_all((IntervalUnion.of(self.intervals),
+                                            _complement(IntervalUnion.of(other.intervals))))
 
     def as_pairs(self) -> list[tuple[float, float]]:
         return [iv.as_pair() for iv in self.intervals]
+
+
+def _complement(u: IntervalUnion) -> IntervalUnion:
+    """The rest of the real line, as a union with infinite ends."""
+    ends = [(-math.inf, False)]
+    for iv in u.intervals:
+        ends += [(iv.lo, not iv.closed_lo), (iv.hi, not iv.closed_hi)]
+    ends.append((math.inf, False))
+    return IntervalUnion(tuple(
+        Interval(lo, hi, clo, chi)
+        for (lo, clo), (hi, chi) in zip(ends[0::2], ends[1::2])
+        if lo < hi or (lo == hi and clo and chi)))
 
 
 def interval_union_intersect(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:

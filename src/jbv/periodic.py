@@ -6,13 +6,17 @@ bands; the band interiors form the q-interior, which drops a finite set of
 touch points where consecutive bands meet (closed gaps).  This module computes
 D exactly as a degree-q polynomial, isolates every band edge by bisection and
 classifies closed gaps through the critical points of D.
+
+A family of blocks is solved at once: blocks of one period are stacked on a
+leading member axis through every stage (discriminant products, grid passes,
+sign-change and noise-floor scans, bisection), and each member comes out bit
+for bit as it does alone.  `band_structure` is the one-member family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from .coeffs import (CoefficientSpec, as_int, check_params, params_errors,
 from .errors import RootIsolationError
 from .intervals import Interval, IntervalUnion
 from .matrix2 import block_product, one_step_matrix
-from .polynomial import (PolynomialReal, bisect_root, sign_change_roots,
+from .polynomial import (PolynomialReal, bisect_root, bisect_roots, horner,
                          sign_changes)
 
 __all__ = [
@@ -73,16 +77,26 @@ def discriminant_value(P: PeriodicJacobi, z: complex) -> complex:
     return block_product(P.a, P.b, z).trace()
 
 
-def _trim(c: list[float]) -> list[float]:
-    """numpy.polynomial's trimseq: drop trailing zeros, keep one entry."""
-    while len(c) > 1 and c[-1] == 0.0:
+def _trim(c: list) -> list:
+    """numpy.polynomial's trimseq: drop trailing zeros, keep one entry.
+
+    On member vectors an entry goes only where it is zero for every member.
+    A member that alone has a zero there keeps it, which changes none of its
+    values: no entry here is ever -0.0 (every sum starts from +0.0), so the
+    extra terms x * 0.0 add nothing to a finite entry, and a member with an
+    infinite entry has a non-finite discriminant either way.
+    """
+    while len(c) > 1:
+        zero = c[-1] == 0.0   # a bool, or an array of them
+        if not (zero is True or zero is not False and zero.all()):
+            break
         c = c[:-1]
     return c
 
 
-def _polymul(c1: list[float], c2: list[float]) -> list[float]:
-    """numpy.polynomial's polymul on trimmed float lists, zero signs included:
-    an entry sums at most two products, from +0.0 as np.convolve does."""
+def _polymul(c1: list, c2: list) -> list:
+    """numpy.polynomial's polymul on trimmed lists, zero signs included: an
+    entry sums at most two products, from +0.0 as np.convolve does."""
     out = [0.0] * (len(c1) + len(c2) - 1)
     for i, x in enumerate(c1):
         for j, y in enumerate(c2):
@@ -90,10 +104,24 @@ def _polymul(c1: list[float], c2: list[float]) -> list[float]:
     return _trim(out)
 
 
-def _polyadd(c1: list[float], c2: list[float]) -> list[float]:
-    """numpy.polynomial's polyadd on trimmed float lists: the longer tail stays."""
+def _polyadd(c1: list, c2: list) -> list:
+    """numpy.polynomial's polyadd on trimmed lists: the longer tail stays."""
     c1, c2 = sorted((c1, c2), key=len)
     return _trim([x + y for x, y in zip(c1, c2)] + c2[len(c1):])
+
+
+def _discriminant_coeffs(a, b) -> list:
+    """Trimmed coefficients of the trace of the one-step product, built from
+    one-step matrices with polynomial entries.  The entries of a and b are
+    floats, or member vectors (one site of every block in a stack), which get
+    the same operations in the same order."""
+    m11, m12, m21, m22 = [1.0], [0.0], [0.0], [1.0]
+    for a, b in zip(a, b):
+        p, r, s = [-b / a, 1.0 / a], [-1.0 / a], [a]   # (z - b)/a, -1/a, a
+        m11, m12, m21, m22 = (_polyadd(_polymul(p, m11), _polymul(r, m21)),
+                              _polyadd(_polymul(p, m12), _polymul(r, m22)),
+                              _polymul(s, m11), _polymul(s, m12))
+    return _polyadd(m11, m22)
 
 
 def discriminant_polynomial(P: PeriodicJacobi) -> PolynomialReal:
@@ -102,13 +130,7 @@ def discriminant_polynomial(P: PeriodicJacobi) -> PolynomialReal:
     Built by multiplying one-step matrices with polynomial entries, which is
     exact up to rounding; the leading coefficient is 1/(a_1 ... a_q).
     """
-    m11, m12, m21, m22 = [1.0], [0.0], [0.0], [1.0]
-    for a, b in zip(P.a, P.b):
-        p, r, s = [-b / a, 1.0 / a], [-1.0 / a], [a]   # (z - b)/a, -1/a, a
-        m11, m12, m21, m22 = (_polyadd(_polymul(p, m11), _polymul(r, m21)),
-                              _polyadd(_polymul(p, m12), _polymul(r, m22)),
-                              _polymul(s, m11), _polymul(s, m12))
-    tr = _polyadd(m11, m22)
+    tr = _discriminant_coeffs(P.a, P.b)
     return PolynomialReal(tuple(tr + [0.0] * (P.q + 1 - len(tr))))
 
 
@@ -186,77 +208,301 @@ class GapReport:
     all_open: bool
 
 
-def _edge_roots(poly: PolynomialReal, samples: np.ndarray, crit: list[float],
-                tol: float, noise: float) -> list[float]:
-    """All roots of D = +2 and D = -2, with multiplicity.
+# Crossovers measured on a 2-vCPU VM, where the array forms cost about as much
+# as the float forms below them: stacks of fewer blocks than STACK_MIN build
+# their discriminants one block at a time (crossover 5 to 10 blocks for
+# q = 3 to 16), and fewer brackets than BISECT_MIN are bisected one at a time
+# (crossover 24 to 40 brackets for q = 3 and 8).
+STACK_MIN = 8
+BISECT_MIN = 32
+# memory bounds: a stack holds at most _CELLS grid samples, or one member (its
+# finest grid has 64 q 4^3 + 1 samples), and one array bisection at most
+# _BRACKETS brackets
+_CELLS = 1 << 17
+_BRACKETS = 1 << 12
 
-    Double roots cannot produce sign changes, but they sit exactly at critical
-    points of D with |D| = 2 there, so each critical value within the
-    evaluation noise floor of +-2 is registered as a double root and its two
-    adjacent sample segments are excluded from the sign-change scan.
+
+def _discriminants(group: list[PeriodicJacobi]) -> list:
+    """`discriminant_polynomial` of each block of period q, or the error it
+    raises; a stack of blocks is built as member vectors."""
+    rows = None
+    if len(group) >= STACK_MIN:
+        tr = _discriminant_coeffs(np.array([P.a for P in group]).T,
+                                  np.array([P.b for P in group]).T)
+        rows = np.zeros((len(group), group[0].q + 1))
+        for k, c in enumerate(tr):
+            rows[:, k] = c
+        rows = rows.tolist()
+    out: list = []
+    for k, P in enumerate(group):
+        try:
+            out.append(discriminant_polynomial(P) if rows is None
+                       else PolynomialReal(tuple(rows[k])))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
+def _bisect(coeffs: np.ndarray, rows: np.ndarray, shift: np.ndarray,
+            lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray,
+            tol: float) -> np.ndarray:
+    """Roots of coeffs[rows[i]] - shift[i] in the brackets, as bisect_root
+    finds them (x - 0.0 is x, so a zero shift changes no value)."""
+    if len(lo) >= BISECT_MIN:
+        return np.concatenate([
+            bisect_roots(coeffs[rows[part]], shift[part], lo[part], hi[part], flo[part],
+                         fhi[part], tol)
+            for part in (slice(i, i + _BRACKETS) for i in range(0, len(lo), _BRACKETS))])
+    polys = coeffs.tolist()
+    brackets = zip(rows.tolist(), shift.tolist(), lo.tolist(), hi.tolist(), flo.tolist(),
+                   fhi.tolist())
+    return np.array([bisect_root(lambda x, c=polys[r], t=t: horner(c, x, t),
+                                 a, b, fa, fb, tol) for r, t, a, b, fa, fb in brackets])
+
+
+def _rows_horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row i of coeffs evaluated along row i of x.  A single row runs on float
+    coefficients: numpy broadcasts a (1, 1) column slower than a float."""
+    if len(coeffs) == 1:
+        return horner(coeffs[0].tolist(), x)
+    return horner(coeffs.T[:, :, None], x)
+
+
+def _critical_points(dcoeffs: np.ndarray, grid: np.ndarray,
+                     tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of each row's D' from strict sign changes along its grid row,
+    bisected to width tol, as (member row, root) in member and grid order.
+
+    A sample where D' is exactly zero is a root itself, unless it lies within
+    tol of the member's root before it.
     """
-    is_crit = np.zeros(len(samples), dtype=bool)
-    is_crit[np.searchsorted(samples, crit)] = True   # crit are among the samples
-    cluster_tol = max(4.0 * tol, 1e-9 * (samples[-1] - samples[0]))
-    edges: list[float] = []
-    for target in (2.0, -2.0):
-        vals = poly(samples) - target
-        zeros = np.flatnonzero(np.abs(vals) <= noise)
-        skip = np.zeros(len(samples), dtype=bool)   # segment i is (i, i+1)
-        if zeros.size:
-            # the same root can put several samples below the noise floor (the
-            # located critical point plus grid neighbors), so group zero samples
-            # that are adjacent in the sample list or closer than the resolution
-            first = np.append(True, (np.diff(zeros) != 1)
-                              & (np.diff(samples[zeros]) > cluster_tol))
-            has_crit = np.logical_or.reduceat(is_crit[zeros], np.flatnonzero(first))
-            edges += np.repeat(samples[zeros[is_crit[zeros]]], 2).tolist()
-            edges += samples[zeros[first]][~has_crit].tolist()
-            skip[zeros] = skip[zeros[zeros > 0] - 1] = True
-        # below-noise values were consumed above; exact zeros take no bisection
-        for i in np.flatnonzero(sign_changes(vals) & ~skip[:-1]).tolist():
-            edges.append(bisect_root(lambda x: poly(x) - target,
-                                     float(samples[i]), float(samples[i + 1]),
-                                     float(vals[i]), float(vals[i + 1]), tol))
-    edges.sort()
-    return edges
+    width = grid.shape[1]
+    vals = _rows_horner(dcoeffs, grid).ravel()
+    samples = grid.ravel()
+    zero = vals == 0.0
+    cand = zero.copy()
+    cand[:-1] |= sign_changes(vals)   # segment i is (i, i+1)
+    cand[width - 1::width] = zero[width - 1::width]   # no segment joins two members
+    at = np.flatnonzero(cand)
+    roots, on_zero = samples[at], zero[at]
+    b = at[~on_zero]
+    if len(b):
+        roots[~on_zero] = _bisect(dcoeffs, b // width, np.zeros(len(b)), samples[b],
+                                  samples[b + 1], vals[b], vals[b + 1], tol)
+    rows = at // width
+    if len(b) == len(at):
+        return rows, roots
+    keep = np.ones(len(at), dtype=bool)
+    last = None   # the member's latest root so far
+    for k, (row, root, z) in enumerate(zip(rows.tolist(), roots.tolist(),
+                                           on_zero.tolist())):
+        if z and last is not None and last[0] == row and not abs(last[1] - root) > tol:
+            keep[k] = False
+        else:
+            last = (row, root)
+    return rows[keep], roots[keep]
+
+
+_EPS = np.finfo(float).eps
+_TARGETS = np.array([[2.0], [-2.0]])   # D - 2 and D + 2
+
+
+def _edge_roots(coeffs: np.ndarray, noise: np.ndarray, merged: np.ndarray,
+                crit: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """All roots of D = +2 and D = -2, with multiplicity, of every member row,
+    as (member row, root) in member order.
+
+    Row i of `merged` is member i's grid merged with its critical points
+    `crit[i]`, sorted; a critical point that equals a grid point is a sample
+    twice, which changes nothing here, as the copies have one value.  Double
+    roots cannot produce sign changes, but they sit exactly at critical
+    points of D with |D| = 2 there, so each critical value within the
+    evaluation noise floor of +-2 is registered as a double root, and no
+    segment next to a sample below the noise floor is bisected.
+    """
+    width = merged.shape[1]
+    samples = merged.ravel()
+    # axes: member, target, sample
+    vals = _rows_horner(coeffs, merged)[:, None, :] - _TARGETS
+    near = np.abs(vals) <= noise[:, None, None]
+    vals = vals.ravel()
+    seg = sign_changes(vals)   # segment i is (i, i+1)
+    seg[width - 1::width] = False   # no segment joins two members or targets
+    zeros = near.any()
+    if zeros:
+        seg &= ~(near.ravel()[:-1] | near.ravel()[1:])
+    seg = np.flatnonzero(seg)
+    flo, fhi = vals[seg], vals[seg + 1]
+    del vals   # a large grid keeps one array of values at a time
+    rows, pos = np.divmod(seg, 2 * width)
+    target, pos = np.divmod(pos, width)
+    pos += rows * width
+    edges = _bisect(coeffs, rows, _TARGETS.ravel()[target], samples[pos],
+                    samples[pos + 1], flo, fhi, tol)
+    if not zeros:
+        return rows, edges
+    spread = 1e-9 * (merged[:, -1] - merged[:, 0])
+    cluster_tol = np.where(spread > 4.0 * tol, spread, 4.0 * tol)
+    at = np.concatenate([_zero_roots(near[:, t], samples, cluster_tol, crit)
+                         for t in (0, 1)])
+    rows = np.concatenate((at // width, rows))
+    order = np.argsort(rows, kind="stable")
+    return rows[order], np.concatenate((samples[at], edges))[order]
+
+
+def _zero_roots(near: np.ndarray, samples: np.ndarray, cluster_tol: np.ndarray,
+                crit: np.ndarray) -> np.ndarray:
+    """The samples (flat indices) that are roots of D = target, a double root
+    twice, where `near` marks the samples with D - target below the noise
+    floor, one row per member.
+
+    The same root can put several samples below the noise floor (the located
+    critical point plus grid neighbors), so zero samples of one member that
+    are adjacent or closer than the resolution form one cluster: a double
+    root at each critical point in it, else a root at its first sample.
+    """
+    zeros = np.flatnonzero(near)
+    if not zeros.size:
+        return zeros
+    rows, values = zeros // near.shape[1], samples[zeros]
+    head = np.diff(values) > cluster_tol[rows[1:]]
+    head &= np.diff(zeros) != 1
+    head |= rows[1:] != rows[:-1]
+    head = np.append(True, head)
+    is_crit = _on_critical_points(values, rows, crit)
+    has_crit = np.logical_or.reduceat(is_crit, np.flatnonzero(head))
+    return np.concatenate((np.repeat(zeros[is_crit], 2), zeros[head][~has_crit]))
+
+
+def _on_critical_points(values: np.ndarray, rows: np.ndarray,
+                        crit: np.ndarray) -> np.ndarray:
+    """Which values are critical points of their member row, where values are
+    sorted within each row and rows are grouped.  A critical point that is a
+    sample twice (it equals a grid point) marks only its first copy."""
+    out = np.zeros(len(values), dtype=bool)
+    if not crit.shape[1]:
+        return out
+    starts = np.flatnonzero(np.append(True, rows[1:] != rows[:-1])).tolist()
+    for i, j in zip(starts, starts[1:] + [len(values)]):   # one member's values
+        row_crit = crit[rows[i]]
+        at = np.searchsorted(values[i:j], row_crit)
+        row_crit, at = row_crit[at < j - i], at[at < j - i]
+        out[i + at[values[i + at] == row_crit]] = True
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as silent as float Horner
-def band_structure(P: PeriodicJacobi, tol: float = 1e-10) -> BandStructure:
-    """Bands, gaps and the q-interior of a periodic Jacobi matrix.
+def _band_structures(family: list[PeriodicJacobi], tol: float) -> list[BandStructure]:
+    """The band structure of each block of a family, each bit for bit what
+    the block gives alone, from one set of array passes per period: every
+    stage runs over a leading member axis, and members whose root counts
+    come out wrong go on to a finer grid together.
 
-    Band edges are the roots of D -+ 2, isolated to width `tol` by bisection
-    over a sample grid that includes the critical points of D.  A gap narrower
-    than `tol` is reported closed and its touch region is excluded from the
-    q-interior.  Each grid is evaluated as one array Horner pass.
+    A family whose members fail raises the first failing member's error.
     """
     if not (0.0 < tol <= 1e-3):
         raise ValueError("tolerance must lie in (0, 1e-3]")
-    poly = discriminant_polynomial(P)
-    dpoly = poly.derivative()
-    lo_b, hi_b = spectral_bracket(P)
-    pad = 0.01 * (hi_b - lo_b) + 1e-6
-    lo, hi = lo_b - pad, hi_b + pad
-    noise = 64.0 * P.q * np.finfo(float).eps * poly.abs_bound(max(1.0, abs(lo), abs(hi)))
-    edges, crit = [], []
-    for attempt in range(4):
-        pts = 64 * P.q * (4 ** attempt)
-        grid = lo + (hi - lo) * np.arange(pts + 1) / pts
-        crit = sign_change_roots(dpoly, grid, tol, dpoly(grid)) if P.q > 1 else []
-        if len(crit) != P.q - 1:
-            continue
-        samples = np.sort(np.append(grid, crit))   # np.unique imports numpy.ma
-        samples = samples[np.append(True, samples[1:] != samples[:-1])]
-        edges = _edge_roots(poly, samples, crit, tol, noise)
-        if len(edges) == 2 * P.q:
-            break
-    else:
-        raise RootIsolationError(
-            f"expected {2 * P.q} band edges and {P.q - 1} critical points, "
-            f"found {len(edges)} and {len(crit)} (q={P.q}, bracket=({lo}, {hi}))")
+    out: list = [None] * len(family)
+    by_q: dict[int, list[int]] = {}
+    for k, P in enumerate(family):
+        by_q.setdefault(P.q, []).append(k)
+    for q, idx in by_q.items():
+        for k, result in zip(idx, _period_structures(q, [family[k] for k in idx], tol)):
+            out[k] = result
+    for result in out:
+        if isinstance(result, Exception):
+            raise result
+    return out
 
-    bands = tuple(Interval(edges[2 * i], edges[2 * i + 1]) for i in range(P.q))
+
+def _period_structures(q: int, group: list[PeriodicJacobi], tol: float) -> list:
+    """Band structures of blocks of period q, or the error each one raises."""
+    out = _discriminants(group)
+    live, dpolys, brackets = [], [], []
+    scale = 64.0 * q * _EPS
+    for k, (P, poly) in enumerate(zip(group, out)):
+        if isinstance(poly, ValueError):
+            continue
+        try:
+            dpolys.append(poly.derivative())
+        except ValueError as exc:
+            out[k] = exc
+            continue
+        live.append(k)
+        lo_b, hi_b = spectral_bracket(P)
+        pad = 0.01 * (hi_b - lo_b) + 1e-6
+        lo, hi = lo_b - pad, hi_b + pad
+        brackets.append((lo, hi, scale * out[k].abs_bound(max(1.0, abs(lo), abs(hi)))))
+    if not live:
+        return out
+    found = _isolate(q, np.array([out[k].coeffs for k in live]),
+                     np.array([d.coeffs for d in dpolys]), *np.array(brackets).T, tol)
+    for k, (lo, hi, noise), (edges, crit) in zip(live, brackets, found):
+        if not isinstance(edges, list):
+            out[k] = RootIsolationError(
+                f"expected {2 * q} band edges and {q - 1} critical points, "
+                f"found {edges or 0} and {crit} (q={q}, bracket=({lo}, {hi}))")
+            continue
+        try:
+            out[k] = _assemble(q, out[k], edges, crit, noise, tol)
+        except (ValueError, RootIsolationError) as exc:
+            out[k] = exc
+    return out
+
+
+def _isolate(q: int, coeffs: np.ndarray, dcoeffs: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray, noise: np.ndarray, tol: float, attempt: int = 0) -> list:
+    """Sorted band edges and critical points of each row's discriminant on
+    grid number `attempt`; rows that come out with wrong counts retry on the
+    next, finer grid, and after the last one hold the counts found instead
+    (no edge count where the critical points were already wrong)."""
+    pts = 64 * q * (4 ** attempt)
+    step = max(1, _CELLS // (pts + q))
+    if len(lo) > step:
+        return [found for i in range(0, len(lo), step)
+                for found in _isolate(q, coeffs[i:i + step], dcoeffs[i:i + step],
+                                      lo[i:i + step], hi[i:i + step], noise[i:i + step],
+                                      tol, attempt)]
+    grid = lo[:, None] + (hi - lo)[:, None] * np.arange(pts + 1) / pts
+    if q > 1:   # a critical value must resolve to the noise floor
+        crit_rows, crit = _critical_points(dcoeffs, grid, min(tol, 1e-10))
+    else:
+        crit_rows, crit = np.zeros(0, dtype=int), np.zeros(0)
+    n_crit = np.bincount(crit_rows, minlength=len(lo)).tolist()
+    if n_crit.count(q - 1) < len(n_crit):
+        ok = np.array(n_crit) == q - 1
+        crit, grid = crit[ok[crit_rows]], grid[ok]
+        coeffs_ok, noise_ok = coeffs[ok], noise[ok]
+    else:
+        coeffs_ok, noise_ok = coeffs, noise
+    crit = crit.reshape(len(grid), q - 1)
+    grid = np.concatenate((grid, crit), axis=1)   # the samples
+    grid.sort(axis=1)
+    edge_rows, edges = _edge_roots(coeffs_ok, noise_ok, grid, crit, tol)
+    n_edges = iter(np.bincount(edge_rows, minlength=len(grid)).tolist())
+    crit, edges = crit.ravel().tolist(), edges.tolist()
+    found: list = []
+    c = e = 0   # where the row's critical points and edges start
+    for n in n_crit:
+        if n != q - 1:
+            found.append((None, n))
+            continue
+        m = next(n_edges)
+        found.append((sorted(edges[e:e + m]), crit[c:c + n]) if m == 2 * q else (m, n))
+        c, e = c + n, e + m
+    retry = [j for j, (got, _) in enumerate(found) if not isinstance(got, list)]
+    if retry and attempt < 3:
+        sel = np.array(retry)
+        for j, (got, n) in zip(retry, _isolate(q, coeffs[sel], dcoeffs[sel], lo[sel],
+                                               hi[sel], noise[sel], tol, attempt + 1)):
+            found[j] = (found[j][0], n) if got is None else (got, n)
+    return found
+
+
+def _assemble(q: int, poly: PolynomialReal, edges: list[float], crit: list[float],
+              noise: float, tol: float) -> BandStructure:
+    """A member's band structure from its sorted edges and critical points."""
+    bands = tuple(Interval(edges[2 * i], edges[2 * i + 1]) for i in range(q))
     for band in bands:
         mid = 0.5 * (band.lo + band.hi)
         if abs(poly(mid)) > 2.0 + max(1e-7, 10 * noise):
@@ -266,9 +512,19 @@ def band_structure(P: PeriodicJacobi, tol: float = 1e-10) -> BandStructure:
                  for glo, ghi in zip(edges[1:-1:2], edges[2::2]))
     q_interior = IntervalUnion.of(
         Interval.open(band.lo, band.hi) for band in bands if band.width > 0.0)
-    return BandStructure(P.q, bands, gaps, q_interior,
-                         tuple(c for c in crit if edges[0] <= c <= edges[-1]),
-                         poly)
+    return BandStructure(q, bands, gaps, q_interior,
+                         tuple(c for c in crit if edges[0] <= c <= edges[-1]), poly)
+
+
+def band_structure(P: PeriodicJacobi, tol: float = 1e-10) -> BandStructure:
+    """Bands, gaps and the q-interior of a periodic Jacobi matrix.
+
+    Band edges are the roots of D -+ 2, isolated to width `tol` by bisection
+    over a sample grid that includes the critical points of D.  A gap narrower
+    than `tol` is reported closed and its touch region is excluded from the
+    q-interior.  Each grid is evaluated as one array Horner pass.
+    """
+    return _band_structures([P], tol)[0]
 
 
 def gap_report(P: PeriodicJacobi, tol: float = 1e-10) -> GapReport:
@@ -313,13 +569,13 @@ def intersection_over_family(family: list[PeriodicJacobi], mode: str,
     mode = mode.lower()
     if mode not in ("spectrum", "qinterior"):
         raise ValueError(f"mode must be 'spectrum' or 'qinterior', got {mode!r}")
-    structs = [band_structure(P, tol) for P in family]
+    structs = _band_structures(family, tol)
     if mode == "spectrum":
-        return reduce(IntervalUnion.intersect, (bs.spectrum for bs in structs))
+        return IntervalUnion.intersect_all([bs.spectrum for bs in structs])
     q = structs[0].q
     if any(bs.q != q for bs in structs):
         raise ValueError("qinterior intersection needs a family of equal period")
-    result = reduce(IntervalUnion.intersect, (bs.q_interior for bs in structs))
+    result = IntervalUnion.intersect_all([bs.q_interior for bs in structs])
     hulls: list[Interval] = []
     for j in range(q - 1):
         regions = [(bs.gaps[j].lo, bs.gaps[j].hi) for bs in structs]

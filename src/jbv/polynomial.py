@@ -2,15 +2,17 @@
 
 Degrees stay small here (the period of a Jacobi matrix), so the monomial
 basis is adequately conditioned and root isolation works on sign changes
-rather than companion matrices.  A sample grid is one ndarray Horner pass, bit
-for bit the scalar values; only the bisection runs per root.
+rather than companion matrices.  `horner` evaluates a stack of polynomials on
+sample arrays with the scalar Horner loop's operations, so its values are bit
+for bit the scalar ones, and `bisect_roots` bisects many brackets in one array
+loop with `bisect_root`'s steps and results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,10 +34,7 @@ class PolynomialReal:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
     def derivative(self) -> "PolynomialReal":
         c = self.coeffs
@@ -56,7 +55,8 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
         return lo
     if fhi == 0.0:
         return hi
-    if (flo < 0.0) == (fhi < 0.0):
+    neg = flo < 0.0   # the sign of f at lo, which every step keeps
+    if neg == (fhi < 0.0):
         raise ValueError("bisect_root requires a sign change")
     for _ in range(4096):
         if hi - lo <= tol:
@@ -67,34 +67,59 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
         fm = f(mid)
         if fm == 0.0:
             return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
+        if (fm < 0.0) == neg:
+            lo = mid
         else:
-            hi, fhi = mid, fm
+            hi = mid
     return 0.5 * (lo + hi)
+
+
+def horner(coeffs, x, shift=None):
+    """sum_k coeffs[k] x**k, less `shift` if given, by Horner's rule.
+    coeffs[k] may be an array broadcasting against x, such as a column of
+    per-member coefficients: a stack of polynomials is then evaluated in one
+    pass, each value bit for bit the scalar one."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x
+        acc += c   # in place on arrays: no second temporary per step
+    return acc if shift is None else acc - shift
+
+
+def bisect_roots(coeffs: np.ndarray, shift: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 flo: np.ndarray, fhi: np.ndarray, tol: float) -> np.ndarray:
+    """`bisect_root` on many brackets in one array loop, bit for bit.
+
+    Bracket i holds a sign change of p_i - shift_i, where row i of `coeffs`
+    (ascending degree) is p_i.  Each bracket takes bisect_root's steps and
+    stops where it would; the loop ends when the last bracket stops.
+    """
+    lo, hi, flo, fhi = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
+    cols = coeffs.T
+    out = np.where(flo == 0.0, lo, hi)
+    done = (flo == 0.0) | (fhi == 0.0)
+    neg = flo < 0.0   # the sign at lo, which every step keeps
+    if (neg == (fhi < 0.0))[~done].any():
+        raise ValueError("bisect_roots requires a sign change in every bracket")
+    live = ~done
+    for _ in range(4096):
+        mid = 0.5 * (lo + hi)
+        live &= ~((hi - lo <= tol) | (mid <= lo) | (mid >= hi))
+        if not live.any():
+            break
+        fm = horner(cols, mid, shift)
+        hit = live & (fm == 0.0)
+        if hit.any():
+            out[hit] = mid[hit]
+            done |= hit
+            live &= ~hit
+        left = live & ((fm < 0.0) == neg)
+        np.copyto(lo, mid, where=left)
+        np.copyto(hi, mid, where=live ^ left)
+    return np.where(done, out, 0.5 * (lo + hi))
 
 
 def sign_changes(vals: np.ndarray) -> np.ndarray:
     """Mask of the segments (i, i+1) with nonzero end values of opposite signs."""
     neg = vals < 0.0
     return (vals[:-1] != 0.0) & (vals[1:] != 0.0) & (neg[:-1] != neg[1:])
-
-
-def sign_change_roots(f: Callable[[float], float], samples: Sequence[float],
-                      tol: float, vals: np.ndarray | None = None) -> list[float]:
-    """Roots isolated from strict sign changes between consecutive samples,
-    bisected to width tol; `vals` are f at the samples, if already evaluated.
-
-    A sample value that is exactly zero is reported as a root itself, unless
-    it lies within tol of the root before it.
-    """
-    v = np.array([f(s) for s in samples], dtype=float) if vals is None else vals
-    zero = v == 0.0
-    roots: list[float] = []
-    for i in np.flatnonzero(zero | np.append(sign_changes(v), False)).tolist():
-        if not zero[i]:
-            roots.append(bisect_root(f, float(samples[i]), float(samples[i + 1]),
-                                     float(v[i]), float(v[i + 1]), tol))
-        elif not roots or abs(roots[-1] - samples[i]) > tol:
-            roots.append(float(samples[i]))
-    return roots

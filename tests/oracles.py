@@ -4,7 +4,8 @@ Each helper computes its quantity by a route disjoint from the library path it
 checks: interpolation instead of polynomial matrix products, dense banded
 solves instead of Weyl seeds, plain numpy products instead of scaled scans,
 a prefix replayed at every step instead of energy lanes carried forward,
-every grid sample evaluated and scanned in Python instead of array passes.
+every grid sample evaluated and scanned in Python instead of array passes,
+interval operands merged pairwise instead of one endpoint sweep.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 from scipy.linalg import solve_banded
 
-from jbv import (GrowthScanner, PolynomialReal, coefficient_arrays,
-                 discriminant_value, spectral_bracket, staircase_level_value)
+from jbv import (GrowthScanner, Interval, IntervalUnion, PolynomialReal,
+                 coefficient_arrays, discriminant_value, spectral_bracket,
+                 staircase_level_value)
 from jbv.errors import RootIsolationError
 from jbv.polynomial import bisect_root
 
@@ -188,7 +190,8 @@ def scalar_band_edges(P, tol: float = 1e-10):
     discriminant from `numpy.polynomial` products, every grid sample evaluated
     and compared in Python loops and sets.  Returns (bands, gaps, critical
     points, discriminant coefficients) as the array scan must reproduce them
-    bit for bit, or raises the same RootIsolationError."""
+    bit for bit, or raises the same RootIsolationError.  Critical points are
+    bisected to tol here, which is what the library does at tol <= 1e-10."""
     m11, m12, m21, m22 = [1.0], [0.0], [0.0], [1.0]
     for a, b in zip(P.a, P.b):
         p, r, s = [-b / a, 1.0 / a], [-1.0 / a], [a]
@@ -282,3 +285,75 @@ def _scalar_edge_roots(poly, samples, crit, tol, noise):
                                          samples[i], samples[i + 1], v0, v1, tol))
     edges.sort()
     return edges
+
+
+# ---------------------------------------------------------------------------
+# interval unions, one pair of canonical operands at a time
+
+def _max_lo(a, b):
+    if a.lo > b.lo:
+        return a.lo, a.closed_lo
+    if b.lo > a.lo:
+        return b.lo, b.closed_lo
+    return a.lo, a.closed_lo and b.closed_lo
+
+
+def _min_hi(a, b):
+    if a.hi < b.hi:
+        return a.hi, a.closed_hi
+    if b.hi < a.hi:
+        return b.hi, b.closed_hi
+    return a.hi, a.closed_hi and b.closed_hi
+
+
+def _piece(lo, hi, clo, chi):
+    if hi < lo or (lo == hi and not (clo and chi)):
+        return None
+    return Interval(lo, hi, clo, chi)
+
+
+def _merge_intersect(u, v):
+    out = []
+    a, b = u.intervals, v.intervals
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo, clo = _max_lo(a[i], b[j])
+        hi, chi = _min_hi(a[i], b[j])
+        piece = _piece(lo, hi, clo, chi)
+        if piece is not None:
+            out.append(piece)
+        if a[i].hi < b[j].hi:
+            i += 1
+        elif b[j].hi < a[i].hi:
+            j += 1
+        else:
+            i += 1
+            j += 1
+    return IntervalUnion(tuple(out))
+
+
+def pairwise_intersection(unions):
+    """The intersection of a nonempty list of canonical unions by a merge of
+    two sorted operands at a time, folded from the left."""
+    result = unions[0]
+    for u in unions[1:]:
+        result = _merge_intersect(result, u)
+    return result
+
+
+def carved_difference(u, v):
+    """u minus v, each piece of u carved by each interval of v in turn."""
+    pieces = list(u.intervals)
+    for b in v.intervals:
+        carved = []
+        for a in pieces:
+            lo, clo = _max_lo(a, b)
+            hi, chi = _min_hi(a, b)
+            if _piece(lo, hi, clo, chi) is None:
+                carved.append(a)
+                continue
+            carved += [p for p in (_piece(a.lo, b.lo, a.closed_lo, not b.closed_lo),
+                                   _piece(b.hi, a.hi, not b.closed_hi, a.closed_hi))
+                       if p is not None]
+        pieces = carved
+    return IntervalUnion.of(pieces)

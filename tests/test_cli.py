@@ -269,6 +269,53 @@ def test_env_config_defaults(tmp_path, capsys, monkeypatch):
     assert strict_loads(out)["members"] == 5
 
 
+def test_config_change_between_calls_takes_effect(tmp_path, capsys, monkeypatch):
+    # the parser is built once per effective config, not once per process
+    cfg = tmp_path / "cfg.json"
+    members = []
+    for points in (3, 4, 3):
+        cfg.write_text(json.dumps({"points": points}))
+        monkeypatch.setenv("JBV_CONFIG", str(cfg))
+        code, out, _ = run(capsys, "intersect", "--q", "2", "--lambda", "0.5")
+        assert code == 0
+        members.append(strict_loads(out)["members"])
+    monkeypatch.delenv("JBV_CONFIG")
+    code, out, _ = run(capsys, "intersect", "--q", "2", "--lambda", "0.5")
+    members.append(strict_loads(out)["members"])
+    assert members == [3, 4, 3, 101]
+    # equal values that print differently are different defaults
+    for margin in ("0.0", "-0.0", "0.0"):
+        cfg.write_text(f'{{"margin": {margin}}}')
+        monkeypatch.setenv("JBV_CONFIG", str(cfg))
+        code, _, err = run(capsys, "construct", "thm15", "--q", "2", "--lambda", "0.5",
+                           "--levels", "1", "--out", str(tmp_path / "st.json"))
+        assert (code, err) == (2, f"error: growth margin must be >= 1, got {margin}\n")
+
+
+def test_broken_config_after_a_good_one_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": 3}))
+    monkeypatch.setenv("JBV_CONFIG", str(cfg))
+    assert run(capsys, "intersect", "--q", "2", "--lambda", "0.5")[0] == 0
+    for text in ('{"points": "many"}', "[1, 2]", "{not json"):
+        cfg.write_text(text)
+        code, out, err = run(capsys, "intersect", "--q", "2", "--lambda", "0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error reading JBV_CONFIG")
+
+
+@pytest.mark.parametrize("tol", ["1e-4", "1e-3"])
+def test_coarse_tol_keeps_closed_gaps(capsys, tol):
+    code, out, err = run(capsys, "bands", "--q", "3", "--a", "1,1,1", "--b", "0,0,0",
+                         "--tol", tol)
+    assert (code, err) == (0, "")
+    doc = strict_loads(out)
+    assert len(doc["bands"]) == 3 and len(doc["closed_gaps"]) == 2
+    code, out, err = run(capsys, "intersect", "--q", "3", "--lambda", "0.5",
+                         "--points", "2", "--tol", tol, "--mode", "qinterior")
+    assert (code, err) == (0, "")
+
+
 def test_outputs_round_trip_through_cli(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     run(capsys, "construct", "thm16", "--lambda", "0.5", "--gamma", "0.4",

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from jbv import Interval, IntervalUnion, interval_union_intersect
 
+from oracles import carved_difference, pairwise_intersection
+
 
 def u(*parts):
     return IntervalUnion.of(parts)
@@ -140,3 +142,49 @@ def test_contains_agrees_with_each_operation_at_the_endpoints(a, b):
         assert meet.contains(x) == (a.contains(x) and b.contains(x))
         assert join.contains(x) == (a.contains(x) or b.contains(x))
         assert diff.contains(x) == (a.contains(x) and not b.contains(x))
+
+
+def _canonical(u: IntervalUnion) -> bool:
+    return IntervalUnion.of(u.intervals) == u
+
+
+@given(st.lists(UNIONS, min_size=1, max_size=6))
+def test_intersect_all_matches_the_pairwise_merge(unions):
+    got = IntervalUnion.intersect_all(unions)
+    assert got == pairwise_intersection(unions)
+    assert _canonical(got)
+    for x in _endpoints(*unions) | {x + 0.25 for x in _endpoints(*unions)}:
+        assert got.contains(x) == all(u.contains(x) for u in unions)
+
+
+@given(st.lists(UNIONS, min_size=1, max_size=6), st.lists(intervals(), max_size=6))
+def test_swept_hull_difference_matches_the_carved_difference(unions, hulls):
+    # intersection_over_family removes a union of gap hulls from the
+    # intersection of q-interiors
+    meet = IntervalUnion.intersect_all(unions)
+    cut = IntervalUnion.of(hulls)
+    got = meet.difference(cut)
+    assert got == carved_difference(pairwise_intersection(unions), cut)
+    assert _canonical(got)
+
+
+def test_intersect_all_edge_cases():
+    a = u(Interval(0.0, 1.0), Interval.open(2.0, 3.0))
+    assert IntervalUnion.intersect_all([a]) == a
+    assert IntervalUnion.intersect_all([a, IntervalUnion.empty()]).is_empty
+    # touching at a point that only closed ends share
+    b = u(Interval(1.0, 2.0))
+    assert IntervalUnion.intersect_all([a, b]) == u(Interval.point(1.0))
+    assert IntervalUnion.intersect_all([u(Interval.open(0.0, 1.0)), b]).is_empty
+    with pytest.raises(ValueError):
+        IntervalUnion.intersect_all([])
+
+
+def test_difference_takes_unions_built_from_overlapping_tuples():
+    # the carving this replaced accepted any intervals, canonical or not
+    base = IntervalUnion((Interval(0.0, 2.0), Interval(1.0, 3.0)))
+    cut = IntervalUnion((Interval.open(0.5, 1.5), Interval(1.0, 2.0)))
+    got = base.difference(cut)
+    assert got == carved_difference(IntervalUnion.of(base.intervals),
+                                    IntervalUnion.of(cut.intervals))
+    assert got.as_pairs() == [(0.0, 0.5), (2.0, 3.0)]

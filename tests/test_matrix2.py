@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from jbv import Matrix2, ScaledMatrix2, one_step_matrix
-from jbv.polynomial import PolynomialReal, bisect_root, sign_change_roots
+from jbv.periodic import _critical_points
+from jbv.polynomial import PolynomialReal, bisect_root, bisect_roots, horner
 
 
 def test_one_step_entries():
@@ -74,20 +75,66 @@ def test_polynomial_horner_and_derivative():
         assert dp(x) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+def _scan(coeffs, samples, tol):
+    """The critical-point scan of one member: roots of the polynomial with
+    these ascending coefficients, isolated on these samples."""
+    rows, roots = _critical_points(np.array([coeffs]), np.array([samples]), tol)
+    assert (rows == 0).all()
+    return roots.tolist()
+
+
 def test_bisection_helpers():
     f = lambda x: x * x - 2.0
     r = bisect_root(f, 0.0, 2.0, f(0.0), f(2.0), 1e-12)
     assert r == pytest.approx(math.sqrt(2.0), abs=1e-11)
-    roots = sign_change_roots(f, [-2.0, -1.0, 0.0, 1.0, 2.0], 1e-12)
+    roots = _scan([-2.0, 0.0, 1.0], [-2.0, -1.0, 0.0, 1.0, 2.0], 1e-12)
     assert len(roots) == 2
     assert roots[0] == pytest.approx(-math.sqrt(2.0), abs=1e-11)
 
 
-def test_sign_change_roots_exact_zero_samples():
-    # a sample where f is exactly zero is a root itself, with no bisection
-    # on either side of it
-    f = lambda x: x * (x - 1.0)
-    assert sign_change_roots(f, [-1.0, 0.0, 0.5, 1.0, 2.0], 1e-12) == [0.0, 1.0]
-    # zero samples closer than tol are one root
-    flat = lambda x: 0.0 if abs(x) < 1e-12 else x
-    assert sign_change_roots(flat, [-1.0, 0.0, 5e-13, 1.0], 1e-12) == [0.0]
+def test_critical_point_scan_exact_zero_samples():
+    # a sample where the polynomial is exactly zero is a root itself, with no
+    # bisection on either side of it: x (x - 1)
+    assert _scan([0.0, -1.0, 1.0], [-1.0, 0.0, 0.5, 1.0, 2.0], 1e-12) == [0.0, 1.0]
+    # zero samples closer than tol are one root: x (x - 5e-13) is exactly zero
+    # at both 0 and 5e-13
+    assert _scan([0.0, -5e-13, 1.0], [-1.0, 0.0, 5e-13, 1.0], 1e-12) == [0.0]
+
+
+def test_horner_stack_matches_scalar_values():
+    rng = np.random.default_rng(11)
+    coeffs = rng.standard_normal((6, 5))
+    x = rng.uniform(-3, 3, (6, 40))
+    got = horner(coeffs.T[:, :, None], x, 0.5)
+    for row, xs, vals in zip(coeffs, x, got):
+        p = PolynomialReal(tuple(row.tolist()))
+        assert vals.tolist() == [p(v) - 0.5 for v in xs.tolist()]
+
+
+def _brackets(rng, n, degree):
+    """n brackets of sign changes of random polynomials less random shifts,
+    of widths that stop them at different steps, some of them with an end
+    value that is exactly zero."""
+    coeffs = rng.standard_normal((n, degree + 1))
+    shift = rng.uniform(-1, 1, n)
+    lo, hi = -rng.uniform(2, 8, n), rng.uniform(2, 8, n)
+    flo, fhi = horner(coeffs.T, lo, shift), horner(coeffs.T, hi, shift)
+    keep = (flo < 0) != (fhi < 0)
+    coeffs, shift, lo, hi, flo, fhi = (v[keep] for v in (coeffs, shift, lo, hi, flo, fhi))
+    flo[::7], fhi[3::11] = 0.0, 0.0
+    return coeffs, shift, lo, hi, flo, fhi
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3, 1e-300])
+def test_bisect_roots_matches_bisect_root_bit_for_bit(tol):
+    coeffs, shift, lo, hi, flo, fhi = _brackets(np.random.default_rng(12), 300, 8)
+    got = bisect_roots(coeffs, shift, lo, hi, flo, fhi, tol)
+    brackets = zip(lo.tolist(), hi.tolist(), flo.tolist(), fhi.tolist())
+    for c, t, args, root in zip(coeffs.tolist(), shift.tolist(), brackets, got.tolist()):
+        assert root == bisect_root(lambda x: horner(c, x, t), *args, tol)
+
+
+def test_bisect_roots_requires_sign_changes():
+    with pytest.raises(ValueError):
+        bisect_roots(np.array([[1.0, 1.0]]), np.zeros(1), [0.0], [1.0], [1.0], [2.0],
+                     1e-10)

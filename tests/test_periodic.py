@@ -6,10 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jbv import (PeriodicJacobi, band_structure, chebyshev_second_kind,
-                 comb_potential, discriminant_polynomial, discriminant_value,
+from jbv import (PeriodicJacobi, RootIsolationError, band_structure,
+                 chebyshev_second_kind, comb_potential, discriminant_polynomial,
+                 discriminant_value,
                  free_critical_points, gap_report, intersection_over_family,
                  one_step_matrix, periodic_spec, spectral_bracket)
+from jbv import periodic as periodic_module
+from jbv import polynomial as polynomial_module
+from jbv.periodic import _band_structures
 from oracles import (chebu_sine, comb2_band_edges, interp_discriminant_coeffs,
                      scalar_band_edges)
 
@@ -397,8 +401,141 @@ def test_band_scans_leave_numpy_ma_unimported():
         "band_structure(comb_potential(8, 0.5))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['verify', '--random', '5', '--seed', '1']) == 0\n"
+        "    for mode in ('spectrum', 'qinterior'):\n"
+        "        assert cli.main(['intersect', '--q', '8', '--lambda', '0.5',\n"
+        "                         '--points', '21', '--mode', mode]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# a family solved on the member axis against the sample-at-a-time scan of
+# each member: the same bits, or the first failing member's error
+
+def _member_view(bs):
+    return ([b.as_pair() for b in bs.bands], [(g.lo, g.hi, g.closed) for g in bs.gaps],
+            list(bs.critical_points), bs.discriminant.coeffs)
+
+
+def _failed(text):
+    return text.startswith("(<class")
+
+
+def _assert_family_agrees(family):
+    expected = [_exact(lambda P=P: scalar_band_edges(P)) for P in family]
+    failures = [e for e in expected if _failed(e)]
+    if failures:
+        assert _exact(lambda: _band_structures(family, 1e-10)) == failures[0]
+        family = [P for P, e in zip(family, expected) if not _failed(e)]
+        expected = [e for e in expected if not _failed(e)]
+    got = _band_structures(family, 1e-10) if family else []
+    assert [_exact(lambda bs=bs: _member_view(bs)) for bs in got] == expected
+
+
+def cli_shift_family(q, lam, points):
+    """The constant-shift family `intersect --q --lambda --points` builds."""
+    betas = [-lam + 2.0 * lam * i / (points - 1) for i in range(points)]
+    return [PeriodicJacobi.of(q, [1.0] * q, [beta] * q) for beta in betas]
+
+
+@pytest.mark.parametrize("q", [3, 8])
+def test_member_axis_matches_scalar_scan_on_cli_shift_families(q):
+    _assert_family_agrees(cli_shift_family(q, 0.5, 101))
+
+
+def _random_blocks(q):
+    return st.builds(PeriodicJacobi.of, st.just(q),
+                     st.lists(st.floats(0.5, 1.5), min_size=q, max_size=q),
+                     st.lists(st.floats(-1.0, 1.0), min_size=q, max_size=q))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda q: st.lists(_random_blocks(q), min_size=1, max_size=12)))
+def test_member_axis_matches_scalar_scan_on_random_families(family):
+    _assert_family_agrees(family)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 24), st.lists(st.floats(0.1, 1.0), min_size=1, max_size=12))
+def test_member_axis_matches_scalar_scan_on_comb_families(q, couplings):
+    _assert_family_agrees([comb_potential(q, w) for w in couplings])
+
+
+def test_member_axis_matches_scalar_scan_on_mixed_periods():
+    # a --family file may mix periods in spectrum mode
+    _assert_family_agrees([comb_potential(q, 0.1 * q) for q in (2, 5, 3, 2, 8, 5, 1 + 1)]
+                          + [free_block(q) for q in (1, 4, 4, 7)])
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_member_axis_matches_scalar_scan_on_badly_scaled_families(q):
+    # overflowing array passes, and members that fail in every way
+    rng = np.random.default_rng(q)
+    _assert_family_agrees([
+        PeriodicJacobi.of(q, 10 ** rng.uniform(-12, 0, q),
+                          rng.uniform(-1, 1, q) * 10 ** rng.uniform(0, 12, q))
+        for _ in range(24)])
+
+
+@pytest.mark.parametrize("a, b", [([1e200] * 3, [0.0] * 3), ([1e200] * 3, [1e300] * 3),
+                                  ([1e120, 1e200, 1e300], [-0.0, 1.0, -1e-300])])
+def test_member_axis_keeps_a_lone_zero_like_the_float_path(a, b):
+    # 1/(a_1 a_2 a_3) underflows to zero for this member only, so the float
+    # path trims its discriminant to a shorter list than the rest of the stack
+    family = [comb_potential(3, 0.1 * k) for k in range(1, 9)]
+    assert len(family) >= periodic_module.STACK_MIN
+    _assert_family_agrees(family + [PeriodicJacobi.of(3, a, b)])
+
+
+def test_failing_member_raises_the_first_failure():
+    rng = np.random.default_rng(0)
+    bad = PeriodicJacobi.of(24, rng.uniform(0.5, 1.5, 24).tolist(),
+                            rng.uniform(-1, 1, 24).tolist())
+    family = cli_shift_family(3, 0.5, 5) + [bad, comb_potential(32, 0.5)]
+    with pytest.raises(RootIsolationError) as caught:
+        band_structure(bad)
+    with pytest.raises(RootIsolationError) as first:
+        _band_structures(family, 1e-10)
+    assert str(first.value) == str(caught.value)
+    with pytest.raises(RootIsolationError) as first:
+        intersection_over_family(family, "spectrum")
+    assert str(first.value) == str(caught.value)
+
+
+def test_array_passes_do_not_grow_with_members(monkeypatch):
+    passes = []
+    horner = polynomial_module.horner
+
+    def counted(coeffs, x, shift=None):
+        if isinstance(x, np.ndarray):
+            passes.append(x.shape)
+        return horner(coeffs, x, shift)
+
+    monkeypatch.setattr(polynomial_module, "horner", counted)
+    monkeypatch.setattr(periodic_module, "horner", counted)
+    counts = []
+    for points in (11, 101):
+        # shifted comb blocks: every edge is bisected, on brackets of one width
+        passes.clear()
+        _band_structures([comb_potential(8, 0.5).shifted(0.01 * k)
+                          for k in range(points)], 1e-10)
+        counts.append(len(passes))
+    assert counts[0] == counts[1] > 30
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-3])
+@pytest.mark.parametrize("P", [free_block(3), free_block(8), comb_potential(4, 0.5)],
+                         ids=["free3", "free8", "comb4"])
+def test_coarse_tolerance_keeps_closed_gaps(P, tol):
+    # critical points are isolated finer than tol, so a double root at a
+    # closed gap stays within the noise floor of +-2
+    bs = band_structure(P, tol)
+    assert len(bs.bands) == P.q and len(bs.critical_points) == P.q - 1
+    assert all(g.closed == (P.b[0] == P.b[-1]) for g in bs.gaps)
+    fine = band_structure(P)
+    assert np.allclose([x for b in bs.bands for x in b.as_pair()],
+                       [x for b in fine.bands for x in b.as_pair()], atol=2 * tol)
