@@ -243,9 +243,9 @@ def _linear(log_value: float) -> float | None:
     return math.exp(log_value) if log_value < 700.0 else None
 
 
-def _finite(log_value: float) -> float | None:
-    """log_value, or None where it is not finite (JSON has no Infinity)."""
-    return log_value if math.isfinite(log_value) else None
+def _finite(value: float) -> float | None:
+    """value, or None where it is not finite (JSON has no Infinity)."""
+    return value if math.isfinite(value) else None
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,9 @@ def _cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
     report = verify_gap_window_growth(spec, args.period, args.m, args.k,
                                       args.E, args.delta)
-    rows = [[l, norm, bound, "pass" if l not in report.violations else "fail"]
+    # JSON writes a norm past float range as null, CSV as inf
+    rows = [[l, norm if args.format == "csv" else _finite(norm), bound,
+             "pass" if l not in report.violations else "fail"]
             for l, norm, bound in zip(report.l_values, report.norms, report.bounds)]
     _emit_table(args, ["l", "norm", "bound", "status"], rows, m=report.m, k=report.k,
                 E=report.E, delta=report.delta, passed=report.passed)

@@ -115,47 +115,8 @@ class IntervalUnion:
 
     @staticmethod
     def intersect_all(unions: Sequence["IntervalUnion"]) -> "IntervalUnion":
-        """The points that every union contains, by one endpoint sweep.
-
-        Each union is canonical, so it covers a point at most once; a point
-        or open segment is in the result when all unions cover it.  The
-        endpoints E are sorted once, and searchsorted counts, for each E, the
-        intervals that contain it and those that contain the open segment to
-        the next endpoint.  Maximal runs of covered points and segments are
-        the result's intervals, closed where a run starts or ends on a point.
-        """
-        if not unions:
-            raise ValueError("intersect_all needs at least one union")
-        parts = [iv for u in unions for iv in u.intervals]
-        if not parts:
-            return IntervalUnion.empty()
-        lo = np.array([iv.lo for iv in parts])
-        hi = np.array([iv.hi for iv in parts])
-        closed_lo = np.sort(lo[[iv.closed_lo for iv in parts]])
-        closed_hi = np.sort(hi[[iv.closed_hi for iv in parts]])
-        lo.sort()
-        hi.sort()
-        ends = np.sort(np.concatenate((lo, hi)))
-        # distinct endpoints; np.unique would import numpy.ma
-        ends = ends[np.append(True, ends[1:] != ends[:-1])]
-        below = np.searchsorted(hi, ends, "right")   # intervals ending at or before E
-        # an interval contains E when it starts before E and ends after it, or
-        # has E as a closed end (a point interval [E, E] counts once: it also
-        # ends at E without starting before it)
-        at_point = (np.searchsorted(lo, ends, "left") - below
-                    + _count_equal(closed_lo, ends) + _count_equal(closed_hi, ends))
-        on_segment = np.searchsorted(lo, ends, "right") - below
-        # atoms in order: point E_0, segment (E_0, E_1), point E_1, ...
-        covered = np.empty(2 * len(ends) - 1, dtype=bool)
-        covered[0::2] = at_point == len(unions)
-        covered[1::2] = on_segment[:-1] == len(unions)
-        edge = np.diff(np.concatenate(([False], covered, [False])).astype(np.int8))
-        values = ends.tolist()
-        return IntervalUnion(tuple(
-            Interval(values[start // 2], values[stop // 2],
-                     start % 2 == 0, stop % 2 == 1)
-            for start, stop in zip(np.flatnonzero(edge == 1).tolist(),
-                                   np.flatnonzero(edge == -1).tolist())))
+        """The points every union contains, whatever tuples the unions hold."""
+        return _sweep([IntervalUnion.of(u.intervals) for u in unions])
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         return IntervalUnion.intersect_all((self, other))
@@ -164,16 +125,16 @@ class IntervalUnion:
         return IntervalUnion.of(self.intervals + other.intervals)
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
-        # canonical operands for the sweep, whatever tuples the unions hold
-        return IntervalUnion.intersect_all((IntervalUnion.of(self.intervals),
-                                            _complement(IntervalUnion.of(other.intervals))))
+        return _sweep((IntervalUnion.of(self.intervals),
+                       _complement(IntervalUnion.of(other.intervals))))
 
     def as_pairs(self) -> list[tuple[float, float]]:
         return [iv.as_pair() for iv in self.intervals]
 
 
 def _complement(u: IntervalUnion) -> IntervalUnion:
-    """The rest of the real line, as a union with infinite ends."""
+    """The rest of the real line of a canonical union, as a canonical union
+    with infinite ends."""
     ends = [(-math.inf, False)]
     for iv in u.intervals:
         ends += [(iv.lo, not iv.closed_lo), (iv.hi, not iv.closed_hi)]
@@ -182,6 +143,50 @@ def _complement(u: IntervalUnion) -> IntervalUnion:
         Interval(lo, hi, clo, chi)
         for (lo, clo), (hi, chi) in zip(ends[0::2], ends[1::2])
         if lo < hi or (lo == hi and clo and chi)))
+
+
+def _sweep(unions: Sequence[IntervalUnion]) -> IntervalUnion:
+    """The points that every union contains, by one endpoint sweep.
+
+    Each union must be canonical, so it covers a point at most once; a point
+    or open segment is in the result when all unions cover it.  The
+    endpoints E are sorted once, and searchsorted counts, for each E, the
+    intervals that contain it and those that contain the open segment to
+    the next endpoint.  Maximal runs of covered points and segments are
+    the result's intervals, closed where a run starts or ends on a point.
+    """
+    if not unions:
+        raise ValueError("intersect_all needs at least one union")
+    parts = [iv for u in unions for iv in u.intervals]
+    if not parts:
+        return IntervalUnion.empty()
+    lo = np.array([iv.lo for iv in parts])
+    hi = np.array([iv.hi for iv in parts])
+    closed_lo = np.sort(lo[[iv.closed_lo for iv in parts]])
+    closed_hi = np.sort(hi[[iv.closed_hi for iv in parts]])
+    lo.sort()
+    hi.sort()
+    ends = np.sort(np.concatenate((lo, hi)))
+    # distinct endpoints; np.unique would import numpy.ma
+    ends = ends[np.append(True, ends[1:] != ends[:-1])]
+    below = np.searchsorted(hi, ends, "right")   # intervals ending at or before E
+    # an interval contains E when it starts before E and ends after it, or
+    # has E as a closed end (a point interval [E, E] counts once: it also
+    # ends at E without starting before it)
+    at_point = (np.searchsorted(lo, ends, "left") - below
+                + _count_equal(closed_lo, ends) + _count_equal(closed_hi, ends))
+    on_segment = np.searchsorted(lo, ends, "right") - below
+    # atoms in order: point E_0, segment (E_0, E_1), point E_1, ...
+    covered = np.empty(2 * len(ends) - 1, dtype=bool)
+    covered[0::2] = at_point == len(unions)
+    covered[1::2] = on_segment[:-1] == len(unions)
+    edge = np.diff(np.concatenate(([False], covered, [False])).astype(np.int8))
+    values = ends.tolist()
+    return IntervalUnion(tuple(
+        Interval(values[start // 2], values[stop // 2],
+                 start % 2 == 0, stop % 2 == 1)
+        for start, stop in zip(np.flatnonzero(edge == 1).tolist(),
+                               np.flatnonzero(edge == -1).tolist())))
 
 
 def interval_union_intersect(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:

@@ -23,7 +23,7 @@ import numpy as np
 from .coeffs import (CoefficientSpec, as_int, check_params, params_errors,
                      periodic_spec)
 from .errors import RootIsolationError
-from .intervals import Interval, IntervalUnion
+from .intervals import Interval, IntervalUnion, _complement, _sweep
 from .matrix2 import block_product, one_step_matrix
 from .polynomial import (PolynomialReal, bisect_root, bisect_roots, horner,
                          sign_changes)
@@ -77,41 +77,25 @@ def discriminant_value(P: PeriodicJacobi, z: complex) -> complex:
     return block_product(P.a, P.b, z).trace()
 
 
-def _trim(c: list) -> list:
-    """numpy.polynomial's trimseq: drop trailing zeros, keep one entry.
-
-    On member vectors an entry goes only where it is zero for every member.
-    A member that alone has a zero there keeps it, which changes none of its
-    values: no entry here is ever -0.0 (every sum starts from +0.0), so the
-    extra terms x * 0.0 add nothing to a finite entry, and a member with an
-    infinite entry has a non-finite discriminant either way.
-    """
-    while len(c) > 1:
-        zero = c[-1] == 0.0   # a bool, or an array of them
-        if not (zero is True or zero is not False and zero.all()):
-            break
-        c = c[:-1]
-    return c
-
-
 def _polymul(c1: list, c2: list) -> list:
-    """numpy.polynomial's polymul on trimmed lists, zero signs included: an
-    entry sums at most two products, from +0.0 as np.convolve does."""
+    """numpy.polynomial's polymul, zero signs included, never trimmed: every
+    sum starts from +0.0, as in np.convolve, so no entry is ever -0.0, and an
+    entry past the degree is +0.0 and adds nothing to the finite entries it
+    meets (a member with an infinite entry is non-finite either way)."""
     out = [0.0] * (len(c1) + len(c2) - 1)
     for i, x in enumerate(c1):
         for j, y in enumerate(c2):
             out[i + j] += x * y
-    return _trim(out)
+    return out
 
 
 def _polyadd(c1: list, c2: list) -> list:
-    """numpy.polynomial's polyadd on trimmed lists: the longer tail stays."""
-    c1, c2 = sorted((c1, c2), key=len)
-    return _trim([x + y for x, y in zip(c1, c2)] + c2[len(c1):])
+    """numpy.polynomial's polyadd, untrimmed, for a c1 at least as long as c2."""
+    return [x + y for x, y in zip(c1, c2)] + c1[len(c2):]
 
 
 def _discriminant_coeffs(a, b) -> list:
-    """Trimmed coefficients of the trace of the one-step product, built from
+    """The q+1 coefficients of the trace of the one-step product, built from
     one-step matrices with polynomial entries.  The entries of a and b are
     floats, or member vectors (one site of every block in a stack), which get
     the same operations in the same order."""
@@ -128,10 +112,13 @@ def discriminant_polynomial(P: PeriodicJacobi) -> PolynomialReal:
     """The discriminant as a degree-q real polynomial.
 
     Built by multiplying one-step matrices with polynomial entries, which is
-    exact up to rounding; the leading coefficient is 1/(a_1 ... a_q).
+    exact up to rounding; the leading coefficient is 1/(a_1 ... a_q).  Raises
+    OverflowError where a coefficient leaves float range.
     """
-    tr = _discriminant_coeffs(P.a, P.b)
-    return PolynomialReal(tuple(tr + [0.0] * (P.q + 1 - len(tr))))
+    poly = _discriminants([P])[0]
+    if isinstance(poly, OverflowError):
+        raise poly
+    return poly
 
 
 def spectral_bracket(P: PeriodicJacobi) -> tuple[float, float]:
@@ -225,22 +212,14 @@ _BRACKETS = 1 << 12
 def _discriminants(group: list[PeriodicJacobi]) -> list:
     """`discriminant_polynomial` of each block of period q, or the error it
     raises; a stack of blocks is built as member vectors."""
-    rows = None
-    if len(group) >= STACK_MIN:
-        tr = _discriminant_coeffs(np.array([P.a for P in group]).T,
-                                  np.array([P.b for P in group]).T)
-        rows = np.zeros((len(group), group[0].q + 1))
-        for k, c in enumerate(tr):
-            rows[:, k] = c
-        rows = rows.tolist()
-    out: list = []
-    for k, P in enumerate(group):
-        try:
-            out.append(discriminant_polynomial(P) if rows is None
-                       else PolynomialReal(tuple(rows[k])))
-        except ValueError as exc:
-            out.append(exc)
-    return out
+    if len(group) < STACK_MIN:
+        rows = [_discriminant_coeffs(P.a, P.b) for P in group]
+    else:
+        a, b = np.array([(P.a, P.b) for P in group]).transpose(1, 2, 0)
+        rows = np.array(_discriminant_coeffs(a, b)).T.tolist()
+    return [PolynomialReal(tuple(row)) if all(map(math.isfinite, row)) else
+            OverflowError(f"the discriminant of a q={P.q} block leaves float range")
+            for P, row in zip(group, rows)]
 
 
 def _bisect(coeffs: np.ndarray, rows: np.ndarray, shift: np.ndarray,
@@ -421,11 +400,11 @@ def _period_structures(q: int, group: list[PeriodicJacobi], tol: float) -> list:
     live, dpolys, brackets = [], [], []
     scale = 64.0 * q * _EPS
     for k, (P, poly) in enumerate(zip(group, out)):
-        if isinstance(poly, ValueError):
+        if isinstance(poly, OverflowError):
             continue
         try:
             dpolys.append(poly.derivative())
-        except ValueError as exc:
+        except OverflowError as exc:
             out[k] = exc
             continue
         live.append(k)
@@ -510,8 +489,8 @@ def _assemble(q: int, poly: PolynomialReal, edges: list[float], crit: list[float
                 f"band pairing failed: |D({mid})| = {abs(poly(mid))} > 2")
     gaps = tuple(Gap(glo, ghi, closed=(ghi - glo) < tol)
                  for glo, ghi in zip(edges[1:-1:2], edges[2::2]))
-    q_interior = IntervalUnion.of(
-        Interval.open(band.lo, band.hi) for band in bands if band.width > 0.0)
+    q_interior = IntervalUnion(tuple(   # sorted open bands never merge
+        Interval.open(band.lo, band.hi) for band in bands if band.width > 0.0))
     return BandStructure(q, bands, gaps, q_interior,
                          tuple(c for c in crit if edges[0] <= c <= edges[-1]), poly)
 
@@ -570,19 +549,19 @@ def intersection_over_family(family: list[PeriodicJacobi], mode: str,
     if mode not in ("spectrum", "qinterior"):
         raise ValueError(f"mode must be 'spectrum' or 'qinterior', got {mode!r}")
     structs = _band_structures(family, tol)
-    if mode == "spectrum":
-        return IntervalUnion.intersect_all([bs.spectrum for bs in structs])
+    if mode == "spectrum":   # the spectra, like the q-interiors, are canonical
+        return _sweep([bs.spectrum for bs in structs])
     q = structs[0].q
     if any(bs.q != q for bs in structs):
         raise ValueError("qinterior intersection needs a family of equal period")
-    result = IntervalUnion.intersect_all([bs.q_interior for bs in structs])
     hulls: list[Interval] = []
     for j in range(q - 1):
         regions = [(bs.gaps[j].lo, bs.gaps[j].hi) for bs in structs]
         # a single member's gap is its own hull
         for (lo0, hi0), (lo1, hi1) in zip(regions, regions[1:] or regions):
             hulls.append(Interval(min(lo0, lo1), max(hi0, hi1)))
-    result = result.difference(IntervalUnion.of(hulls))
+    result = _sweep([bs.q_interior for bs in structs]
+                    + [_complement(IntervalUnion.of(hulls))])
     # band edges are only resolved to +-tol, so components narrower than that
     # resolution are bisection noise, not set content
-    return IntervalUnion.of(iv for iv in result.intervals if iv.width > 8.0 * tol)
+    return IntervalUnion(tuple(iv for iv in result.intervals if iv.width > 8.0 * tol))

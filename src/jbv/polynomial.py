@@ -38,7 +38,11 @@ class PolynomialReal:
 
     def derivative(self) -> "PolynomialReal":
         c = self.coeffs
-        return PolynomialReal(tuple(k * c[k] for k in range(1, len(c))) or (0.0,))
+        d = tuple(k * c[k] for k in range(1, len(c))) or (0.0,)
+        if not all(map(math.isfinite, d)):
+            raise OverflowError(f"the derivative of a degree-{self.degree} "
+                                "polynomial leaves float range")
+        return PolynomialReal(d)
 
     def abs_bound(self, r: float) -> float:
         """sum |c_k| r^k, a bound on |p| over |x| <= r."""

@@ -190,8 +190,9 @@ def scalar_band_edges(P, tol: float = 1e-10):
     discriminant from `numpy.polynomial` products, every grid sample evaluated
     and compared in Python loops and sets.  Returns (bands, gaps, critical
     points, discriminant coefficients) as the array scan must reproduce them
-    bit for bit, or raises the same RootIsolationError.  Critical points are
-    bisected to tol here, which is what the library does at tol <= 1e-10."""
+    bit for bit, or raises the same RootIsolationError or OverflowError.
+    Critical points are bisected to tol here, which is what the library does
+    at tol <= 1e-10."""
     m11, m12, m21, m22 = [1.0], [0.0], [0.0], [1.0]
     for a, b in zip(P.a, P.b):
         p, r, s = [-b / a, 1.0 / a], [-1.0 / a], [a]
@@ -202,6 +203,8 @@ def scalar_band_edges(P, tol: float = 1e-10):
     tr = npoly.polyadd(m11, m22)
     coeffs = np.zeros(P.q + 1)
     coeffs[:len(tr)] = tr
+    if not np.isfinite(coeffs).all():
+        raise OverflowError(f"the discriminant of a q={P.q} block leaves float range")
     poly = PolynomialReal(tuple(float(c) for c in coeffs))
     dpoly = poly.derivative()
     lo_b, hi_b = spectral_bracket(P)

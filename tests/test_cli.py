@@ -61,6 +61,22 @@ def test_bands_rejects_zero_coefficient(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("members", [0, 8])
+def test_discriminant_past_float_range_exits_1(tmp_path, capsys, members):
+    # 1/(a_1 a_2) = 1e400: valid input whose discriminant overflows used to
+    # exit 2 as a usage error; a family of 9 blocks builds it on the member axis
+    code, out, err = run(capsys, "bands", "--q", "2", "--a", "1e-200,1e-200",
+                         "--b", "0,0")
+    assert code == 1 and out == ""
+    assert err == ("numerical failure: the discriminant of a q=2 block leaves "
+                   "float range\n")
+    fam = [{"q": 2, "a": [1.0, 1.0], "b": [0.0, 0.1 * k]} for k in range(members)]
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps(fam + [{"q": 2, "a": [1e-200, 1e-200], "b": [0.0, 0.0]}]))
+    assert run(capsys, "intersect", "--family", str(p), "--mode", "spectrum") == (
+        1, "", err)
+
+
 def test_bands_file_input(tmp_path, capsys):
     p = tmp_path / "block.json"
     p.write_text(json.dumps({"q": 1, "a": [1.0], "b": [0.25]}))
@@ -381,6 +397,24 @@ def test_verify_json_format(tmp_path, capsys):
     assert code == 0
     doc = strict_loads(out)
     assert doc["passed"] and all(r["status"] == "pass" for r in doc["rows"])
+
+
+def test_verify_json_writes_norms_past_float_range_as_null(tmp_path, capsys):
+    # the strict JSON writer used to refuse the inf norms of a long window
+    p = tmp_path / "comb.json"
+    p.write_text(json.dumps({"kind": "periodic",
+                             "params": {"q": 2, "a": [1.0, 1.0], "b": [0.0, 0.5]}}))
+    argv = ["verify", "--spec", str(p), "--period", "2", "--m", "1", "--k", "8000",
+            "--E", "0.25", "--delta", "0.12"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = strict_loads(out)
+    assert doc["passed"] and all(r["status"] == "pass" for r in doc["rows"])
+    code, csv_out, _ = run(capsys, *argv)
+    _, rows = read_csv(csv_out)
+    assert code == 0 and [r[1] for r in rows].count("inf") > 0
+    assert [r["norm"] for r in doc["rows"]] == [
+        None if r[1] == "inf" else float(r[1]) for r in rows]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jbv import Interval, IntervalUnion, interval_union_intersect
@@ -188,3 +188,27 @@ def test_difference_takes_unions_built_from_overlapping_tuples():
     assert got == carved_difference(IntervalUnion.of(base.intervals),
                                     IntervalUnion.of(cut.intervals))
     assert got.as_pairs() == [(0.0, 0.5), (2.0, 3.0)]
+
+
+# unions built straight from tuples: unsorted, overlapping, a repeated interval
+RAW_UNIONS = st.lists(intervals(), max_size=4).map(
+    lambda parts: IntervalUnion(tuple(parts + parts[:1])))
+
+
+TWICE = IntervalUnion((Interval(0.0, 1.0), Interval(0.0, 1.0)))
+OVERLAPPING = IntervalUnion((Interval(0.0, 2.0), Interval(1.0, 3.0)))
+
+
+@given(st.lists(RAW_UNIONS, min_size=1, max_size=4), RAW_UNIONS, RAW_UNIONS)
+@example([TWICE, u(Interval(0.5, 2.0))], TWICE, u(Interval(0.5, 2.0)))
+@example([OVERLAPPING, u(Interval(0.0, 3.0))], OVERLAPPING, u(Interval(0.0, 3.0)))
+def test_intersections_take_unions_built_from_overlapping_tuples(unions, a, b):
+    # the sweep counts how many operands cover a point, so an operand that
+    # covered one twice used to count as two: the examples gave [0, 0.5]
+    # and [0, 1] u [2, 3]
+    def canonical(*sets):
+        return [IntervalUnion.of(s.intervals) for s in sets]
+
+    assert IntervalUnion.intersect_all(unions) == pairwise_intersection(canonical(*unions))
+    want = pairwise_intersection(canonical(a, b))
+    assert a.intersect(b) == interval_union_intersect(a, b) == want

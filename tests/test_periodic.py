@@ -484,11 +484,23 @@ def test_member_axis_matches_scalar_scan_on_badly_scaled_families(q):
 @pytest.mark.parametrize("a, b", [([1e200] * 3, [0.0] * 3), ([1e200] * 3, [1e300] * 3),
                                   ([1e120, 1e200, 1e300], [-0.0, 1.0, -1e-300])])
 def test_member_axis_keeps_a_lone_zero_like_the_float_path(a, b):
-    # 1/(a_1 a_2 a_3) underflows to zero for this member only, so the float
-    # path trims its discriminant to a shorter list than the rest of the stack
+    # 1/(a_1 a_2 a_3) underflows to zero for this member only: numpy would
+    # trim it, nothing here does, and both paths must keep the same zero
     family = [comb_potential(3, 0.1 * k) for k in range(1, 9)]
     assert len(family) >= periodic_module.STACK_MIN
     _assert_family_agrees(family + [PeriodicJacobi.of(3, a, b)])
+
+
+@pytest.mark.parametrize("a, message", [(1e-200, "discriminant of a q=3 block"),
+                                        (2.2e-103, "derivative of a degree-3")])
+def test_coefficients_past_float_range_fail_alike_on_both_paths(a, message):
+    # finite blocks whose discriminant, or only its derivative (1/a^3 is
+    # about 9.4e307), leaves float range
+    P = PeriodicJacobi.of(3, [a] * 3, [0.0] * 3)
+    with pytest.raises(OverflowError, match=message):
+        band_structure(P)
+    _assert_scans_agree(P)
+    _assert_family_agrees([comb_potential(3, 0.1 * k) for k in range(1, 9)] + [P])
 
 
 def test_failing_member_raises_the_first_failure():
@@ -525,6 +537,34 @@ def test_array_passes_do_not_grow_with_members(monkeypatch):
                           for k in range(points)], 1e-10)
         counts.append(len(passes))
     assert counts[0] == counts[1] > 30
+
+
+def _retrying_blocks(seed):
+    # about half of these leave the first grid with wrong root counts
+    rng = np.random.default_rng(seed)
+    return ([PeriodicJacobi.of(16, rng.uniform(0.5, 1.5, 16), rng.uniform(-1, 1, 16))
+             for _ in range(6)]
+            + [PeriodicJacobi.of(16, 10 ** rng.uniform(-1, 0, 16), rng.uniform(-1, 1, 16))
+               for _ in range(6)])
+
+
+def test_memory_bounds_change_no_result(monkeypatch):
+    # a stack holds few members per grid and a bisection few brackets, so
+    # every member goes through the chunked paths
+    rng = np.random.default_rng(0)
+    bad = PeriodicJacobi.of(24, rng.uniform(0.5, 1.5, 24), rng.uniform(-1, 1, 24))
+    families = ([cli_shift_family(8, 0.5, 101)] + [_retrying_blocks(s) for s in range(3)]
+                + [[comb_potential(24, 0.1 * k) for k in range(1, 9)] + [bad]])
+
+    def solved():
+        return [(_exact(lambda f=f: _band_structures(f, 1e-10)),
+                 repr(periodic_module._period_structures(f[0].q, f, 1e-10)))
+                for f in families]
+
+    expected = solved()
+    monkeypatch.setattr(periodic_module, "_CELLS", 3000)
+    monkeypatch.setattr(periodic_module, "_BRACKETS", 64)
+    assert solved() == expected
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-3])
