@@ -262,8 +262,9 @@ def _cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
     report = verify_gap_window_growth(spec, args.period, args.m, args.k,
                                       args.E, args.delta)
-    # JSON writes a norm past float range as null, CSV as inf
-    rows = [[l, norm if args.format == "csv" else _finite(norm), bound,
+    # JSON writes a norm or bound past float range as null, CSV as inf
+    keep = float if args.format == "csv" else _finite
+    rows = [[l, keep(norm), keep(bound),
              "pass" if l not in report.violations else "fail"]
             for l, norm, bound in zip(report.l_values, report.norms, report.bounds)]
     _emit_table(args, ["l", "norm", "bound", "status"], rows, m=report.m, k=report.k,
@@ -274,6 +275,8 @@ def _cmd_verify(args) -> int:
 def _verify_random(args) -> int:
     import numpy as np
 
+    if args.random < 1:
+        raise ValueError(f"--random needs at least one window, got {args.random}")
     rng = np.random.default_rng(args.seed)
     rows = []
     all_pass = True

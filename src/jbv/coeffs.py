@@ -27,7 +27,6 @@ int or real, never a bool or a string (`as_int`, `as_real`).
 from __future__ import annotations
 
 import json
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass

@@ -27,7 +27,7 @@ from .coeffs import (CoefficientSpec, as_int, as_real, check_params,
                      coefficient_arrays, params_errors, staircase_level_value,
                      staircase_tables)
 from .periodic import comb_potential, gap_report
-from .transfer import SCAN_MIN, GrowthScanner, log_norm2, transfer_scan
+from .transfer import GrowthScanner, log_norm2, transfer_scan
 
 __all__ = [
     "Schedule", "build_schedule", "slow_cosine_spec", "staircase_comb_spec",
@@ -283,29 +283,21 @@ def _empirical_step(q: int, level: int, v: float, w_l: float, lanes: _Lanes,
     """Extend one staircase step until the prefix-sum statistic of the actual
     transfer products clears level * n log^2 n at every shifted gap center.
 
-    The step's `count` energies leave `lanes` as scanners at n0 and read
-    ahead in runs; the window found is then multiplied onto the lanes of the
-    steps still to come."""
+    The step's `count` energies leave `lanes` as scanners at n0, which are fed
+    one index at a time; the window found is then multiplied onto the lanes
+    of the steps still to come."""
     scanners = lanes.take(count)
     window: list[float] = []
-    while n0 + len(window) < cap:
-        lo = n0 + len(window) + 1
-        # read ahead as far as the window has come, at least the shortest
-        # window, and below SCAN_MIN, so that the run takes the per-step
-        # loop that `feed` takes
-        ahead = min(max(len(window), 5), SCAN_MIN - 1)
-        run = [v + (w_l if n % q == 0 else 0.0)
-               for n in range(lo, min(lo + ahead, cap + 1))]
-        stats = [sc.feed_arrays([1.0] * len(run), run) for sc in scanners]
-        for i, n in enumerate(range(lo, lo + len(run))):
-            if n < n0 + 5:
-                continue
+    for n in range(n0 + 1, cap + 1):
+        b_n = v + (w_l if n % q == 0 else 0.0)
+        window.append(b_n)
+        for sc in scanners:
+            sc.feed(1.0, b_n)
+        if n >= n0 + 5:
             thr = _threshold_log(level, growth_margin, n)
-            if all(s[i] >= thr for s in stats):
-                window += run[:i + 1]
+            if all(sc.statistic_log >= thr for sc in scanners):
                 lanes.feed(window)
                 return n
-        window += run
     return None
 
 

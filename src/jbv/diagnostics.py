@@ -8,6 +8,7 @@ many energies can never certify an almost-everywhere statement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +71,16 @@ def growth_statistic(spec: CoefficientSpec, x: float, N: int,
 
 def gap_growth_lower_bound(delta: float, l: int) -> float:
     """(1/2) delta^2 (1 + delta^2)^{(l-3)/2}: guaranteed norm growth after l
-    steps across a window whose local spectrum misses (E-delta, E+delta)."""
+    steps across a window whose local spectrum misses (E-delta, E+delta);
+    inf past float range."""
     if not delta > 0:
         raise ValueError("gap radius must be positive")
     if l < 4:
         raise ValueError("bound is stated for l >= 4")
-    return 0.5 * delta * delta * (1.0 + delta * delta) ** (0.5 * (l - 3))
+    try:
+        return 0.5 * delta * delta * (1.0 + delta * delta) ** (0.5 * (l - 3))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,10 @@ def verify_gap_window_growth(spec: CoefficientSpec, q: int, m: int, k: int,
         norms = np.exp(log_norms[4:]).tolist()
     l_values = list(range(4, k - m + 1))
     bounds = [gap_growth_lower_bound(delta, l) for l in l_values]
-    violations = [l for l, norm, bound in zip(l_values, norms, bounds)
-                  if norm < bound * (1.0 - 1e-12)]
+    # decided in log space, where neither side leaves float range
+    log_bounds = (math.log(0.5 * delta * delta) + math.log1p(-1e-12)
+                  + 0.5 * (np.arange(4, k - m + 1) - 3) * math.log1p(delta * delta))
+    violations = [l for l, low in zip(l_values, log_norms[4:] < log_bounds) if low]
     return GapWindowReport(m, k, E, delta, tuple(l_values), tuple(norms),
                            tuple(bounds), tuple(violations))
 

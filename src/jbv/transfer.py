@@ -20,9 +20,9 @@ products, all lanes in one matmul; (3) on request, one broadcast multiply
 of each in-block prefix by its block's normalised entry product gives the
 product after every step.  A product whose largest entry passes
 RESCALE_LIMIT (1e100) is divided by a power of two, which is exact.
-`GrowthScanner` feeds runs of SCAN_MIN (256) steps or more through the
-kernel and shorter runs step by step; fed one step at a time it is the
-sequential reference.
+`GrowthScanner.feed` takes one step in Python floats and is the sequential
+reference; `GrowthScanner.feed_arrays` sends a run of any length through
+the kernel.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
 
 CHUNK = 32768  # steps per kernel call at one energy
 LANE_CHUNK = 8192  # steps times lanes per kernel call on an energy axis
-SCAN_MIN = 256  # GrowthScanner.feed_arrays runs shorter than this go step by step
 _LN2 = math.log(2.0)
 
 
@@ -265,74 +264,48 @@ class GrowthScanner:
         self.running_max_log = -math.inf
 
     def feed(self, a: float, b: float) -> None:
-        self.feed_arrays([a], [b])
-
-    def feed_arrays(self, avals, bvals):
-        """Feed coefficients in index order: runs shorter than SCAN_MIN step
-        by step, longer ones through `transfer_scan`.  Returns the log
-        statistic after each step (-inf while n < 2), a list for a short
-        run and an array for a long one."""
-        if len(avals) >= SCAN_MIN:
-            return self._feed_scan(np.asarray(avals, np.float64),
-                                   np.asarray(bvals, np.float64))
-        if isinstance(avals, np.ndarray):
-            avals, bvals = avals.tolist(), bvals.tolist()
-        x = self.x
+        """Take one step in Python floats: the sequential reference."""
         t11, t12, t21, t22 = self.t11, self.t12, self.t21, self.t22
-        ls = self.log_scale
-        log_sum = self.log_sum
-        run_max = self.running_max_log
-        n = self.n
-        log = math.log
-        hypot = math.hypot
-        stats = []
-        stat = -math.inf
-        for i in range(len(avals)):
-            ai = avals[i]
-            p = (x - bvals[i]) / ai
-            qv = -1.0 / ai
-            r11 = p * t11 + qv * t21
-            r12 = p * t12 + qv * t22
-            t21 = ai * t11
-            t22 = ai * t12
-            t11, t12 = r11, r12
-            m = max(abs(t11), abs(t12), abs(t21), abs(t22))
-            if m > RESCALE_LIMIT:
-                inv = 1.0 / m
-                t11 *= inv
-                t12 *= inv
-                t21 *= inv
-                t22 *= inv
-                ls += log(m)
-            n += 1
-            # log of the squared operator norm, by the formula of
-            # Matrix2.op_norm
-            p = t11 * t11 + t12 * t12
-            s = t21 * t21 + t22 * t22
-            r = t11 * t21 + t12 * t22
-            term = log(0.5 * (p + s + hypot(p - s, 2.0 * r))) + 2.0 * ls
-            if log_sum == -math.inf:
-                log_sum = term
-            elif term <= log_sum:
-                log_sum += math.log1p(math.exp(term - log_sum))
-            else:
-                log_sum = term + math.log1p(math.exp(log_sum - term))
-            if n >= 2:
-                ln_n = log(n)
-                stat = log_sum - ln_n - 2.0 * log(ln_n)
-                if stat > run_max:
-                    run_max = stat
-            stats.append(stat)
+        p = (self.x - b) / a
+        qv = -1.0 / a
+        r11 = p * t11 + qv * t21
+        r12 = p * t12 + qv * t22
+        t21 = a * t11
+        t22 = a * t12
+        t11, t12 = r11, r12
+        m = max(abs(t11), abs(t12), abs(t21), abs(t22))
+        if m > RESCALE_LIMIT:
+            inv = 1.0 / m
+            t11 *= inv
+            t12 *= inv
+            t21 *= inv
+            t22 *= inv
+            self.log_scale += math.log(m)
         self.t11, self.t12, self.t21, self.t22 = t11, t12, t21, t22
-        self.log_scale = ls
-        self.log_sum = log_sum
-        self.running_max_log = run_max
-        self.n = n
-        return stats
+        self.n += 1
+        # log of the squared operator norm, by the formula of Matrix2.op_norm
+        p = t11 * t11 + t12 * t12
+        s = t21 * t21 + t22 * t22
+        r = t11 * t21 + t12 * t22
+        term = (math.log(0.5 * (p + s + math.hypot(p - s, 2.0 * r)))
+                + 2.0 * self.log_scale)
+        log_sum = self.log_sum
+        if log_sum == -math.inf:
+            self.log_sum = term
+        elif term <= log_sum:
+            self.log_sum = log_sum + math.log1p(math.exp(term - log_sum))
+        else:
+            self.log_sum = term + math.log1p(math.exp(log_sum - term))
+        if self.n >= 2:
+            self.running_max_log = max(self.running_max_log, self.statistic_log)
 
-    def _feed_scan(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def feed_arrays(self, avals, bvals) -> np.ndarray:
+        """Feed a run of coefficients in index order through `transfer_scan`.
+        Returns the log statistic after each step (-inf while n < 2), an
+        empty array for an empty run."""
+        a, b = np.asarray(avals, np.float64), np.asarray(bvals, np.float64)
         start = np.array([[self.t11, self.t12], [self.t21, self.t22]])
-        log_scale, stats = self.log_scale, []
+        log_scale, stats = self.log_scale, [np.empty(0)]
         for scan in transfer_scan(a, b, self.x, start, prefixes=True):
             terms = log_norm2(scan.prefix_t, scan.prefix_e) + 2.0 * log_scale
             sums = np.logaddexp.accumulate(np.append(self.log_sum, terms))[1:]
@@ -343,8 +316,8 @@ class GrowthScanner:
             self.log_sum = float(sums[-1])
             self.n += len(terms)
             stats.append(stat)
-        (self.t11, self.t12), (self.t21, self.t22) = scan.t.tolist()
-        self.log_scale = log_scale + int(scan.e) * _LN2
+            (self.t11, self.t12), (self.t21, self.t22) = scan.t.tolist()
+            self.log_scale = log_scale + int(scan.e) * _LN2
         return np.concatenate(stats)
 
     @property

@@ -417,6 +417,33 @@ def test_verify_json_writes_norms_past_float_range_as_null(tmp_path, capsys):
         None if r[1] == "inf" else float(r[1]) for r in rows]
 
 
+def test_verify_wide_gap_decides_bounds_past_float_range(tmp_path, capsys):
+    # the bound (1 + delta^2)^((l-3)/2) used to overflow in Python floats:
+    # exit 1, "numerical failure", and no rows
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps({"kind": "periodic",
+                             "params": {"q": 2, "a": [1, 1], "b": [0, 10]}}))
+    argv = ["verify", "--spec", str(p), "--period", "2", "--m", "1", "--k", "1000",
+            "--E", "5", "--delta", "4.9"]
+    code, csv_out, _ = run(capsys, *argv)
+    _, rows = read_csv(csv_out)
+    assert code == 0 and len(rows) == 996
+    assert all(r[3] == "pass" for r in rows)
+    assert [int(r[0]) for r in rows if r[2] == "inf"] == list(range(443, 1000))
+    code, json_out, _ = run(capsys, *argv, "--format", "json")
+    doc = strict_loads(json_out)
+    assert code == 0 and doc["passed"] and len(doc["rows"]) == 996
+    assert [r["bound"] for r in doc["rows"]] == [
+        None if r[2] == "inf" else float(r[2]) for r in rows]
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_random_needs_a_window(capsys, count):
+    code, out, err = run(capsys, "verify", "--random", count)
+    assert code == 2 and out == ""
+    assert "--random" in err
+
+
 @pytest.mark.parametrize("argv", [
     # x = -2.5 lies outside the band: f is None, an empty CSV cell
     ["density", "--q", "1", "--N", "0", "--grid=-2.5:1:4"],

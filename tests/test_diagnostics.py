@@ -63,6 +63,7 @@ def test_growth_statistic_trace_shape():
 def test_gap_bound_values():
     assert gap_growth_lower_bound(0.25, 5) == pytest.approx(0.033203125, abs=0)
     assert gap_growth_lower_bound(1.0, 4) == pytest.approx(math.sqrt(2) / 2, rel=1e-15)
+    assert gap_growth_lower_bound(4.9, 1000) == math.inf
 
 
 def test_gap_bound_monotonicity():

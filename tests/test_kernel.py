@@ -14,7 +14,7 @@ from jbv import (ApproximantSpec, GrowthScanner, Matrix2, OutsideBandError,
                  explicit_spec, free_spec, growth_statistic, one_step_matrix,
                  periodic_spec, slow_cosine_spec, staircase_comb_spec,
                  transfer_product)
-from jbv.transfer import CHUNK, LANE_CHUNK, SCAN_MIN, log_norm2, transfer_scan
+from jbv.transfer import CHUNK, LANE_CHUNK, log_norm2, transfer_scan
 from oracles import replayed_schedule_rows
 
 COSINE = slow_cosine_spec(0.5, 0.4)
@@ -141,7 +141,7 @@ def test_kernel_across_chunk_boundary():
 def test_operator_norms_of_nearly_orthogonal_products_match_mpmath():
     # the free spec at x = 1e-9 multiplies near-rotations, so every product
     # is nearly orthogonal: a 1 - r^2 form of the norm loses half the digits
-    # there.  The kernel, GrowthScanner's per-step loop and Matrix2.op_norm
+    # there.  The kernel, GrowthScanner.feed and Matrix2.op_norm
     # are each held to 1e-12 in log ||T_{1,n}||^2 and in the statistic.
     mpmath = pytest.importorskip("mpmath")
     x, n = 1e-9, 700
@@ -166,22 +166,27 @@ def test_operator_norms_of_nearly_orthogonal_products_match_mpmath():
     op_norms, _ = sequential_log_norms(a, b, x)
     assert np.max(np.abs(op_norms - ref)) <= 1e-12
     sc = GrowthScanner(x)
-    stats = [sc.feed_arrays([1.0], [0.0])[0] for _ in range(n)]
+    stats = []
+    for _ in range(n):
+        sc.feed(1.0, 0.0)
+        stats.append(sc.statistic_log if sc.n >= 2 else -math.inf)
     assert np.max(np.abs(np.array(stats[1:]) - ref_stat)) <= 1e-12
 
 
 def test_growth_scanner_long_runs_match_single_steps():
-    # runs of SCAN_MIN steps or more go through the kernel, shorter ones
-    # step by step; mixing them changes neither the scan nor the per-step
+    # runs of any length go through the kernel; fed one step at a time, the
+    # scanner is the sequential reference for the scan and for the per-step
     # statistics feed_arrays returns
     a, b = coefficient_arrays(COSINE, 1, 3001)
     for x in (0.3, -1.9, 2.6):
         ref = GrowthScanner(x)
-        want = [ref.feed_arrays([ai], [bi])[0]
-                for ai, bi in zip(a.tolist(), b.tolist())]
+        want = []
+        for ai, bi in zip(a.tolist(), b.tolist()):
+            ref.feed(ai, bi)
+            want.append(ref.statistic_log if ref.n >= 2 else -math.inf)
         sc = GrowthScanner(x)
         got = []
-        cuts = (0, 1, 1 + SCAN_MIN, 1200, 1205, 3000)
+        cuts = (0, 1, 257, 1200, 1205, 3000)
         for lo, hi in zip(cuts, cuts[1:]):
             got += list(sc.feed_arrays(a[lo:hi], b[lo:hi]))
         assert sc.n == ref.n == 3000
@@ -191,6 +196,17 @@ def test_growth_scanner_long_runs_match_single_steps():
             assert getattr(sc, attr) == pytest.approx(getattr(ref, attr),
                                                       rel=KERNEL_RTOL)
         assert_same_product(scanner_product(sc), scanner_product(ref))
+
+
+def test_growth_scanner_empty_run_changes_nothing():
+    sc = GrowthScanner(0.3)
+    sc.feed_arrays([1.0] * 3, [0.2, -0.1, 0.4])
+    before = (sc.n, sc.log_sum, sc.running_max_log, sc.t11, sc.t12, sc.t21,
+              sc.t22, sc.log_scale)
+    stats = sc.feed_arrays([], [])
+    assert stats.dtype == np.float64 and stats.shape == (0,)
+    assert (sc.n, sc.log_sum, sc.running_max_log, sc.t11, sc.t12, sc.t21,
+            sc.t22, sc.log_scale) == before
 
 
 # ---------------------------------------------------------------------------
