@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (CoefficientSpec, check_params, coefficient_arrays,
+from .coeffs import (CoefficientSpec, as_real, check_params, coefficient_arrays,
                      eval_coefficients, eventually_periodic_spec)
 from .errors import OutsideBandError, PoleOfMError
 from .transfer import (Diagonalization, QStepBlock, eigen_branch, q_step_block,
@@ -134,6 +134,7 @@ def ac_density(aspec: ApproximantSpec, x: float, s: int | None = None) -> float:
     At real x the s = -1 seed and solution are the exact conjugates of the
     s = +1 ones, so f(-1) = -f(+1) bit for bit and one solve decides both.
     """
+    x = as_real(x, "energy x")
     block_n = q_step_block(aspec.base, aspec.q, aspec.N, complex(x))
     if abs(block_n.Delta.real) >= 2.0 - 1e-9 or abs(block_n.Delta.imag) > 1e-9:
         raise OutsideBandError(

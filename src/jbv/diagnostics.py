@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientSpec, coefficient_arrays
+from .coeffs import CoefficientSpec, as_int, as_real, coefficient_arrays
 from .errors import PreconditionError
 from .periodic import PeriodicJacobi, band_structure
 # transfer_product stays bound here: perfbench/tracing.py wraps this name
@@ -50,6 +50,7 @@ def growth_statistic(spec: CoefficientSpec, x: float, N: int,
     """Scan T_{1,n}(x) up to n = N with scaled products; never overflows."""
     if N < 2:
         raise ValueError("need N >= 2")
+    x = as_real(x, "energy x")
     checkpoints = sorted(set(
         int(round(N ** (i / max(trace_points - 1, 1)))) for i in range(trace_points)
     ) | {N})
@@ -111,6 +112,7 @@ def verify_gap_window_growth(spec: CoefficientSpec, q: int, m: int, k: int,
     block's spectrum must avoid (E - delta, E + delta).  Then for every
     l in {4, ..., k - m} the norm ||T_{m, m+l}(E)|| must reach the bound.
     """
+    q, E = as_int(q, "period", 1), as_real(E, "energy E")
     if k - m < 4:
         raise PreconditionError("window-length: need k - m >= 4")
     a, b = coefficient_arrays(spec, m, k + 1)
@@ -200,6 +202,7 @@ def sturm_count(spec, size: int, x: float) -> int:
     """
     if size < 1:
         raise ValueError("truncation size must be >= 1")
+    x = as_real(x, "energy x")
     cspec = spec.as_spec() if hasattr(spec, "as_spec") else spec
     a, b = coefficient_arrays(cspec, 1, size + 1)
     a = a.tolist()

@@ -83,13 +83,19 @@ def one_step_matrix(a: float, b: float, z: complex) -> Matrix2:
     return Matrix2((z - b) / a, -1.0 / a, a, 0.0)
 
 
-def block_product(a, b, z: complex) -> Matrix2:
-    """Ordered one-step product over the pairs (a[i], b[i]) at z, the first
-    pair's step rightmost (it acts first)."""
-    m = Matrix2.identity()
+def block_product(a, b, z) -> tuple[Matrix2, Matrix2]:
+    """T = A_q ... A_1 over the pairs (a[i], b[i]) at z, the first pair's step
+    rightmost, and dT/dz.  A step ((p, -1/a), (a, 0)) has dp/dz = 1/a, so dT
+    becomes A dT + ((t11/a, t12/a), (0, 0)).  Plain entry arithmetic: z, a[i]
+    and b[i] may be numbers or numpy arrays; the a[i] must be checked > 0."""
+    t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
+    d11 = d12 = d21 = d22 = 0.0
     for ai, bi in zip(a, b):
-        m = one_step_matrix(ai, bi, z) @ m
-    return m
+        p, r = (z - bi) / ai, -1.0 / ai
+        d11, d12, d21, d22 = (p * d11 + r * d21 + t11 / ai,
+                              p * d12 + r * d22 + t12 / ai, ai * d11, ai * d12)
+        t11, t12, t21, t22 = p * t11 + r * t21, p * t12 + r * t22, ai * t11, ai * t12
+    return Matrix2(t11, t12, t21, t22), Matrix2(d11, d12, d21, d22)
 
 
 def _normalized(m: Matrix2, log_scale: float) -> "ScaledMatrix2":

@@ -69,12 +69,13 @@ class PeriodicJacobi:
             return PeriodicJacobi.of(doc["q"], doc["a"], doc["b"])
 
 
-def discriminant_value(P: PeriodicJacobi, z: complex) -> complex:
-    """Trace of the ordered one-step product over one period.
+def discriminant_value(P: PeriodicJacobi, z) -> complex:
+    """Trace of the ordered one-step product over one period, by the transfer
+    recursion; z may be a number or a numpy array of energies.
 
     Factors are applied from index 1 up to index q, index 1 rightmost.
     """
-    return block_product(P.a, P.b, z).trace()
+    return block_product(P.a, P.b, z)[0].trace()
 
 
 def _polymul(c1: list, c2: list) -> list:

@@ -39,7 +39,7 @@ import numpy as np
 from .coeffs import CoefficientSpec, coefficient_arrays, eval_coefficients  # noqa: F401
 from .errors import DegenerateBlockError, NonDiagonalizableFrameError
 from .matrix2 import RESCALE_LIMIT, Matrix2, ScaledMatrix2, block_product
-from .periodic import PeriodicJacobi, discriminant_polynomial
+from .periodic import PeriodicJacobi
 
 __all__ = [
     "QStepBlock", "Diagonalization", "CouplingSeries", "GrowthScanner", "Scan",
@@ -87,7 +87,7 @@ def q_step_block(spec: CoefficientSpec, q: int, m: int, z: complex) -> QStepBloc
     if q < 1 or m < 0:
         raise ValueError("need q >= 1 and m >= 0")
     a, b = coefficient_arrays(spec, m * q + 1, (m + 1) * q + 1)
-    return QStepBlock(m, block_product(a.tolist(), b.tolist(), z), z)
+    return QStepBlock(m, block_product(a.tolist(), b.tolist(), z)[0], z)
 
 
 class Scan(NamedTuple):
@@ -345,8 +345,8 @@ class GrowthScanner:
 _PRINCIPAL_EPS = 1e-12
 
 
-def _eigenvalue_pair(delta: complex, s: int) -> tuple[complex, complex]:
-    root = cmath.sqrt(4.0 - delta * delta)  # principal branch, sqrt(1) = 1
+def _eigenvalue_pair(delta: complex, s: int, sqrt=cmath.sqrt) -> tuple[complex, complex]:
+    root = sqrt(4.0 - delta * delta)  # principal branch, sqrt(1) = 1
     lam = 0.5 * (delta + 1j * s * root)
     lam_inv = 0.5 * (delta - 1j * s * root)
     return lam, lam_inv
@@ -390,9 +390,8 @@ def eigen_branch(block: QStepBlock, s: int) -> Diagonalization:
 
 def branch_sign_for_interval(P: PeriodicJacobi, lo: float, hi: float) -> int:
     """Branch sign from the derivative of the discriminant at the interval
-    midpoint: s = sign(-D'(mid))."""
-    dpoly = discriminant_polynomial(P).derivative()
-    slope = dpoly(0.5 * (lo + hi))
+    midpoint, D' = tr dT/dx from the transfer recursion: s = sign(-D'(mid))."""
+    slope = block_product(P.a, P.b, 0.5 * (lo + hi))[1].trace()
     if slope == 0.0:
         raise ValueError("discriminant derivative vanishes at the midpoint; "
                          "the interval straddles a critical point")
@@ -419,39 +418,28 @@ def strip_margins(P: PeriodicJacobi, lo: float, hi: float, y_max: float = 0.05,
 
     The constants these margins estimate are existential (they exist for some
     neighborhood of any closed band-interior interval but are not computable
-    in closed form), so this reports observed values over the sampled window:
+    in closed form), so this reports observed values over the sampled window
+    x_i = lo + (hi - lo) i / (nx - 1), y_j = y_max j / ny:
 
       trace_margin        min of 2 - |Delta|
       slope_margin        min of -s Re Delta', with s from the midpoint rule
       c_lower / c_upper   min of t Re C and max of |C|, t = sign of Re C
       contraction_slope   min of (1 - |lam|)/y over y > 0, contracting branch
     """
+    if nx < 2 or ny < 1:
+        raise ValueError(f"need nx >= 2 and ny >= 1, got nx={nx}, ny={ny}")
     s = branch_sign_for_interval(P, lo, hi)
-    spec = P.as_spec()
-    dpoly = discriminant_polynomial(P).derivative()
-    mid_block = q_step_block(spec, P.q, 0, complex(0.5 * (lo + hi)))
-    t = 1 if mid_block.C.real >= 0 else -1
-    trace_margin = math.inf
-    slope_margin = math.inf
-    c_lower, c_upper = math.inf, 0.0
-    contraction = math.inf
-    for i in range(nx):
-        x = lo + (hi - lo) * i / (nx - 1)
-        for j in range(ny + 1):
-            y = y_max * j / ny
-            blk = q_step_block(spec, P.q, 0, complex(x, y))
-            delta = complex(blk.Delta)
-            trace_margin = min(trace_margin, 2.0 - abs(delta))
-            slope_margin = min(slope_margin, -s * complex(dpoly(complex(x, y))).real)
-            c_lower = min(c_lower, t * blk.C.real)
-            c_upper = max(c_upper, abs(blk.C))
-            if y > 0.0:
-                lam, lam_inv = _eigenvalue_pair(delta, s)
-                lam_c = lam if abs(lam) <= abs(lam_inv) else lam_inv
-                contraction = min(contraction, (1.0 - abs(lam_c)) / y)
-    return {"s": s, "t": t, "trace_margin": trace_margin,
-            "slope_margin": slope_margin, "c_lower": c_lower,
-            "c_upper": c_upper, "contraction_slope": contraction}
+    t = 1 if block_product(P.a, P.b, 0.5 * (lo + hi))[0].e21 >= 0 else -1
+    x = lo + (hi - lo) * np.arange(nx) / (nx - 1)
+    y = y_max * np.arange(ny + 1) / ny
+    T, dT = block_product(P.a, P.b, np.add.outer(x, 1j * y))
+    delta, c, up = T.trace(), T.e21, y > 0.0
+    lam, lam_inv = _eigenvalue_pair(delta[:, up], s, np.sqrt)
+    lam_c = np.minimum(np.abs(lam), np.abs(lam_inv))
+    return {"s": s, "t": t, "trace_margin": float(np.min(2.0 - np.abs(delta))),
+            "slope_margin": float(np.min(-s * dT.trace().real)),
+            "c_lower": float(np.min(t * c.real)), "c_upper": float(np.max(np.abs(c))),
+            "contraction_slope": float(np.min((1.0 - lam_c) / y[up], initial=np.inf))}
 
 
 @dataclass(frozen=True)
@@ -475,9 +463,8 @@ def coupling_series(spec: CoefficientSpec, q: int, z: complex,
         raise ValueError("m_range must be nonempty")
     try:
         frames = {}
-        for m in list(m_range) + [m_range[-1] + 1]:
-            if m not in frames:
-                frames[m] = eigen_branch(q_step_block(spec, q, m, z), s)
+        for m in sorted({n + d for n in m_range for d in (0, 1)}):
+            frames[m] = eigen_branch(q_step_block(spec, q, m, z), s)
     except (DegenerateBlockError, NonDiagonalizableFrameError) as exc:
         raise type(exc)(f"at block m={m}: {exc}") from exc
     identity = Matrix2.identity()

@@ -533,6 +533,23 @@ def test_non_finite_numeric_flags_exit_2(tmp_path, capsys, flags):
     assert "not a finite number" in err or "finite bounds" in err
 
 
+@pytest.mark.parametrize("period", ["0", "-1"])
+@pytest.mark.parametrize("flags", [
+    ["verify", "--m", "1", "--k", "10", "--E", "0.25", "--delta", "0.1"],
+    ["diagnose", "--x", "0.25", "--N", "50", "--verify-gap", "1,10,0.25,0.1"],
+])
+def test_period_below_one_exits_2(tmp_path, capsys, flags, period):
+    # period 0 used to end in an IndexError traceback (exit 1), and -1 in a
+    # message about window periodicity
+    comb = tmp_path / "comb.json"
+    comb.write_text(json.dumps({"kind": "periodic", "params": {
+        "q": 2, "a": [1.0, 1.0], "b": [0.0, 0.5]}}))
+    code, out, err = run(capsys, flags[0], "--spec", str(comb), *flags[1:],
+                         "--period", period)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "period must be an integer >= 1" in err
+
+
 @pytest.mark.parametrize("command, doc", [
     ("bands --file", {"q": 2, "a": [1.0, 1.0]}),
     ("intersect --family", {"q": 2}),

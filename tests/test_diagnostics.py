@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from jbv import (PreconditionError, ac_interval_estimate, band_structure,
+from jbv import (ApproximantSpec, PreconditionError, ac_density,
+                 ac_interval_estimate, band_structure,
                  build_schedule, coefficient_arrays, comb_potential,
                  constant_spec, explicit_spec, free_spec,
                  gap_growth_lower_bound, gap_report, growth_statistic,
@@ -134,6 +135,31 @@ def test_gap_window_randomized():
         m = int(rng.integers(1, 20))
         k = m + int(rng.integers(8, 40))
         assert verify_gap_window_growth(comb.as_spec(), q, m, k, e, delta).passed
+
+
+_COMB = comb_potential(2, 0.5).as_spec()
+ENERGY_ENTRY_POINTS = {
+    "verify_gap_window_growth":
+        lambda e: verify_gap_window_growth(_COMB, 2, 1, 40, e, 0.12),
+    "growth_statistic": lambda e: growth_statistic(_COMB, e, 100),
+    "ac_density": lambda e: ac_density(ApproximantSpec(_COMB, 2, 3), e),
+    "sturm_count": lambda e: sturm_count(_COMB, 50, e),
+}
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(ENERGY_ENTRY_POINTS))
+def test_non_finite_energy_is_rejected(entry, energy):
+    # NaN used to give a passed report with NaN norms, a NaN statistic, a NaN
+    # density and a count of 0
+    with pytest.raises(ValueError, match=r"energy \w must be finite"):
+        ENERGY_ENTRY_POINTS[entry](energy)
+
+
+@pytest.mark.parametrize("period", [0, -1])
+def test_gap_window_rejects_a_period_below_one(period):
+    with pytest.raises(ValueError, match="period must be an integer >= 1"):
+        verify_gap_window_growth(_COMB, period, 1, 40, 0.25, 0.12)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,22 @@ def test_coupling_reports_offending_block():
         coupling_series(spec, 1, 2.0 + 0.0j, range(0, 3), +1)
 
 
+@pytest.mark.parametrize("m_range", [range(10, 20, 2), range(20, 10, -1)])
+def test_coupling_on_stepped_and_descending_ranges(m_range):
+    # a stepped or descending range used to fail with a bare KeyError
+    spec = slow_cosine_spec(0.5, 0.4)
+    step1 = coupling_series(spec, 1, 0.3 + 0.0j, range(0, 25), +1)
+    cs = coupling_series(spec, 1, 0.3 + 0.0j, m_range, +1)
+    assert cs.m_start == m_range[0] and len(cs.W) == len(m_range)
+    for w, m in zip(cs.W, m_range):
+        assert w == step1.W[m]
+
+
+def test_coupling_names_degenerate_block_on_a_descending_range():
+    with pytest.raises(DegenerateBlockError, match="at block m=2:"):
+        coupling_series(free_spec(), 1, 2.0 + 0.0j, range(4, 0, -2), +1)
+
+
 def test_crude_growth_bound_staircase_class():
     # a = 1 and |b| <= 3 give ||one step|| <= 10, so log ||T_{1,n}|| <= n log 10
     from jbv import build_schedule, staircase_comb_spec
