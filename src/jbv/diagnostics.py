@@ -48,9 +48,7 @@ class GrowthStatistic:
 def growth_statistic(spec: CoefficientSpec, x: float, N: int,
                      trace_points: int = 32) -> GrowthStatistic:
     """Scan T_{1,n}(x) up to n = N with scaled products; never overflows."""
-    if N < 2:
-        raise ValueError("need N >= 2")
-    x = as_real(x, "energy x")
+    N, x = as_int(N, "N", 2), as_real(x, "energy x")
     checkpoints = sorted(set(
         int(round(N ** (i / max(trace_points - 1, 1)))) for i in range(trace_points)
     ) | {N})
@@ -113,6 +111,7 @@ def verify_gap_window_growth(spec: CoefficientSpec, q: int, m: int, k: int,
     l in {4, ..., k - m} the norm ||T_{m, m+l}(E)|| must reach the bound.
     """
     q, E = as_int(q, "period", 1), as_real(E, "energy E")
+    m, k = as_int(m, "window start m", 1), as_int(k, "window end k")
     if k - m < 4:
         raise PreconditionError("window-length: need k - m >= 4")
     a, b = coefficient_arrays(spec, m, k + 1)
@@ -174,8 +173,7 @@ def ac_interval_estimate(spec: CoefficientSpec, horizon: int) -> AcIntervalEstim
     The traces let a caller judge convergence; `stabilized` compares the last
     four windows against the final one at threshold 1e-3.
     """
-    if horizon < 16:
-        raise ValueError("horizon too short to form tail windows")
+    horizon = as_int(horizon, "horizon", 16)  # eight tail windows of two or more
     wlen = horizon // 8
     lower_trace, upper_trace = [], []
     for i in range(8):
@@ -200,9 +198,7 @@ def sturm_count(spec, size: int, x: float) -> int:
     recurrence, with the standard tiny-pivot perturbation so the recurrence
     never divides by zero.  Accepts a coefficient spec or an approximant.
     """
-    if size < 1:
-        raise ValueError("truncation size must be >= 1")
-    x = as_real(x, "energy x")
+    size, x = as_int(size, "truncation size", 1), as_real(x, "energy x")
     cspec = spec.as_spec() if hasattr(spec, "as_spec") else spec
     a, b = coefficient_arrays(cspec, 1, size + 1)
     a = a.tolist()
@@ -210,13 +206,8 @@ def sturm_count(spec, size: int, x: float) -> int:
     amax = max(a[:-1], default=1.0) if size > 1 else 1.0
     pivmin = 1e-300 * max(1.0, amax * amax)
     count = 0
-    d = b[0] - x
-    if abs(d) <= pivmin:
-        d = -pivmin
-    if d < 0.0:
-        count += 1
-    for i in range(1, size):
-        d = (b[i] - x) - (a[i - 1] * a[i - 1]) / d
+    for i in range(size):
+        d = (b[i] - x) - (a[i - 1] * a[i - 1] / d if i else 0.0)
         if abs(d) <= pivmin:
             d = -pivmin
         if d < 0.0:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # raw entry magnitude at which a product switches to the scaled representation
 RESCALE_LIMIT = 1e100
 
@@ -62,12 +64,13 @@ class Matrix2:
         s_max^2 = (p + s + hypot(p - s, 2|r|)) / 2, p and s the squared row
         norms, r the rows' inner product: a sum of nonnegative terms, so a
         nearly orthogonal matrix loses no digits to cancellation; finite for
-        entries up to about 1e150.
+        entries up to about 1e150; numpy array entries give an array of norms.
         """
         p = abs(self.e11) ** 2 + abs(self.e12) ** 2
         s = abs(self.e21) ** 2 + abs(self.e22) ** 2
         r = self.e11 * self.e21.conjugate() + self.e12 * self.e22.conjugate()
-        return math.sqrt(0.5 * (p + s + math.hypot(p - s, 2.0 * abs(r))))
+        xp = np if isinstance(p, np.ndarray) else math
+        return xp.sqrt(0.5 * (p + s + xp.hypot(p - s, 2.0 * abs(r))))
 
     def is_real(self, tol: float = 0.0) -> bool:
         return max(abs(complex(e).imag) for e in self.entries()) <= tol

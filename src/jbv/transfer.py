@@ -36,7 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 # eval_coefficients stays bound here: perfbench/tracing.py wraps this name
-from .coeffs import CoefficientSpec, coefficient_arrays, eval_coefficients  # noqa: F401
+from .coeffs import (CoefficientSpec, as_int, coefficient_arrays,  # noqa: F401
+                     eval_coefficients)
 from .errors import DegenerateBlockError, NonDiagonalizableFrameError
 from .matrix2 import RESCALE_LIMIT, Matrix2, ScaledMatrix2, block_product
 from .periodic import PeriodicJacobi
@@ -84,8 +85,7 @@ class QStepBlock:
 
 def q_step_block(spec: CoefficientSpec, q: int, m: int, z: complex) -> QStepBlock:
     """Transfer block over coefficient indices mq+1 .. (m+1)q."""
-    if q < 1 or m < 0:
-        raise ValueError("need q >= 1 and m >= 0")
+    q, m = as_int(q, "q", 1), as_int(m, "m", 0)
     a, b = coefficient_arrays(spec, m * q + 1, (m + 1) * q + 1)
     return QStepBlock(m, block_product(a.tolist(), b.tolist(), z)[0], z)
 
@@ -347,9 +347,7 @@ _PRINCIPAL_EPS = 1e-12
 
 def _eigenvalue_pair(delta: complex, s: int, sqrt=cmath.sqrt) -> tuple[complex, complex]:
     root = sqrt(4.0 - delta * delta)  # principal branch, sqrt(1) = 1
-    lam = 0.5 * (delta + 1j * s * root)
-    lam_inv = 0.5 * (delta - 1j * s * root)
-    return lam, lam_inv
+    return 0.5 * (delta + 1j * s * root), 0.5 * (delta - 1j * s * root)
 
 
 @dataclass(frozen=True)
@@ -363,6 +361,28 @@ class Diagonalization:
     s: int
 
 
+def _eigenframe(m, delta, c, d, s: int, sqrt=cmath.sqrt):
+    """`eigen_branch`'s (lam, 1/lam, U, U^{-1}) for blocks m from their trace
+    and lower row (c, d).  On a block axis (arrays, sqrt=np.sqrt) the lowest
+    failing block raises, with "at block m=...: " in front of the message."""
+    if s not in (1, -1):
+        raise ValueError("branch sign must be +1 or -1")
+    collapsed = (abs(delta - 2.0) < _PRINCIPAL_EPS) | (abs(delta + 2.0) < _PRINCIPAL_EPS)
+    bad = np.flatnonzero(collapsed | (abs(c) < 1e-14))
+    if len(bad):
+        k, delta_k, c_k = (np.ravel(v)[bad[0]] for v in (m, delta, c))
+        at = f"at block m={k}: " if np.ndim(m) else ""
+        if np.ravel(collapsed)[bad[0]]:
+            raise DegenerateBlockError(
+                f"{at}block {k}: |Delta| = {abs(delta_k)} is at 2, eigenvalues collapse")
+        raise NonDiagonalizableFrameError(
+            f"{at}block {k}: C = {complex(c_k)} vanishes, eigenvector frame singular")
+    lam, lam_inv = _eigenvalue_pair(delta, s, sqrt)
+    pref = 1.0 / ((lam - lam_inv) * c)
+    return (lam, lam_inv, Matrix2(lam - d, lam_inv - d, c, c),
+            Matrix2(pref * c, pref * (d - lam_inv), -pref * c, pref * (lam - d)))
+
+
 def eigen_branch(block: QStepBlock, s: int) -> Diagonalization:
     """Diagonalize a nondegenerate block with the branch selected by s.
 
@@ -370,22 +390,8 @@ def eigen_branch(block: QStepBlock, s: int) -> Diagonalization:
     square root; its partner is the algebraic reciprocal.  The eigenvector
     frame uses the block's lower row, which needs C != 0.
     """
-    if s not in (1, -1):
-        raise ValueError("branch sign must be +1 or -1")
-    delta = complex(block.Delta)
-    if abs(delta - 2.0) < _PRINCIPAL_EPS or abs(delta + 2.0) < _PRINCIPAL_EPS:
-        raise DegenerateBlockError(
-            f"block {block.m}: |Delta| = {abs(delta)} is at 2, eigenvalues collapse")
-    c = complex(block.C)
-    if abs(c) < 1e-14:
-        raise NonDiagonalizableFrameError(
-            f"block {block.m}: C = {c} vanishes, eigenvector frame singular")
-    lam, lam_inv = _eigenvalue_pair(delta, s)
-    d = complex(block.D)
-    u = Matrix2(lam - d, lam_inv - d, c, c)
-    pref = 1.0 / ((lam - lam_inv) * c)
-    u_inv = Matrix2(pref * c, pref * (d - lam_inv), -pref * c, pref * (lam - d))
-    return Diagonalization(lam, lam_inv, u, u_inv, s)
+    delta, c, d = complex(block.Delta), complex(block.C), complex(block.D)
+    return Diagonalization(*_eigenframe(block.m, delta, c, d, s), s)
 
 
 def branch_sign_for_interval(P: PeriodicJacobi, lo: float, hi: float) -> int:
@@ -399,13 +405,10 @@ def branch_sign_for_interval(P: PeriodicJacobi, lo: float, hi: float) -> int:
 
 
 def weyl_branch_sign(block: QStepBlock) -> int:
-    """The branch sign whose eigenvalue is contracting (|lam| < 1).
-
-    Defined off the real axis; on the real axis both branches are unimodular.
-    """
-    delta = complex(block.Delta)
-    lam_p, _ = _eigenvalue_pair(delta, +1)
-    lam_m, _ = _eigenvalue_pair(delta, -1)
+    """The branch sign whose eigenvalue is contracting (|lam| < 1), defined off
+    the real axis (on it both branches are unimodular); the s = -1 eigenvalue
+    is the s = +1 one's partner up to the sign of a zero."""
+    lam_p, lam_m = _eigenvalue_pair(complex(block.Delta), +1)
     if abs(abs(lam_p) - abs(lam_m)) < 1e-14:
         raise DegenerateBlockError("both eigenvalue branches are unimodular; "
                                    "no contracting branch at this energy")
@@ -416,10 +419,11 @@ def strip_margins(P: PeriodicJacobi, lo: float, hi: float, y_max: float = 0.05,
                   nx: int = 41, ny: int = 8) -> dict:
     """Empirical uniform margins over the strip [lo, hi] x [0, y_max].
 
-    The constants these margins estimate are existential (they exist for some
-    neighborhood of any closed band-interior interval but are not computable
-    in closed form), so this reports observed values over the sampled window
-    x_i = lo + (hi - lo) i / (nx - 1), y_j = y_max j / ny:
+    The constants these margins estimate exist for some neighborhood of any
+    closed band-interior interval but have no closed form, so this reports the
+    values seen at x_i = lo + (hi - lo) i / (nx - 1), y_j = y_max j / ny.  y_max
+    is absolute, not scaled to the band: a non-positive margin means that the
+    strip has left the band's neighborhood (a narrow band needs a smaller one).
 
       trace_margin        min of 2 - |Delta|
       slope_margin        min of -s Re Delta', with s from the midpoint rule
@@ -452,28 +456,30 @@ class CouplingSeries:
     partial_l2: tuple[float, ...]
 
     def block_entries(self, i: int) -> tuple[complex, complex, complex, complex]:
-        w = self.W[i]
-        return (w.e11, w.e12, w.e21, w.e22)
+        return self.W[i].entries()
 
 
 def coupling_series(spec: CoefficientSpec, q: int, z: complex,
                     m_range: range, s: int) -> CouplingSeries:
-    """W_m over m_range, with cumulative sums of ||W_m||^2 (operator norm)."""
+    """W_m over m_range with cumulative sums of ||W_m||^2 (operator norm), from
+    one `block_product` call on a block axis of the blocks m and m + 1 needed.
+    Memory: their coefficients and about 300 bytes a block, besides W."""
     if len(m_range) == 0:
         raise ValueError("m_range must be nonempty")
-    try:
-        frames = {}
-        for m in sorted({n + d for n in m_range for d in (0, 1)}):
-            frames[m] = eigen_branch(q_step_block(spec, q, m, z), s)
-    except (DegenerateBlockError, NonDiagonalizableFrameError) as exc:
-        raise type(exc)(f"at block m={m}: {exc}") from exc
-    identity = Matrix2.identity()
-    ws: list[Matrix2] = []
-    sums: list[float] = []
-    acc = 0.0
-    for m in m_range:
-        w = (frames[m].U_inv @ frames[m + 1].U) - identity
-        acc += w.op_norm() ** 2
-        ws.append(w)
-        sums.append(acc)
-    return CouplingSeries(m_range[0], tuple(ws), tuple(sums))
+    q, z = as_int(q, "q", 1), complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"energy z must be finite, got {z!r}")
+    as_int(min(m_range), "m", 0)
+    ms = np.arange(m_range.start, m_range.stop, m_range.step)
+    blocks = np.sort(np.concatenate((ms, ms + 1)))
+    blocks = blocks[np.diff(blocks, prepend=-1) > 0]  # each needed block once
+    runs = np.split(blocks, np.flatnonzero(np.diff(blocks) > 1) + 1)
+    a, b = (np.concatenate(c).reshape(len(blocks), q) for c in zip(*(
+        coefficient_arrays(spec, r[0] * q + 1, (r[-1] + 1) * q + 1) for r in runs)))
+    T = block_product(a.T, b.T, z)[0]
+    _, _, U, U_inv = _eigenframe(blocks, T.trace(), T.e21, T.e22, s, np.sqrt)
+    at = np.searchsorted(blocks, ms)
+    w = (Matrix2(*(e[at] for e in U_inv.entries()))
+         @ Matrix2(*(e[at + 1] for e in U.entries()))) - Matrix2.identity()
+    W = tuple(map(Matrix2, *(e.tolist() for e in w.entries())))
+    return CouplingSeries(m_range[0], W, tuple(np.cumsum(w.op_norm() ** 2).tolist()))

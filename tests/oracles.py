@@ -4,6 +4,7 @@ Each helper computes its quantity by a route disjoint from the library path it
 checks: interpolation instead of polynomial matrix products, dense banded
 solves instead of Weyl seeds, plain numpy products instead of scaled scans,
 a prefix replayed at every step instead of energy lanes carried forward,
+one block and one frame at a time instead of a block axis,
 every grid sample evaluated and scanned in Python instead of array passes,
 interval operands merged pairwise instead of one endpoint sweep.
 """
@@ -17,10 +18,11 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 from scipy.linalg import solve_banded
 
-from jbv import (GrowthScanner, Interval, IntervalUnion, PolynomialReal,
-                 coefficient_arrays, discriminant_value, spectral_bracket,
+from jbv import (CouplingSeries, GrowthScanner, Interval, IntervalUnion, Matrix2,
+                 PolynomialReal, coefficient_arrays, discriminant_value,
+                 eigen_branch, q_step_block, spectral_bracket,
                  staircase_level_value)
-from jbv.errors import RootIsolationError
+from jbv.errors import DegenerateBlockError, NonDiagonalizableFrameError, RootIsolationError
 from jbv.polynomial import bisect_root
 
 
@@ -109,6 +111,28 @@ def naive_product(spec, m: int, n: int, x: float) -> np.ndarray:
     for ai, bi in zip(a, b):
         t = np.array([[(x - bi) / ai, -1.0 / ai], [ai, 0.0]]) @ t
     return t
+
+
+def per_block_coupling_series(spec, q: int, z: complex, m_range: range,
+                              s: int) -> CouplingSeries:
+    """coupling_series one block at a time: a q_step_block and an eigen_branch
+    frame for every block m and m + 1, then W_m and a running float sum."""
+    if len(m_range) == 0:
+        raise ValueError("m_range must be nonempty")
+    try:
+        frames = {}
+        for m in sorted({n + d for n in m_range for d in (0, 1)}):
+            frames[m] = eigen_branch(q_step_block(spec, q, m, z), s)
+    except (DegenerateBlockError, NonDiagonalizableFrameError) as exc:
+        raise type(exc)(f"at block m={m}: {exc}") from exc
+    identity = Matrix2.identity()
+    ws, sums, acc = [], [], 0.0
+    for m in m_range:
+        w = (frames[m].U_inv @ frames[m + 1].U) - identity
+        acc += w.op_norm() ** 2
+        ws.append(w)
+        sums.append(acc)
+    return CouplingSeries(m_range[0], tuple(ws), tuple(sums))
 
 
 def chebu_sine(n: int, x: float) -> float:

@@ -162,6 +162,38 @@ def test_gap_window_rejects_a_period_below_one(period):
         verify_gap_window_growth(_COMB, period, 1, 40, 0.25, 0.12)
 
 
+INTEGER_ENTRY_POINTS = {
+    "growth_statistic N": (lambda v: growth_statistic(_COMB, 0.25, v), "N"),
+    "verify_gap_window_growth m":
+        (lambda v: verify_gap_window_growth(_COMB, 2, v, 40, 0.25, 0.12), "window start m"),
+    "verify_gap_window_growth k":
+        (lambda v: verify_gap_window_growth(_COMB, 2, 1, v, 0.25, 0.12), "window end k"),
+    "sturm_count size": (lambda v: sturm_count(_COMB, v, 0.25), "truncation size"),
+    "ac_interval_estimate horizon": (lambda v: ac_interval_estimate(_COMB, v), "horizon"),
+}
+
+
+@pytest.mark.parametrize("value", [100.5, 40.0, True, "40"])
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_integer_arguments_follow_the_integer_rule(entry, value):
+    # N = 100.5 and m = 1.5 used to fail deep in numpy or range() with a
+    # TypeError naming no argument; ac_interval_estimate took 100.5 and
+    # returned a float window length, sturm_count took True as size 1
+    call, name = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry, value", [("growth_statistic N", 1),
+                                          ("verify_gap_window_growth m", 0),
+                                          ("sturm_count size", 0),
+                                          ("ac_interval_estimate horizon", 15)])
+def test_integer_arguments_below_their_least_value(entry, value):
+    call, name = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {value + 1}"):
+        call(value)
+
+
 # ---------------------------------------------------------------------------
 # asymptotic interval bracket
 

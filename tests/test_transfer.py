@@ -6,10 +6,10 @@ import pytest
 from jbv import (DegenerateBlockError, Matrix2, NonDiagonalizableFrameError,
                  PeriodicJacobi, band_structure, branch_sign_for_interval,
                  comb_potential, constant_spec, coupling_series,
-                 discriminant_value, eigen_branch, free_spec, periodic_spec,
-                 q_step_block, slow_cosine_spec, transfer_product,
-                 weyl_branch_sign)
-from oracles import naive_product
+                 discriminant_value, eigen_branch, explicit_spec, free_spec,
+                 periodic_spec, q_step_block, slow_cosine_spec,
+                 transfer_product, weyl_branch_sign)
+from oracles import naive_product, per_block_coupling_series
 
 
 def test_block_free_q2_is_minus_identity():
@@ -233,6 +233,107 @@ def test_coupling_on_stepped_and_descending_ranges(m_range):
 def test_coupling_names_degenerate_block_on_a_descending_range():
     with pytest.raises(DegenerateBlockError, match="at block m=2:"):
         coupling_series(free_spec(), 1, 2.0 + 0.0j, range(4, 0, -2), +1)
+
+
+def _staircase_level2_case():
+    from jbv import build_schedule, staircase_comb_spec
+    sched = build_schedule(2, 0.5, levels=2, growth_margin=1.1,
+                           cap=10 ** 6, mode="empirical")
+    n_blocks = sched.horizon // sched.q
+    return (staircase_comb_spec(sched), sched.q, complex(1.2),
+            range(0, n_blocks - 1), -1)
+
+
+COUPLING_CASES = {
+    "cosine q=1 real": lambda: (slow_cosine_spec(0.5, 0.4), 1, 0.3, range(0, 3000), 1),
+    "cosine q=1 at 0": lambda: (slow_cosine_spec(0.5, 0.4), 1, 0.0, range(0, 3000), -1),
+    "cosine q=1 off axis": lambda: (slow_cosine_spec(0.5, 0.4), 1, 0.3 + 0.05j,
+                                    range(0, 3000), 1),
+    "cosine q=3 stepped": lambda: (slow_cosine_spec(0.5, 0.4), 3, 0.3,
+                                   range(5, 900, 3), -1),
+    "cosine q=3 stepped off axis": lambda: (slow_cosine_spec(0.5, 0.4), 3, 0.3 + 0.05j,
+                                            range(5, 900, 3), -1),
+    "staircase level 2": _staircase_level2_case,
+    "descending": lambda: (slow_cosine_spec(0.5, 0.4), 2, 0.7, range(400, 0, -1), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUPLING_CASES))
+def test_coupling_series_matches_the_per_block_reference(case):
+    spec, q, z, m_range, s = COUPLING_CASES[case]()
+    cs = coupling_series(spec, q, z, m_range, s)
+    ref = per_block_coupling_series(spec, q, z, m_range, s)
+    assert cs.m_start == ref.m_start and len(cs.W) == len(ref.W) == len(m_range)
+    assert isinstance(cs.W, tuple) and isinstance(cs.partial_l2, tuple)
+    assert all(type(w) is Matrix2 for w in cs.W)
+    assert all(type(e) is complex for w in cs.W for e in w.entries())
+    assert all(type(v) is float for v in cs.partial_l2)
+    if complex(z).imag == 0.0:
+        # the same operations in the same order: equal to the last bit
+        assert [repr(w) for w in cs.W] == [repr(w) for w in ref.W]
+    else:
+        # numpy's complex multiply and divide may round differently from
+        # Python's; bound each entry by the frames' conditioning
+        eps = np.finfo(float).eps
+        for m, w, w_ref in zip(m_range, cs.W, ref.W):
+            u_inv = eigen_branch(q_step_block(spec, q, m, z), s).U_inv
+            u = eigen_branch(q_step_block(spec, q, m + 1, z), s).U
+            tol = 64 * eps * (1.0 + u_inv.op_norm() * u.op_norm())
+            assert max(abs(x - y) for x, y in zip(w.entries(), w_ref.entries())) <= tol
+    np.testing.assert_allclose(cs.partial_l2, ref.partial_l2, rtol=1e-13, atol=0.0)
+
+
+def test_coupling_series_names_the_lowest_failing_block_like_the_reference():
+    # block 1 has C = 0 at z = 0 (singular frame only); block 2 is the free
+    # block, which both collapses (Delta = -2) and has C = 0
+    a = [1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    b = [0.5, 0.3, 0.0, 0.0, 0.0, 0.0, 0.2, 0.4, 0.1, 0.6]
+    spec = explicit_spec(a, b)
+    for m_range, kind, at in [(range(0, 3), NonDiagonalizableFrameError, "m=1:"),
+                              (range(2, 3), DegenerateBlockError, "m=2:"),
+                              (range(3, 0, -1), NonDiagonalizableFrameError, "m=1:")]:
+        with pytest.raises(kind, match=f"^at block {at}") as new:
+            coupling_series(spec, 2, 0.0, m_range, 1)
+        with pytest.raises(kind) as ref:
+            per_block_coupling_series(spec, 2, 0.0, m_range, 1)
+        assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((1, 0.3, range(-1, 3), 1), ValueError, "m must be an integer >= 0"),
+    ((1, 0.3, range(0, 3), 0), ValueError, "branch sign must be"),
+    ((1, 0.3, range(0), 1), ValueError, "m_range must be nonempty"),
+    ((0, 0.3, range(0, 3), 1), ValueError, "q must be an integer >= 1"),
+    ((1.5, 0.3, range(0, 3), 1), TypeError, "q must be an integer"),
+    ((1, math.nan, range(0, 3), 1), ValueError, "energy z must be finite"),
+    ((1, math.inf, range(0, 3), 1), ValueError, "energy z must be finite"),
+    ((1, complex(0.3, math.nan), range(0, 3), 1), ValueError, "energy z must be finite"),
+])
+def test_coupling_series_rejects_bad_arguments(args, error, message):
+    # a NaN energy used to give a series of NaN, and q = 1.5 a 2-step block
+    with pytest.raises(error, match=message):
+        coupling_series(slow_cosine_spec(0.5, 0.4), *args)
+
+
+@pytest.mark.parametrize("q, error", [(1.5, TypeError), (2.0, TypeError),
+                                      (True, TypeError), (0, ValueError)])
+def test_q_step_block_takes_q_by_the_integer_rule(q, error):
+    # q = 1.5 used to return a 2-step block without a word
+    with pytest.raises(error, match="q must be an integer"):
+        q_step_block(free_spec(), q, 0, 0.3)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
+def test_coupling_sums_converge_on_the_slow_cosine(x):
+    # the a.c. mechanism: ||W_m||^2 is summable inside the band.  Each
+    # decade of blocks adds less than 0.7 times what the one before added
+    # (measured 0.61-0.66), and the whole sum stays small
+    sums = coupling_series(slow_cosine_spec(0.5, 0.4), 1, x, range(0, 10 ** 5),
+                           1).partial_l2
+    at = [sums[10 ** k - 1] for k in (2, 3, 4, 5)]
+    steps = [hi - lo for lo, hi in zip(at, at[1:])]
+    assert all(0.0 < later < 0.7 * earlier for earlier, later in zip(steps, steps[1:]))
+    assert sums[-1] < 0.1
 
 
 def test_crude_growth_bound_staircase_class():
