@@ -240,8 +240,8 @@ def explicit_spec(a, b) -> CoefficientSpec:
 
 def eval_coefficients(spec: CoefficientSpec, n: int) -> tuple[float, float]:
     """The pair (a_n, b_n) of the rule at index n >= 1.  Pure and deterministic."""
-    n = as_int(n, "coefficient index")
-    a, b = coefficient_arrays(spec, n, n + 1)  # raises ValueError for n < 1
+    n = as_int(n, "coefficient index", 1)
+    a, b = coefficient_arrays(spec, n, n + 1)
     return (float(a[0]), float(b[0]))
 
 
@@ -269,18 +269,16 @@ def staircase_tables(sched: dict, lam: float):
 def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(a_n, b_n) as float arrays for n in [start, stop), start >= 1."""
-    if start < 1 or stop < start:
-        raise ValueError("need 1 <= start <= stop")
+    start = as_int(start, "start", 1)
+    stop = as_int(stop, "stop", start)
     n = np.arange(start, stop, dtype=np.int64)
+    p = spec.params
     if spec.kind == "constant":
-        p = spec.params
         return (np.full(n.shape, p["a"]), np.full(n.shape, p["b"]))
     if spec.kind == "periodic":
-        p = spec.params
         r = (n - 1) % p["q"]
         return (np.asarray(p["a"])[r], np.asarray(p["b"])[r])
     if spec.kind == "eventually_periodic":
-        p = spec.params
         q, N = p["q"], p["N"]
         m, r = np.divmod(n - 1, q)
         idx = np.minimum(m, N) * q + r  # 0-based index into the base prefix
@@ -288,10 +286,8 @@ def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int
         base_a, base_b = coefficient_arrays(p["base"], lo + 1, hi + 1)
         return (base_a[idx - lo], base_b[idx - lo])
     if spec.kind == "cosine_power":
-        p = spec.params
         return (np.ones(n.shape), p["lam"] * np.cos(n.astype(np.float64) ** p["gamma"]))
     if spec.kind == "staircase_comb":
-        p = spec.params
         rights, stair, wcomb = staircase_tables(p["schedule"], p["lam"])
         if stop - 1 > rights[-1]:
             raise HorizonError(
@@ -300,7 +296,6 @@ def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int
         b = stair[idx] + np.where(n % p["q"] == 0, wcomb[idx], 0.0)
         return (np.ones(n.shape), b)
     if spec.kind == "explicit":
-        p = spec.params
         if stop - 1 > len(p["a"]):
             raise HorizonError(
                 f"index {stop - 1} beyond explicit table of length {len(p['a'])}")

@@ -157,17 +157,18 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
 
     Per level l: w_l = 2^{-l}; delta_l and the gap centers come from the comb
     block with coupling w_l; m_l = max(2^l, ceil(4/delta_l)).  Within level l,
-    each step end n_{l,k+1} is the smallest index at which a growth functional
-    exceeds growth_margin * l * n * log^2 n:
+    each step end n_{l,k+1} is the smallest index n at which a growth quantity
+    reaches growth_margin * l * n * log^2 n.  With S_n = sum_{n'<=n} ||T_{1,n'}||^2:
 
-    * "analytic" mode uses the closed-form lower bound
-      10^{-2 n_{l,k}} * sum_j (1/4)(delta/4)^4 (1+(delta/4)^2)^{j - n_{l,k} - 4}
+    * "analytic" mode compares a closed-form lower bound on S_n itself,
+      10^{-2 n_{l,k}} * sum_j (1/4)(delta/4)^4 (1+(delta/4)^2)^{j - n_{l,k} - 4},
       whose 10^{-2n} prefactor makes step lengths blow up geometrically; the
       cap then truncates the schedule, which is reported, not an error.
 
-    * "empirical" mode scans actual transfer products of the sequence built so
-      far at the level's shifted gap-center energies, which yields desk-scale
-      schedules with the same certified growth.
+    * "empirical" mode compares the statistic S_n / (n log^2 n) of the actual
+      transfer products of the sequence built so far at the level's shifted
+      gap-center energies, a rule stronger than the analytic one by n log^2 n;
+      it yields desk-scale schedules.
     """
     q, levels = as_int(q, "q", 2), as_int(levels, "levels", 1)
     cap = as_int(cap, "cap", 16)
@@ -264,24 +265,24 @@ class _Lanes:
         return scanners
 
     def feed(self, b: list[float]) -> None:
-        """Multiply the run b_{n+1}, ..., b_{n+len(b)} (with a = 1) onto every
-        lane."""
-        if len(self.x):
-            for scan in transfer_scan(np.ones(len(b)), np.array(b), self.x,
-                                      self.t, prefixes=True):
-                terms = log_norm2(scan.prefix_t, scan.prefix_e + self.e)
-                top = terms.max(axis=0)
-                run = top + np.log(np.exp(terms - top).sum(axis=0))
-                self.log_sum = np.logaddexp(self.log_sum, run)
-            self.t, self.e = scan.t, self.e + scan.e
+        """Multiply the nonempty run b_{n+1}, ..., b_{n+len(b)} (with a = 1)
+        onto every lane, of which there may be none."""
+        for scan in transfer_scan(np.ones(len(b)), np.array(b), self.x, self.t,
+                                  prefixes=True):
+            terms = log_norm2(scan.prefix_t, scan.prefix_e + self.e)
+            top = terms.max(axis=0)
+            run = top + np.log(np.exp(terms - top).sum(axis=0))
+            self.log_sum = np.logaddexp(self.log_sum, run)
+        self.t, self.e = scan.t, self.e + scan.e
         self.n += len(b)
 
 
 def _empirical_step(q: int, level: int, v: float, w_l: float, lanes: _Lanes,
                     count: int, n0: int, growth_margin: float,
                     cap: int) -> int | None:
-    """Extend one staircase step until the prefix-sum statistic of the actual
-    transfer products clears level * n log^2 n at every shifted gap center.
+    """Extend one staircase step to the first n >= n0 + 5 at which the
+    statistic (1/(n log^2 n)) sum_{n'<=n} ||T_{1,n'}||^2 (`statistic_log`)
+    reaches growth_margin * level * n log^2 n at every shifted gap center.
 
     The step's `count` energies leave `lanes` as scanners at n0, which are fed
     one index at a time; the window found is then multiplied onto the lanes
@@ -303,31 +304,26 @@ def _empirical_step(q: int, level: int, v: float, w_l: float, lanes: _Lanes,
 
 def _analytic_step(level: int, delta: float, n0: int,
                    growth_margin: float, cap: int) -> int | None:
-    """Smallest n for which the closed-form growth bound clears
-    level * n log^2 n."""
+    """Smallest n <= cap at which the lower bound on the sum itself (see
+    `build_schedule`), with sum_{j=1}^{k} r^j = r (r^k - 1) / (r - 1) taken in
+    logs, reaches growth_margin * level * n log^2 n."""
     d4 = delta / 4.0
     log_r = math.log1p(d4 * d4)
-    log_pref = -2.0 * n0 * math.log(10.0) + math.log(0.25) + 4.0 * math.log(d4)
-    log_geo = -math.inf
-    n = n0 + 4
-    while True:
-        n += 1
-        if n > cap:
-            return None
-        term = (n - n0 - 4) * log_r
-        if log_geo == -math.inf:
-            log_geo = term
-        else:
-            log_geo = term + math.log1p(math.exp(log_geo - term))
-        if log_pref + log_geo >= _threshold_log(level, growth_margin, n):
+    log_pref = (-2.0 * n0 * math.log(10.0) + math.log(0.25) + 4.0 * math.log(d4)
+                + log_r - math.log(math.expm1(log_r)))
+    for n in range(n0 + 5, cap + 1):
+        k_log_r = (n - n0 - 4) * log_r
+        if (log_pref + k_log_r + math.log(-math.expm1(-k_log_r))
+                >= _threshold_log(level, growth_margin, n)):
             return n
+    return None
 
 
 def bv_energy(spec: CoefficientSpec, q: int, horizon: int) -> tuple[float, float]:
     """Partial sums sum |a_{n+q} - a_n|^2 and sum |b_{n+q} - b_n|^2 over
     n <= horizon - q."""
-    if horizon < q + 1:
-        raise ValueError("horizon must be at least q + 1")
+    q = as_int(q, "q", 1)
+    horizon = as_int(horizon, "horizon", q + 1)
     a, b = coefficient_arrays(spec, 1, horizon + 1)
     da = a[q:] - a[:-q]
     db = b[q:] - b[:-q]
@@ -346,7 +342,7 @@ def staircase_bv_breakdown(spec: CoefficientSpec, horizon: int | None = None) ->
     q, lam, sched = (spec.params[key] for key in ("q", "lam", "schedule"))
     rights, stair, wcomb = staircase_tables(sched, lam)
     last = sched["rows"][-1][-1]
-    horizon = last if horizon is None else min(horizon, last)
+    horizon = last if horizon is None else min(as_int(horizon, "horizon"), last)
     n = np.arange(1, horizon + 1)
     idx = np.searchsorted(rights, n, side="left")
     s_vals = stair[idx]

@@ -49,6 +49,7 @@ def growth_statistic(spec: CoefficientSpec, x: float, N: int,
                      trace_points: int = 32) -> GrowthStatistic:
     """Scan T_{1,n}(x) up to n = N with scaled products; never overflows."""
     N, x = as_int(N, "N", 2), as_real(x, "energy x")
+    trace_points = as_int(trace_points, "trace_points")
     checkpoints = sorted(set(
         int(round(N ** (i / max(trace_points - 1, 1)))) for i in range(trace_points)
     ) | {N})

@@ -7,6 +7,7 @@ unit-scale mantissa together with an accumulated natural-log scale factor.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -14,6 +15,20 @@ import numpy as np
 
 # raw entry magnitude at which a product switches to the scaled representation
 RESCALE_LIMIT = 1e100
+
+
+def _exp_saturating(x: float) -> float:
+    """exp(x), or inf where that leaves float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _finite_energy(z) -> None:
+    """ValueError unless the energy z, a number or a numpy array, is finite."""
+    if not (np.isfinite(z).all() if isinstance(z, np.ndarray) else cmath.isfinite(z)):
+        raise ValueError(f"energy z must be finite, got {z!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +105,9 @@ def block_product(a, b, z) -> tuple[Matrix2, Matrix2]:
     """T = A_q ... A_1 over the pairs (a[i], b[i]) at z, the first pair's step
     rightmost, and dT/dz.  A step ((p, -1/a), (a, 0)) has dp/dz = 1/a, so dT
     becomes A dT + ((t11/a, t12/a), (0, 0)).  Plain entry arithmetic: z, a[i]
-    and b[i] may be numbers or numpy arrays; the a[i] must be checked > 0."""
+    and b[i] may be numbers or numpy arrays; the a[i] must be checked > 0,
+    z must be finite (ValueError)."""
+    _finite_energy(z)
     t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
     d11 = d12 = d21 = d22 = 0.0
     for ai, bi in zip(a, b):
@@ -135,10 +152,7 @@ class ScaledMatrix2:
         return math.log(self.mantissa.op_norm()) + self.log_scale
 
     def op_norm(self) -> float:
-        try:
-            return math.exp(self.op_norm_log())
-        except OverflowError:
-            return math.inf
+        return _exp_saturating(self.op_norm_log())
 
     def log_abs_det(self) -> float:
         """log |det|; accurate while the mantissa's singular-value spread stays

@@ -130,16 +130,14 @@ def spectral_bracket(P: PeriodicJacobi) -> tuple[float, float]:
 
 def free_critical_points(q: int) -> list[float]:
     """Interior critical points 2 cos((q-j) pi / q), j = 1..q-1, increasing."""
-    if q < 1:
-        raise ValueError("period must be >= 1")
+    q = as_int(q, "period q", 1)
     return [2.0 * math.cos((q - j) * math.pi / q) for j in range(1, q)]
 
 
 def chebyshev_second_kind(n: int, x: float) -> float:
     """p_n(x) by the three-term recurrence p_0 = 1, p_1 = x,
     p_{n+1} = x p_n - p_{n-1}; p_n(2 cos t) = sin((n+1)t)/sin(t)."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
+    n = as_int(n, "degree n", 0)
     p_prev, p_cur = 1.0, x
     if n == 0:
         return p_prev

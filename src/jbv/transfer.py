@@ -36,10 +36,11 @@ from typing import NamedTuple
 import numpy as np
 
 # eval_coefficients stays bound here: perfbench/tracing.py wraps this name
-from .coeffs import (CoefficientSpec, as_int, coefficient_arrays,  # noqa: F401
-                     eval_coefficients)
+from .coeffs import (CoefficientSpec, as_int, as_real,  # noqa: F401
+                     coefficient_arrays, eval_coefficients)
 from .errors import DegenerateBlockError, NonDiagonalizableFrameError
-from .matrix2 import RESCALE_LIMIT, Matrix2, ScaledMatrix2, block_product
+from .matrix2 import (RESCALE_LIMIT, Matrix2, ScaledMatrix2, _exp_saturating,
+                      _finite_energy, block_product)
 from .periodic import PeriodicJacobi
 
 __all__ = [
@@ -135,19 +136,21 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: np.ndarray | None = No
     then multiplies the shared coefficient run onto every lane, each with
     its own product and rescaling, and start (if given) and every field of
     the Scan gain a trailing lane axis.  A call takes at most
-    LANE_CHUNK // E steps (CHUNK at one energy).
+    LANE_CHUNK // E steps (CHUNK at one energy); E may be 0.  Every energy
+    must be finite (ValueError).
     start defaults to the identity; a (2, 1) array carries a column.  With
     inverse=True each step is replaced by its inverse, so reversed arrays
     solve the recursion backwards.  With prefixes=True each Scan also holds
     the product after every step of its call.
     """
+    _finite_energy(z)
     if isinstance(z, np.ndarray) and z.ndim:
         if np.iscomplexobj(z) and not np.any(z.imag):
             z = z.real
         if start is None:
             start = np.broadcast_to(np.eye(2)[..., None], (2, 2) + z.shape)
         carry = Scan(start, np.zeros(z.shape, np.int64))
-        steps = max(1, LANE_CHUNK // z.size)
+        steps = LANE_CHUNK // max(1, z.size)
     else:
         z = complex(z)
         z = z.real if z.imag == 0.0 else z
@@ -158,6 +161,8 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: np.ndarray | None = No
         yield carry
 
 
+# np.moveaxis would do, but costs 5-7 us a call against 0.6-1.2 us for these
+# (shared 2-vCPU VM), and _scan_chunk makes three such calls
 def _matrix_last(t: np.ndarray) -> np.ndarray:
     """View with the two matrix axes moved from the front to the back."""
     return t.transpose(*range(2, t.ndim), 0, 1)
@@ -198,7 +203,7 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
         row1 = p[:, j] * t[0] + qv[:, j] * t[1]
         t[1] = r[:, j] * t[0]
         t[0] = row1
-        if np.abs(t).max() > RESCALE_LIMIT:
+        if np.abs(t).max(initial=0.0) > RESCALE_LIMIT:
             t, shift = _rescaled(t)
             e = e + shift
         if prefixes:
@@ -214,7 +219,7 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
     for k in range(blocks):
         entries.append((ct, ce))
         ct, ce = blk[k] @ ct, ce + e[k]
-        if np.abs(ct).max() > RESCALE_LIMIT:
+        if np.abs(ct).max(initial=0.0) > RESCALE_LIMIT:
             ct, shift = _rescaled(ct, axis=(-2, -1))
             ce = ce + shift
     ct = _matrix_first(ct)
@@ -227,8 +232,8 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
     et, shift = _rescaled(et, 0.0)
     ee = np.array([x for _, x in entries]) + shift
     pt = np.einsum("imks...,mck...->icks...", inner_t, et)
-    pt = pt.reshape(pt.shape[:2] + (-1,) + lane)[flip, :, :L]
-    pe = (inner_e + ee[:, None]).reshape((-1,) + lane)[:L]
+    pt = pt.reshape(pt.shape[:2] + (blocks * size,) + lane)[flip, :, :L]
+    pe = (inner_e + ee[:, None]).reshape((blocks * size,) + lane)[:L]
     return Scan(ct[flip], ce, pt, pe)
 
 
@@ -237,8 +242,8 @@ def transfer_product(spec: CoefficientSpec, m: int, n: int, x: complex) -> Scale
 
     Returned in the scaled representation, so log-norms never overflow.
     """
-    if not (1 <= m <= n):
-        raise ValueError("need 1 <= m <= n")
+    m = as_int(m, "m", 1)
+    n = as_int(n, "n", m)
     *_, scan = transfer_scan(*coefficient_arrays(spec, m, n + 1), x)
     return ScaledMatrix2(Matrix2(*scan.t.ravel().tolist()), scan.e * _LN2)
 
@@ -256,7 +261,7 @@ class GrowthScanner:
                  "log_sum", "running_max_log")
 
     def __init__(self, x: float) -> None:
-        self.x = float(x)
+        self.x = as_real(x, "energy x")
         self.n = 0
         self.t11, self.t12, self.t21, self.t22 = 1.0, 0.0, 0.0, 1.0
         self.log_scale = 0.0
@@ -289,13 +294,8 @@ class GrowthScanner:
         r = t11 * t21 + t12 * t22
         term = (math.log(0.5 * (p + s + math.hypot(p - s, 2.0 * r)))
                 + 2.0 * self.log_scale)
-        log_sum = self.log_sum
-        if log_sum == -math.inf:
-            self.log_sum = term
-        elif term <= log_sum:
-            self.log_sum = log_sum + math.log1p(math.exp(term - log_sum))
-        else:
-            self.log_sum = term + math.log1p(math.exp(log_sum - term))
+        lo, hi = (term, self.log_sum) if term <= self.log_sum else (self.log_sum, term)
+        self.log_sum = hi + math.log1p(math.exp(lo - hi))
         if self.n >= 2:
             self.running_max_log = max(self.running_max_log, self.statistic_log)
 
@@ -329,17 +329,11 @@ class GrowthScanner:
 
     @property
     def statistic(self) -> float:
-        try:
-            return math.exp(self.statistic_log)
-        except OverflowError:
-            return math.inf
+        return _exp_saturating(self.statistic_log)
 
     @property
     def running_max(self) -> float:
-        try:
-            return math.exp(self.running_max_log)
-        except OverflowError:
-            return math.inf
+        return _exp_saturating(self.running_max_log)
 
 
 _PRINCIPAL_EPS = 1e-12
@@ -430,6 +424,7 @@ def strip_margins(P: PeriodicJacobi, lo: float, hi: float, y_max: float = 0.05,
       c_lower / c_upper   min of t Re C and max of |C|, t = sign of Re C
       contraction_slope   min of (1 - |lam|)/y over y > 0, contracting branch
     """
+    nx, ny = as_int(nx, "nx"), as_int(ny, "ny")
     if nx < 2 or ny < 1:
         raise ValueError(f"need nx >= 2 and ny >= 1, got nx={nx}, ny={ny}")
     s = branch_sign_for_interval(P, lo, hi)
@@ -467,8 +462,6 @@ def coupling_series(spec: CoefficientSpec, q: int, z: complex,
     if len(m_range) == 0:
         raise ValueError("m_range must be nonempty")
     q, z = as_int(q, "q", 1), complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"energy z must be finite, got {z!r}")
     as_int(min(m_range), "m", 0)
     ms = np.arange(m_range.start, m_range.stop, m_range.step)
     blocks = np.sort(np.concatenate((ms, ms + 1)))

@@ -6,7 +6,8 @@ solves instead of Weyl seeds, plain numpy products instead of scaled scans,
 a prefix replayed at every step instead of energy lanes carried forward,
 one block and one frame at a time instead of a block axis,
 every grid sample evaluated and scanned in Python instead of array passes,
-interval operands merged pairwise instead of one endpoint sweep.
+interval operands merged pairwise instead of one endpoint sweep,
+a geometric sum carried term by term instead of in closed form.
 """
 
 from __future__ import annotations
@@ -207,6 +208,47 @@ def _replayed_step(q, level, v, w_l, centers, n0, b_prefix, growth_margin, cap):
         thr = _threshold_log(level, growth_margin, n)
         if all(sc.statistic_log >= thr for sc in scanners):
             return n, win_vals
+
+
+def running_sum_analytic_step(level, delta, n0, growth_margin, cap):
+    """The analytic step with its geometric sum carried term by term: a
+    running log-sum of r^j, j = 1, 2, ..., one term per index."""
+    d4 = delta / 4.0
+    log_r = math.log1p(d4 * d4)
+    log_pref = -2.0 * n0 * math.log(10.0) + math.log(0.25) + 4.0 * math.log(d4)
+    log_geo = -math.inf
+    n = n0 + 4
+    while True:
+        n += 1
+        if n > cap:
+            return None
+        term = (n - n0 - 4) * log_r
+        if log_geo == -math.inf:
+            log_geo = term
+        else:
+            log_geo = term + math.log1p(math.exp(log_geo - term))
+        if log_pref + log_geo >= _threshold_log(level, growth_margin, n):
+            return n
+
+
+def running_sum_analytic_rows(sched) -> tuple[tuple[int, ...], ...]:
+    """Breakpoint rows of an analytic schedule from its delta, m, margin and
+    cap, each step by `running_sum_analytic_step`."""
+    rows: list[tuple[int, ...]] = []
+    end = 0
+    for li in range(sched.levels):
+        row = [end]
+        for _ in range(sched.m[li]):
+            n_next = running_sum_analytic_step(li + 1, sched.delta[li], row[-1],
+                                               sched.margin, sched.cap)
+            if n_next is None:
+                if sched.cap > row[-1]:
+                    row.append(sched.cap)
+                return tuple(rows) + (tuple(row),)
+            row.append(n_next)
+        rows.append(tuple(row))
+        end = row[-1]
+    return tuple(rows)
 
 
 def scalar_band_edges(P, tol: float = 1e-10):

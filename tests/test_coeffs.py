@@ -278,3 +278,17 @@ def test_schedule_from_dict_keeps_a_valid_document():
     sched = Schedule.from_dict(SCHEDULE_DOC)
     assert sched.to_dict() == SCHEDULE_DOC
     assert type(sched.q) is int and type(sched.lam) is float
+
+
+@pytest.mark.parametrize("start, stop, error, message", [
+    (1.5, 4, TypeError, "^start must be an integer"),
+    (True, 4, TypeError, "^start must be an integer"),
+    (1, 4.0, TypeError, "^stop must be an integer"),
+    (0, 4, ValueError, "^start must be an integer >= 1"),
+    (3, 2, ValueError, "^stop must be an integer >= 3"),
+])
+def test_coefficient_arrays_takes_its_range_by_the_integer_rule(start, stop, error,
+                                                                message):
+    # coefficient_arrays(spec, 1.5, 4) used to return n = 1..3
+    with pytest.raises(error, match=message):
+        coefficient_arrays(free_spec(), start, stop)

@@ -7,6 +7,8 @@ from jbv import (HorizonError, Schedule, build_schedule, bv_energy,
                  coefficient_arrays, eval_coefficients, periodic_spec,
                  slow_cosine_spec, staircase_bv_breakdown, staircase_comb_spec,
                  staircase_level_value)
+from jbv.constructions import _analytic_step
+from oracles import running_sum_analytic_rows, running_sum_analytic_step
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +219,54 @@ def test_schedule_from_dict_checks_truncated_and_mode(small_schedule, change):
     # validate()
     with pytest.raises(ValueError, match=next(iter(change))):
         Schedule.from_dict({**small_schedule.to_dict(), **change})
+
+
+# ---------------------------------------------------------------------------
+# the analytic step's geometric sum in closed form
+
+@pytest.mark.parametrize("q, lam, levels, margin, cap", [
+    (2, 0.5, 1, 1.0, 2000), (3, 0.3, 2, 1.5, 2000), (4, 1.0, 3, 1.0, 10 ** 5),
+    (2, 1.5, 2, 1.5, 10 ** 5), (3, 1.0, 3, 1.5, 2000), (4, 0.3, 1, 1.0, 10 ** 5)])
+def test_analytic_rows_match_the_running_sum(q, lam, levels, margin, cap):
+    sched = build_schedule(q, lam, levels, margin, cap, mode="analytic")
+    assert sched.rows == running_sum_analytic_rows(sched)
+
+
+def test_analytic_step_matches_the_running_sum_on_random_draws():
+    rng = np.random.default_rng(15)
+    ended = 0
+    for _ in range(300):
+        args = (int(rng.integers(1, 6)), float(rng.uniform(0.05, 2.0)),
+                int(rng.integers(0, 30)), float(rng.uniform(1.0, 2.0)), 2000)
+        n = _analytic_step(*args)
+        assert n == running_sum_analytic_step(*args), args
+        ended += n is not None
+    assert 50 < ended < 250  # steps that end and steps that reach the cap
+
+
+STAIRCASE_SPEC = staircase_comb_spec(build_schedule(2, 0.5, levels=1))
+
+
+FREE = periodic_spec(1, [1.0], [0.0])
+INTEGER_CALLS = {
+    "bv_energy horizon=10.5": (lambda: bv_energy(FREE, 2, 10.5), "horizon"),
+    "bv_energy q=1.5": (lambda: bv_energy(FREE, 1.5, 10), "q"),
+    "staircase_bv_breakdown horizon=100.5":
+        (lambda: staircase_bv_breakdown(STAIRCASE_SPEC, 100.5), "horizon"),
+    "staircase_bv_breakdown horizon=True":
+        (lambda: staircase_bv_breakdown(STAIRCASE_SPEC, True), "horizon"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_CALLS))
+def test_variation_sums_take_integers_by_the_rule(case):
+    # horizon 10.5 used to run as 10, 100.5 as 100 and True as 1; q = 1.5
+    # failed in numpy slicing without naming q
+    call, name = INTEGER_CALLS[case]
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_bv_energy_needs_a_horizon_past_q():
+    with pytest.raises(ValueError, match="^horizon must be an integer >= 4"):
+        bv_energy(FREE, 3, 3)

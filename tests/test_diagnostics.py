@@ -194,6 +194,14 @@ def test_integer_arguments_below_their_least_value(entry, value):
         call(value)
 
 
+@pytest.mark.parametrize("value", [2.5, 8.0, True])
+def test_growth_statistic_takes_trace_points_by_the_integer_rule(value):
+    # trace_points = 2.5 used to fail in range() without naming the argument,
+    # and True ran as 1
+    with pytest.raises(TypeError, match="^trace_points must be an integer"):
+        growth_statistic(_COMB, 0.25, 100, trace_points=value)
+
+
 # ---------------------------------------------------------------------------
 # asymptotic interval bracket
 

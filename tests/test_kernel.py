@@ -14,6 +14,7 @@ from jbv import (ApproximantSpec, GrowthScanner, Matrix2, OutsideBandError,
                  explicit_spec, free_spec, growth_statistic, one_step_matrix,
                  periodic_spec, slow_cosine_spec, staircase_comb_spec,
                  transfer_product)
+from jbv.constructions import _Lanes
 from jbv.transfer import CHUNK, LANE_CHUNK, log_norm2, transfer_scan
 from oracles import replayed_schedule_rows
 
@@ -351,3 +352,29 @@ def test_branch_signs_are_exact_negatives():
             assert ac_density(aspec, x) == abs(fp)
             checked += 1
         assert checked >= 10
+
+
+@pytest.mark.parametrize("prefixes", [False, True])
+def test_empty_energy_axis_keeps_zero_width_lanes(prefixes):
+    # an empty axis used to fail on LANE_CHUNK // 0 and on the maximum of an
+    # empty array
+    L = LANE_CHUNK + 5
+    a, b = np.ones(L), np.linspace(-1.0, 1.0, L)
+    start = np.empty((2, 2, 0))
+    scans = list(transfer_scan(a, b, np.empty(0), start, prefixes=prefixes))
+    assert len(scans) == 2  # LANE_CHUNK steps a call, as for one lane
+    for scan in scans:
+        assert scan.t.shape == (2, 2, 0) and scan.e.shape == (0,)
+    if prefixes:
+        assert [s.prefix_t.shape for s in scans] == [(2, 2, LANE_CHUNK, 0), (2, 2, 5, 0)]
+        assert [s.prefix_e.shape for s in scans] == [(LANE_CHUNK, 0), (5, 0)]
+
+
+def test_lanes_advance_after_the_last_lane_leaves():
+    lanes = _Lanes(np.array([0.1, 0.2]))
+    lanes.feed([0.5] * 10)
+    assert [sc.n for sc in lanes.take(2)] == [10, 10]
+    lanes.feed([0.3] * 7)
+    assert lanes.n == 17
+    assert lanes.t.shape == (2, 2, 0)
+    assert lanes.e.shape == lanes.log_sum.shape == lanes.x.shape == (0,)

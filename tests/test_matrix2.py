@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from jbv import Matrix2, ScaledMatrix2, one_step_matrix
+from jbv import GrowthScanner, Matrix2, ScaledMatrix2, one_step_matrix
+from jbv.matrix2 import _exp_saturating
 from jbv.periodic import _critical_points
 from jbv.polynomial import PolynomialReal, bisect_root, bisect_roots, horner
 
@@ -138,3 +139,15 @@ def test_bisect_roots_requires_sign_changes():
     with pytest.raises(ValueError):
         bisect_roots(np.array([[1.0, 1.0]]), np.zeros(1), [0.0], [1.0], [1.0], [2.0],
                      1e-10)
+
+
+def test_saturating_exponential_and_its_users():
+    assert _exp_saturating(800.0) == math.inf
+    assert _exp_saturating(-800.0) == 0.0
+    assert _exp_saturating(709.78) == math.exp(709.78) < math.inf
+    assert ScaledMatrix2(Matrix2.identity(), 800.0).op_norm() == math.inf
+    sc = GrowthScanner(0.3)
+    sc.feed(1.0, 0.0)
+    sc.feed(1.0, 0.0)
+    sc.log_sum = sc.running_max_log = 800.0
+    assert sc.statistic == sc.running_max == math.inf

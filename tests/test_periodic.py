@@ -579,3 +579,16 @@ def test_coarse_tolerance_keeps_closed_gaps(P, tol):
     fine = band_structure(P)
     assert np.allclose([x for b in bs.bands for x in b.as_pair()],
                        [x for b in fine.bands for x in b.as_pair()], atol=2 * tol)
+
+
+@pytest.mark.parametrize("value, error", [(2.5, TypeError), (True, TypeError),
+                                          (-1, ValueError)])
+@pytest.mark.parametrize("helper, name", [
+    (free_critical_points, "period q"),
+    (lambda n: chebyshev_second_kind(n, 0.3), "degree n")],
+    ids=["free_critical_points", "chebyshev_second_kind"])
+def test_free_helpers_take_integers_by_the_rule(helper, name, value, error):
+    # chebyshev_second_kind(True, x) used to return p_1(x), and 2.5 failed in
+    # range() without naming the argument, as did free_critical_points(2.5)
+    with pytest.raises(error, match=f"^{name} must be an integer"):
+        helper(value)

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from jbv import (DegenerateBlockError, Matrix2, NonDiagonalizableFrameError,
-                 PeriodicJacobi, band_structure, branch_sign_for_interval,
-                 comb_potential, constant_spec, coupling_series,
-                 discriminant_value, eigen_branch, explicit_spec, free_spec,
-                 periodic_spec, q_step_block, slow_cosine_spec,
-                 transfer_product, weyl_branch_sign)
+from jbv import (ApproximantSpec, DegenerateBlockError, GrowthScanner, Matrix2,
+                 NonDiagonalizableFrameError, PeriodicJacobi, band_structure,
+                 branch_sign_for_interval, comb_potential, constant_spec,
+                 coupling_series, discriminant_value, eigen_branch,
+                 explicit_spec, free_spec, m_function, periodic_spec,
+                 q_step_block, slow_cosine_spec, strip_margins,
+                 transfer_product, weyl_branch_sign, weyl_solution)
+from jbv.matrix2 import block_product
+from jbv.transfer import transfer_scan
 from oracles import naive_product, per_block_coupling_series
 
 
@@ -371,3 +374,64 @@ def test_strip_margins_positive_inside_band():
     assert 0.0 < rep["c_lower"] <= rep["c_upper"]
     assert rep["contraction_slope"] > 0.0
     assert rep["s"] in (-1, 1) and rep["t"] in (-1, 1)
+
+
+_COMB2 = comb_potential(2, 0.5)
+_APPROXIMANT = ApproximantSpec(_COMB2.as_spec(), 2, 3)
+NON_FINITE_ENERGY_ENTRY_POINTS = {
+    "block_product": lambda z: block_product(_COMB2.a, _COMB2.b, z),
+    "block_product on an array": lambda z: block_product(
+        _COMB2.a, _COMB2.b, np.array([0.3, z])),
+    "transfer_scan": lambda z: list(transfer_scan(np.ones(4), np.zeros(4), z)),
+    "transfer_scan on an energy axis": lambda z: list(
+        transfer_scan(np.ones(4), np.zeros(4), np.array([0.3, z]))),
+    "transfer_product": lambda z: transfer_product(free_spec(), 1, 4, z),
+    "q_step_block": lambda z: q_step_block(_COMB2.as_spec(), 2, 0, z),
+    "discriminant_value": lambda z: discriminant_value(_COMB2, z),
+    "weyl_solution": lambda z: weyl_solution(_APPROXIMANT, z, 1),
+    "m_function": lambda z: m_function(_APPROXIMANT, z + 1j),
+    "branch_sign_for_interval": lambda z: branch_sign_for_interval(_COMB2, z, 1.0),
+    "strip_margins": lambda z: strip_margins(_COMB2, 0.6, z),
+}
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, complex(0.3, math.nan)])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENERGY_ENTRY_POINTS))
+def test_non_finite_energy_is_rejected_at_the_block_and_the_kernel(entry, energy):
+    # a NaN energy used to give a NaN product, trace, block, Weyl solution or
+    # margin (with RuntimeWarnings in the kernel), and branch sign -1;
+    # m_function at inf + 1j raised a RuntimeWarning
+    with pytest.raises(ValueError, match="energy z must be finite"):
+        NON_FINITE_ENERGY_ENTRY_POINTS[entry](energy)
+
+
+INTEGER_CALLS = {
+    "transfer_product m=1.5": (lambda: transfer_product(free_spec(), 1.5, 4, 0.3), "m"),
+    "transfer_product m=True": (lambda: transfer_product(free_spec(), True, 4, 0.3), "m"),
+    "transfer_product n=4.0": (lambda: transfer_product(free_spec(), 1, 4.0, 0.3), "n"),
+    "strip_margins nx=5.5": (lambda: strip_margins(_COMB2, 0.6, 1.9, nx=5.5), "nx"),
+    "strip_margins ny=True": (lambda: strip_margins(_COMB2, 0.6, 1.9, ny=True), "ny"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_CALLS))
+def test_transfer_product_and_strip_margins_take_integers_by_the_rule(case):
+    # transfer_product(spec, 1.5, 4, x) and (spec, True, 4, x) used to return
+    # A_4...A_1; nx = 5.5 spread 6 points over a denominator of 4.5, past hi
+    call, name = INTEGER_CALLS[case]
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("m, n", [(0, 4), (3, 2)])
+def test_transfer_product_range(m, n):
+    with pytest.raises(ValueError, match="must be an integer >="):
+        transfer_product(free_spec(), m, n, 0.3)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_growth_scanner_rejects_a_non_finite_energy(x):
+    # GrowthScanner(nan) used to feed to a NaN statistic and a running
+    # maximum of 0.0
+    with pytest.raises(ValueError, match="energy x must be finite"):
+        GrowthScanner(x)
