@@ -186,7 +186,12 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
     # ((p, -a), (1/a, 0)); steps past L are the rotation ((0, -1), (1, 0)),
     # which act after the last block's product is read
     p = np.zeros((blocks * size,) + lane, np.result_type(z, b))
-    p[:L] = (z - b.reshape((L,) + ones)) / a.reshape((L,) + ones)
+    num, den = z - b.reshape((L,) + ones), a.reshape((L,) + ones)
+    p[:L] = num / den
+    if lane and p.dtype.kind == "c":
+        # numpy's complex division multiplies by 1/a: a real lane on a complex
+        # axis divides as at one real energy, so that it rounds the same
+        p[:L] = np.where(z.imag == 0.0, num.real / den, p[:L])
     p = p.reshape((blocks, size) + lane)
     qv, r = (-a, 1.0 / a) if inverse else (-1.0 / a, a)
     qv = np.append(qv, np.full(pad, -1.0)).reshape((blocks, size) + ones)

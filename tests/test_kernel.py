@@ -289,6 +289,21 @@ def test_energy_axis_off_band_rescale_path():
     assert scan.e[0] > 1000 > scan.e[1]
 
 
+def test_real_lane_on_a_complex_axis_rounds_as_one_real_energy():
+    # numpy's complex division multiplies by 1/a, which rounds the last bit
+    # differently from a real division; in a product that grows and then
+    # cancels, such bits grow past LANE_RTOL, so the real lane must be exact
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(0.5, 1.5, 300), rng.uniform(-2.0, 2.0, 300)
+    for inverse in (False, True):
+        lanes = list(transfer_scan(a, b, np.array([-2.3, 0.4 + 0.1j, 1.1]),
+                                   prefixes=True, inverse=inverse))
+        for i, x in ((0, -2.3), (2, 1.1)):
+            (scan,) = transfer_scan(a, b, x, prefixes=True, inverse=inverse)
+            assert np.array_equal(lanes[-1].prefix_t[..., i], scan.prefix_t)
+            assert np.array_equal(lanes[-1].t[..., i], scan.t)
+
+
 # ---------------------------------------------------------------------------
 # the empirical schedule search on energy lanes against the prefix replay
 
