@@ -342,7 +342,7 @@ def staircase_bv_breakdown(spec: CoefficientSpec, horizon: int | None = None) ->
     q, lam, sched = (spec.params[key] for key in ("q", "lam", "schedule"))
     rights, stair, wcomb = staircase_tables(sched, lam)
     last = sched["rows"][-1][-1]
-    horizon = last if horizon is None else min(as_int(horizon, "horizon"), last)
+    horizon = last if horizon is None else min(as_int(horizon, "horizon", 1), last)
     n = np.arange(1, horizon + 1)
     idx = np.searchsorted(rights, n, side="left")
     s_vals = stair[idx]

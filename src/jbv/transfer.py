@@ -135,9 +135,9 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: np.ndarray | None = No
     z is one energy or a numpy array of E energies, the lanes: one call
     then multiplies the shared coefficient run onto every lane, each with
     its own product and rescaling, and start (if given) and every field of
-    the Scan gain a trailing lane axis.  A call takes at most
-    LANE_CHUNK // E steps (CHUNK at one energy); E may be 0.  Every energy
-    must be finite (ValueError).
+    the Scan gain a trailing lane axis.  A call takes LANE_CHUNK // E steps,
+    at least one (CHUNK at one energy); E may be 0.  Every energy must be
+    finite (ValueError).
     start defaults to the identity; a (2, 1) array carries a column.  With
     inverse=True each step is replaced by its inverse, so reversed arrays
     solve the recursion backwards.  With prefixes=True each Scan also holds
@@ -150,7 +150,7 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: np.ndarray | None = No
         if start is None:
             start = np.broadcast_to(np.eye(2)[..., None], (2, 2) + z.shape)
         carry = Scan(start, np.zeros(z.shape, np.int64))
-        steps = LANE_CHUNK // max(1, z.size)
+        steps = max(1, LANE_CHUNK // max(1, z.size))
     else:
         z = complex(z)
         z = z.real if z.imag == 0.0 else z
@@ -187,11 +187,8 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
     # which act after the last block's product is read
     p = np.zeros((blocks * size,) + lane, np.result_type(z, b))
     num, den = z - b.reshape((L,) + ones), a.reshape((L,) + ones)
-    p[:L] = num / den
-    if lane and p.dtype.kind == "c":
-        # numpy's complex division multiplies by 1/a: a real lane on a complex
-        # axis divides as at one real energy, so that it rounds the same
-        p[:L] = np.where(z.imag == 0.0, num.real / den, p[:L])
+    # by parts, so that a real lane on a complex axis rounds as a real energy
+    p[:L] = num / den if p.dtype.kind != "c" else num.real / den + 1j * (num.imag / den)
     p = p.reshape((blocks, size) + lane)
     qv, r = (-a, 1.0 / a) if inverse else (-1.0 / a, a)
     qv = np.append(qv, np.full(pad, -1.0)).reshape((blocks, size) + ones)

@@ -267,6 +267,13 @@ def test_variation_sums_take_integers_by_the_rule(case):
         call()
 
 
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_staircase_bv_breakdown_needs_a_positive_horizon(horizon):
+    # such horizons used to give all-zero sums beside a nonzero bound
+    with pytest.raises(ValueError, match="^horizon must be an integer >= 1"):
+        staircase_bv_breakdown(STAIRCASE_SPEC, horizon)
+
+
 def test_bv_energy_needs_a_horizon_past_q():
     with pytest.raises(ValueError, match="^horizon must be an integer >= 4"):
         bv_energy(FREE, 3, 3)

@@ -385,6 +385,19 @@ def test_empty_energy_axis_keeps_zero_width_lanes(prefixes):
         assert [s.prefix_e.shape for s in scans] == [(LANE_CHUNK, 0), (5, 0)]
 
 
+def test_more_lanes_than_lane_chunk_take_one_step_a_call():
+    # LANE_CHUNK // E is 0 past LANE_CHUNK lanes, which used to stop the scan
+    a, b = np.linspace(0.6, 1.4, 5), np.linspace(-1.0, 1.0, 5)
+    zs = np.linspace(-2.5, 2.5, LANE_CHUNK + 1)
+    lanes = list(transfer_scan(a, b, zs, prefixes=True))
+    assert len(lanes) == len(a)
+    pre_t = np.concatenate([s.prefix_t for s in lanes], axis=2)
+    for i in (0, 1, LANE_CHUNK // 2, LANE_CHUNK):
+        t, e, ft, fe = single_energy_scans(a, b, zs[i], np.eye(2), 1)
+        assert np.array_equal(pre_t[..., i], t) and lanes[-1].e[i] == fe
+        assert np.array_equal(lanes[-1].t[..., i], ft)
+
+
 def test_lanes_advance_after_the_last_lane_leaves():
     lanes = _Lanes(np.array([0.1, 0.2]))
     lanes.feed([0.5] * 10)
