@@ -42,7 +42,7 @@ def _mode(value, name: str) -> str:
 # each tunable flag's built-in default and the rule a JBV_CONFIG value obeys
 _CONFIG = {"tol": (1e-10, as_real), "cap": (10 ** 6, as_int),
            "margin": (1.0, as_real), "mode": ("empirical", _mode),
-           "seed": (12345, as_int), "points": (101, as_int)}
+           "seed": (12345, functools.partial(as_int, least=0)), "points": (101, as_int)}
 
 
 def _load_config() -> dict:
@@ -224,9 +224,7 @@ def _cmd_diagnose(args) -> int:
     if args.verify_gap:
         if args.period is None:
             raise ValueError("--verify-gap requires --period")
-        m, k, e, delta = args.verify_gap.split(",")
-        report = verify_gap_window_growth(spec, args.period, int(m), int(k),
-                                          _finite_float(e), _finite_float(delta))
+        report = verify_gap_window_growth(spec, args.period, *_window(args.verify_gap))
         doc["verify_gap"] = {
             "m": report.m, "k": report.k, "E": report.E, "delta": report.delta,
             "checked": len(report.l_values),
@@ -235,6 +233,20 @@ def _cmd_diagnose(args) -> int:
         }
     _emit(_json(doc), args.out)
     return 0
+
+
+def _window(text: str) -> tuple[int, int, float, float]:
+    """--verify-gap's m,k,E,delta: integers m and k, finite E and delta."""
+    usage = f"--verify-gap takes m,k,E,delta with integers m and k, got {text!r}"
+    fields = text.split(",")
+    if len(fields) != 4:
+        raise ValueError(usage)
+    try:
+        m, k = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise ValueError(usage) from None
+    return (as_int(m, "--verify-gap m", 1), as_int(k, "--verify-gap k", 1),
+            _finite_float(fields[2]), _finite_float(fields[3]))
 
 
 def _linear(log_value: float) -> float | None:
@@ -277,7 +289,7 @@ def _verify_random(args) -> int:
 
     if args.random < 1:
         raise ValueError(f"--random needs at least one window, got {args.random}")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_CONFIG["seed"][1](args.seed, "--seed"))
     rows = []
     all_pass = True
     for case in range(args.random):

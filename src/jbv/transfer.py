@@ -7,19 +7,16 @@ available far past float overflow.
 `transfer_scan` is the kernel behind every long product.  It takes one
 energy or an energy axis of E energies (lanes): the coefficient run is
 shared, and each lane keeps its own product, exponent and rescaling in a
-trailing array axis.  One kernel call takes at most CHUNK = 32768 steps at
-one energy, or LANE_CHUNK = 8192 steps times lanes, with the products
-carried from call to call, so memory stays at one chunk.  A call's arrays
-hold about 32 bytes per step and lane; the smaller lane chunk keeps the
-schedule search's peak memory near that of the scans it replaced, at no
-measurable cost in speed.  Over its L steps a call is a blocked parallel
-prefix (Blelloch 1990): (1) one loop of ceil(sqrt(L)) steps scans all
-blocks of that length of all lanes side by side, each from the identity;
-(2) a sequential pass multiplies the block products onto the carried
-products, all lanes in one matmul; (3) on request, one broadcast multiply
-of each in-block prefix by its block's normalised entry product gives the
-product after every step.  A product whose largest entry passes
-RESCALE_LIMIT (1e100) is divided by a power of two, which is exact.
+trailing array axis.  A kernel call takes CHUNK // E steps (CHUNK = 8192,
+one energy counting as E = 1, at least one step) and carries its products
+to the next, so memory stays at one chunk, a few times 32 bytes per step
+and lane.  Over its L steps a call is a pairwise tree (Blelloch 1990) of
+O(log L) array passes: products of neighbouring steps, then of neighbouring
+pairs, and so on, an odd one out carried up as it is; on request a pass
+back down fills in the product after every step.  A carried matrix is
+folded into the first step, a carried column multiplies the products last.
+Every step and product whose largest entry leaves [1e-100, 1e100]
+(RESCALE_LIMIT) is multiplied by a power of two, which is exact.
 `GrowthScanner.feed` takes one step in Python floats and is the sequential
 reference; `GrowthScanner.feed_arrays` sends a run of any length through
 the kernel.
@@ -50,8 +47,7 @@ __all__ = [
     "weyl_branch_sign",
 ]
 
-CHUNK = 32768  # steps per kernel call at one energy
-LANE_CHUNK = 8192  # steps times lanes per kernel call on an energy axis
+CHUNK = 8192  # steps times lanes per kernel call; one energy is one lane
 _LN2 = math.log(2.0)
 
 
@@ -104,13 +100,23 @@ class Scan(NamedTuple):
     prefix_e: np.ndarray | None = None
 
 
-def _rescaled(t: np.ndarray, limit: float = RESCALE_LIMIT, axis=(0, 1)):
-    """t with each matrix (over the two axes `axis`) whose largest entry
-    passes `limit` divided by the power of two that brings that entry into
-    [0.5, 1), which is exact, and the exponents taken out."""
-    top = np.abs(t).max(axis=axis, keepdims=True)
-    shift = np.where(top > limit, np.frexp(top)[1], 0)
-    return t * np.ldexp(1.0, -shift), shift.squeeze(axis)
+def _rescaled(t: np.ndarray, e):
+    """t * 2**e, with each matrix (over the two leading axes of t) whose
+    largest entry leaves [1 / RESCALE_LIMIT, RESCALE_LIMIT] divided by the
+    power of two 2**s that brings that entry into [0.5, 1), which is exact,
+    and s added to its e: so a product of two stays in float range, and a
+    tree of products at a huge energy does not shrink to zero."""
+    top, low = np.abs(t).max(axis=(0, 1)), 1.0 / RESCALE_LIMIT
+    if low <= top.min(initial=low) and top.max(initial=0.0) <= RESCALE_LIMIT:
+        return t, e
+    shift = np.where((top < low) | (top > RESCALE_LIMIT), np.frexp(top)[1], 0)
+    return t * np.ldexp(1.0, -shift), e + shift
+
+
+def _product(x: np.ndarray, xe, y: np.ndarray, ye):
+    """(x * 2**xe) @ (y * 2**ye) for stacks of matrices with the two matrix
+    axes first, rescaled."""
+    return _rescaled(x[:, :1] * y[:1] + x[:, 1:] * y[1:], xe + ye)
 
 
 def log_norm2(t: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -135,9 +141,9 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: np.ndarray | None = No
     z is one energy or a numpy array of E energies, the lanes: one call
     then multiplies the shared coefficient run onto every lane, each with
     its own product and rescaling, and start (if given) and every field of
-    the Scan gain a trailing lane axis.  A call takes LANE_CHUNK // E steps,
-    at least one (CHUNK at one energy); E may be 0.  Every energy must be
-    finite (ValueError).
+    the Scan gain a trailing lane axis.  A call takes CHUNK // E steps, at
+    least one, where one energy counts as E = 1; E may be 0.  Every energy
+    must be finite (ValueError).
     start defaults to the identity; a (2, 1) array carries a column.  With
     inverse=True each step is replaced by its inverse, so reversed arrays
     solve the recursion backwards.  With prefixes=True each Scan also holds
@@ -150,27 +156,46 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: np.ndarray | None = No
         if start is None:
             start = np.broadcast_to(np.eye(2)[..., None], (2, 2) + z.shape)
         carry = Scan(start, np.zeros(z.shape, np.int64))
-        steps = max(1, LANE_CHUNK // max(1, z.size))
     else:
         z = complex(z)
         z = z.real if z.imag == 0.0 else z
-        carry, steps = Scan(np.eye(2) if start is None else start, 0), CHUNK
+        carry = Scan(np.eye(2) if start is None else start, 0)
+    steps = max(1, CHUNK // max(1, np.size(z)))
     for lo in range(0, len(a), steps):
         carry = _scan_chunk(a[lo:lo + steps], b[lo:lo + steps], z, carry,
                             prefixes, inverse)
         yield carry
 
 
-# np.moveaxis would do, but costs 5-7 us a call against 0.6-1.2 us for these
-# (shared 2-vCPU VM), and _scan_chunk makes three such calls
-def _matrix_last(t: np.ndarray) -> np.ndarray:
-    """View with the two matrix axes moved from the front to the back."""
-    return t.transpose(*range(2, t.ndim), 0, 1)
+def _pairs(t: np.ndarray, e):
+    """The products M_{2i+1} M_{2i} of neighbouring matrices on axis 2 of t."""
+    n = t.shape[2]
+    return _product(t[:, :, 1::2], e[1::2], t[:, :, 0:n - 1:2], e[0:n - 1:2])
 
 
-def _matrix_first(t: np.ndarray) -> np.ndarray:
-    """View with the two matrix axes moved from the back to the front."""
-    return t.transpose(t.ndim - 2, t.ndim - 1, *range(t.ndim - 2))
+def _prefix_products(t: np.ndarray, e):
+    """The products S_i = M_i ... M_0 (with exponents) of the stack of
+    matrices M on axis 2 of t: the pairs are scanned, which gives the odd
+    slots, and each even slot 2i > 0 is M_{2i} S_{2i-1}."""
+    if t.shape[2] == 1:
+        return t, e
+    s_t, s_e = t.copy(), e.copy()
+    s_t[:, :, 1::2], s_e[1::2] = _prefix_products(*_pairs(t, e))
+    # the stack now reads M_0, S_1, M_2, S_3, ...: its pairs past slot 0
+    s_t[:, :, 2::2], s_e[2::2] = _pairs(s_t[:, :, 1:], s_e[1:])
+    return s_t, s_e
+
+
+def _reduced(t: np.ndarray, e):
+    """M_{n-1} ... M_0 for the stack on axis 2 of t, as a stack of one:
+    pairs level by level, an odd tail carried up a level as it is."""
+    while t.shape[2] > 1:
+        pair_t, pair_e = _pairs(t, e)
+        if t.shape[2] % 2:
+            pair_t = np.concatenate((pair_t, t[:, :, -1:]), axis=2)
+            pair_e = np.concatenate((pair_e, e[-1:]))
+        t, e = pair_t, pair_e
+    return t, e
 
 
 def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
@@ -179,64 +204,25 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
     L, lane = len(a), getattr(z, "shape", ())
     ones = (1,) * len(lane)
     flip = slice(None, None, -1 if inverse else 1)
-    ct, ce = carry.t[flip], carry.e
-    size = math.isqrt(L - 1) + 1
-    blocks, pad = -(-L // size), -L % size
-    # in swapped coordinates the inverse of ((p, -1/a), (a, 0)) is
-    # ((p, -a), (1/a, 0)); steps past L are the rotation ((0, -1), (1, 0)),
-    # which act after the last block's product is read
-    p = np.zeros((blocks * size,) + lane, np.result_type(z, b))
+    ct, fold = carry.t[flip], carry.t.shape[1] == 2
     num, den = z - b.reshape((L,) + ones), a.reshape((L,) + ones)
-    # by parts, so that a real lane on a complex axis rounds as a real energy
-    p[:L] = num / den if p.dtype.kind != "c" else num.real / den + 1j * (num.imag / den)
-    p = p.reshape((blocks, size) + lane)
-    qv, r = (-a, 1.0 / a) if inverse else (-1.0 / a, a)
-    qv = np.append(qv, np.full(pad, -1.0)).reshape((blocks, size) + ones)
-    r = np.append(r, np.ones(pad)).reshape((blocks, size) + ones)
-
-    # 1. all blocks (of all lanes) side by side, each from the identity
-    t = np.zeros((2, 2, blocks) + lane, p.dtype)
-    t[0, 0] = t[1, 1] = 1.0
-    e = np.zeros((blocks,) + lane, np.int64)
-    if prefixes:
-        inner_t = np.empty((2, 2, blocks, size) + lane, t.dtype)
-        inner_e = np.empty((blocks, size) + lane, np.int64)
-    for j in range(size):
-        row1 = p[:, j] * t[0] + qv[:, j] * t[1]
-        t[1] = r[:, j] * t[0]
-        t[0] = row1
-        if np.abs(t).max(initial=0.0) > RESCALE_LIMIT:
-            t, shift = _rescaled(t)
-            e = e + shift
-        if prefixes:
-            inner_t[:, :, :, j], inner_e[:, j] = t, e
-        if j == size - 1 - pad:
-            last = t[:, :, -1].copy(), e[-1].copy()
-    t[:, :, -1], e[-1] = last
-
-    # 2. the block products onto the carry, one after another; matrix axes
-    # last, so that one matmul multiplies every lane
-    blk, ct = _matrix_last(t), _matrix_last(ct)
-    entries = []
-    for k in range(blocks):
-        entries.append((ct, ce))
-        ct, ce = blk[k] @ ct, ce + e[k]
-        if np.abs(ct).max(initial=0.0) > RESCALE_LIMIT:
-            ct, shift = _rescaled(ct, axis=(-2, -1))
-            ce = ce + shift
-    ct = _matrix_first(ct)
-    if not prefixes:
-        return Scan(ct[flip], ce)
-
-    # 3. every in-block prefix times its block's entry product, normalised
-    # first so that the products stay in float range
-    et = np.ascontiguousarray(_matrix_first(np.array([c for c, _ in entries])))
-    et, shift = _rescaled(et, 0.0)
-    ee = np.array([x for _, x in entries]) + shift
-    pt = np.einsum("imks...,mck...->icks...", inner_t, et)
-    pt = pt.reshape(pt.shape[:2] + (blocks * size,) + lane)[flip, :, :L]
-    pe = (inner_e + ee[:, None]).reshape((blocks * size,) + lane)[:L]
-    return Scan(ct[flip], ce, pt, pe)
+    dtype = np.result_type(z, b, ct) if fold else np.result_type(z, b)
+    t = np.zeros((2, 2, L) + lane, dtype)
+    # the steps ((p, -1/a), (a, 0)); in swapped coordinates their inverses
+    # are ((p, -a), (1/a, 0)).  p by parts, so that a real lane on a complex
+    # axis rounds as a real energy
+    t[0, 0] = num / den if t.dtype.kind != "c" else num.real / den + 1j * (num.imag / den)
+    t[0, 1], t[1, 0] = (-den, 1.0 / den) if inverse else (-1.0 / den, den)
+    # each step rescaled first, so that no product of two leaves float range;
+    # a matrix carry is folded into step 0, a column multiplies the products
+    t, e = _rescaled(t, np.zeros((L,) + lane, np.int64))
+    if fold:
+        t[:, :, 0], e[0] = _product(t[:, :, 0], e[0], ct, carry.e)
+    t, e = _prefix_products(t, e) if prefixes else _reduced(t, e)
+    if not fold:
+        t, e = _product(t, e, ct[:, :, None], carry.e)
+    last = Scan(t[flip, :, -1], e[-1])
+    return last._replace(prefix_t=t[flip], prefix_e=e) if prefixes else last
 
 
 def transfer_product(spec: CoefficientSpec, m: int, n: int, x: complex) -> ScaledMatrix2:

@@ -533,6 +533,40 @@ def test_non_finite_numeric_flags_exit_2(tmp_path, capsys, flags):
     assert "not a finite number" in err or "finite bounds" in err
 
 
+@pytest.mark.parametrize("window, message", [
+    # used to exit 2 with "not enough values to unpack (expected 4, got 3)"
+    ("1,30,0.25", "m,k,E,delta"),
+    ("1,30,0.25,0.1,7", "m,k,E,delta"),
+    # used to exit 2 with "invalid literal for int() with base 10: '1.5'"
+    ("1.5,30,0.25,0.1", "m,k,E,delta with integers m and k"),
+    ("1,3e1,0.25,0.1", "m,k,E,delta with integers m and k"),
+    ("0,30,0.25,0.1", "--verify-gap m must be an integer >= 1"),
+])
+def test_verify_gap_names_its_format(tmp_path, capsys, window, message):
+    comb = tmp_path / "comb.json"
+    comb.write_text(json.dumps({"kind": "periodic", "params": {
+        "q": 2, "a": [1.0, 1.0], "b": [0.0, 0.5]}}))
+    code, out, err = run(capsys, "diagnose", "--spec", str(comb), "--x", "0.25",
+                         "--N", "50", "--verify-gap", window, "--period", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_negative_seed_names_the_flag_or_the_config_key(tmp_path, capsys, monkeypatch):
+    # both used to exit 2 with numpy's "expected non-negative integer"
+    code, out, err = run(capsys, "verify", "--random", "3", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "--seed must be an integer >= 0, got -1" in err
+    code, out, _ = run(capsys, "verify", "--random", "2", "--seed", "0")
+    assert code == 0 and out.startswith("case,")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    monkeypatch.setenv("JBV_CONFIG", str(cfg))
+    code, out, err = run(capsys, "verify", "--random", "3")
+    assert code == 2 and out == ""
+    assert "seed must be an integer >= 0, got -1" in err
+
+
 @pytest.mark.parametrize("period", ["0", "-1"])
 @pytest.mark.parametrize("flags", [
     ["verify", "--m", "1", "--k", "10", "--E", "0.25", "--delta", "0.1"],

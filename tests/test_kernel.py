@@ -1,6 +1,7 @@
-"""The blocked transfer kernel against the sequential loops it replaced, its
-energy axis against single-energy scans, the schedule search on it against
-the prefix replay, and the density solve on it against an mpmath recursion."""
+"""The pairwise-tree transfer kernel against the sequential loops it
+replaced, its energy axis against single-energy scans, the schedule search on
+it against the prefix replay, and the density solve on it against an mpmath
+recursion."""
 
 import math
 
@@ -15,7 +16,7 @@ from jbv import (ApproximantSpec, GrowthScanner, Matrix2, OutsideBandError,
                  periodic_spec, slow_cosine_spec, staircase_comb_spec,
                  transfer_product)
 from jbv.constructions import _Lanes
-from jbv.transfer import CHUNK, LANE_CHUNK, log_norm2, transfer_scan
+from jbv.transfer import CHUNK, log_norm2, transfer_scan
 from oracles import replayed_schedule_rows
 
 COSINE = slow_cosine_spec(0.5, 0.4)
@@ -30,15 +31,25 @@ def scanner_product(sc):
     return ScaledMatrix2(Matrix2(sc.t11, sc.t12, sc.t21, sc.t22), sc.log_scale)
 
 
+def scanner_steps(a, b, x):
+    """GrowthScanner fed one step at a time: log ||T_{1,n}(x)||^2 for every
+    n, and the product after every step as mantissas (2, 2, n) and natural-log
+    scales (n,)."""
+    sc, norms, mantissas, scales = GrowthScanner(x), [], [], []
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        sc.feed(ai, bi)
+        norms.append(2.0 * scanner_product(sc).op_norm_log())
+        mantissas.append((sc.t11, sc.t12, sc.t21, sc.t22))
+        scales.append(sc.log_scale)
+    return np.array(norms), np.array(mantissas).T.reshape(2, 2, -1), np.array(scales)
+
+
 def sequential_log_norms(a, b, x):
     """log ||T_{1,n}(x)||^2 for every n, and the final product, from
     GrowthScanner fed one step at a time."""
-    sc = GrowthScanner(x)
-    out = []
-    for ai, bi in zip(a.tolist(), b.tolist()):
-        sc.feed(ai, bi)
-        out.append(2.0 * scanner_product(sc).op_norm_log())
-    return np.array(out), scanner_product(sc)
+    norms, t, log_scale = scanner_steps(a, b, x)
+    final = Matrix2(*t[:, :, -1].ravel().tolist())
+    return norms, ScaledMatrix2(final, float(log_scale[-1]))
 
 
 def matrix2_chain(spec, m, n, z):
@@ -211,6 +222,122 @@ def test_growth_scanner_empty_run_changes_nothing():
 
 
 # ---------------------------------------------------------------------------
+# the pairwise tree at the lengths where a level carries an odd tail
+
+# lengths around each power of two, where the tree's levels carry odd tails
+# (2^k - 1, 2^k + 1) or none (2^k), up to one chunk and one step past it, and
+# a run whose second call is one step short of a chunk
+TREE_LENGTHS = sorted({1, 2, 3, 5, 2 * CHUNK - 1} | {
+    2 ** k + d for k in range(4, 14) for d in (-1, 0, 1)})
+
+
+def assert_same_products(t, e, ref_t, ref_log):
+    """Each kernel product t * 2**e (matrix axes first) equals the reference
+    ref_t * exp(ref_log): entry by entry within KERNEL_RTOL of its largest
+    entry once both are divided by that entry, and in the log of that entry
+    within KERNEL_RTOL relative, since a long reference's log scale is a float
+    sum good to about n eps relative."""
+    ref_t = ref_t[:, :t.shape[1]]
+    top, ref_top = np.abs(t).max(axis=(0, 1)), np.abs(ref_t).max(axis=(0, 1))
+    assert np.all(np.abs(t / top - ref_t / ref_top).max(axis=(0, 1)) <= KERNEL_RTOL)
+    log_top, ref_log_top = np.log(top) + e * math.log(2.0), np.log(ref_top) + ref_log
+    assert np.all(np.abs(log_top - ref_log_top)
+                  <= KERNEL_RTOL * (1.0 + np.abs(ref_log_top)))
+
+
+@pytest.mark.parametrize("x", [0.3, 2.6, 1e200, -1e200, 1e300])
+def test_tree_lengths_match_growth_scanner(x):
+    # in band, off band, and at energies whose single steps pass the rescale
+    # limit, where a product of two unrescaled steps leaves float range
+    a, b = coefficient_arrays(COSINE, 1, TREE_LENGTHS[-1] + 1)
+    ref, ref_t, ref_log = scanner_steps(a, b, x)
+    for n in TREE_LENGTHS:
+        scans = list(transfer_scan(a[:n], b[:n], x, prefixes=True))
+        ours = np.concatenate([log_norm2(s.prefix_t, s.prefix_e) for s in scans])
+        assert np.all(np.isfinite(ours)), n
+        assert np.all(np.abs(ours - ref[:n])
+                      <= KERNEL_RTOL * (1.0 + np.abs(ref[:n]))), n
+        *_, last = transfer_scan(a[:n], b[:n], x)
+        for scan in (scans[-1], last):
+            assert_same_products(scan.t[:, :, None], np.reshape(scan.e, 1),
+                                 ref_t[:, :, n - 1:n], ref_log[n - 1:n])
+
+
+def test_huge_energies_on_an_energy_axis_match_growth_scanners():
+    # four lanes: calls of CHUNK // 4 steps, the last one of three
+    a, b = coefficient_arrays(COSINE, 1, CHUNK // 2 + 4)
+    zs = np.array([1e200, -1e200, 1e300, 0.3])
+    lanes = list(transfer_scan(a, b, zs, prefixes=True))
+    *_, last = transfer_scan(a, b, zs)
+    ours = np.concatenate([log_norm2(s.prefix_t, s.prefix_e) for s in lanes])
+    for i, x in enumerate(zs.tolist()):
+        ref, ref_t, ref_log = scanner_steps(a, b, x)
+        assert np.all(np.abs(ours[:, i] - ref) <= KERNEL_RTOL * (1.0 + np.abs(ref)))
+        for scan in (lanes[-1], last):
+            assert_same_products(scan.t[..., i, None], scan.e[i, None],
+                                 ref_t[:, :, -1:], ref_log[-1:])
+
+
+def chain_steps(a, b, zs, start, inverse):
+    """The products after every step of a Matrix2 chain whose entries run
+    over the lanes zs: one_step_matrix, or its adjugate (its inverse) with
+    inverse=True, multiplied onto start (2, c, E), each lane divided by its
+    largest entry past RESCALE_LIMIT.  Returns the mantissas (2, 2, n, E)
+    and the natural-log scales (n, E)."""
+    zero = np.zeros(len(zs))
+    t = Matrix2(start[0, 0], start[0, 1] if start.shape[1] == 2 else zero,
+                start[1, 0], start[1, 1] if start.shape[1] == 2 else zero)
+    log_scale, mantissas, scales = zero, [], []
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        step = one_step_matrix(ai, bi, zs)
+        t = (step.adjugate() if inverse else step) @ t
+        top = np.max(np.abs(t.entries()), axis=0)
+        big = top > 1e100
+        t = t.scaled(np.where(big, 1.0 / top, 1.0))
+        log_scale = log_scale + np.where(big, np.log(top), 0.0)
+        mantissas.append(t.entries())
+        scales.append(log_scale)
+    mantissas = np.moveaxis(np.array(mantissas), 0, 1).reshape(2, 2, len(a), len(zs))
+    return mantissas, np.array(scales)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("start", [None, "matrix", "column"])
+@pytest.mark.parametrize("zs", [[0.4 + 0.1j], [0.3, 2.6, -1.2 + 0.05j, 1e200],
+                                [0.3, -1.9, 2.6]],
+                         ids=["one complex energy", "lanes", "real lanes"])
+def test_tree_lengths_match_matrix2_chain(zs, start, inverse):
+    # complex energies and lanes, from the identity, a complex matrix or a
+    # complex column (the density seeds, also at real energies), forwards and
+    # inverse, prefixes on and off
+    rng = np.random.default_rng(11)
+    n_max = CHUNK + 1
+    a, b = rng.uniform(0.5, 1.5, n_max), rng.uniform(-2.0, 2.0, n_max)
+    zs = np.array(zs)
+    cols = {None: 2, "matrix": 2, "column": 1}[start]
+    first = (np.broadcast_to(np.eye(2)[..., None], (2, 2, len(zs))) if start is None
+             else rng.normal(size=(2, cols, len(zs))) + 0j)
+    ref_t, ref_log = chain_steps(a, b, zs, first, inverse)
+    one = len(zs) == 1  # a single energy goes in as a number, not an axis
+    z = complex(zs[0]) if one else zs
+    kernel_start = None if start is None else first[..., 0] if one else first
+    for n in [n for n in TREE_LENGTHS if n <= n_max]:
+        scans = list(transfer_scan(a[:n], b[:n], z, kernel_start, prefixes=True,
+                                   inverse=inverse))
+        *_, last = transfer_scan(a[:n], b[:n], z, kernel_start, inverse=inverse)
+        pre_t = np.concatenate([s.prefix_t for s in scans], axis=2)
+        pre_e = np.concatenate([s.prefix_e for s in scans])
+        if one:
+            pre_t, pre_e = pre_t[..., None], pre_e[..., None]
+        assert pre_t.shape == (2, cols, n, len(zs))
+        assert_same_products(pre_t, pre_e, ref_t[:, :, :n], ref_log[:n])
+        for scan in (scans[-1], last):
+            assert_same_products(np.reshape(scan.t, (2, cols, 1, len(zs))),
+                                 np.reshape(scan.e, (1, len(zs))),
+                                 ref_t[:, :, n - 1:n], ref_log[n - 1:n])
+
+
+# ---------------------------------------------------------------------------
 # the energy axis: lanes against separate single-energy scans
 
 LANE_RTOL = 1e-12
@@ -219,7 +346,7 @@ LANE_RTOL = 1e-12
 def single_energy_scans(a, b, z, start, steps):
     """Per-step products (mantissa, exponent) and the final one at one
     energy, from single-energy kernel calls over the pieces a lane call cuts
-    (`steps` = LANE_CHUNK // lanes), so that the association is the same."""
+    (`steps` = CHUNK // lanes), so that the association is the same."""
     pre_t, pre_e, t, e = [], [], start, 0
     for lo in range(0, len(a), steps):
         *_, scan = transfer_scan(a[lo:lo + steps], b[lo:lo + steps], z, t,
@@ -233,14 +360,14 @@ def single_energy_scans(a, b, z, start, steps):
 def assert_lanes_match_single(a, b, zs, start=None):
     zs = np.asarray(zs)
     lanes = list(transfer_scan(a, b, zs, start, prefixes=True))
-    assert len(lanes) == -(-len(a) // (LANE_CHUNK // len(zs)))
+    assert len(lanes) == -(-len(a) // (CHUNK // len(zs)))
     pre_t = np.concatenate([s.prefix_t for s in lanes], axis=2)
     pre_e = np.concatenate([s.prefix_e for s in lanes])
     assert pre_t.shape[2:] == pre_e.shape == (len(a), len(zs))
     for i, z in enumerate(zs.tolist()):
         lane_start = np.eye(2) if start is None else start[..., i]
         t, e, ft, fe = single_energy_scans(a, b, z, lane_start,
-                                           LANE_CHUNK // len(zs))
+                                           CHUNK // len(zs))
         assert np.array_equal(pre_e[:, i], e)
         assert lanes[-1].e[i] == fe
         scale = np.abs(t).max(axis=(0, 1))
@@ -371,28 +498,28 @@ def test_branch_signs_are_exact_negatives():
 
 @pytest.mark.parametrize("prefixes", [False, True])
 def test_empty_energy_axis_keeps_zero_width_lanes(prefixes):
-    # an empty axis used to fail on LANE_CHUNK // 0 and on the maximum of an
+    # an empty axis used to fail on CHUNK // 0 and on the maximum of an
     # empty array
-    L = LANE_CHUNK + 5
+    L = CHUNK + 5
     a, b = np.ones(L), np.linspace(-1.0, 1.0, L)
     start = np.empty((2, 2, 0))
     scans = list(transfer_scan(a, b, np.empty(0), start, prefixes=prefixes))
-    assert len(scans) == 2  # LANE_CHUNK steps a call, as for one lane
+    assert len(scans) == 2  # CHUNK steps a call, as for one lane
     for scan in scans:
         assert scan.t.shape == (2, 2, 0) and scan.e.shape == (0,)
     if prefixes:
-        assert [s.prefix_t.shape for s in scans] == [(2, 2, LANE_CHUNK, 0), (2, 2, 5, 0)]
-        assert [s.prefix_e.shape for s in scans] == [(LANE_CHUNK, 0), (5, 0)]
+        assert [s.prefix_t.shape for s in scans] == [(2, 2, CHUNK, 0), (2, 2, 5, 0)]
+        assert [s.prefix_e.shape for s in scans] == [(CHUNK, 0), (5, 0)]
 
 
 def test_more_lanes_than_lane_chunk_take_one_step_a_call():
-    # LANE_CHUNK // E is 0 past LANE_CHUNK lanes, which used to stop the scan
+    # CHUNK // E is 0 past CHUNK lanes, which used to stop the scan
     a, b = np.linspace(0.6, 1.4, 5), np.linspace(-1.0, 1.0, 5)
-    zs = np.linspace(-2.5, 2.5, LANE_CHUNK + 1)
+    zs = np.linspace(-2.5, 2.5, CHUNK + 1)
     lanes = list(transfer_scan(a, b, zs, prefixes=True))
     assert len(lanes) == len(a)
     pre_t = np.concatenate([s.prefix_t for s in lanes], axis=2)
-    for i in (0, 1, LANE_CHUNK // 2, LANE_CHUNK):
+    for i in (0, 1, CHUNK // 2, CHUNK):
         t, e, ft, fe = single_energy_scans(a, b, zs[i], np.eye(2), 1)
         assert np.array_equal(pre_t[..., i], t) and lanes[-1].e[i] == fe
         assert np.array_equal(lanes[-1].t[..., i], ft)
