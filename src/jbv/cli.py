@@ -166,6 +166,13 @@ def _cmd_construct(args) -> int:
 # ---------------------------------------------------------------------------
 # density
 
+def _grid(lo: float, hi: float, steps: int) -> list[float]:
+    """steps >= 1 evenly spaced points from lo to hi; one step is the midpoint."""
+    if steps == 1:
+        return [0.5 * (lo + hi)]
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+
+
 def _parse_grid(text: str) -> list[float]:
     try:
         lo_s, hi_s, steps_s = text.split(":")
@@ -175,9 +182,7 @@ def _parse_grid(text: str) -> list[float]:
                          f"got {text!r}") from exc
     if steps < 1:
         raise ValueError("grid needs at least one step")
-    if steps == 1:
-        return [0.5 * (lo + hi)]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    return _grid(lo, hi, steps)
 
 
 def _cmd_density(args) -> int:
@@ -324,16 +329,10 @@ def _cmd_intersect(args) -> int:
     else:
         if args.q is None or args.lam is None:
             raise ValueError("either --family or --q/--lambda are required")
-        points = args.points
-        if points < 1:
+        if args.points < 1:
             raise ValueError("need at least one family member")
-        lam = args.lam
-        if points == 1:
-            betas = [0.0]
-        else:
-            betas = [-lam + 2.0 * lam * i / (points - 1) for i in range(points)]
         family = [PeriodicJacobi.of(args.q, [1.0] * args.q, [beta] * args.q)
-                  for beta in betas]
+                  for beta in _grid(-args.lam, args.lam, args.points)]
     result = intersection_over_family(family, args.mode, args.tol)
     doc = {
         "mode": args.mode,
@@ -415,7 +414,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
                        help="intersection of spectra or q-interiors over a family")
     p.add_argument("--family", help="JSON list of {q, a, b}")
     p.add_argument("--q", type=int)
-    p.add_argument("--lambda", dest="lam", type=float,
+    p.add_argument("--lambda", dest="lam", type=_finite_float,
                    help="half-width of the constant-shift family")
     p.add_argument("--points", type=int, default=config["points"])
     p.add_argument("--mode", choices=("spectrum", "qinterior"), default="spectrum")

@@ -245,25 +245,22 @@ def eval_coefficients(spec: CoefficientSpec, n: int) -> tuple[float, float]:
     return (float(a[0]), float(b[0]))
 
 
-def staircase_tables(sched: dict, lam: float):
-    """Flatten the schedule into per-window right endpoints and values.
+def staircase_comb_parts(p: dict, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The staircase part and the comb part w_l [q divides n] of b_n at the
+    indices n, none past the horizon, under staircase_comb params p.
 
-    Windows are the half-open index ranges (n_{l,k}, n_{l,k+1}]; the tables
-    list, per window, its right endpoint, its staircase value and the comb
-    coupling of its level, as arrays.
+    The schedule is flattened into windows, the half-open index ranges
+    (n_{l,k}, n_{l,k+1}], each with its right endpoint, its staircase value
+    and the comb coupling of its level; n is looked up among the endpoints.
     """
-    rights: list[int] = []
-    stair: list[float] = []
-    wcomb: list[float] = []
+    sched, rights, stair, wcomb = p["schedule"], [], [], []
     for li, row in enumerate(sched["rows"]):
-        level = li + 1
-        m_l = sched["m"][li]
-        w_l = sched["w"][li]
         for k in range(len(row) - 1):
             rights.append(row[k + 1])
-            stair.append(staircase_level_value(level, k, m_l, lam))
-            wcomb.append(w_l)
-    return np.array(rights), np.array(stair), np.array(wcomb)
+            stair.append(staircase_level_value(li + 1, k, sched["m"][li], p["lam"]))
+            wcomb.append(sched["w"][li])
+    idx = np.searchsorted(rights, n, side="left")
+    return np.array(stair)[idx], np.where(n % p["q"] == 0, np.array(wcomb)[idx], 0.0)
 
 
 def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int
@@ -288,13 +285,12 @@ def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int
     if spec.kind == "cosine_power":
         return (np.ones(n.shape), p["lam"] * np.cos(n.astype(np.float64) ** p["gamma"]))
     if spec.kind == "staircase_comb":
-        rights, stair, wcomb = staircase_tables(p["schedule"], p["lam"])
-        if stop - 1 > rights[-1]:
+        horizon = p["schedule"]["rows"][-1][-1]
+        if stop - 1 > horizon:
             raise HorizonError(
-                f"index {stop - 1} beyond realized schedule horizon {rights[-1]}")
-        idx = np.searchsorted(rights, n, side="left")
-        b = stair[idx] + np.where(n % p["q"] == 0, wcomb[idx], 0.0)
-        return (np.ones(n.shape), b)
+                f"index {stop - 1} beyond realized schedule horizon {horizon}")
+        stair, comb = staircase_comb_parts(p, n)
+        return (np.ones(n.shape), stair + comb)
     if spec.kind == "explicit":
         if stop - 1 > len(p["a"]):
             raise HorizonError(

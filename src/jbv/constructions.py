@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import (CoefficientSpec, as_int, as_real, check_params,
-                     coefficient_arrays, params_errors, staircase_level_value,
-                     staircase_tables)
+                     coefficient_arrays, params_errors, staircase_comb_parts,
+                     staircase_level_value)
 from .periodic import comb_potential, gap_report
-from .transfer import GrowthScanner, log_norm2, transfer_scan
+from .transfer import GrowthScanner, Scan, log_norm2, transfer_scan
 
 __all__ = [
     "Schedule", "build_schedule", "slow_cosine_spec", "staircase_comb_spec",
@@ -239,15 +239,15 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
 
 
 class _Lanes:
-    """T_{1,n}(x) = t * 2**e and log sum_{n' <= n} ||T_{1,n'}(x)||^2 at many
+    """T_{1,n}(x) as one Scan and log sum_{n' <= n} ||T_{1,n'}(x)||^2 at many
     energies x, all at the same n; each coefficient run is multiplied onto
     every lane in one `transfer_scan`, so no energy's prefix is scanned
     twice."""
 
     def __init__(self, x: np.ndarray) -> None:
         self.x = x
-        self.t = np.broadcast_to(np.eye(2)[..., None], (2, 2, len(x)))
-        self.e = np.zeros(len(x), np.int64)
+        self.scan = Scan(np.broadcast_to(np.eye(2)[..., None], (2, 2, len(x))),
+                         np.zeros(len(x), np.int64))
         self.log_sum = np.full(len(x), -np.inf)
         self.n = 0
 
@@ -256,24 +256,23 @@ class _Lanes:
         scanners = []
         for i in range(count):
             sc = GrowthScanner(float(self.x[i]))
-            (sc.t11, sc.t12), (sc.t21, sc.t22) = self.t[..., i].tolist()
-            sc.n, sc.log_scale = self.n, int(self.e[i]) * math.log(2.0)
-            sc.log_sum = float(self.log_sum[i])
+            (sc.t11, sc.t12), (sc.t21, sc.t22) = self.scan.t[..., i].tolist()
+            sc.n, sc.e, sc.log_sum = self.n, int(self.scan.e[i]), float(self.log_sum[i])
             scanners.append(sc)
-        self.x, self.t, self.e, self.log_sum = (
-            v[..., count:] for v in (self.x, self.t, self.e, self.log_sum))
+        self.x, self.log_sum = self.x[count:], self.log_sum[count:]
+        self.scan = Scan(self.scan.t[..., count:], self.scan.e[count:])
         return scanners
 
     def feed(self, b: list[float]) -> None:
         """Multiply the nonempty run b_{n+1}, ..., b_{n+len(b)} (with a = 1)
         onto every lane, of which there may be none."""
-        for scan in transfer_scan(np.ones(len(b)), np.array(b), self.x, self.t,
+        for scan in transfer_scan(np.ones(len(b)), np.array(b), self.x, self.scan,
                                   prefixes=True):
-            terms = log_norm2(scan.prefix_t, scan.prefix_e + self.e)
+            terms = log_norm2(scan.prefix_t, scan.prefix_e)
             top = terms.max(axis=0)
             run = top + np.log(np.exp(terms - top).sum(axis=0))
             self.log_sum = np.logaddexp(self.log_sum, run)
-        self.t, self.e = scan.t, self.e + scan.e
+        self.scan = Scan(scan.t, scan.e)
         self.n += len(b)
 
 
@@ -340,13 +339,9 @@ def staircase_bv_breakdown(spec: CoefficientSpec, horizon: int | None = None) ->
     if spec.kind != "staircase_comb":
         raise ValueError("breakdown applies to staircase_comb specs")
     q, lam, sched = (spec.params[key] for key in ("q", "lam", "schedule"))
-    rights, stair, wcomb = staircase_tables(sched, lam)
     last = sched["rows"][-1][-1]
     horizon = last if horizon is None else min(as_int(horizon, "horizon", 1), last)
-    n = np.arange(1, horizon + 1)
-    idx = np.searchsorted(rights, n, side="left")
-    s_vals = stair[idx]
-    w_vals = np.where(n % q == 0, wcomb[idx], 0.0)
+    s_vals, w_vals = staircase_comb_parts(spec.params, np.arange(1, horizon + 1))
     dcomb = w_vals[q:] - w_vals[:-q]
     dstair = s_vals[1:] - s_vals[:-1]
     levels_used = len(sched["rows"])

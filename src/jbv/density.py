@@ -21,8 +21,8 @@ import numpy as np
 from .coeffs import (CoefficientSpec, as_real, check_params, coefficient_arrays,
                      eval_coefficients, eventually_periodic_spec)
 from .errors import OutsideBandError, PoleOfMError
-from .transfer import (Diagonalization, QStepBlock, eigen_branch, q_step_block,
-                       transfer_scan, weyl_branch_sign)
+from .transfer import (Diagonalization, QStepBlock, Scan, eigen_branch,
+                       q_step_block, transfer_scan, weyl_branch_sign)
 
 __all__ = [
     "ApproximantSpec", "WeylSolution", "approximant_coefficients",
@@ -90,7 +90,7 @@ def _solve(aspec: ApproximantSpec, block_n: QStepBlock, s: int,
     q = aspec.q
     a, b = coefficient_arrays(aspec.base, 1, aspec.N * q + 1)
     u0, values, done = (seed[:, 0], 0), [seed[:, 0].tolist()], 0
-    for scan in transfer_scan(a[::-1], b[::-1], block_n.z, seed,
+    for scan in transfer_scan(a[::-1], b[::-1], block_n.z, Scan(seed, 0),
                               prefixes=keep_values, inverse=True):
         u0 = scan.t[:, 0], scan.e
         if keep_values:

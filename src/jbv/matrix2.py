@@ -2,7 +2,7 @@
 
 Everything transfer-matrix shaped in this package is carried by `Matrix2`.
 Long ordered products grow exponentially by design, so `ScaledMatrix2` keeps a
-unit-scale mantissa together with an accumulated natural-log scale factor.
+mantissa, rescaled by exact powers of two, and an accumulated natural-log scale.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 # raw entry magnitude at which a product switches to the scaled representation
 RESCALE_LIMIT = 1e100
+_LN2 = math.log(2.0)
 
 
 def _exp_saturating(x: float) -> float:
@@ -121,8 +122,9 @@ def block_product(a, b, z) -> tuple[Matrix2, Matrix2]:
 def _normalized(m: Matrix2, log_scale: float) -> "ScaledMatrix2":
     c = m.max_abs()
     if c > RESCALE_LIMIT:
-        m = m.scaled(1.0 / c)
-        log_scale += math.log(c)
+        s = math.frexp(c)[1]
+        m = m.scaled(math.ldexp(1.0, -s))
+        log_scale += s * _LN2
     return ScaledMatrix2(m, log_scale)
 
 

@@ -24,13 +24,13 @@ from .coeffs import (CoefficientSpec, as_int, check_params, params_errors,
                      periodic_spec)
 from .errors import RootIsolationError
 from .intervals import Interval, IntervalUnion, _complement, _sweep
-from .matrix2 import block_product, one_step_matrix
+from .matrix2 import block_product
 from .polynomial import (PolynomialReal, bisect_root, bisect_roots, horner,
                          sign_changes)
 
 __all__ = [
     "PeriodicJacobi", "Gap", "BandStructure", "GapReport",
-    "one_step_matrix", "discriminant_value", "discriminant_polynomial",
+    "discriminant_value", "discriminant_polynomial",
     "band_structure", "free_critical_points", "chebyshev_second_kind",
     "comb_potential", "gap_report", "intersection_over_family",
     "same_discriminant", "spectral_bracket",

@@ -1,25 +1,27 @@
 """q-step transfer blocks, long ordered products and coupling diagnostics.
 
 Block m is the ordered one-step product over indices mq+1 .. (m+1)q (highest
-index leftmost).  Long products are kept as mantissa * 2**e so log-norms stay
-available far past float overflow.
+index leftmost).  A long product travels between calls as a `Scan`, a
+mantissa times 2**e with an integer e, so log-norms stay available far past
+float overflow.
 
 `transfer_scan` is the kernel behind every long product.  It takes one
-energy or an energy axis of E energies (lanes): the coefficient run is
-shared, and each lane keeps its own product, exponent and rescaling in a
-trailing array axis.  A kernel call takes CHUNK // E steps (CHUNK = 8192,
-one energy counting as E = 1, at least one step) and carries its products
-to the next, so memory stays at one chunk, a few times 32 bytes per step
-and lane.  Over its L steps a call is a pairwise tree (Blelloch 1990) of
-O(log L) array passes: products of neighbouring steps, then of neighbouring
-pairs, and so on, an odd one out carried up as it is; on request a pass
-back down fills in the product after every step.  A carried matrix is
-folded into the first step, a carried column multiplies the products last.
+energy, a lane axis of shape (), or an energy axis of E energies (lanes):
+the coefficient run is shared, and each lane keeps its own product,
+exponent and rescaling in a trailing array axis.  A kernel call takes
+CHUNK // E steps (CHUNK = 8192, one energy counting as E = 1, at least one
+step) and carries its products, exponents included, to the next, so memory
+stays at one chunk, a few times 32 bytes per step and lane.  Over its L
+steps a call is a pairwise tree (Blelloch 1990) of O(log L) array passes:
+products of neighbouring steps, then of neighbouring pairs, and so on, an
+odd one out carried up as it is; on request a pass back down fills in the
+product after every step.  A carried matrix is folded into the first step,
+a carried column multiplies the products last.
 Every step and product whose largest entry leaves [1e-100, 1e100]
 (RESCALE_LIMIT) is multiplied by a power of two, which is exact.
-`GrowthScanner.feed` takes one step in Python floats and is the sequential
-reference; `GrowthScanner.feed_arrays` sends a run of any length through
-the kernel.
+`GrowthScanner.feed` takes one step in Python floats, rescaled by that rule,
+and is the sequential reference; `GrowthScanner.feed_arrays` sends a run of
+any length through the kernel.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ import numpy as np
 from .coeffs import (CoefficientSpec, as_int, as_real,  # noqa: F401
                      coefficient_arrays, eval_coefficients)
 from .errors import DegenerateBlockError, NonDiagonalizableFrameError
-from .matrix2 import (RESCALE_LIMIT, Matrix2, ScaledMatrix2, _exp_saturating,
-                      _finite_energy, block_product)
+from .matrix2 import (_LN2, RESCALE_LIMIT, Matrix2, ScaledMatrix2,
+                      _exp_saturating, _finite_energy, block_product)
 from .periodic import PeriodicJacobi
 
 __all__ = [
@@ -48,7 +50,6 @@ __all__ = [
 ]
 
 CHUNK = 8192  # steps times lanes per kernel call; one energy is one lane
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def log_norm2(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.log(0.5 * f * (1.0 + np.sqrt(d * d + c * c))) + (2.0 * _LN2) * e
 
 
-def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: np.ndarray | None = None,
+def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: Scan | None = None,
                   prefixes: bool = False, inverse: bool = False) -> Iterator[Scan]:
     """Multiply the one-step matrices of (a[i], b[i]) at energy z onto
     `start` in array order (a[0]'s acts first), with the product carried
@@ -141,30 +142,27 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: np.ndarray | None = No
     z is one energy or a numpy array of E energies, the lanes: one call
     then multiplies the shared coefficient run onto every lane, each with
     its own product and rescaling, and start (if given) and every field of
-    the Scan gain a trailing lane axis.  A call takes CHUNK // E steps, at
-    least one, where one energy counts as E = 1; E may be 0.  Every energy
-    must be finite (ValueError).
-    start defaults to the identity; a (2, 1) array carries a column.  With
-    inverse=True each step is replaced by its inverse, so reversed arrays
-    solve the recursion backwards.  With prefixes=True each Scan also holds
-    the product after every step of its call.
+    the Scan gain a trailing lane axis; one energy is a lane axis of shape
+    ().  A call takes CHUNK // E steps, at least one; E may be 0.  Every
+    energy must be finite (ValueError).
+    start, a Scan, defaults to the identity; its t of shape (2, 1) carries a
+    column, and its e is carried too, so every e and prefix_e is absolute
+    and a Scan yielded can start another scan.  With inverse=True each step
+    is replaced by its inverse, so reversed arrays solve the recursion
+    backwards.  With prefixes=True each Scan also holds the product after
+    every step of its call.
     """
     _finite_energy(z)
-    if isinstance(z, np.ndarray) and z.ndim:
-        if np.iscomplexobj(z) and not np.any(z.imag):
-            z = z.real
-        if start is None:
-            start = np.broadcast_to(np.eye(2)[..., None], (2, 2) + z.shape)
-        carry = Scan(start, np.zeros(z.shape, np.int64))
-    else:
-        z = complex(z)
-        z = z.real if z.imag == 0.0 else z
-        carry = Scan(np.eye(2) if start is None else start, 0)
-    steps = max(1, CHUNK // max(1, np.size(z)))
+    z = np.asarray(z, complex)
+    z = z if np.any(z.imag) else z.real
+    if start is None:
+        start = Scan(np.multiply.outer(np.eye(2), np.ones(z.shape)),
+                     np.zeros(z.shape, np.int64))
+    steps = max(1, CHUNK // max(1, z.size))
     for lo in range(0, len(a), steps):
-        carry = _scan_chunk(a[lo:lo + steps], b[lo:lo + steps], z, carry,
+        start = _scan_chunk(a[lo:lo + steps], b[lo:lo + steps], z, start,
                             prefixes, inverse)
-        yield carry
+        yield start
 
 
 def _pairs(t: np.ndarray, e):
@@ -200,8 +198,8 @@ def _reduced(t: np.ndarray, e):
 
 def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
                 prefixes: bool, inverse: bool) -> Scan:
-    # every array below ends in the lane axis, or nothing at one energy
-    L, lane = len(a), getattr(z, "shape", ())
+    # every array below ends in the lane axis, of shape () at one energy
+    L, lane = len(a), z.shape
     ones = (1,) * len(lane)
     flip = slice(None, None, -1 if inverse else 1)
     ct, fold = carry.t[flip], carry.t.shape[1] == 2
@@ -245,14 +243,14 @@ class GrowthScanner:
     starting at n = 1.
     """
 
-    __slots__ = ("x", "n", "t11", "t12", "t21", "t22", "log_scale",
+    __slots__ = ("x", "n", "t11", "t12", "t21", "t22", "e",
                  "log_sum", "running_max_log")
 
     def __init__(self, x: float) -> None:
         self.x = as_real(x, "energy x")
         self.n = 0
         self.t11, self.t12, self.t21, self.t22 = 1.0, 0.0, 0.0, 1.0
-        self.log_scale = 0.0
+        self.e = 0  # the product is (t11, t12; t21, t22) * 2**e
         self.log_sum = -math.inf
         self.running_max_log = -math.inf
 
@@ -268,12 +266,10 @@ class GrowthScanner:
         t11, t12 = r11, r12
         m = max(abs(t11), abs(t12), abs(t21), abs(t22))
         if m > RESCALE_LIMIT:
-            inv = 1.0 / m
-            t11 *= inv
-            t12 *= inv
-            t21 *= inv
-            t22 *= inv
-            self.log_scale += math.log(m)
+            shift = math.frexp(m)[1]
+            t11, t12 = math.ldexp(t11, -shift), math.ldexp(t12, -shift)
+            t21, t22 = math.ldexp(t21, -shift), math.ldexp(t22, -shift)
+            self.e += shift
         self.t11, self.t12, self.t21, self.t22 = t11, t12, t21, t22
         self.n += 1
         # log of the squared operator norm, by the formula of Matrix2.op_norm
@@ -281,7 +277,7 @@ class GrowthScanner:
         s = t21 * t21 + t22 * t22
         r = t11 * t21 + t12 * t22
         term = (math.log(0.5 * (p + s + math.hypot(p - s, 2.0 * r)))
-                + 2.0 * self.log_scale)
+                + (2.0 * _LN2) * self.e)
         lo, hi = (term, self.log_sum) if term <= self.log_sum else (self.log_sum, term)
         self.log_sum = hi + math.log1p(math.exp(lo - hi))
         if self.n >= 2:
@@ -292,10 +288,10 @@ class GrowthScanner:
         Returns the log statistic after each step (-inf while n < 2), an
         empty array for an empty run."""
         a, b = np.asarray(avals, np.float64), np.asarray(bvals, np.float64)
-        start = np.array([[self.t11, self.t12], [self.t21, self.t22]])
-        log_scale, stats = self.log_scale, [np.empty(0)]
+        start = Scan(np.array([[self.t11, self.t12], [self.t21, self.t22]]), self.e)
+        stats = [np.empty(0)]
         for scan in transfer_scan(a, b, self.x, start, prefixes=True):
-            terms = log_norm2(scan.prefix_t, scan.prefix_e) + 2.0 * log_scale
+            terms = log_norm2(scan.prefix_t, scan.prefix_e)
             sums = np.logaddexp.accumulate(np.append(self.log_sum, terms))[1:]
             n = np.arange(self.n + 1, self.n + 1 + len(terms), dtype=np.float64)
             ln_n = np.log(np.maximum(n, 2.0))
@@ -305,7 +301,7 @@ class GrowthScanner:
             self.n += len(terms)
             stats.append(stat)
             (self.t11, self.t12), (self.t21, self.t22) = scan.t.tolist()
-            self.log_scale = log_scale + int(scan.e) * _LN2
+            self.e = int(scan.e)
         return np.concatenate(stats)
 
     @property

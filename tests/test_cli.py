@@ -259,6 +259,17 @@ def test_intersect_shift_family(capsys):
     assert not doc["intervals"][0]["closed_lo"]
 
 
+@pytest.mark.parametrize("points", ["1", "3"])
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_intersect_rejects_a_non_finite_lambda(capsys, lam, points):
+    # one point used to give the family [0.0] whatever the lambda, and more
+    # points failed on a NaN diagonal
+    code, out, err = run(capsys, "intersect", "--q", "2", f"--lambda={lam}",
+                         "--points", points)
+    assert code == 2 and out == ""
+    assert "not a finite number" in err
+
+
 def test_intersect_family_file(tmp_path, capsys):
     fam = [{"q": 1, "a": [1.0], "b": [0.0]}, {"q": 1, "a": [1.0], "b": [0.5]}]
     p = tmp_path / "family.json"

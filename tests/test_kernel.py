@@ -16,7 +16,7 @@ from jbv import (ApproximantSpec, GrowthScanner, Matrix2, OutsideBandError,
                  periodic_spec, slow_cosine_spec, staircase_comb_spec,
                  transfer_product)
 from jbv.constructions import _Lanes
-from jbv.transfer import CHUNK, log_norm2, transfer_scan
+from jbv.transfer import CHUNK, Scan, log_norm2, transfer_scan
 from oracles import replayed_schedule_rows
 
 COSINE = slow_cosine_spec(0.5, 0.4)
@@ -28,28 +28,42 @@ KERNEL_RTOL = 1e-9
 
 
 def scanner_product(sc):
-    return ScaledMatrix2(Matrix2(sc.t11, sc.t12, sc.t21, sc.t22), sc.log_scale)
+    """The scanner's product as (t, e) for t * 2**e."""
+    return np.array([[sc.t11, sc.t12], [sc.t21, sc.t22]]), sc.e
+
+
+def scaled_parts(m):
+    """A ScaledMatrix2 as (t, e) for t * 2**e: its mantissa is rescaled by
+    powers of two, so its log_scale is e ln 2 up to rounding."""
+    e = round(m.log_scale / math.log(2.0))
+    assert abs(m.log_scale - e * math.log(2.0)) <= 1e-9 * (1.0 + abs(m.log_scale))
+    return np.array(m.mantissa.entries()).reshape(2, 2), e
+
+
+def shifted(t, d):
+    """t * 2**d entrywise, exactly, complex t included."""
+    return np.ldexp(t.real, d) + 1j * np.ldexp(t.imag, d)
 
 
 def scanner_steps(a, b, x):
     """GrowthScanner fed one step at a time: log ||T_{1,n}(x)||^2 for every
-    n, and the product after every step as mantissas (2, 2, n) and natural-log
-    scales (n,)."""
-    sc, norms, mantissas, scales = GrowthScanner(x), [], [], []
+    n, and the product after every step as mantissas (2, 2, n) and integer
+    exponents (n,)."""
+    sc, norms, mantissas, exps = GrowthScanner(x), [], [], []
     for ai, bi in zip(a.tolist(), b.tolist()):
         sc.feed(ai, bi)
-        norms.append(2.0 * scanner_product(sc).op_norm_log())
-        mantissas.append((sc.t11, sc.t12, sc.t21, sc.t22))
-        scales.append(sc.log_scale)
-    return np.array(norms), np.array(mantissas).T.reshape(2, 2, -1), np.array(scales)
+        t = Matrix2(sc.t11, sc.t12, sc.t21, sc.t22)
+        norms.append(2.0 * (math.log(t.op_norm()) + sc.e * math.log(2.0)))
+        mantissas.append(t.entries())
+        exps.append(sc.e)
+    return np.array(norms), np.array(mantissas).T.reshape(2, 2, -1), np.array(exps)
 
 
 def sequential_log_norms(a, b, x):
-    """log ||T_{1,n}(x)||^2 for every n, and the final product, from
-    GrowthScanner fed one step at a time."""
-    norms, t, log_scale = scanner_steps(a, b, x)
-    final = Matrix2(*t[:, :, -1].ravel().tolist())
-    return norms, ScaledMatrix2(final, float(log_scale[-1]))
+    """log ||T_{1,n}(x)||^2 for every n, and the final product as (t, e),
+    from GrowthScanner fed one step at a time."""
+    norms, t, e = scanner_steps(a, b, x)
+    return norms, (t[:, :, -1], int(e[-1]))
 
 
 def matrix2_chain(spec, m, n, z):
@@ -57,14 +71,16 @@ def matrix2_chain(spec, m, n, z):
     a, b = coefficient_arrays(spec, m, n + 1)
     for ai, bi in zip(a.tolist(), b.tolist()):
         t = t.left_mul(one_step_matrix(ai, bi, z))
-    return t
+    return scaled_parts(t)
 
 
 def assert_same_product(ours, ref):
-    scale = math.exp(ours.log_scale - ref.log_scale)
-    got = np.array(ours.mantissa.entries()) * scale
-    want = np.array(ref.mantissa.entries())
-    assert np.max(np.abs(got - want)) <= KERNEL_RTOL * np.max(np.abs(want))
+    """ours = (t, e) equals ref = (ref_t, ref_e) entry by entry within
+    KERNEL_RTOL of ref's largest entry, once the exponents are aligned
+    exactly."""
+    (t, e), (ref_t, ref_e) = ours, ref
+    got = shifted(t, int(e) - int(ref_e))
+    assert np.max(np.abs(got - ref_t)) <= KERNEL_RTOL * np.max(np.abs(ref_t))
 
 
 def assert_kernel_matches_scanner(spec, n, x):
@@ -74,9 +90,7 @@ def assert_kernel_matches_scanner(spec, n, x):
     ref, final = sequential_log_norms(a, b, x)
     assert np.all(np.abs(ours - ref) <= KERNEL_RTOL * (1.0 + np.abs(ref)))
     last = scans[-1]
-    assert_same_product(
-        ScaledMatrix2(Matrix2(*last.t.ravel().tolist()), last.e * math.log(2.0)),
-        final)
+    assert_same_product((last.t, last.e), final)
     return last
 
 
@@ -130,7 +144,8 @@ def test_transfer_product_matches_matrix2_chain_at_complex_z(spec_len, x, y, fra
     n = max(1, round(frac * horizon))
     m = 1 + n // 3
     z = complex(x, y)
-    assert_same_product(transfer_product(spec, m, n, z), matrix2_chain(spec, m, n, z))
+    assert_same_product(scaled_parts(transfer_product(spec, m, n, z)),
+                        matrix2_chain(spec, m, n, z))
 
 
 def test_kernel_across_chunk_boundary():
@@ -138,7 +153,7 @@ def test_kernel_across_chunk_boundary():
     for x in (1.0, 2.6):
         a, b = coefficient_arrays(COSINE, 1, n + 1)
         ref, final = sequential_log_norms(a, b, x)
-        assert_same_product(transfer_product(COSINE, 1, n, x), final)
+        assert_same_product(scaled_parts(transfer_product(COSINE, 1, n, x)), final)
         gs = growth_statistic(COSINE, x, n)
         ns = np.arange(2, n + 1)
         stat = (np.logaddexp.accumulate(ref)[1:] - np.log(ns)
@@ -214,11 +229,11 @@ def test_growth_scanner_empty_run_changes_nothing():
     sc = GrowthScanner(0.3)
     sc.feed_arrays([1.0] * 3, [0.2, -0.1, 0.4])
     before = (sc.n, sc.log_sum, sc.running_max_log, sc.t11, sc.t12, sc.t21,
-              sc.t22, sc.log_scale)
+              sc.t22, sc.e)
     stats = sc.feed_arrays([], [])
     assert stats.dtype == np.float64 and stats.shape == (0,)
     assert (sc.n, sc.log_sum, sc.running_max_log, sc.t11, sc.t12, sc.t21,
-            sc.t22, sc.log_scale) == before
+            sc.t22, sc.e) == before
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +246,13 @@ TREE_LENGTHS = sorted({1, 2, 3, 5, 2 * CHUNK - 1} | {
     2 ** k + d for k in range(4, 14) for d in (-1, 0, 1)})
 
 
-def assert_same_products(t, e, ref_t, ref_log):
+def assert_same_products(t, e, ref_t, ref_e):
     """Each kernel product t * 2**e (matrix axes first) equals the reference
-    ref_t * exp(ref_log): entry by entry within KERNEL_RTOL of its largest
-    entry once both are divided by that entry, and in the log of that entry
-    within KERNEL_RTOL relative, since a long reference's log scale is a float
-    sum good to about n eps relative."""
+    ref_t * 2**ref_e entry by entry within KERNEL_RTOL of the reference's
+    largest entry, once the exponents are aligned exactly."""
     ref_t = ref_t[:, :t.shape[1]]
-    top, ref_top = np.abs(t).max(axis=(0, 1)), np.abs(ref_t).max(axis=(0, 1))
-    assert np.all(np.abs(t / top - ref_t / ref_top).max(axis=(0, 1)) <= KERNEL_RTOL)
-    log_top, ref_log_top = np.log(top) + e * math.log(2.0), np.log(ref_top) + ref_log
-    assert np.all(np.abs(log_top - ref_log_top)
-                  <= KERNEL_RTOL * (1.0 + np.abs(ref_log_top)))
+    gap = np.abs(shifted(t, e - ref_e) - ref_t).max(axis=(0, 1))
+    assert np.all(gap <= KERNEL_RTOL * np.abs(ref_t).max(axis=(0, 1)))
 
 
 @pytest.mark.parametrize("x", [0.3, 2.6, 1e200, -1e200, 1e300])
@@ -250,7 +260,7 @@ def test_tree_lengths_match_growth_scanner(x):
     # in band, off band, and at energies whose single steps pass the rescale
     # limit, where a product of two unrescaled steps leaves float range
     a, b = coefficient_arrays(COSINE, 1, TREE_LENGTHS[-1] + 1)
-    ref, ref_t, ref_log = scanner_steps(a, b, x)
+    ref, ref_t, ref_e = scanner_steps(a, b, x)
     for n in TREE_LENGTHS:
         scans = list(transfer_scan(a[:n], b[:n], x, prefixes=True))
         ours = np.concatenate([log_norm2(s.prefix_t, s.prefix_e) for s in scans])
@@ -260,7 +270,25 @@ def test_tree_lengths_match_growth_scanner(x):
         *_, last = transfer_scan(a[:n], b[:n], x)
         for scan in (scans[-1], last):
             assert_same_products(scan.t[:, :, None], np.reshape(scan.e, 1),
-                                 ref_t[:, :, n - 1:n], ref_log[n - 1:n])
+                                 ref_t[:, :, n - 1:n], ref_e[n - 1:n])
+
+
+@pytest.mark.parametrize("x", [1e200, 1e300])
+def test_growth_scanner_product_is_exact_in_scale_at_huge_energies(x):
+    # feed used to divide by the largest entry and add its log to a float
+    # scale, which drifted about n eps: at x = 1e200 its product was 1.6e-6
+    # of the largest entry off the kernel's after 16383 steps.  Rescaled by
+    # powers of two, the two differ by rounding only
+    n_max = 2 * CHUNK - 1
+    a, b = coefficient_arrays(COSINE, 1, n_max + 1)
+    sc = GrowthScanner(x)
+    for n, (ai, bi) in enumerate(zip(a.tolist(), b.tolist()), 1):
+        sc.feed(ai, bi)
+        if n in (1000, n_max):
+            *_, scan = transfer_scan(a[:n], b[:n], x)
+            t, _ = scanner_product(sc)
+            got = np.ldexp(scan.t, int(scan.e) - sc.e)
+            assert np.abs(got - t).max() <= 1e-12 * np.abs(t).max()
 
 
 def test_huge_energies_on_an_energy_axis_match_growth_scanners():
@@ -271,34 +299,35 @@ def test_huge_energies_on_an_energy_axis_match_growth_scanners():
     *_, last = transfer_scan(a, b, zs)
     ours = np.concatenate([log_norm2(s.prefix_t, s.prefix_e) for s in lanes])
     for i, x in enumerate(zs.tolist()):
-        ref, ref_t, ref_log = scanner_steps(a, b, x)
+        ref, ref_t, ref_e = scanner_steps(a, b, x)
         assert np.all(np.abs(ours[:, i] - ref) <= KERNEL_RTOL * (1.0 + np.abs(ref)))
         for scan in (lanes[-1], last):
             assert_same_products(scan.t[..., i, None], scan.e[i, None],
-                                 ref_t[:, :, -1:], ref_log[-1:])
+                                 ref_t[:, :, -1:], ref_e[-1:])
 
 
 def chain_steps(a, b, zs, start, inverse):
     """The products after every step of a Matrix2 chain whose entries run
     over the lanes zs: one_step_matrix, or its adjugate (its inverse) with
-    inverse=True, multiplied onto start (2, c, E), each lane divided by its
-    largest entry past RESCALE_LIMIT.  Returns the mantissas (2, 2, n, E)
-    and the natural-log scales (n, E)."""
+    inverse=True, multiplied onto start (2, c, E), each lane whose largest
+    entry passes RESCALE_LIMIT divided by the power of two that brings it into
+    [0.5, 1).  Returns the mantissas (2, 2, n, E) and the integer exponents
+    (n, E)."""
     zero = np.zeros(len(zs))
     t = Matrix2(start[0, 0], start[0, 1] if start.shape[1] == 2 else zero,
                 start[1, 0], start[1, 1] if start.shape[1] == 2 else zero)
-    log_scale, mantissas, scales = zero, [], []
+    e, mantissas, exps = np.zeros(len(zs), np.int64), [], []
     for ai, bi in zip(a.tolist(), b.tolist()):
         step = one_step_matrix(ai, bi, zs)
         t = (step.adjugate() if inverse else step) @ t
         top = np.max(np.abs(t.entries()), axis=0)
-        big = top > 1e100
-        t = t.scaled(np.where(big, 1.0 / top, 1.0))
-        log_scale = log_scale + np.where(big, np.log(top), 0.0)
+        shift = np.where(top > 1e100, np.frexp(top)[1], 0)
+        t = t.scaled(np.ldexp(1.0, -shift))
+        e = e + shift
         mantissas.append(t.entries())
-        scales.append(log_scale)
+        exps.append(e)
     mantissas = np.moveaxis(np.array(mantissas), 0, 1).reshape(2, 2, len(a), len(zs))
-    return mantissas, np.array(scales)
+    return mantissas, np.array(exps)
 
 
 @pytest.mark.parametrize("inverse", [False, True])
@@ -317,10 +346,11 @@ def test_tree_lengths_match_matrix2_chain(zs, start, inverse):
     cols = {None: 2, "matrix": 2, "column": 1}[start]
     first = (np.broadcast_to(np.eye(2)[..., None], (2, 2, len(zs))) if start is None
              else rng.normal(size=(2, cols, len(zs))) + 0j)
-    ref_t, ref_log = chain_steps(a, b, zs, first, inverse)
+    ref_t, ref_e = chain_steps(a, b, zs, first, inverse)
     one = len(zs) == 1  # a single energy goes in as a number, not an axis
     z = complex(zs[0]) if one else zs
-    kernel_start = None if start is None else first[..., 0] if one else first
+    kernel_start = (None if start is None else Scan(first[..., 0], 0) if one
+                    else Scan(first, np.zeros(len(zs), np.int64)))
     for n in [n for n in TREE_LENGTHS if n <= n_max]:
         scans = list(transfer_scan(a[:n], b[:n], z, kernel_start, prefixes=True,
                                    inverse=inverse))
@@ -330,11 +360,11 @@ def test_tree_lengths_match_matrix2_chain(zs, start, inverse):
         if one:
             pre_t, pre_e = pre_t[..., None], pre_e[..., None]
         assert pre_t.shape == (2, cols, n, len(zs))
-        assert_same_products(pre_t, pre_e, ref_t[:, :, :n], ref_log[:n])
+        assert_same_products(pre_t, pre_e, ref_t[:, :, :n], ref_e[:n])
         for scan in (scans[-1], last):
             assert_same_products(np.reshape(scan.t, (2, cols, 1, len(zs))),
                                  np.reshape(scan.e, (1, len(zs))),
-                                 ref_t[:, :, n - 1:n], ref_log[n - 1:n])
+                                 ref_t[:, :, n - 1:n], ref_e[n - 1:n])
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +377,19 @@ def single_energy_scans(a, b, z, start, steps):
     """Per-step products (mantissa, exponent) and the final one at one
     energy, from single-energy kernel calls over the pieces a lane call cuts
     (`steps` = CHUNK // lanes), so that the association is the same."""
-    pre_t, pre_e, t, e = [], [], start, 0
+    pre_t, pre_e, scan = [], [], Scan(start, 0)
     for lo in range(0, len(a), steps):
-        *_, scan = transfer_scan(a[lo:lo + steps], b[lo:lo + steps], z, t,
+        *_, scan = transfer_scan(a[lo:lo + steps], b[lo:lo + steps], z, scan,
                                  prefixes=True)
         pre_t.append(scan.prefix_t)
-        pre_e.append(scan.prefix_e + e)
-        t, e = scan.t, e + int(scan.e)
-    return np.concatenate(pre_t, axis=2), np.concatenate(pre_e), t, e
+        pre_e.append(scan.prefix_e)
+    return np.concatenate(pre_t, axis=2), np.concatenate(pre_e), scan.t, scan.e
 
 
 def assert_lanes_match_single(a, b, zs, start=None):
     zs = np.asarray(zs)
-    lanes = list(transfer_scan(a, b, zs, start, prefixes=True))
+    lane_starts = None if start is None else Scan(start, np.zeros(len(zs), np.int64))
+    lanes = list(transfer_scan(a, b, zs, lane_starts, prefixes=True))
     assert len(lanes) == -(-len(a) // (CHUNK // len(zs)))
     pre_t = np.concatenate([s.prefix_t for s in lanes], axis=2)
     pre_e = np.concatenate([s.prefix_e for s in lanes])
@@ -502,7 +532,7 @@ def test_empty_energy_axis_keeps_zero_width_lanes(prefixes):
     # empty array
     L = CHUNK + 5
     a, b = np.ones(L), np.linspace(-1.0, 1.0, L)
-    start = np.empty((2, 2, 0))
+    start = Scan(np.empty((2, 2, 0)), np.zeros(0, np.int64))
     scans = list(transfer_scan(a, b, np.empty(0), start, prefixes=prefixes))
     assert len(scans) == 2  # CHUNK steps a call, as for one lane
     for scan in scans:
@@ -531,5 +561,5 @@ def test_lanes_advance_after_the_last_lane_leaves():
     assert [sc.n for sc in lanes.take(2)] == [10, 10]
     lanes.feed([0.3] * 7)
     assert lanes.n == 17
-    assert lanes.t.shape == (2, 2, 0)
-    assert lanes.e.shape == lanes.log_sum.shape == lanes.x.shape == (0,)
+    assert lanes.scan.t.shape == (2, 2, 0)
+    assert lanes.scan.e.shape == lanes.log_sum.shape == lanes.x.shape == (0,)
