@@ -27,7 +27,7 @@ from .coeffs import (CoefficientSpec, as_int, as_real, check_params,
                      coefficient_arrays, params_errors, staircase_comb_parts,
                      staircase_level_value)
 from .periodic import comb_potential, gap_report
-from .transfer import GrowthScanner, Scan, log_norm2, transfer_scan
+from .transfer import GrowthScanner, Scan, _log_sums, log_norm2, transfer_scan
 
 __all__ = [
     "Schedule", "build_schedule", "slow_cosine_spec", "staircase_comb_spec",
@@ -268,10 +268,8 @@ class _Lanes:
         onto every lane, of which there may be none."""
         for scan in transfer_scan(np.ones(len(b)), np.array(b), self.x, self.scan,
                                   prefixes=True):
-            terms = log_norm2(scan.prefix_t, scan.prefix_e)
-            top = terms.max(axis=0)
-            run = top + np.log(np.exp(terms - top).sum(axis=0))
-            self.log_sum = np.logaddexp(self.log_sum, run)
+            self.log_sum = _log_sums(log_norm2(scan.prefix_t, scan.prefix_e),
+                                     self.log_sum, prefixes=False)
         self.scan = Scan(scan.t, scan.e)
         self.n += len(b)
 
@@ -305,16 +303,27 @@ def _analytic_step(level: int, delta: float, n0: int,
                    growth_margin: float, cap: int) -> int | None:
     """Smallest n <= cap at which the lower bound on the sum itself (see
     `build_schedule`), with sum_{j=1}^{k} r^j = r (r^k - 1) / (r - 1) taken in
-    logs, reaches growth_margin * level * n log^2 n."""
+    logs, reaches growth_margin * level * n log^2 n.  numpy evaluates it on
+    blocks of indices up to the first that misses by less than 1e-9, far
+    more than its logs and math's differ by; from there the math rule
+    decides one index at a time."""
     d4 = delta / 4.0
     log_r = math.log1p(d4 * d4)
     log_pref = (-2.0 * n0 * math.log(10.0) + math.log(0.25) + 4.0 * math.log(d4)
                 + log_r - math.log(math.expm1(log_r)))
-    for n in range(n0 + 5, cap + 1):
+
+    def bound_log(n, xp):
         k_log_r = (n - n0 - 4) * log_r
-        if (log_pref + k_log_r + math.log(-math.expm1(-k_log_r))
-                >= _threshold_log(level, growth_margin, n)):
-            return n
+        return log_pref + k_log_r + xp.log(-xp.expm1(-k_log_r))
+
+    for lo in range(n0 + 5, cap + 1, 1 << 16):
+        n = np.arange(lo, min(lo + (1 << 16), cap + 1))
+        ln_n = np.log(n)
+        threshold = math.log(growth_margin * level) + ln_n + 2.0 * np.log(ln_n)
+        near = np.flatnonzero(bound_log(n, np) - threshold > -1e-9)
+        if len(near):
+            return next((m for m in range(int(n[near[0]]), cap + 1) if bound_log(m, math)
+                         >= _threshold_log(level, growth_margin, m)), None)
     return None
 
 

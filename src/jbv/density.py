@@ -141,7 +141,9 @@ def ac_density(aspec: ApproximantSpec, x: float, s: int | None = None) -> float:
             f"x={x}: block-N discriminant {block_n.Delta.real:.12g} is not "
             "inside (-2, 2)")
     diag, (u0, e), _ = _solve(aspec, block_n, 1 if s is None else s)
-    mod2 = abs(complex(_unscaled(u0[1], e))) ** 2
+    # math.ldexp, unlike np.ldexp, raises OverflowError past float range
+    u = complex(u0[1])
+    mod2 = abs(complex(math.ldexp(u.real, int(e)), math.ldexp(u.imag, int(e)))) ** 2
     if mod2 < 1e-24:
         raise PoleOfMError(
             f"second component of u_0 is numerically zero at x={x}; "

@@ -19,7 +19,7 @@ import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jbv.cli import main
@@ -97,6 +97,22 @@ COMMANDS = {
 }
 
 
+class Drawn:
+    """Stands in for `st.data()` in an explicit example: a draw returns the
+    value given for its label, whatever the strategy."""
+
+    def __init__(self, **values):
+        self.values = values
+
+    def draw(self, strategy, label):
+        return self.values[label]
+
+
+# a = 1e308 sends the density solve's u_0 past float range
+OVERFLOWING_U0 = {"kind": "periodic", "params": {"q": 2, "a": [1e308, 1.0],
+                                                 "b": [0.0, 0.5]}}
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -109,6 +125,7 @@ def _run(argv):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @given(data=st.data())
+@example(data=Drawn(document=OVERFLOWING_U0, JBV_CONFIG=None))
 def test_cli_survives_malformed_documents(command, data):
     docs, argv = COMMANDS[command]
     doc = data.draw(docs, label="document")
@@ -127,3 +144,14 @@ def test_cli_survives_malformed_documents(command, data):
     assert "Traceback" not in err
     if out:
         strict_loads(out)
+
+
+def test_density_past_float_range_is_a_numerical_failure(tmp_path):
+    # np.ldexp used to overflow to inf with a RuntimeWarning, and the CLI
+    # wrote f = 0.0 as ok
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(OVERFLOWING_U0))
+    code, out, err = _run(["density", "--q", "1", "--N", "5", "--grid=-1:1:3",
+                           "--format", "json", "--spec", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("numerical failure:") and "Traceback" not in err

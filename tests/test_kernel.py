@@ -14,10 +14,11 @@ from jbv import (ApproximantSpec, GrowthScanner, Matrix2, OutsideBandError,
                  ScaledMatrix2, ac_density, build_schedule, coefficient_arrays,
                  explicit_spec, free_spec, growth_statistic, one_step_matrix,
                  periodic_spec, slow_cosine_spec, staircase_comb_spec,
-                 transfer_product)
+                 staircase_level_value, transfer_product)
 from jbv.constructions import _Lanes
-from jbv.transfer import CHUNK, Scan, log_norm2, transfer_scan
-from oracles import replayed_schedule_rows
+from jbv.matrix2 import RESCALE_LIMIT
+from jbv.transfer import CHUNK, Scan, _log_sums, log_norm2, transfer_scan
+from oracles import _threshold_log, replayed_schedule_rows
 
 COSINE = slow_cosine_spec(0.5, 0.4)
 STAIRCASE_SCHEDULE = build_schedule(2, 0.5, levels=3)
@@ -306,6 +307,14 @@ def test_huge_energies_on_an_energy_axis_match_growth_scanners():
                                  ref_t[:, :, -1:], ref_e[-1:])
 
 
+def assert_rescaled(t):
+    """Every matrix (over the two leading axes of t) has its largest entry
+    in [1 / RESCALE_LIMIT, RESCALE_LIMIT], as every product the kernel
+    returns must: each is a rescaled product or a checked slot 0."""
+    top = np.abs(t).max(axis=(0, 1))
+    assert np.all((1.0 / RESCALE_LIMIT <= top) & (top <= RESCALE_LIMIT))
+
+
 def chain_steps(a, b, zs, start, inverse):
     """The products after every step of a Matrix2 chain whose entries run
     over the lanes zs: one_step_matrix, or its adjugate (its inverse) with
@@ -360,11 +369,122 @@ def test_tree_lengths_match_matrix2_chain(zs, start, inverse):
         if one:
             pre_t, pre_e = pre_t[..., None], pre_e[..., None]
         assert pre_t.shape == (2, cols, n, len(zs))
+        assert_rescaled(pre_t)
         assert_same_products(pre_t, pre_e, ref_t[:, :, :n], ref_e[:n])
         for scan in (scans[-1], last):
+            assert_rescaled(scan.t)
             assert_same_products(np.reshape(scan.t, (2, cols, 1, len(zs))),
                                  np.reshape(scan.e, (1, len(zs))),
                                  ref_t[:, :, n - 1:n], ref_e[n - 1:n])
+
+
+# largest entries of a carried mantissa just inside and just outside the
+# rescale limits
+CARRY_TOPS = {"1e100": RESCALE_LIMIT, "past 1e100": RESCALE_LIMIT * (1 + 2 ** -52),
+              "1e-100": 1.0 / RESCALE_LIMIT,
+              "below 1e-100": (1.0 / RESCALE_LIMIT) * (1 - 2 ** -52)}
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("top", sorted(CARRY_TOPS))
+@pytest.mark.parametrize("z", [0.3, 2.6, 1e200, (0.3, 2.6 + 0.05j)],
+                         ids=["0.3", "2.6", "1e200", "complex lanes"])
+def test_carries_at_the_rescale_limits_match_matrix2_chains(z, top, inverse):
+    # the carry is folded into step 0, whose lineage up the tree is checked
+    # at every level while the other slots skip the check where it cannot
+    # fire: in band, off band, at an energy whose steps are all rescaled,
+    # and on a complex axis, which checks everything
+    rng = np.random.default_rng(3)
+    n_max = 1100
+    a, b = rng.uniform(0.5, 1.5, n_max), rng.uniform(-2.0, 2.0, n_max)
+    zs = np.atleast_1d(z)
+    start = rng.uniform(0.25, 1.0, (2, 2, len(zs))) * CARRY_TOPS[top]
+    start[0, 0] = CARRY_TOPS[top]
+    ref_t, ref_e = chain_steps(a, b, zs, start, inverse)
+    one = np.ndim(z) == 0
+    z, carry = ((z, Scan(start[..., 0], 0)) if one
+                else (zs, Scan(start, np.zeros(len(zs), np.int64))))
+    for n in (1, 2, 3, 5, 64, 65, 1023, n_max):
+        (scan,) = transfer_scan(a[:n], b[:n], z, carry, prefixes=True, inverse=inverse)
+        (last,) = transfer_scan(a[:n], b[:n], z, carry, inverse=inverse)
+        pre_t, pre_e = scan.prefix_t, scan.prefix_e
+        if one:
+            pre_t, pre_e = pre_t[..., None], pre_e[..., None]
+        assert_rescaled(pre_t)
+        assert_rescaled(last.t)
+        assert_same_products(pre_t, pre_e, ref_t[:, :, :n], ref_e[:n])
+        assert_same_products(np.reshape(last.t, (2, 2, 1, len(zs))),
+                             np.reshape(last.e, (1, len(zs))),
+                             ref_t[:, :, n - 1:n], ref_e[n - 1:n])
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_a_carry_shrinking_below_the_limit_up_the_tree_is_rescaled(level):
+    # the carry is 0.99 / RESCALE_LIMIT times the inverse of the first
+    # 2**level steps: it is folded into step 0 unscaled, its lineage stays
+    # in range up to that level, and there slot 0, the product after step
+    # 2**level - 1, comes out just below 1 / RESCALE_LIMIT
+    rng = np.random.default_rng(8)
+    a, b, x = rng.uniform(0.5, 1.5, 16), rng.uniform(-2.0, 2.0, 16), 0.3
+    heads = [np.eye(2)]
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        heads.append(np.array([[(x - bi) / ai, -1.0 / ai], [ai, 0.0]]) @ heads[-1])
+    carry = np.linalg.inv(heads[2 ** level]) * (0.99 / RESCALE_LIMIT)
+    for j in range(level):  # slot 0 of the levels below
+        assert np.abs(heads[2 ** j] @ carry).max() >= 1.0 / RESCALE_LIMIT
+    ref_t, ref_e = chain_steps(a, b, np.array([x]), carry[..., None], False)
+    (scan,) = transfer_scan(a, b, x, Scan(carry, 0), prefixes=True)
+    assert np.abs(scan.prefix_t[..., 2 ** level - 1]).max() >= 0.5
+    assert_rescaled(scan.prefix_t)
+    assert_same_products(scan.prefix_t[..., None], scan.prefix_e[..., None], ref_t, ref_e)
+
+
+def test_growth_scanner_runs_at_a_huge_energy_match_single_steps():
+    # at x = 1e200 each log-norm climbs about 920 a step, past what the
+    # blocks of the prefix log-sum hold, which then adds term by term
+    a, b = coefficient_arrays(COSINE, 1, 301)
+    ref, sc = GrowthScanner(1e200), GrowthScanner(1e200)
+    want = []
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        ref.feed(ai, bi)
+        want.append(ref.statistic_log if ref.n >= 2 else -math.inf)
+    got = np.concatenate([sc.feed_arrays(a[:100], b[:100]), sc.feed_arrays(a[100:], b[100:])])
+    assert got[1:] == pytest.approx(want[1:], rel=KERNEL_RTOL)
+    assert sc.running_max_log == pytest.approx(ref.running_max_log, rel=KERNEL_RTOL)
+
+
+# the prefix log-sum against np.logaddexp.accumulate, which adds the terms
+# one at a time: a cumsum of up to CHUNK positive terms is within CHUNK eps
+# (9.1e-13) of its exact value, relative, so each log-sum is within 1e-12
+# of the larger of 1 and itself
+LOG_SUM_RTOL = 1e-12
+
+
+def log_sum_cases():
+    rng = np.random.default_rng(5)
+    flat = rng.uniform(0.0, 1.0, 5000)
+    return {
+        "flat": (flat, 3.0),                                   # one block
+        "from nothing": (flat, -math.inf),
+        "climbing": (np.cumsum(rng.uniform(0.0, 3.0, 5000)), 0.0),  # blocks of 64
+        "below the start": (flat, 2000.0),                    # one block
+        "jumping": (np.cumsum(rng.uniform(0.0, 40.0, 300)), 1.0),   # term by term
+        "lanes": (np.stack([flat, np.cumsum(rng.uniform(0.0, 3.0, 5000)),
+                            flat + 700.0], axis=1), np.array([0.0, -math.inf, 5.0])),
+        "one row": (np.array([[4.0, -1.0]]), np.array([3.0, 2.0])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(log_sum_cases()))
+def test_log_sums_match_logaddexp_accumulate(case):
+    terms, start = log_sum_cases()[case]
+    want = np.logaddexp.accumulate(np.concatenate((np.reshape(start, (1,) + terms.shape[1:]),
+                                                   terms)))[1:]
+    got = _log_sums(terms, start, prefixes=True)
+    assert got.shape == terms.shape
+    assert np.all(np.abs(got - want) <= LOG_SUM_RTOL * np.maximum(1.0, np.abs(want)))
+    total = _log_sums(terms, start, prefixes=False)
+    assert np.all(np.abs(total - want[-1]) <= LOG_SUM_RTOL * np.maximum(1.0, np.abs(want[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +598,33 @@ def test_truncated_schedule_rows_equal_prefix_replay():
     sched = build_schedule(2, 0.5, 5, cap=1500)
     assert sched.truncated and sched.horizon == 1500
     assert sched.rows == replayed_schedule_rows(sched)
+
+
+@pytest.mark.parametrize("q, levels", [(2, 3), (3, 2)])
+def test_schedule_breakpoints_by_sequential_feed(q, levels):
+    # no kernel call: each step's energies are replayed one Python step at a
+    # time from n = 1 over the built spec, and each breakpoint must be the
+    # first n >= n0 + 5 at which every one of them clears the threshold
+    sched = build_schedule(q, 0.5, levels)
+    a, b = (v.tolist() for v in coefficient_arrays(staircase_comb_spec(sched), 1,
+                                                  sched.horizon + 1))
+    steps = 0
+    for level, row in enumerate(sched.rows, 1):
+        m_l = sched.m[level - 1]
+        for k, (n0, end) in enumerate(zip(row, row[1:])):
+            v = staircase_level_value(level, k, m_l, sched.lam)
+            scanners = [GrowthScanner(z + v) for z in sched.centers[level - 1]]
+            cleared = None
+            for n in range(1, end + 1):
+                for sc in scanners:
+                    sc.feed(a[n - 1], b[n - 1])
+                if n >= n0 + 5 and all(sc.statistic_log >= _threshold_log(
+                        level, sched.margin, n) for sc in scanners):
+                    cleared = n
+                    break
+            assert cleared == end, (level, k)
+            steps += 1
+    assert steps == sum(sched.m)
 
 
 # ---------------------------------------------------------------------------
