@@ -191,8 +191,9 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
         w_list.append(w_l)
         delta_list.append(rep.min_width)
         centers_list.append(rep.centers)
-        # delta is a bisected width known to ~1e-10, so back off by a relative
-        # hair before ceil: an exactly integral 4/delta must not round up
+        # delta is a difference of eigenvalues, exact only to rounding, so back
+        # off by a relative hair before ceil: an exactly integral 4/delta must
+        # not round up
         m_list.append(max(2 ** level, math.ceil(4.0 / rep.min_width - 1e-6)))
 
     if mode == "empirical":
@@ -286,14 +287,19 @@ def _empirical_step(q: int, level: int, v: float, w_l: float, lanes: _Lanes,
     of the steps still to come."""
     scanners = lanes.take(count)
     window: list[float] = []
+    log_margin = math.log(growth_margin * level)
     for n in range(n0 + 1, cap + 1):
         b_n = v + (w_l if n % q == 0 else 0.0)
         window.append(b_n)
         for sc in scanners:
             sc.feed(1.0, b_n)
         if n >= n0 + 5:
-            thr = _threshold_log(level, growth_margin, n)
-            if all(sc.statistic_log >= thr for sc in scanners):
+            # `_threshold_log` and each scanner's `statistic_log` (sc.n == n),
+            # the same float operations on one pair of logs
+            ln_n = math.log(n)
+            log_ln2 = 2.0 * math.log(ln_n)
+            thr = log_margin + ln_n + log_ln2
+            if all(sc.log_sum - ln_n - log_ln2 >= thr for sc in scanners):
                 lanes.feed(window)
                 return n
     return None

@@ -4,8 +4,13 @@ A two-sided q-periodic Jacobi matrix has spectrum {x : D(x) in [-2, 2]} where
 D is the trace of its q-step transfer matrix.  That set splits into q closed
 bands; the band interiors form the q-interior, which drops a finite set of
 touch points where consecutive bands meet (closed gaps).  This module computes
-D exactly as a degree-q polynomial, isolates every band edge by bisection and
-classifies closed gaps through the critical points of D.
+D exactly as a degree-q polynomial; `band_structure` and
+`intersection_over_family` isolate every band edge by bisection and classify
+closed gaps through the critical points of D.  `gap_report` bisects nothing:
+the 2q roots of D = +-2 are the spectra of the periodic and antiperiodic q x q
+matrices (`_band_edges`), exact to rounding at every q.  Until the band
+solver is built on the same eigenvalues, the two paths agree only to the
+bisection tolerance, and only where bisection finds every edge.
 
 A family of blocks is solved at once: blocks of one period are stacked on a
 leading member axis through every stage (discriminant products, grid passes,
@@ -369,6 +374,11 @@ def _on_critical_points(values: np.ndarray, rows: np.ndarray,
     return out
 
 
+def _check_tol(tol: float) -> None:
+    if not (0.0 < tol <= 1e-3):
+        raise ValueError("tolerance must lie in (0, 1e-3]")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # as silent as float Horner
 def _band_structures(family: list[PeriodicJacobi], tol: float) -> list[BandStructure]:
     """The band structure of each block of a family, each bit for bit what
@@ -378,8 +388,7 @@ def _band_structures(family: list[PeriodicJacobi], tol: float) -> list[BandStruc
 
     A family whose members fail raises the first failing member's error.
     """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError("tolerance must lie in (0, 1e-3]")
+    _check_tol(tol)
     out: list = [None] * len(family)
     by_q: dict[int, list[int]] = {}
     for k, P in enumerate(family):
@@ -505,14 +514,43 @@ def band_structure(P: PeriodicJacobi, tol: float = 1e-10) -> BandStructure:
     return _band_structures([P], tol)[0]
 
 
+def _band_edges(P: PeriodicJacobi) -> np.ndarray:
+    """The 2q band edges of P, ascending: the eigenvalues of the periodic
+    (D = 2) and antiperiodic (D = -2) q x q matrices, from one `eigvalsh`
+    call on the stack of both.
+
+    The corner +-a_q is added to the off-diagonal, not written over it: for
+    q = 2 the off-diagonal is a_1 +- a_2, and for q = 1 the corner adds to the
+    one entry from both sides, which gives b +- 2 a.  Band j is the pair of
+    edges 2j, 2j + 1 and gap j the pair 2j + 1, 2j + 2.
+    """
+    q, i = P.q, np.arange(P.q - 1)
+    J = np.zeros((2, q, q))
+    J[:, range(q), range(q)] = P.b
+    J[:, i, i + 1] = J[:, i + 1, i] = P.a[:-1]
+    corner = (P.a[-1], -P.a[-1])
+    J[:, 0, q - 1] += corner
+    J[:, q - 1, 0] += corner
+    return np.sort(np.linalg.eigvalsh(J), axis=None)
+
+
 def gap_report(P: PeriodicJacobi, tol: float = 1e-10) -> GapReport:
     """Open-gap geometry of a periodic block: open gaps, their centers, the
-    minimum width, and whether all q-1 gaps are open."""
-    bs = band_structure(P, tol)
-    open_gaps = tuple(Interval.open(g.lo, g.hi) for g in bs.gaps if not g.closed)
-    centers = tuple(g.center for g in bs.gaps)
-    min_width = (0.0 if any(g.closed for g in bs.gaps)
-                 else min((g.width for g in bs.gaps), default=0.0))
+    minimum width, and whether all q-1 gaps are open.
+
+    The gaps lie between consecutive band edges, which are eigenvalues
+    (`_band_edges`), exact to rounding; no edge is bisected.  `tol`, in
+    (0, 1e-3] as for `band_structure`, only decides which gaps count as
+    closed: those narrower than it.
+    """
+    _check_tol(tol)
+    edges = _band_edges(P).tolist()
+    gaps = [Gap(lo, hi, closed=(hi - lo) < tol)
+            for lo, hi in zip(edges[1:-1:2], edges[2::2])]
+    open_gaps = tuple(Interval.open(g.lo, g.hi) for g in gaps if not g.closed)
+    centers = tuple(g.center for g in gaps)
+    min_width = (0.0 if any(g.closed for g in gaps)
+                 else min((g.width for g in gaps), default=0.0))
     all_open = len(open_gaps) == P.q - 1
     return GapReport(open_gaps, centers, min_width, all_open)
 

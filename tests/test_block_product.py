@@ -42,15 +42,28 @@ def random_block(rng, q):
 
 def oracle_bands(P):
     """The q bands of P as consecutive pairs of the sorted eigenvalues of the
-    periodic (D = 2) and antiperiodic (D = -2) q x q matrices."""
+    periodic (D = 2) and antiperiodic (D = -2) q x q matrices.  The corner
+    -+a_q adds to what is there: to a_1 at q = 2, and twice to b at q = 1."""
     J = np.diag(P.b) + np.diag(P.a[:-1], 1) + np.diag(P.a[:-1], -1)
     edges = []
     for corner in (P.a[-1], -P.a[-1]):
         Jc = J.copy()
-        Jc[0, -1] = Jc[-1, 0] = corner
+        Jc[0, -1] += corner
+        Jc[-1, 0] += corner
         edges.extend(np.linalg.eigvalsh(Jc))
     edges.sort()
     return list(zip(edges[0::2], edges[1::2]))
+
+
+def test_oracle_bands_at_q1_and_q2():
+    assert oracle_bands(PeriodicJacobi.of(1, [0.7], [0.2])) == \
+        [pytest.approx((-1.2, 1.6), abs=1e-15)]
+    # the eigenvalues of ((0.2, c), (c, -0.4)) for c = 0.7 -+ 1.3 are
+    # -0.1 -+ sqrt(0.09 + c^2)
+    got = oracle_bands(PeriodicJacobi.of(2, [0.7, 1.3], [0.2, -0.4]))
+    r2, r0 = math.sqrt(0.09 + 4.0), math.sqrt(0.09 + 0.36)
+    assert got == [pytest.approx((-0.1 - r2, -0.1 - r0), abs=1e-15),
+                   pytest.approx((-0.1 + r0, -0.1 + r2), abs=1e-15)]
 
 
 @pytest.mark.parametrize("q", [8, 16, 32, 64, 128])

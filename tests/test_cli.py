@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from jbv import (CoefficientSpec, Schedule, eval_coefficients,
-                 staircase_bv_breakdown)
+from jbv import (CoefficientSpec, Schedule, comb_potential, eval_coefficients,
+                 gap_report, staircase_bv_breakdown)
 from jbv.cli import main
 from oracles import free_density
 
@@ -230,6 +230,20 @@ def test_verify_explicit_window(tmp_path, capsys):
     assert header == ["l", "norm", "bound", "status"]
     assert all(row[3] == "pass" for row in rows)
     assert [int(r[0]) for r in rows] == list(range(4, 30))
+
+
+def test_verify_explicit_window_on_comb_q24(tmp_path, capsys):
+    # the bisection solver raises RootIsolationError on this block
+    P = comb_potential(24, 1.25)
+    p = tmp_path / "comb24.json"
+    p.write_text(json.dumps({"kind": "periodic", "params": P.to_dict()}))
+    gap = min(gap_report(P).gap_intervals, key=lambda g: g.width)
+    code, out, _ = run(capsys, "verify", "--spec", str(p), "--period", "24",
+                       "--m", "1", "--k", "240", "--E", repr(0.5 * (gap.lo + gap.hi)),
+                       "--delta", repr(gap.width / 4))
+    assert code == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 236 and all(row[3] == "pass" for row in rows)
 
 
 def test_verify_random_deterministic(capsys):

@@ -137,6 +137,27 @@ def test_gap_window_randomized():
         assert verify_gap_window_growth(comb.as_spec(), q, m, k, e, delta).passed
 
 
+# comb q = 24 at coupling 1.25: the bisection solver finds 89 of its 48 band
+# edges there and raises RootIsolationError; the avoidance check reads the
+# eigenvalue edges
+_COMB24 = comb_potential(24, 1.25)
+
+
+def test_gap_window_on_comb_q24():
+    gap = min(gap_report(_COMB24).gap_intervals, key=lambda g: g.width)
+    e = 0.5 * (gap.lo + gap.hi)
+    report = verify_gap_window_growth(_COMB24.as_spec(), 24, 1, 240, e, gap.width / 4)
+    assert report.passed and len(report.l_values) == 236
+
+
+def test_gap_window_meeting_a_band_by_1e6_is_rejected():
+    gap = max(gap_report(_COMB24).gap_intervals, key=lambda g: g.width)
+    delta = gap.width / 4
+    with pytest.raises(PreconditionError, match="spectrum-avoidance: band "):
+        verify_gap_window_growth(_COMB24.as_spec(), 24, 1, 240,
+                                 gap.hi - delta + 1e-6, delta)
+
+
 _COMB = comb_potential(2, 0.5).as_spec()
 ENERGY_ENTRY_POINTS = {
     "verify_gap_window_growth":
