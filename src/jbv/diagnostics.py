@@ -128,7 +128,7 @@ def verify_gap_window_growth(spec: CoefficientSpec, q: int, m: int, k: int,
         raise PreconditionError("window-periodicity: window does not tile its "
                                 "leading q entries")
     comparison = PeriodicJacobi.of(q, [1.0] * q, block_b)
-    edges = _band_edges(comparison).tolist()
+    edges = _band_edges([comparison])[0].tolist()
     for lo, hi in zip(edges[0::2], edges[1::2]):   # the q bands
         if lo < E + delta and hi > E - delta:
             raise PreconditionError(f"spectrum-avoidance: band [{lo}, {hi}] meets "

@@ -146,26 +146,32 @@ def _complement(u: IntervalUnion) -> IntervalUnion:
 
 
 def _sweep(unions: Sequence[IntervalUnion]) -> IntervalUnion:
-    """The points that every union contains, by one endpoint sweep.
+    """The points that every union contains (`_sweep_arrays` on the
+    intervals of all of them)."""
+    if not unions:
+        raise ValueError("intersect_all needs at least one union")
+    lo, hi, closed_lo, closed_hi = np.array(
+        [(iv.lo, iv.hi, iv.closed_lo, iv.closed_hi) for u in unions for iv in u.intervals],
+        dtype=float).reshape(-1, 4).T
+    return _sweep_arrays(lo, hi, closed_lo == 1.0, closed_hi == 1.0, len(unions))
+
+
+def _sweep_arrays(lo: np.ndarray, hi: np.ndarray, closed_lo: np.ndarray,
+                  closed_hi: np.ndarray, n: int) -> IntervalUnion:
+    """The points that all n unions contain, by one endpoint sweep over the
+    intervals (lo, hi) of all of them, with their closed-end flags.
 
     Each union must be canonical, so it covers a point at most once; a point
-    or open segment is in the result when all unions cover it.  The
+    or open segment is in the result when n intervals cover it.  The
     endpoints E are sorted once, and searchsorted counts, for each E, the
     intervals that contain it and those that contain the open segment to
     the next endpoint.  Maximal runs of covered points and segments are
     the result's intervals, closed where a run starts or ends on a point.
     """
-    if not unions:
-        raise ValueError("intersect_all needs at least one union")
-    parts = [iv for u in unions for iv in u.intervals]
-    if not parts:
+    if not len(lo):
         return IntervalUnion.empty()
-    lo = np.array([iv.lo for iv in parts])
-    hi = np.array([iv.hi for iv in parts])
-    closed_lo = np.sort(lo[[iv.closed_lo for iv in parts]])
-    closed_hi = np.sort(hi[[iv.closed_hi for iv in parts]])
-    lo.sort()
-    hi.sort()
+    closed_lo, closed_hi = np.sort(lo[closed_lo]), np.sort(hi[closed_hi])
+    lo, hi = np.sort(lo), np.sort(hi)
     ends = np.sort(np.concatenate((lo, hi)))
     # distinct endpoints; np.unique would import numpy.ma
     ends = ends[np.append(True, ends[1:] != ends[:-1])]
@@ -178,8 +184,8 @@ def _sweep(unions: Sequence[IntervalUnion]) -> IntervalUnion:
     on_segment = np.searchsorted(lo, ends, "right") - below
     # atoms in order: point E_0, segment (E_0, E_1), point E_1, ...
     covered = np.empty(2 * len(ends) - 1, dtype=bool)
-    covered[0::2] = at_point == len(unions)
-    covered[1::2] = on_segment[:-1] == len(unions)
+    covered[0::2] = at_point == n
+    covered[1::2] = on_segment[:-1] == n
     edge = np.diff(np.concatenate(([False], covered, [False])).astype(np.int8))
     values = ends.tolist()
     return IntervalUnion(tuple(

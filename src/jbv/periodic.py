@@ -4,18 +4,14 @@ A two-sided q-periodic Jacobi matrix has spectrum {x : D(x) in [-2, 2]} where
 D is the trace of its q-step transfer matrix.  That set splits into q closed
 bands; the band interiors form the q-interior, which drops a finite set of
 touch points where consecutive bands meet (closed gaps).  This module computes
-D exactly as a degree-q polynomial; `band_structure` and
-`intersection_over_family` isolate every band edge by bisection and classify
-closed gaps through the critical points of D.  `gap_report` bisects nothing:
-the 2q roots of D = +-2 are the spectra of the periodic and antiperiodic q x q
-matrices (`_band_edges`), exact to rounding at every q.  Until the band
-solver is built on the same eigenvalues, the two paths agree only to the
-bisection tolerance, and only where bisection finds every edge.
-
-A family of blocks is solved at once: blocks of one period are stacked on a
-leading member axis through every stage (discriminant products, grid passes,
-sign-change and noise-floor scans, bisection), and each member comes out bit
-for bit as it does alone.  `band_structure` is the one-member family.
+D exactly as a degree-q polynomial; `band_structure` isolates every band edge
+by bisection and classifies closed gaps through the critical points of D.
+`gap_report` and `intersection_over_family` bisect nothing: the 2q roots of
+D = +-2 are the spectra of the periodic and antiperiodic q x q matrices
+(`_band_edges`), exact to rounding at every q, and blocks of one period get
+theirs from one `eigvalsh` call.  Until the band solver is built on the same
+eigenvalues, the two paths agree only to the bisection tolerance, and only
+where bisection finds every edge.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ import numpy as np
 from .coeffs import (CoefficientSpec, as_int, check_params, params_errors,
                      periodic_spec)
 from .errors import RootIsolationError
-from .intervals import Interval, IntervalUnion, _complement, _sweep
+from .intervals import Interval, IntervalUnion, _sweep_arrays
 from .matrix2 import block_product
 from .polynomial import (PolynomialReal, bisect_root, bisect_roots, horner,
                          sign_changes)
@@ -87,7 +83,7 @@ def _polymul(c1: list, c2: list) -> list:
     """numpy.polynomial's polymul, zero signs included, never trimmed: every
     sum starts from +0.0, as in np.convolve, so no entry is ever -0.0, and an
     entry past the degree is +0.0 and adds nothing to the finite entries it
-    meets (a member with an infinite entry is non-finite either way)."""
+    meets (a block with an infinite entry is non-finite either way)."""
     out = [0.0] * (len(c1) + len(c2) - 1)
     for i, x in enumerate(c1):
         for j, y in enumerate(c2):
@@ -102,9 +98,7 @@ def _polyadd(c1: list, c2: list) -> list:
 
 def _discriminant_coeffs(a, b) -> list:
     """The q+1 coefficients of the trace of the one-step product, built from
-    one-step matrices with polynomial entries.  The entries of a and b are
-    floats, or member vectors (one site of every block in a stack), which get
-    the same operations in the same order."""
+    one-step matrices with polynomial entries."""
     m11, m12, m21, m22 = [1.0], [0.0], [0.0], [1.0]
     for a, b in zip(a, b):
         p, r, s = [-b / a, 1.0 / a], [-1.0 / a], [a]   # (z - b)/a, -1/a, a
@@ -199,28 +193,18 @@ class GapReport:
     all_open: bool
 
 
-# Crossovers measured on a 2-vCPU VM, where the array forms cost about as much
-# as the float forms below them: stacks of fewer blocks than STACK_MIN build
-# their discriminants one block at a time (crossover 5 to 10 blocks for
-# q = 3 to 16), and fewer brackets than BISECT_MIN are bisected one at a time
-# (crossover 24 to 40 brackets for q = 3 and 8).
-STACK_MIN = 8
+# Crossover measured on a 2-vCPU VM, where the array form costs about as much
+# as the float form below it: fewer brackets than BISECT_MIN are bisected one
+# at a time (crossover 24 to 40 brackets for q = 3 and 8).
 BISECT_MIN = 32
-# memory bounds: a stack holds at most _CELLS grid samples, or one member (its
-# finest grid has 64 q 4^3 + 1 samples), and one array bisection at most
-# _BRACKETS brackets
-_CELLS = 1 << 17
+# memory bound: one array bisection takes at most _BRACKETS brackets
 _BRACKETS = 1 << 12
 
 
 def _discriminants(group: list[PeriodicJacobi]) -> list:
     """`discriminant_polynomial` of each block of period q, or the error it
-    raises; a stack of blocks is built as member vectors."""
-    if len(group) < STACK_MIN:
-        rows = [_discriminant_coeffs(P.a, P.b) for P in group]
-    else:
-        a, b = np.array([(P.a, P.b) for P in group]).transpose(1, 2, 0)
-        rows = np.array(_discriminant_coeffs(a, b)).T.tolist()
+    raises."""
+    rows = [_discriminant_coeffs(P.a, P.b) for P in group]
     return [PolynomialReal(tuple(row)) if all(map(math.isfinite, row)) else
             OverflowError(f"the discriminant of a q={P.q} block leaves float range")
             for P, row in zip(group, rows)]
@@ -379,29 +363,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tolerance must lie in (0, 1e-3]")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as silent as float Horner
-def _band_structures(family: list[PeriodicJacobi], tol: float) -> list[BandStructure]:
-    """The band structure of each block of a family, each bit for bit what
-    the block gives alone, from one set of array passes per period: every
-    stage runs over a leading member axis, and members whose root counts
-    come out wrong go on to a finer grid together.
-
-    A family whose members fail raises the first failing member's error.
-    """
-    _check_tol(tol)
-    out: list = [None] * len(family)
-    by_q: dict[int, list[int]] = {}
-    for k, P in enumerate(family):
-        by_q.setdefault(P.q, []).append(k)
-    for q, idx in by_q.items():
-        for k, result in zip(idx, _period_structures(q, [family[k] for k in idx], tol)):
-            out[k] = result
-    for result in out:
-        if isinstance(result, Exception):
-            raise result
-    return out
-
-
 def _period_structures(q: int, group: list[PeriodicJacobi], tol: float) -> list:
     """Band structures of blocks of period q, or the error each one raises."""
     out = _discriminants(group)
@@ -444,12 +405,6 @@ def _isolate(q: int, coeffs: np.ndarray, dcoeffs: np.ndarray, lo: np.ndarray,
     next, finer grid, and after the last one hold the counts found instead
     (no edge count where the critical points were already wrong)."""
     pts = 64 * q * (4 ** attempt)
-    step = max(1, _CELLS // (pts + q))
-    if len(lo) > step:
-        return [found for i in range(0, len(lo), step)
-                for found in _isolate(q, coeffs[i:i + step], dcoeffs[i:i + step],
-                                      lo[i:i + step], hi[i:i + step], noise[i:i + step],
-                                      tol, attempt)]
     grid = lo[:, None] + (hi - lo)[:, None] * np.arange(pts + 1) / pts
     if q > 1:   # a critical value must resolve to the noise floor
         crit_rows, crit = _critical_points(dcoeffs, grid, min(tol, 1e-10))
@@ -503,6 +458,7 @@ def _assemble(q: int, poly: PolynomialReal, edges: list[float], crit: list[float
                          tuple(c for c in crit if edges[0] <= c <= edges[-1]), poly)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as silent as float Horner
 def band_structure(P: PeriodicJacobi, tol: float = 1e-10) -> BandStructure:
     """Bands, gaps and the q-interior of a periodic Jacobi matrix.
 
@@ -511,27 +467,39 @@ def band_structure(P: PeriodicJacobi, tol: float = 1e-10) -> BandStructure:
     than `tol` is reported closed and its touch region is excluded from the
     q-interior.  Each grid is evaluated as one array Horner pass.
     """
-    return _band_structures([P], tol)[0]
+    _check_tol(tol)
+    result = _period_structures(P.q, [P], tol)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def _band_edges(P: PeriodicJacobi) -> np.ndarray:
-    """The 2q band edges of P, ascending: the eigenvalues of the periodic
-    (D = 2) and antiperiodic (D = -2) q x q matrices, from one `eigvalsh`
-    call on the stack of both.
+def _band_edges(group: list[PeriodicJacobi]) -> np.ndarray:
+    """The 2q band edges of each block of period q in `group`, ascending, as
+    one row per block: the eigenvalues of the periodic (D = 2) and
+    antiperiodic (D = -2) q x q matrices, from one `eigvalsh` call on the
+    (blocks, 2, q, q) stack of both.
 
     The corner +-a_q is added to the off-diagonal, not written over it: for
     q = 2 the off-diagonal is a_1 +- a_2, and for q = 1 the corner adds to the
     one entry from both sides, which gives b +- 2 a.  Band j is the pair of
-    edges 2j, 2j + 1 and gap j the pair 2j + 1, 2j + 2.
+    edges 2j, 2j + 1 and gap j the pair 2j + 1, 2j + 2.  Raises
+    OverflowError where an entry or an edge leaves float range.
     """
-    q, i = P.q, np.arange(P.q - 1)
-    J = np.zeros((2, q, q))
-    J[:, range(q), range(q)] = P.b
-    J[:, i, i + 1] = J[:, i + 1, i] = P.a[:-1]
-    corner = (P.a[-1], -P.a[-1])
-    J[:, 0, q - 1] += corner
-    J[:, q - 1, 0] += corner
-    return np.sort(np.linalg.eigvalsh(J), axis=None)
+    q, i = group[0].q, np.arange(group[0].q - 1)
+    a, b = np.array([(P.a, P.b) for P in group]).transpose(1, 0, 2)[:, :, None]
+    J = np.zeros((len(group), 2, q, q))
+    J[..., range(q), range(q)] = b
+    J[..., i, i + 1] = J[..., i + 1, i] = a[..., :-1]
+    corner = np.stack((a[:, 0, -1], -a[:, 0, -1]), axis=1)
+    with np.errstate(over="ignore"):   # q <= 2 only; checked below
+        J[..., 0, q - 1] += corner
+        J[..., q - 1, 0] += corner
+    if np.isfinite(J).all():
+        edges = np.sort(np.linalg.eigvalsh(J).reshape(len(group), 2 * q), axis=1)
+        if np.isfinite(edges).all():
+            return edges
+    raise OverflowError(f"the band edges of a q={q} block leave float range")
 
 
 def gap_report(P: PeriodicJacobi, tol: float = 1e-10) -> GapReport:
@@ -544,7 +512,7 @@ def gap_report(P: PeriodicJacobi, tol: float = 1e-10) -> GapReport:
     closed: those narrower than it.
     """
     _check_tol(tol)
-    edges = _band_edges(P).tolist()
+    edges = _band_edges([P])[0].tolist()
     gaps = [Gap(lo, hi, closed=(hi - lo) < tol)
             for lo, hi in zip(edges[1:-1:2], edges[2::2])]
     open_gaps = tuple(Interval.open(g.lo, g.hi) for g in gaps if not g.closed)
@@ -573,32 +541,56 @@ def intersection_over_family(family: list[PeriodicJacobi], mode: str,
     """Intersection of spectra or q-interiors across a family of periodic
     blocks.
 
+    Band edges are eigenvalues (`_band_edges`), one `eigvalsh` call per
+    period, and the sets are intersected in one endpoint sweep; no edge is
+    bisected.  A single-member family returns that member's set exactly, up
+    to the rounding of its eigenvalues.  `tol`, in (0, 1e-3] as for
+    `band_structure`, decides which gaps count as closed (those narrower
+    than it: their two bands form one component of the spectrum, as
+    `eigvalsh` splits the double root of a closed gap by rounding), and
+    which q-interior components are too narrow to keep (8 tol or less).
+
     The family is treated as an ordered sample of a continuously swept
     one-parameter family: in "qinterior" mode the excluded region of each gap
     slot is the hull of that slot's gap regions over consecutive members, so a
     touch point moving across the sweep excludes the whole segment it sweeps,
-    not just the sampled points.  A single-member family returns that member's
-    set exactly.
+    not just the sampled points.
     """
     if not family:
         raise ValueError("family must be nonempty")
     mode = mode.lower()
     if mode not in ("spectrum", "qinterior"):
         raise ValueError(f"mode must be 'spectrum' or 'qinterior', got {mode!r}")
-    structs = _band_structures(family, tol)
-    if mode == "spectrum":   # the spectra, like the q-interiors, are canonical
-        return _sweep([bs.spectrum for bs in structs])
-    q = structs[0].q
-    if any(bs.q != q for bs in structs):
+    _check_tol(tol)
+    by_q: dict[int, list[PeriodicJacobi]] = {}
+    for P in family:
+        by_q.setdefault(P.q, []).append(P)
+    if mode == "spectrum":
+        los, his = [], []
+        for edges in map(_band_edges, by_q.values()):
+            # a member's components start and end at its outer edges and open gaps
+            ends = np.pad(np.diff(edges)[:, 1::2] >= tol, ((0, 0), (1, 1)),
+                          constant_values=True)
+            los.append(edges[:, 0::2][ends[:, :-1]])
+            his.append(edges[:, 1::2][ends[:, 1:]])
+        lo, hi = np.concatenate(los), np.concatenate(his)
+        closed = np.ones(len(lo), dtype=bool)
+        return _sweep_arrays(lo, hi, closed, closed, len(family))
+    if len(by_q) > 1:
         raise ValueError("qinterior intersection needs a family of equal period")
-    hulls: list[Interval] = []
-    for j in range(q - 1):
-        regions = [(bs.gaps[j].lo, bs.gaps[j].hi) for bs in structs]
-        # a single member's gap is its own hull
-        for (lo0, hi0), (lo1, hi1) in zip(regions, regions[1:] or regions):
-            hulls.append(Interval(min(lo0, lo1), max(hi0, hi1)))
-    result = _sweep([bs.q_interior for bs in structs]
-                    + [_complement(IntervalUnion.of(hulls))])
-    # band edges are only resolved to +-tol, so components narrower than that
-    # resolution are bisection noise, not set content
+    edges = _band_edges(family)
+    lo, hi = edges[:, 0::2].ravel(), edges[:, 1::2].ravel()
+    lo, hi = lo[hi > lo], hi[hi > lo]   # the open bands
+    glo, ghi = edges[:, 1:-1:2], edges[:, 2::2]
+    if len(family) > 1:   # a single member's gap is its own hull
+        glo = np.minimum(glo[:-1], glo[1:])
+        ghi = np.maximum(ghi[:-1], ghi[1:])
+    order = np.argsort(glo, axis=None)
+    glo, reach = glo.ravel()[order], np.maximum.accumulate(ghi.ravel()[order])
+    # the complement of the hulls: the open stretches no hull reaches
+    out_lo, out_hi = np.append(-math.inf, reach), np.append(glo, math.inf)
+    out = out_hi > out_lo
+    lo, hi = np.concatenate((lo, out_lo[out])), np.concatenate((hi, out_hi[out]))
+    closed = np.zeros(len(lo), dtype=bool)
+    result = _sweep_arrays(lo, hi, closed, closed, len(family) + 1)
     return IntervalUnion(tuple(iv for iv in result.intervals if iv.width > 8.0 * tol))

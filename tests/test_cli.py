@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from jbv import (CoefficientSpec, Schedule, comb_potential, eval_coefficients,
-                 gap_report, staircase_bv_breakdown)
+from jbv import (CoefficientSpec, Interval, IntervalUnion, PeriodicJacobi, Schedule,
+                 comb_potential, eval_coefficients, gap_report,
+                 staircase_bv_breakdown)
 from jbv.cli import main
 from oracles import free_density
 
@@ -64,17 +65,24 @@ def test_bands_rejects_zero_coefficient(capsys):
 @pytest.mark.parametrize("members", [0, 8])
 def test_discriminant_past_float_range_exits_1(tmp_path, capsys, members):
     # 1/(a_1 a_2) = 1e400: valid input whose discriminant overflows used to
-    # exit 2 as a usage error; a family of 9 blocks builds it on the member axis
+    # exit 2 as a usage error; `intersect` needs no discriminant, and its
+    # eigenvalue edges of the block, +-2e-200 and a closed gap at 0, are exact
+    from test_band_edges import oracle_intersection
     code, out, err = run(capsys, "bands", "--q", "2", "--a", "1e-200,1e-200",
                          "--b", "0,0")
     assert code == 1 and out == ""
     assert err == ("numerical failure: the discriminant of a q=2 block leaves "
                    "float range\n")
     fam = [{"q": 2, "a": [1.0, 1.0], "b": [0.0, 0.1 * k]} for k in range(members)]
+    fam.append({"q": 2, "a": [1e-200, 1e-200], "b": [0.0, 0.0]})
     p = tmp_path / "family.json"
-    p.write_text(json.dumps(fam + [{"q": 2, "a": [1e-200, 1e-200], "b": [0.0, 0.0]}]))
-    assert run(capsys, "intersect", "--family", str(p), "--mode", "spectrum") == (
-        1, "", err)
+    p.write_text(json.dumps(fam))
+    code, out, err = run(capsys, "intersect", "--family", str(p), "--mode", "spectrum")
+    assert (code, err) == (0, "")
+    got = IntervalUnion(tuple(Interval(*pair) for pair in strict_loads(out)["pairs"]))
+    want = oracle_intersection([PeriodicJacobi.from_dict(d) for d in fam], "spectrum")
+    assert got == want
+    assert want.as_pairs() == [(-2e-200, 2e-200 if members == 0 else 0.0)]
 
 
 def test_bands_file_input(tmp_path, capsys):

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jbv import (PeriodicJacobi, RootIsolationError, band_structure,
-                 chebyshev_second_kind, comb_potential, discriminant_polynomial,
-                 discriminant_value,
+from jbv import (Interval, IntervalUnion, PeriodicJacobi, RootIsolationError,
+                 band_structure, chebyshev_second_kind, comb_potential,
+                 discriminant_polynomial, discriminant_value,
                  free_critical_points, gap_report, intersection_over_family,
                  one_step_matrix, periodic_spec, spectral_bracket)
 from jbv import periodic as periodic_module
-from jbv import polynomial as polynomial_module
-from jbv.periodic import _band_structures
+from jbv.periodic import _band_edges
 from oracles import (chebu_sine, comb2_band_edges, interp_discriminant_coeffs,
                      scalar_band_edges)
 
@@ -248,12 +247,27 @@ def test_intersection_qinterior_mode_q2():
 
 
 def test_intersection_single_member_identity():
+    # a member's sets are its eigenvalue bands, closed or open
+    from test_band_edges import EDGE_TOL, mpmath_edges
     P = comb_potential(3, 0.4)
-    bs = band_structure(P)
+    edges = _band_edges([P])[0].tolist()
+    bands = list(zip(edges[0::2], edges[1::2]))
     got_spec = intersection_over_family([P], "spectrum")
-    assert got_spec == bs.spectrum
+    assert got_spec == IntervalUnion(tuple(Interval(lo, hi) for lo, hi in bands))
     got_int = intersection_over_family([P], "qinterior")
-    assert np.allclose(got_int.as_pairs(), bs.q_interior.as_pairs(), atol=1e-12)
+    assert got_int == IntervalUnion(tuple(Interval.open(lo, hi) for lo, hi in bands))
+    assert np.max(np.abs(np.subtract(edges, mpmath_edges(P)))) <= EDGE_TOL
+
+
+def test_qinterior_drops_components_of_8_tol_or_less():
+    # a_2 = 1e-10 leaves two bands of width 2e-10, at +-1
+    P = PeriodicJacobi.of(2, [1.0, 1e-10], [0.0, 0.0])
+    spectrum = intersection_over_family([P], "spectrum")
+    assert np.allclose(spectrum.as_pairs(), [(-1 - 1e-10, -1 + 1e-10),
+                                             (1 - 1e-10, 1 + 1e-10)], rtol=0, atol=1e-15)
+    assert intersection_over_family([P], "qinterior").is_empty
+    kept = intersection_over_family([P], "qinterior", tol=1e-11)
+    assert kept.as_pairs() == spectrum.as_pairs()
 
 
 def test_intersection_bad_inputs():
@@ -261,6 +275,11 @@ def test_intersection_bad_inputs():
         intersection_over_family([], "spectrum")
     with pytest.raises(ValueError):
         intersection_over_family([free_block(2)], "nonsense")
+    with pytest.raises(ValueError, match="^tolerance must lie in"):
+        intersection_over_family([free_block(2)], "spectrum", tol=2e-3)
+    with pytest.raises(ValueError, match="^qinterior intersection needs a family of "
+                                         "equal period$"):
+        intersection_over_family([free_block(2), free_block(3)], "qinterior")
 
 
 def test_same_discriminant_membership():
@@ -411,84 +430,21 @@ def test_band_scans_leave_numpy_ma_unimported():
     assert out.stdout.strip() == "False"
 
 
-# ---------------------------------------------------------------------------
-# a family solved on the member axis against the sample-at-a-time scan of
-# each member: the same bits, or the first failing member's error
-
-def _member_view(bs):
-    return ([b.as_pair() for b in bs.bands], [(g.lo, g.hi, g.closed) for g in bs.gaps],
-            list(bs.critical_points), bs.discriminant.coeffs)
-
-
-def _failed(text):
-    return text.startswith("(<class")
-
-
-def _assert_family_agrees(family):
-    expected = [_exact(lambda P=P: scalar_band_edges(P)) for P in family]
-    failures = [e for e in expected if _failed(e)]
-    if failures:
-        assert _exact(lambda: _band_structures(family, 1e-10)) == failures[0]
-        family = [P for P, e in zip(family, expected) if not _failed(e)]
-        expected = [e for e in expected if not _failed(e)]
-    got = _band_structures(family, 1e-10) if family else []
-    assert [_exact(lambda bs=bs: _member_view(bs)) for bs in got] == expected
-
-
-def cli_shift_family(q, lam, points):
-    """The constant-shift family `intersect --q --lambda --points` builds."""
-    betas = [-lam + 2.0 * lam * i / (points - 1) for i in range(points)]
-    return [PeriodicJacobi.of(q, [1.0] * q, [beta] * q) for beta in betas]
-
-
-@pytest.mark.parametrize("q", [3, 8])
-def test_member_axis_matches_scalar_scan_on_cli_shift_families(q):
-    _assert_family_agrees(cli_shift_family(q, 0.5, 101))
-
-
-def _random_blocks(q):
-    return st.builds(PeriodicJacobi.of, st.just(q),
-                     st.lists(st.floats(0.5, 1.5), min_size=q, max_size=q),
-                     st.lists(st.floats(-1.0, 1.0), min_size=q, max_size=q))
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(1, 12).flatmap(
-    lambda q: st.lists(_random_blocks(q), min_size=1, max_size=12)))
-def test_member_axis_matches_scalar_scan_on_random_families(family):
-    _assert_family_agrees(family)
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(2, 24), st.lists(st.floats(0.1, 1.0), min_size=1, max_size=12))
-def test_member_axis_matches_scalar_scan_on_comb_families(q, couplings):
-    _assert_family_agrees([comb_potential(q, w) for w in couplings])
-
-
-def test_member_axis_matches_scalar_scan_on_mixed_periods():
-    # a --family file may mix periods in spectrum mode
-    _assert_family_agrees([comb_potential(q, 0.1 * q) for q in (2, 5, 3, 2, 8, 5, 1 + 1)]
-                          + [free_block(q) for q in (1, 4, 4, 7)])
-
-
 @pytest.mark.parametrize("q", [3, 5])
-def test_member_axis_matches_scalar_scan_on_badly_scaled_families(q):
-    # overflowing array passes, and members that fail in every way
+def test_array_scan_matches_scalar_scan_on_badly_scaled_blocks(q):
+    # overflowing array passes, and blocks that fail in every way
     rng = np.random.default_rng(q)
-    _assert_family_agrees([
-        PeriodicJacobi.of(q, 10 ** rng.uniform(-12, 0, q),
-                          rng.uniform(-1, 1, q) * 10 ** rng.uniform(0, 12, q))
-        for _ in range(24)])
+    for _ in range(24):
+        _assert_scans_agree(PeriodicJacobi.of(
+            q, 10 ** rng.uniform(-12, 0, q), rng.uniform(-1, 1, q) * 10 ** rng.uniform(0, 12, q)))
 
 
 @pytest.mark.parametrize("a, b", [([1e200] * 3, [0.0] * 3), ([1e200] * 3, [1e300] * 3),
                                   ([1e120, 1e200, 1e300], [-0.0, 1.0, -1e-300])])
-def test_member_axis_keeps_a_lone_zero_like_the_float_path(a, b):
-    # 1/(a_1 a_2 a_3) underflows to zero for this member only: numpy would
-    # trim it, nothing here does, and both paths must keep the same zero
-    family = [comb_potential(3, 0.1 * k) for k in range(1, 9)]
-    assert len(family) >= periodic_module.STACK_MIN
-    _assert_family_agrees(family + [PeriodicJacobi.of(3, a, b)])
+def test_array_scan_keeps_a_lone_zero_like_the_scalar_scan(a, b):
+    # 1/(a_1 a_2 a_3) underflows to zero: numpy would trim it, nothing here
+    # does, and both scans must keep the same zero
+    _assert_scans_agree(PeriodicJacobi.of(3, a, b))
 
 
 @pytest.mark.parametrize("a, message", [(1e-200, "discriminant of a q=3 block"),
@@ -500,43 +456,27 @@ def test_coefficients_past_float_range_fail_alike_on_both_paths(a, message):
     with pytest.raises(OverflowError, match=message):
         band_structure(P)
     _assert_scans_agree(P)
-    _assert_family_agrees([comb_potential(3, 0.1 * k) for k in range(1, 9)] + [P])
+
+
+def cli_shift_family(q, lam, points):
+    """The constant-shift family `intersect --q --lambda --points` builds."""
+    betas = [-lam + 2.0 * lam * i / (points - 1) for i in range(points)]
+    return [PeriodicJacobi.of(q, [1.0] * q, [beta] * q) for beta in betas]
 
 
 def test_failing_member_raises_the_first_failure():
+    # the bisection solver fails on a random q=24 and the comb q=32 block;
+    # the intersection, on eigenvalue edges, returns the mpmath oracle's set
+    from test_band_edges import assert_sets_match, oracle_intersection
     rng = np.random.default_rng(0)
     bad = PeriodicJacobi.of(24, rng.uniform(0.5, 1.5, 24).tolist(),
                             rng.uniform(-1, 1, 24).tolist())
     family = cli_shift_family(3, 0.5, 5) + [bad, comb_potential(32, 0.5)]
-    with pytest.raises(RootIsolationError) as caught:
-        band_structure(bad)
-    with pytest.raises(RootIsolationError) as first:
-        _band_structures(family, 1e-10)
-    assert str(first.value) == str(caught.value)
-    with pytest.raises(RootIsolationError) as first:
-        intersection_over_family(family, "spectrum")
-    assert str(first.value) == str(caught.value)
-
-
-def test_array_passes_do_not_grow_with_members(monkeypatch):
-    passes = []
-    horner = polynomial_module.horner
-
-    def counted(coeffs, x, shift=None):
-        if isinstance(x, np.ndarray):
-            passes.append(x.shape)
-        return horner(coeffs, x, shift)
-
-    monkeypatch.setattr(polynomial_module, "horner", counted)
-    monkeypatch.setattr(periodic_module, "horner", counted)
-    counts = []
-    for points in (11, 101):
-        # shifted comb blocks: every edge is bisected, on brackets of one width
-        passes.clear()
-        _band_structures([comb_potential(8, 0.5).shifted(0.01 * k)
-                          for k in range(points)], 1e-10)
-        counts.append(len(passes))
-    assert counts[0] == counts[1] > 30
+    for P in family[-2:]:
+        with pytest.raises(RootIsolationError):
+            band_structure(P)
+    assert_sets_match(intersection_over_family(family, "spectrum"),
+                      oracle_intersection(family, "spectrum"))
 
 
 def _retrying_blocks(seed):
@@ -549,21 +489,18 @@ def _retrying_blocks(seed):
 
 
 def test_memory_bounds_change_no_result(monkeypatch):
-    # a stack holds few members per grid and a bisection few brackets, so
-    # every member goes through the chunked paths
+    # an array bisection takes few brackets, so every block with 32 brackets
+    # or more goes through the chunked path
     rng = np.random.default_rng(0)
     bad = PeriodicJacobi.of(24, rng.uniform(0.5, 1.5, 24), rng.uniform(-1, 1, 24))
-    families = ([cli_shift_family(8, 0.5, 101)] + [_retrying_blocks(s) for s in range(3)]
-                + [[comb_potential(24, 0.1 * k) for k in range(1, 9)] + [bad]])
+    blocks = ([P for s in range(3) for P in _retrying_blocks(s)]
+              + [comb_potential(24, 0.1 * k) for k in range(1, 9)] + [bad])
 
     def solved():
-        return [(_exact(lambda f=f: _band_structures(f, 1e-10)),
-                 repr(periodic_module._period_structures(f[0].q, f, 1e-10)))
-                for f in families]
+        return [_exact(lambda P=P: band_structure(P)) for P in blocks]
 
     expected = solved()
-    monkeypatch.setattr(periodic_module, "_CELLS", 3000)
-    monkeypatch.setattr(periodic_module, "_BRACKETS", 64)
+    monkeypatch.setattr(periodic_module, "_BRACKETS", 5)
     assert solved() == expected
 
 
