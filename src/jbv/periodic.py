@@ -5,13 +5,14 @@ D is the trace of its q-step transfer matrix.  That set splits into q closed
 bands; the band interiors form the q-interior, which drops a finite set of
 touch points where consecutive bands meet (closed gaps).  This module computes
 D exactly as a degree-q polynomial; `band_structure` isolates every band edge
-by bisection and classifies closed gaps through the critical points of D.
-`gap_report` and `intersection_over_family` bisect nothing: the 2q roots of
-D = +-2 are the spectra of the periodic and antiperiodic q x q matrices
-(`_band_edges`), exact to rounding at every q, and blocks of one period get
-theirs from one `eigvalsh` call.  Until the band solver is built on the same
-eigenvalues, the two paths agree only to the bisection tolerance, and only
-where bisection finds every edge.
+of one block by bisection over up to four ever finer sample grids, each
+evaluated in one array pass, and classifies closed gaps through the critical
+points of D.  `gap_report` and `intersection_over_family` bisect nothing: the
+2q roots of D = +-2 are the spectra of the periodic and antiperiodic q x q
+matrices (`_band_edges`), exact to rounding at every q, and blocks of one
+period get theirs from one `eigvalsh` call.  Until the band solver is built on
+the same eigenvalues, the two paths agree only to the bisection tolerance, and
+only where bisection finds every edge.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (CoefficientSpec, as_int, check_params, params_errors,
+from .coeffs import (CoefficientSpec, as_int, as_real, check_params, params_errors,
                      periodic_spec)
 from .errors import RootIsolationError
 from .intervals import Interval, IntervalUnion, _sweep_arrays
@@ -115,10 +116,10 @@ def discriminant_polynomial(P: PeriodicJacobi) -> PolynomialReal:
     exact up to rounding; the leading coefficient is 1/(a_1 ... a_q).  Raises
     OverflowError where a coefficient leaves float range.
     """
-    poly = _discriminants([P])[0]
-    if isinstance(poly, OverflowError):
-        raise poly
-    return poly
+    row = _discriminant_coeffs(P.a, P.b)
+    if not all(map(math.isfinite, row)):
+        raise OverflowError(f"the discriminant of a q={P.q} block leaves float range")
+    return PolynomialReal(tuple(row))
 
 
 def spectral_bracket(P: PeriodicJacobi) -> tuple[float, float]:
@@ -168,7 +169,7 @@ class Gap:
 
     @property
     def center(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        return 0.5 * self.lo + 0.5 * self.hi   # finite for any two floats
 
 
 @dataclass(frozen=True)
@@ -197,253 +198,114 @@ class GapReport:
 # as the float form below it: fewer brackets than BISECT_MIN are bisected one
 # at a time (crossover 24 to 40 brackets for q = 3 and 8).
 BISECT_MIN = 32
-# memory bound: one array bisection takes at most _BRACKETS brackets
-_BRACKETS = 1 << 12
-
-
-def _discriminants(group: list[PeriodicJacobi]) -> list:
-    """`discriminant_polynomial` of each block of period q, or the error it
-    raises."""
-    rows = [_discriminant_coeffs(P.a, P.b) for P in group]
-    return [PolynomialReal(tuple(row)) if all(map(math.isfinite, row)) else
-            OverflowError(f"the discriminant of a q={P.q} block leaves float range")
-            for P, row in zip(group, rows)]
-
-
-def _bisect(coeffs: np.ndarray, rows: np.ndarray, shift: np.ndarray,
-            lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray,
-            tol: float) -> np.ndarray:
-    """Roots of coeffs[rows[i]] - shift[i] in the brackets, as bisect_root
-    finds them (x - 0.0 is x, so a zero shift changes no value)."""
-    if len(lo) >= BISECT_MIN:
-        return np.concatenate([
-            bisect_roots(coeffs[rows[part]], shift[part], lo[part], hi[part], flo[part],
-                         fhi[part], tol)
-            for part in (slice(i, i + _BRACKETS) for i in range(0, len(lo), _BRACKETS))])
-    polys = coeffs.tolist()
-    brackets = zip(rows.tolist(), shift.tolist(), lo.tolist(), hi.tolist(), flo.tolist(),
-                   fhi.tolist())
-    return np.array([bisect_root(lambda x, c=polys[r], t=t: horner(c, x, t),
-                                 a, b, fa, fb, tol) for r, t, a, b, fa, fb in brackets])
-
-
-def _rows_horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i of coeffs evaluated along row i of x.  A single row runs on float
-    coefficients: numpy broadcasts a (1, 1) column slower than a float."""
-    if len(coeffs) == 1:
-        return horner(coeffs[0].tolist(), x)
-    return horner(coeffs.T[:, :, None], x)
-
-
-def _critical_points(dcoeffs: np.ndarray, grid: np.ndarray,
-                     tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of each row's D' from strict sign changes along its grid row,
-    bisected to width tol, as (member row, root) in member and grid order.
-
-    A sample where D' is exactly zero is a root itself, unless it lies within
-    tol of the member's root before it.
-    """
-    width = grid.shape[1]
-    vals = _rows_horner(dcoeffs, grid).ravel()
-    samples = grid.ravel()
-    zero = vals == 0.0
-    cand = zero.copy()
-    cand[:-1] |= sign_changes(vals)   # segment i is (i, i+1)
-    cand[width - 1::width] = zero[width - 1::width]   # no segment joins two members
-    at = np.flatnonzero(cand)
-    roots, on_zero = samples[at], zero[at]
-    b = at[~on_zero]
-    if len(b):
-        roots[~on_zero] = _bisect(dcoeffs, b // width, np.zeros(len(b)), samples[b],
-                                  samples[b + 1], vals[b], vals[b + 1], tol)
-    rows = at // width
-    if len(b) == len(at):
-        return rows, roots
-    keep = np.ones(len(at), dtype=bool)
-    last = None   # the member's latest root so far
-    for k, (row, root, z) in enumerate(zip(rows.tolist(), roots.tolist(),
-                                           on_zero.tolist())):
-        if z and last is not None and last[0] == row and not abs(last[1] - root) > tol:
-            keep[k] = False
-        else:
-            last = (row, root)
-    return rows[keep], roots[keep]
-
-
-_EPS = np.finfo(float).eps
 _TARGETS = np.array([[2.0], [-2.0]])   # D - 2 and D + 2
 
 
-def _edge_roots(coeffs: np.ndarray, noise: np.ndarray, merged: np.ndarray,
-                crit: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """All roots of D = +2 and D = -2, with multiplicity, of every member row,
-    as (member row, root) in member order.
+def _bisect(coeffs: tuple, shift: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            flo: np.ndarray, fhi: np.ndarray, tol: float) -> np.ndarray:
+    """Roots of the polynomial less shift[i] in the brackets, as bisect_root
+    finds them (x - 0.0 is x, so a zero shift changes no value)."""
+    if len(lo) >= BISECT_MIN:
+        return bisect_roots(coeffs, shift, lo, hi, flo, fhi, tol)
+    brackets = zip(shift.tolist(), lo.tolist(), hi.tolist(), flo.tolist(), fhi.tolist())
+    return np.array([bisect_root(lambda x, t=t: horner(coeffs, x, t), a, b, fa, fb, tol)
+                     for t, a, b, fa, fb in brackets])
 
-    Row i of `merged` is member i's grid merged with its critical points
-    `crit[i]`, sorted; a critical point that equals a grid point is a sample
-    twice, which changes nothing here, as the copies have one value.  Double
-    roots cannot produce sign changes, but they sit exactly at critical
-    points of D with |D| = 2 there, so each critical value within the
-    evaluation noise floor of +-2 is registered as a double root, and no
-    segment next to a sample below the noise floor is bisected.
+
+def _critical_points(dcoeffs: tuple, grid: np.ndarray, tol: float) -> np.ndarray:
+    """Roots of D' from strict sign changes along the grid, bisected to width
+    tol, in grid order.
+
+    A sample where D' is exactly zero is a root itself, unless it lies within
+    tol of the root before it.
     """
-    width = merged.shape[1]
-    samples = merged.ravel()
-    # axes: member, target, sample
-    vals = _rows_horner(coeffs, merged)[:, None, :] - _TARGETS
-    near = np.abs(vals) <= noise[:, None, None]
-    vals = vals.ravel()
-    seg = sign_changes(vals)   # segment i is (i, i+1)
-    seg[width - 1::width] = False   # no segment joins two members or targets
+    vals = horner(dcoeffs, grid)
+    zero = vals == 0.0
+    cand = zero.copy()
+    cand[:-1] |= sign_changes(vals)   # segment i is (i, i+1)
+    at = np.flatnonzero(cand)
+    roots, on_zero = grid[at], zero[at]
+    b = at[~on_zero]
+    roots[~on_zero] = _bisect(dcoeffs, np.zeros(len(b)), grid[b], grid[b + 1], vals[b],
+                              vals[b + 1], tol)
+    keep = np.ones(len(at), dtype=bool)
+    last = None   # the latest root kept
+    for k, (root, z) in enumerate(zip(roots.tolist(), on_zero.tolist())):
+        if z and last is not None and not abs(last - root) > tol:
+            keep[k] = False
+        else:
+            last = root
+    return roots[keep]
+
+
+def _edge_roots(coeffs: tuple, noise: float, samples: np.ndarray, crit: np.ndarray,
+                tol: float) -> np.ndarray:
+    """All roots of D = +2 and D = -2, with multiplicity, unsorted.
+
+    `samples` is the grid merged with the critical points `crit`, sorted; a
+    critical point that equals a grid point is a sample twice, which changes
+    nothing here, as the copies have one value.  Double roots cannot produce
+    sign changes, but they sit exactly at critical points of D with |D| = 2
+    there, so each critical value within the evaluation noise floor of +-2 is
+    registered as a double root, and no segment next to a sample below the
+    noise floor is bisected.
+    """
+    vals = horner(coeffs, samples) - _TARGETS   # one row per target
+    near = np.abs(vals) <= noise
+    seg = sign_changes(vals)   # segment i of a row is (i, i+1)
     zeros = near.any()
     if zeros:
-        seg &= ~(near.ravel()[:-1] | near.ravel()[1:])
-    seg = np.flatnonzero(seg)
-    flo, fhi = vals[seg], vals[seg + 1]
-    del vals   # a large grid keeps one array of values at a time
-    rows, pos = np.divmod(seg, 2 * width)
-    target, pos = np.divmod(pos, width)
-    pos += rows * width
-    edges = _bisect(coeffs, rows, _TARGETS.ravel()[target], samples[pos],
-                    samples[pos + 1], flo, fhi, tol)
+        seg &= ~(near[:, :-1] | near[:, 1:])
+    target, pos = np.nonzero(seg)
+    edges = _bisect(coeffs, _TARGETS[target, 0], samples[pos], samples[pos + 1],
+                    vals[target, pos], vals[target, pos + 1], tol)
     if not zeros:
-        return rows, edges
-    spread = 1e-9 * (merged[:, -1] - merged[:, 0])
-    cluster_tol = np.where(spread > 4.0 * tol, spread, 4.0 * tol)
-    at = np.concatenate([_zero_roots(near[:, t], samples, cluster_tol, crit)
-                         for t in (0, 1)])
-    rows = np.concatenate((at // width, rows))
-    order = np.argsort(rows, kind="stable")
-    return rows[order], np.concatenate((samples[at], edges))[order]
+        return edges
+    cluster_tol = max(4.0 * tol, 1e-9 * (samples[-1] - samples[0]))
+    at = np.concatenate([_zero_roots(row, samples, cluster_tol, crit) for row in near])
+    return np.concatenate((samples[at], edges))
 
 
-def _zero_roots(near: np.ndarray, samples: np.ndarray, cluster_tol: np.ndarray,
+def _zero_roots(near: np.ndarray, samples: np.ndarray, cluster_tol: float,
                 crit: np.ndarray) -> np.ndarray:
-    """The samples (flat indices) that are roots of D = target, a double root
+    """The samples (indices) that are roots of D = target, a double root
     twice, where `near` marks the samples with D - target below the noise
-    floor, one row per member.
+    floor.
 
     The same root can put several samples below the noise floor (the located
-    critical point plus grid neighbors), so zero samples of one member that
-    are adjacent or closer than the resolution form one cluster: a double
-    root at each critical point in it, else a root at its first sample.
+    critical point plus grid neighbors), so zero samples that are adjacent or
+    closer than the resolution form one cluster: a double root at each
+    critical point in it, else a root at its first sample.
     """
     zeros = np.flatnonzero(near)
     if not zeros.size:
         return zeros
-    rows, values = zeros // near.shape[1], samples[zeros]
-    head = np.diff(values) > cluster_tol[rows[1:]]
-    head &= np.diff(zeros) != 1
-    head |= rows[1:] != rows[:-1]
-    head = np.append(True, head)
-    is_crit = _on_critical_points(values, rows, crit)
+    values = samples[zeros]
+    head = np.append(True, (np.diff(values) > cluster_tol) & (np.diff(zeros) != 1))
+    # a critical point that is a sample twice (it equals a grid point) marks
+    # only its first copy
+    at = np.searchsorted(values, crit).clip(max=len(values) - 1)
+    is_crit = np.zeros(len(values), dtype=bool)
+    is_crit[at[values[at] == crit]] = True
     has_crit = np.logical_or.reduceat(is_crit, np.flatnonzero(head))
     return np.concatenate((np.repeat(zeros[is_crit], 2), zeros[head][~has_crit]))
 
 
-def _on_critical_points(values: np.ndarray, rows: np.ndarray,
-                        crit: np.ndarray) -> np.ndarray:
-    """Which values are critical points of their member row, where values are
-    sorted within each row and rows are grouped.  A critical point that is a
-    sample twice (it equals a grid point) marks only its first copy."""
-    out = np.zeros(len(values), dtype=bool)
-    if not crit.shape[1]:
-        return out
-    starts = np.flatnonzero(np.append(True, rows[1:] != rows[:-1])).tolist()
-    for i, j in zip(starts, starts[1:] + [len(values)]):   # one member's values
-        row_crit = crit[rows[i]]
-        at = np.searchsorted(values[i:j], row_crit)
-        row_crit, at = row_crit[at < j - i], at[at < j - i]
-        out[i + at[values[i + at] == row_crit]] = True
-    return out
-
-
-def _check_tol(tol: float) -> None:
+def _check_tol(tol) -> float:
+    """`tol` as a float in (0, 1e-3]; a `tol` that is no number is a
+    TypeError, and any number outside the range, NaN included, fails it."""
+    try:
+        tol = as_real(tol, "tol")
+    except ValueError:   # inf or NaN
+        tol = math.nan
     if not (0.0 < tol <= 1e-3):
         raise ValueError("tolerance must lie in (0, 1e-3]")
-
-
-def _period_structures(q: int, group: list[PeriodicJacobi], tol: float) -> list:
-    """Band structures of blocks of period q, or the error each one raises."""
-    out = _discriminants(group)
-    live, dpolys, brackets = [], [], []
-    scale = 64.0 * q * _EPS
-    for k, (P, poly) in enumerate(zip(group, out)):
-        if isinstance(poly, OverflowError):
-            continue
-        try:
-            dpolys.append(poly.derivative())
-        except OverflowError as exc:
-            out[k] = exc
-            continue
-        live.append(k)
-        lo_b, hi_b = spectral_bracket(P)
-        pad = 0.01 * (hi_b - lo_b) + 1e-6
-        lo, hi = lo_b - pad, hi_b + pad
-        brackets.append((lo, hi, scale * out[k].abs_bound(max(1.0, abs(lo), abs(hi)))))
-    if not live:
-        return out
-    found = _isolate(q, np.array([out[k].coeffs for k in live]),
-                     np.array([d.coeffs for d in dpolys]), *np.array(brackets).T, tol)
-    for k, (lo, hi, noise), (edges, crit) in zip(live, brackets, found):
-        if not isinstance(edges, list):
-            out[k] = RootIsolationError(
-                f"expected {2 * q} band edges and {q - 1} critical points, "
-                f"found {edges or 0} and {crit} (q={q}, bracket=({lo}, {hi}))")
-            continue
-        try:
-            out[k] = _assemble(q, out[k], edges, crit, noise, tol)
-        except (ValueError, RootIsolationError) as exc:
-            out[k] = exc
-    return out
-
-
-def _isolate(q: int, coeffs: np.ndarray, dcoeffs: np.ndarray, lo: np.ndarray,
-             hi: np.ndarray, noise: np.ndarray, tol: float, attempt: int = 0) -> list:
-    """Sorted band edges and critical points of each row's discriminant on
-    grid number `attempt`; rows that come out with wrong counts retry on the
-    next, finer grid, and after the last one hold the counts found instead
-    (no edge count where the critical points were already wrong)."""
-    pts = 64 * q * (4 ** attempt)
-    grid = lo[:, None] + (hi - lo)[:, None] * np.arange(pts + 1) / pts
-    if q > 1:   # a critical value must resolve to the noise floor
-        crit_rows, crit = _critical_points(dcoeffs, grid, min(tol, 1e-10))
-    else:
-        crit_rows, crit = np.zeros(0, dtype=int), np.zeros(0)
-    n_crit = np.bincount(crit_rows, minlength=len(lo)).tolist()
-    if n_crit.count(q - 1) < len(n_crit):
-        ok = np.array(n_crit) == q - 1
-        crit, grid = crit[ok[crit_rows]], grid[ok]
-        coeffs_ok, noise_ok = coeffs[ok], noise[ok]
-    else:
-        coeffs_ok, noise_ok = coeffs, noise
-    crit = crit.reshape(len(grid), q - 1)
-    grid = np.concatenate((grid, crit), axis=1)   # the samples
-    grid.sort(axis=1)
-    edge_rows, edges = _edge_roots(coeffs_ok, noise_ok, grid, crit, tol)
-    n_edges = iter(np.bincount(edge_rows, minlength=len(grid)).tolist())
-    crit, edges = crit.ravel().tolist(), edges.tolist()
-    found: list = []
-    c = e = 0   # where the row's critical points and edges start
-    for n in n_crit:
-        if n != q - 1:
-            found.append((None, n))
-            continue
-        m = next(n_edges)
-        found.append((sorted(edges[e:e + m]), crit[c:c + n]) if m == 2 * q else (m, n))
-        c, e = c + n, e + m
-    retry = [j for j, (got, _) in enumerate(found) if not isinstance(got, list)]
-    if retry and attempt < 3:
-        sel = np.array(retry)
-        for j, (got, n) in zip(retry, _isolate(q, coeffs[sel], dcoeffs[sel], lo[sel],
-                                               hi[sel], noise[sel], tol, attempt + 1)):
-            found[j] = (found[j][0], n) if got is None else (got, n)
-    return found
+    return tol
 
 
 def _assemble(q: int, poly: PolynomialReal, edges: list[float], crit: list[float],
               noise: float, tol: float) -> BandStructure:
-    """A member's band structure from its sorted edges and critical points."""
+    """The band structure from sorted edges and critical points."""
     bands = tuple(Interval(edges[2 * i], edges[2 * i + 1]) for i in range(q))
     for band in bands:
         mid = 0.5 * (band.lo + band.hi)
@@ -463,15 +325,33 @@ def band_structure(P: PeriodicJacobi, tol: float = 1e-10) -> BandStructure:
     """Bands, gaps and the q-interior of a periodic Jacobi matrix.
 
     Band edges are the roots of D -+ 2, isolated to width `tol` by bisection
-    over a sample grid that includes the critical points of D.  A gap narrower
-    than `tol` is reported closed and its touch region is excluded from the
-    q-interior.  Each grid is evaluated as one array Horner pass.
+    over a sample grid that includes the critical points of D; a grid that
+    yields the wrong number of roots is replaced by one 4 times finer, up to
+    three times.  A gap narrower than `tol` is reported closed and its touch
+    region is excluded from the q-interior.  Each grid is evaluated as one
+    array Horner pass.
     """
-    _check_tol(tol)
-    result = _period_structures(P.q, [P], tol)[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    tol, q = _check_tol(tol), P.q
+    poly = discriminant_polynomial(P)
+    dcoeffs = poly.derivative().coeffs
+    lo_b, hi_b = spectral_bracket(P)
+    pad = 0.01 * (hi_b - lo_b) + 1e-6
+    lo, hi = lo_b - pad, hi_b + pad
+    noise = 64.0 * q * math.ulp(1.0) * poly.abs_bound(max(1.0, abs(lo), abs(hi)))
+    edges = []
+    for attempt in range(4):
+        pts = 64 * q * 4 ** attempt
+        grid = lo + (hi - lo) * np.arange(pts + 1) / pts
+        # a critical value must resolve to the noise floor
+        crit = _critical_points(dcoeffs, grid, min(tol, 1e-10)) if q > 1 else grid[:0]
+        if len(crit) == q - 1:
+            samples = np.sort(np.concatenate((grid, crit)))
+            edges = _edge_roots(poly.coeffs, noise, samples, crit, tol)
+            if len(edges) == 2 * q:
+                return _assemble(q, poly, sorted(edges.tolist()), crit.tolist(), noise, tol)
+    raise RootIsolationError(
+        f"expected {2 * q} band edges and {q - 1} critical points, "
+        f"found {len(edges)} and {len(crit)} (q={q}, bracket=({lo}, {hi}))")
 
 
 def _band_edges(group: list[PeriodicJacobi]) -> np.ndarray:
@@ -511,7 +391,7 @@ def gap_report(P: PeriodicJacobi, tol: float = 1e-10) -> GapReport:
     (0, 1e-3] as for `band_structure`, only decides which gaps count as
     closed: those narrower than it.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     edges = _band_edges([P])[0].tolist()
     gaps = [Gap(lo, hi, closed=(hi - lo) < tol)
             for lo, hi in zip(edges[1:-1:2], edges[2::2])]
@@ -558,10 +438,11 @@ def intersection_over_family(family: list[PeriodicJacobi], mode: str,
     """
     if not family:
         raise ValueError("family must be nonempty")
-    mode = mode.lower()
+    if isinstance(mode, str):
+        mode = mode.lower()
     if mode not in ("spectrum", "qinterior"):
         raise ValueError(f"mode must be 'spectrum' or 'qinterior', got {mode!r}")
-    _check_tol(tol)
+    tol = _check_tol(tol)
     by_q: dict[int, list[PeriodicJacobi]] = {}
     for P in family:
         by_q.setdefault(P.q, []).append(P)

@@ -2,10 +2,11 @@
 
 Degrees stay small here (the period of a Jacobi matrix), so the monomial
 basis is adequately conditioned and root isolation works on sign changes
-rather than companion matrices.  `horner` evaluates a stack of polynomials on
-sample arrays with the scalar Horner loop's operations, so its values are bit
-for bit the scalar ones, and `bisect_roots` bisects many brackets in one array
-loop with `bisect_root`'s steps and results.
+rather than companion matrices.  `horner` evaluates a polynomial on sample
+arrays with the scalar Horner loop's operations, so its values are bit for bit
+the scalar ones, and `bisect_roots` bisects many brackets of one polynomial,
+each less its own shift, in one array loop with `bisect_root`'s steps and
+results.
 """
 
 from __future__ import annotations
@@ -80,9 +81,8 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
 
 def horner(coeffs, x, shift=None):
     """sum_k coeffs[k] x**k, less `shift` if given, by Horner's rule.
-    coeffs[k] may be an array broadcasting against x, such as a column of
-    per-member coefficients: a stack of polynomials is then evaluated in one
-    pass, each value bit for bit the scalar one."""
+    x and shift may be arrays: each step is then one IEEE operation per
+    element, so every value is bit for bit the scalar one."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x
@@ -90,16 +90,15 @@ def horner(coeffs, x, shift=None):
     return acc if shift is None else acc - shift
 
 
-def bisect_roots(coeffs: np.ndarray, shift: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def bisect_roots(coeffs, shift: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  flo: np.ndarray, fhi: np.ndarray, tol: float) -> np.ndarray:
     """`bisect_root` on many brackets in one array loop, bit for bit.
 
-    Bracket i holds a sign change of p_i - shift_i, where row i of `coeffs`
-    (ascending degree) is p_i.  Each bracket takes bisect_root's steps and
-    stops where it would; the loop ends when the last bracket stops.
+    Bracket i holds a sign change of p - shift_i, where `coeffs` (ascending
+    degree) is p.  Each bracket takes bisect_root's steps and stops where it
+    would; the loop ends when the last bracket stops.
     """
     lo, hi, flo, fhi = (np.array(v, dtype=float) for v in (lo, hi, flo, fhi))
-    cols = coeffs.T
     out = np.where(flo == 0.0, lo, hi)
     done = (flo == 0.0) | (fhi == 0.0)
     neg = flo < 0.0   # the sign at lo, which every step keeps
@@ -111,7 +110,7 @@ def bisect_roots(coeffs: np.ndarray, shift: np.ndarray, lo: np.ndarray, hi: np.n
         live &= ~((hi - lo <= tol) | (mid <= lo) | (mid >= hi))
         if not live.any():
             break
-        fm = horner(cols, mid, shift)
+        fm = horner(coeffs, mid, shift)
         hit = live & (fm == 0.0)
         if hit.any():
             out[hit] = mid[hit]
@@ -124,6 +123,8 @@ def bisect_roots(coeffs: np.ndarray, shift: np.ndarray, lo: np.ndarray, hi: np.n
 
 
 def sign_changes(vals: np.ndarray) -> np.ndarray:
-    """Mask of the segments (i, i+1) with nonzero end values of opposite signs."""
+    """Mask of the segments (i, i+1) along the last axis with nonzero end
+    values of opposite signs."""
     neg = vals < 0.0
-    return (vals[:-1] != 0.0) & (vals[1:] != 0.0) & (neg[:-1] != neg[1:])
+    return ((vals[..., :-1] != 0.0) & (vals[..., 1:] != 0.0)
+            & (neg[..., :-1] != neg[..., 1:]))

@@ -13,7 +13,7 @@ import pytest
 from jbv import (Interval, IntervalUnion, PeriodicJacobi, band_structure, cli,
                  comb_potential, free_critical_points, gap_report,
                  intersection_over_family)
-from jbv.periodic import _band_edges
+from jbv.periodic import Gap, _band_edges
 from oracles import carved_difference, pairwise_intersection
 
 mpmath = pytest.importorskip("mpmath")
@@ -187,6 +187,30 @@ def test_free_block_gaps_are_all_closed(q):
     rep = gap_report(PeriodicJacobi.of(q, [1.0] * q, [0.0] * q))
     assert rep.gap_intervals == () and not rep.all_open and rep.min_width == 0.0
     assert rep.centers == pytest.approx(free_critical_points(q), abs=1e-12)
+
+
+def test_gap_center_of_edges_near_float_max_is_finite():
+    # 0.5 * (lo + hi) overflowed to inf once both ends passed about 9e307
+    rep = gap_report(PeriodicJacobi.of(2, [1.0, 1.0], [1.5e308, 1.6e308]))
+    (gap,), (center,) = rep.gap_intervals, rep.centers
+    assert gap.lo < center < gap.hi
+
+
+def test_gap_center_is_the_rounded_midpoint_of_normal_ends():
+    # halving each end first is exact, so no center pinned elsewhere moves
+    rng = np.random.default_rng(5)
+    ends = np.ldexp(rng.uniform(-1, 1, (2, 20000)), rng.integers(-1000, 1000, (2, 20000)))
+    for lo, hi in zip(*np.sort(ends, axis=0).tolist()):
+        assert Gap(lo, hi, False).center == 0.5 * (lo + hi)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the bisection solver's noise "
+                                       "floor closes open comb gaps")
+@pytest.mark.parametrize("w", [0.6, 0.8, 1.1])
+def test_comb_q24_gaps_are_open(w):
+    # the eigenvalue gaps are at least 0.027, 0.031 and 0.035 wide, and
+    # band_structure reports 5, 15 and 20 of the 23 closed
+    assert not any(g.closed for g in band_structure(comb_potential(24, w)).gaps)
 
 
 def test_stacked_blocks_get_the_edges_they_get_alone():

@@ -77,11 +77,9 @@ def test_polynomial_horner_and_derivative():
 
 
 def _scan(coeffs, samples, tol):
-    """The critical-point scan of one member: roots of the polynomial with
-    these ascending coefficients, isolated on these samples."""
-    rows, roots = _critical_points(np.array([coeffs]), np.array([samples]), tol)
-    assert (rows == 0).all()
-    return roots.tolist()
+    """The critical-point scan: roots of the polynomial with these ascending
+    coefficients, isolated on these samples."""
+    return _critical_points(tuple(coeffs), np.array(samples), tol).tolist()
 
 
 def test_bisection_helpers():
@@ -100,28 +98,31 @@ def test_critical_point_scan_exact_zero_samples():
     # zero samples closer than tol are one root: x (x - 5e-13) is exactly zero
     # at both 0 and 5e-13
     assert _scan([0.0, -5e-13, 1.0], [-1.0, 0.0, 5e-13, 1.0], 1e-12) == [0.0]
+    # and zero samples farther apart than tol are two
+    assert _scan([0.0, -1.5e-12, 1.0], [-1.0, 0.0, 1.5e-12, 1.0], 1e-12) == [0.0, 1.5e-12]
 
 
-def test_horner_stack_matches_scalar_values():
+def test_horner_on_arrays_matches_scalar_values():
     rng = np.random.default_rng(11)
-    coeffs = rng.standard_normal((6, 5))
-    x = rng.uniform(-3, 3, (6, 40))
-    got = horner(coeffs.T[:, :, None], x, 0.5)
-    for row, xs, vals in zip(coeffs, x, got):
-        p = PolynomialReal(tuple(row.tolist()))
-        assert vals.tolist() == [p(v) - 0.5 for v in xs.tolist()]
+    for _ in range(6):
+        p = PolynomialReal(tuple(rng.standard_normal(5).tolist()))
+        x, shift = rng.uniform(-3, 3, 40), rng.uniform(-1, 1, 40)
+        got = horner(p.coeffs, x, shift)
+        assert got.tolist() == [p(v) - t for v, t in zip(x.tolist(), shift.tolist())]
 
 
 def _brackets(rng, n, degree):
-    """n brackets of sign changes of random polynomials less random shifts,
-    of widths that stop them at different steps, some of them with an end
-    value that is exactly zero."""
-    coeffs = rng.standard_normal((n, degree + 1))
-    shift = rng.uniform(-1, 1, n)
-    lo, hi = -rng.uniform(2, 8, n), rng.uniform(2, 8, n)
-    flo, fhi = horner(coeffs.T, lo, shift), horner(coeffs.T, hi, shift)
-    keep = (flo < 0) != (fhi < 0)
-    coeffs, shift, lo, hi, flo, fhi = (v[keep] for v in (coeffs, shift, lo, hi, flo, fhi))
+    """About n brackets of sign changes of one random polynomial less random
+    shifts, of widths that stop them at different steps, some of them with an
+    end value that is exactly zero."""
+    coeffs = tuple(rng.standard_normal(degree + 1).tolist())
+    p = PolynomialReal(coeffs)
+    lo, hi = -rng.uniform(0.5, 3, 2 * n), rng.uniform(0.5, 3, 2 * n)
+    # a shift between the end values puts a sign change in the bracket
+    shift = np.minimum(p(lo), p(hi)) + rng.uniform(0, 1, 2 * n) * np.abs(p(hi) - p(lo))
+    flo, fhi = horner(coeffs, lo, shift), horner(coeffs, hi, shift)
+    keep = ((flo < 0) != (fhi < 0)).nonzero()[0][:n]
+    shift, lo, hi, flo, fhi = (v[keep] for v in (shift, lo, hi, flo, fhi))
     flo[::7], fhi[3::11] = 0.0, 0.0
     return coeffs, shift, lo, hi, flo, fhi
 
@@ -129,16 +130,16 @@ def _brackets(rng, n, degree):
 @pytest.mark.parametrize("tol", [1e-10, 1e-3, 1e-300])
 def test_bisect_roots_matches_bisect_root_bit_for_bit(tol):
     coeffs, shift, lo, hi, flo, fhi = _brackets(np.random.default_rng(12), 300, 8)
+    assert len(lo) == 300
     got = bisect_roots(coeffs, shift, lo, hi, flo, fhi, tol)
     brackets = zip(lo.tolist(), hi.tolist(), flo.tolist(), fhi.tolist())
-    for c, t, args, root in zip(coeffs.tolist(), shift.tolist(), brackets, got.tolist()):
-        assert root == bisect_root(lambda x: horner(c, x, t), *args, tol)
+    for t, args, root in zip(shift.tolist(), brackets, got.tolist()):
+        assert root == bisect_root(lambda x: horner(coeffs, x, t), *args, tol)
 
 
 def test_bisect_roots_requires_sign_changes():
     with pytest.raises(ValueError):
-        bisect_roots(np.array([[1.0, 1.0]]), np.zeros(1), [0.0], [1.0], [1.0], [2.0],
-                     1e-10)
+        bisect_roots((1.0, 1.0), np.zeros(1), [0.0], [1.0], [1.0], [2.0], 1e-10)
 
 
 def test_saturating_exponential_and_its_users():

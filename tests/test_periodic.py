@@ -11,7 +11,6 @@ from jbv import (Interval, IntervalUnion, PeriodicJacobi, RootIsolationError,
                  discriminant_polynomial, discriminant_value,
                  free_critical_points, gap_report, intersection_over_family,
                  one_step_matrix, periodic_spec, spectral_bracket)
-from jbv import periodic as periodic_module
 from jbv.periodic import _band_edges
 from oracles import (chebu_sine, comb2_band_edges, interp_discriminant_coeffs,
                      scalar_band_edges)
@@ -282,6 +281,33 @@ def test_intersection_bad_inputs():
         intersection_over_family([free_block(2), free_block(3)], "qinterior")
 
 
+@pytest.mark.parametrize("tol", ["1e-10", None, [1e-10], True])
+def test_a_tol_that_is_no_number_is_a_type_error_naming_it(tol):
+    # these used to fail inside the range check with "'<' not supported"
+    for compute in (lambda: band_structure(free_block(2), tol),
+                    lambda: gap_report(free_block(2), tol),
+                    lambda: intersection_over_family([free_block(2)], "spectrum", tol)):
+        with pytest.raises(TypeError, match="^tol must be a real number"):
+            compute()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, 2e-3, math.nan, math.inf, 10 ** 400])
+def test_a_tol_out_of_range_keeps_the_range_message(tol):
+    for compute in (lambda: band_structure(free_block(2), tol),
+                    lambda: gap_report(free_block(2), tol),
+                    lambda: intersection_over_family([free_block(2)], "spectrum", tol)):
+        with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 1e-3\]$"):
+            compute()
+
+
+@pytest.mark.parametrize("mode", [5, None, b"spectrum"])
+def test_a_mode_that_is_no_string_is_an_unknown_mode(mode):
+    # 5 used to fail with an AttributeError from .lower()
+    with pytest.raises(ValueError, match="^mode must be 'spectrum' or 'qinterior', "
+                                         f"got {mode!r}$"):
+        intersection_over_family([free_block(2)], mode)
+
+
 def test_same_discriminant_membership():
     from jbv import same_discriminant
     q = 4
@@ -384,10 +410,37 @@ def _assert_scans_agree(P):
     assert _exact(lambda: _array_band_edges(P)) == _exact(lambda: scalar_band_edges(P))
 
 
+def _retrying_blocks(seed):
+    # about half of these leave the first grid with wrong root counts
+    rng = np.random.default_rng(seed)
+    return ([PeriodicJacobi.of(16, rng.uniform(0.5, 1.5, 16), rng.uniform(-1, 1, 16))
+             for _ in range(6)]
+            + [PeriodicJacobi.of(16, 10 ** rng.uniform(-1, 0, 16), rng.uniform(-1, 1, 16))
+               for _ in range(6)])
+
+
+def _failing_random_block():
+    # the bisection solver raises RootIsolationError on it
+    rng = np.random.default_rng(0)
+    return PeriodicJacobi.of(24, rng.uniform(0.5, 1.5, 24).tolist(),
+                             rng.uniform(-1, 1, 24).tolist())
+
+
+def _examples(cases):
+    """One hypothesis example per tuple of arguments."""
+    def add(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return add
+
+
 @settings(max_examples=25)
 @given(st.integers(1, 32).flatmap(lambda q: st.tuples(
     st.lists(st.floats(0.5, 1.5), min_size=q, max_size=q),
     st.lists(st.floats(-1.0, 1.0), min_size=q, max_size=q))))
+@_examples([((list(P.a), list(P.b)),) for P in
+            [P for s in range(3) for P in _retrying_blocks(s)] + [_failing_random_block()]])
 def test_array_scan_matches_scalar_scan_on_random_blocks(ab):
     a, b = ab
     _assert_scans_agree(PeriodicJacobi.of(len(a), a, b))
@@ -398,6 +451,7 @@ def test_array_scan_matches_scalar_scan_on_random_blocks(ab):
 @example(20, 0.5)   # wrong edges, no error (ROADMAP item 3)
 @example(24, 0.5)
 @example(32, 0.5)   # RootIsolationError
+@_examples([(24, 0.1 * k) for k in range(1, 9)])   # noise-floor edges (ROADMAP item 3)
 def test_array_scan_matches_scalar_scan_on_comb_blocks(q, w):
     _assert_scans_agree(comb_potential(q, w))
 
@@ -468,40 +522,13 @@ def test_failing_member_raises_the_first_failure():
     # the bisection solver fails on a random q=24 and the comb q=32 block;
     # the intersection, on eigenvalue edges, returns the mpmath oracle's set
     from test_band_edges import assert_sets_match, oracle_intersection
-    rng = np.random.default_rng(0)
-    bad = PeriodicJacobi.of(24, rng.uniform(0.5, 1.5, 24).tolist(),
-                            rng.uniform(-1, 1, 24).tolist())
-    family = cli_shift_family(3, 0.5, 5) + [bad, comb_potential(32, 0.5)]
+    family = cli_shift_family(3, 0.5, 5) + [_failing_random_block(),
+                                             comb_potential(32, 0.5)]
     for P in family[-2:]:
         with pytest.raises(RootIsolationError):
             band_structure(P)
     assert_sets_match(intersection_over_family(family, "spectrum"),
                       oracle_intersection(family, "spectrum"))
-
-
-def _retrying_blocks(seed):
-    # about half of these leave the first grid with wrong root counts
-    rng = np.random.default_rng(seed)
-    return ([PeriodicJacobi.of(16, rng.uniform(0.5, 1.5, 16), rng.uniform(-1, 1, 16))
-             for _ in range(6)]
-            + [PeriodicJacobi.of(16, 10 ** rng.uniform(-1, 0, 16), rng.uniform(-1, 1, 16))
-               for _ in range(6)])
-
-
-def test_memory_bounds_change_no_result(monkeypatch):
-    # an array bisection takes few brackets, so every block with 32 brackets
-    # or more goes through the chunked path
-    rng = np.random.default_rng(0)
-    bad = PeriodicJacobi.of(24, rng.uniform(0.5, 1.5, 24), rng.uniform(-1, 1, 24))
-    blocks = ([P for s in range(3) for P in _retrying_blocks(s)]
-              + [comb_potential(24, 0.1 * k) for k in range(1, 9)] + [bad])
-
-    def solved():
-        return [_exact(lambda P=P: band_structure(P)) for P in blocks]
-
-    expected = solved()
-    monkeypatch.setattr(periodic_module, "_BRACKETS", 5)
-    assert solved() == expected
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-3])
