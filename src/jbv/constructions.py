@@ -37,9 +37,9 @@ __all__ = [
 
 def slow_cosine_spec(lam: float, gamma: float) -> CoefficientSpec:
     """a = 1, b_n = lam cos(n^gamma) with lam in (0, 2), gamma in (0, 1/2)."""
-    if not (0.0 < lam < 2.0):
+    if not (0.0 < as_real(lam, "coupling") < 2.0):
         raise ValueError(f"coupling must lie in (0, 2), got {lam}")
-    if not (0.0 < gamma < 0.5):
+    if not (0.0 < as_real(gamma, "exponent") < 0.5):
         raise ValueError(f"exponent must lie in (0, 1/2), got {gamma}")
     return CoefficientSpec("cosine_power", {"lam": lam, "gamma": gamma})
 
@@ -168,11 +168,16 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
     * "empirical" mode compares the statistic S_n / (n log^2 n) of the actual
       transfer products of the sequence built so far at the level's shifted
       gap-center energies, a rule stronger than the analytic one by n log^2 n;
-      it yields desk-scale schedules.
+      it yields desk-scale schedules.  A level's energies, one per step and
+      gap center, become kernel lanes (`_Lanes`) when the level starts.  A
+      run of steps whose lanes' sums already clear their thresholds at the
+      run's start ends every 5 indices (`_decided_steps`) and is multiplied
+      onto the lanes left in one call; only an undecided step is searched
+      index by index (`_empirical_step`).
     """
     q, levels = as_int(q, "q", 2), as_int(levels, "levels", 1)
     cap = as_int(cap, "cap", 16)
-    if not (0.0 < lam < 2.0):
+    if not (0.0 < as_real(lam, "coupling") < 2.0):
         raise ValueError(f"coupling must lie in (0, 2), got {lam}")
     if as_real(growth_margin, "growth margin") < 1.0:
         raise ValueError(f"growth margin must be >= 1, got {growth_margin}")
@@ -196,36 +201,46 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
         # not round up
         m_list.append(max(2 ** level, math.ceil(4.0 / rep.min_width - 1e-6)))
 
-    if mode == "empirical":
-        # every search energy is known now: one lane per step and gap center,
-        # in the order the search reaches them
-        lanes = _Lanes(np.array([
-            z + staircase_level_value(level, k, m_l, lam)
-            for level, (m_l, centers) in enumerate(zip(m_list, centers_list), 1)
-            for k in range(m_l) for z in centers]))
     rows: list[tuple[int, ...]] = []
+    diag: list[float] = []  # the realized b_1, ..., b_end of the empirical search
     truncated = False
     end = 0
     for level in range(1, levels + 1):
         li = level - 1
-        row = [end]
-        for k in range(m_list[li]):
-            if truncated:
-                break
-            v = staircase_level_value(level, k, m_list[li], lam)
+        m_l, w_l, count = m_list[li], w_list[li], len(centers_list[li])
+        if mode == "empirical":
+            values = [staircase_level_value(level, k, m_l, lam) for k in range(m_l)]
+            log_margin = math.log(growth_margin * level)
+            # one lane per step and gap center, in the order the search
+            # reaches them, resumed from the realized prefix
+            lanes = _Lanes(np.array([z + v for v in values for z in centers_list[li]]))
+            if diag:
+                lanes.feed(diag)
+        row, k = [end], 0
+        while k < m_l and not truncated:
             n0 = row[-1]
-            if mode == "empirical":
-                n_next = _empirical_step(q, level, v, w_list[li], lanes,
-                                         len(centers_list[li]), n0,
-                                         growth_margin, cap)
+            if mode == "analytic":
+                ends = [_analytic_step(level, delta_list[li], n0, growth_margin, cap)]
             else:
-                n_next = _analytic_step(level, delta_list[li], n0,
-                                        growth_margin, cap)
-            if n_next is None:
-                truncated = True
-                n_next = cap
-            if n_next > row[-1]:
-                row.append(n_next)
+                run = _decided_steps(lanes.log_sum, count, n0, log_margin, cap)
+                if run:
+                    lanes.leave(run * count)
+                    ends = list(range(n0 + 5, n0 + 5 * run + 1, 5))
+                else:
+                    ends = [_empirical_step(q, values[k], w_l, lanes.take(count), n0,
+                                            log_margin, cap)]
+                if ends[-1] is not None:
+                    window = [values[k + j] + (w_l if n % q == 0 else 0.0)
+                              for j, (lo, hi) in enumerate(zip([n0] + ends, ends))
+                              for n in range(lo + 1, hi + 1)]
+                    diag += window
+                    lanes.feed(window)
+            for n_next in ends:
+                if n_next is None:
+                    truncated, n_next = True, cap
+                if n_next > row[-1]:
+                    row.append(n_next)
+            k += len(ends)
         rows.append(tuple(row))
         end = row[-1]
         if truncated:
@@ -240,10 +255,12 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
 
 
 class _Lanes:
-    """T_{1,n}(x) as one Scan and log sum_{n' <= n} ||T_{1,n'}(x)||^2 at many
-    energies x, all at the same n; each coefficient run is multiplied onto
-    every lane in one `transfer_scan`, so no energy's prefix is scanned
-    twice."""
+    """T_{1,n}(x) as one Scan and log sum_{n' <= n} ||T_{1,n'}(x)||^2 at the
+    energies x of one level's steps, all at the same n; each coefficient run
+    is multiplied onto every lane in one `transfer_scan`, so no energy's
+    prefix is scanned twice.  A step's lanes leave from the front, as
+    scanners when its end is searched index by index, bare when it is
+    decided (`_decided_steps`)."""
 
     def __init__(self, x: np.ndarray) -> None:
         self.x = x
@@ -251,6 +268,11 @@ class _Lanes:
                          np.zeros(len(x), np.int64))
         self.log_sum = np.full(len(x), -np.inf)
         self.n = 0
+
+    def leave(self, count: int) -> None:
+        """Drop the first `count` lanes."""
+        self.x, self.log_sum = self.x[count:], self.log_sum[count:]
+        self.scan = Scan(self.scan.t[..., count:], self.scan.e[count:])
 
     def take(self, count: int) -> list[GrowthScanner]:
         """GrowthScanners resumed from the first `count` lanes, which leave."""
@@ -260,48 +282,63 @@ class _Lanes:
             (sc.t11, sc.t12), (sc.t21, sc.t22) = self.scan.t[..., i].tolist()
             sc.n, sc.e, sc.log_sum = self.n, int(self.scan.e[i]), float(self.log_sum[i])
             scanners.append(sc)
-        self.x, self.log_sum = self.x[count:], self.log_sum[count:]
-        self.scan = Scan(self.scan.t[..., count:], self.scan.e[count:])
+        self.leave(count)
         return scanners
 
     def feed(self, b: list[float]) -> None:
         """Multiply the nonempty run b_{n+1}, ..., b_{n+len(b)} (with a = 1)
-        onto every lane, of which there may be none."""
-        for scan in transfer_scan(np.ones(len(b)), np.array(b), self.x, self.scan,
-                                  prefixes=True):
-            self.log_sum = _log_sums(log_norm2(scan.prefix_t, scan.prefix_e),
-                                     self.log_sum, prefixes=False)
-        self.scan = Scan(scan.t, scan.e)
+        onto every lane; with none left, only n advances."""
+        if len(self.x):
+            for scan in transfer_scan(np.ones(len(b)), np.array(b), self.x, self.scan,
+                                      prefixes=True):
+                self.log_sum = _log_sums(log_norm2(scan.prefix_t, scan.prefix_e),
+                                         self.log_sum, prefixes=False)
+            self.scan = Scan(scan.t, scan.e)
         self.n += len(b)
 
 
-def _empirical_step(q: int, level: int, v: float, w_l: float, lanes: _Lanes,
-                    count: int, n0: int, growth_margin: float,
-                    cap: int) -> int | None:
-    """Extend one staircase step to the first n >= n0 + 5 at which the
-    statistic (1/(n log^2 n)) sum_{n'<=n} ||T_{1,n'}||^2 (`statistic_log`)
-    reaches growth_margin * level * n log^2 n at every shifted gap center.
+def _clears(log_sums, n: int, log_margin: float) -> bool:
+    """Whether every log-sum S at index n has its statistic S - ln n - 2 ln ln n
+    (`GrowthScanner.statistic_log`) at or above log_margin + ln n + 2 ln ln n
+    (`_threshold_log`): the same float operations on one pair of logs."""
+    ln_n = math.log(n)
+    log_ln2 = 2.0 * math.log(ln_n)
+    thr = log_margin + ln_n + log_ln2
+    return all(s - ln_n - log_ln2 >= thr for s in log_sums)
 
-    The step's `count` energies leave `lanes` as scanners at n0, which are fed
-    one index at a time; the window found is then multiplied onto the lanes
-    of the steps still to come."""
-    scanners = lanes.take(count)
-    window: list[float] = []
-    log_margin = math.log(growth_margin * level)
+
+def _decided_steps(log_sum: np.ndarray, count: int, n0: int, log_margin: float,
+                   cap: int) -> int:
+    """The number r of steps from n0 on, `count` lanes each in `log_sum` at
+    n0, that are decided: step j < r ends at n0 + 5 (j + 1) <= cap.
+
+    Step j is decided when its lanes' sums at n0 already clear the threshold
+    at n = n0 + 5 (j + 1), the first index its search would check after the
+    j steps before it.  That is exact: a float log-sum never falls as terms
+    are added (`_log_sums` returns ref + log(x) with x >= 1 in the total,
+    `GrowthScanner.feed` hi + log1p(.)), and fl(S - c) is monotone in S, so
+    the sum at n clears `_clears` wherever the sum at n0 does."""
+    sums, run = log_sum.tolist(), 0
+    while (count * run < len(sums) and n0 + 5 * (run + 1) <= cap
+           and _clears(sums[count * run:count * (run + 1)], n0 + 5 * (run + 1),
+                       log_margin)):
+        run += 1
+    return run
+
+
+def _empirical_step(q: int, v: float, w_l: float, scanners: list[GrowthScanner],
+                    n0: int, log_margin: float, cap: int) -> int | None:
+    """Extend one undecided staircase step, of value v, to the first
+    n >= n0 + 5 at which the statistic (1/(n log^2 n)) sum_{n'<=n}
+    ||T_{1,n'}||^2 of every one of its scanners (taken at n0, one per shifted
+    gap center) reaches growth_margin * level * n log^2 n (`_clears`); the
+    scanners are fed one index at a time.  None when no n <= cap does."""
     for n in range(n0 + 1, cap + 1):
         b_n = v + (w_l if n % q == 0 else 0.0)
-        window.append(b_n)
         for sc in scanners:
             sc.feed(1.0, b_n)
-        if n >= n0 + 5:
-            # `_threshold_log` and each scanner's `statistic_log` (sc.n == n),
-            # the same float operations on one pair of logs
-            ln_n = math.log(n)
-            log_ln2 = 2.0 * math.log(ln_n)
-            thr = log_margin + ln_n + log_ln2
-            if all(sc.log_sum - ln_n - log_ln2 >= thr for sc in scanners):
-                lanes.feed(window)
-                return n
+        if n >= n0 + 5 and _clears([sc.log_sum for sc in scanners], n, log_margin):
+            return n
     return None
 
 

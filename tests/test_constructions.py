@@ -35,6 +35,10 @@ def test_slow_cosine_parameter_ranges():
     for lam, gamma in ((2.5, 0.4), (0.0, 0.4), (0.5, 0.6), (0.5, 0.0)):
         with pytest.raises(ValueError):
             slow_cosine_spec(lam, gamma)
+    # read as real numbers first: a string used to fail on '<'
+    for lam, gamma in (("0.5", 0.4), (0.5, "0.4"), (True, 0.4), (0.5, None)):
+        with pytest.raises(TypeError, match="coupling|exponent"):
+            slow_cosine_spec(lam, gamma)
 
 
 def test_slow_cosine_extrema_at_horizon():
@@ -197,6 +201,11 @@ def test_build_schedule_rejects_bad_parameters():
                                                       mode="nope")):
         with pytest.raises(ValueError):
             build_schedule(**kwargs)
+    # True used to run the whole search before Schedule.validate failed, and
+    # "0.5" to fail on '<'
+    for lam in (True, "0.5", None):
+        with pytest.raises(TypeError, match="coupling"):
+            build_schedule(2, lam, 1)
 
 
 def test_schedule_multi_gap_q3():

@@ -487,6 +487,38 @@ def test_log_sums_match_logaddexp_accumulate(case):
     assert np.all(np.abs(total - want[-1]) <= LOG_SUM_RTOL * np.maximum(1.0, np.abs(want[-1])))
 
 
+# the schedule search decides a step from its lanes' sums before the step is
+# fed (`constructions._decided_steps`), which holds while no float log-sum
+# falls as terms are added.  Starts of -inf, terms far below the start and
+# spreads past 600 included
+log_starts = st.one_of(st.just(-math.inf), st.floats(-2000.0, 2000.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 80), width=st.integers(1, 3))
+def test_log_sum_totals_never_fall_below_their_start(data, rows, width):
+    start = np.array(data.draw(st.lists(log_starts, min_size=width, max_size=width)))
+    low = data.draw(st.floats(-4000.0, 2000.0))
+    terms = np.array(data.draw(st.lists(
+        st.lists(st.floats(low, low + data.draw(st.floats(0.0, 1500.0))),
+                 min_size=width, max_size=width), min_size=rows, max_size=rows)))
+    total = _log_sums(terms, start, prefixes=False)
+    assert np.all(total >= start) and np.all(total >= terms.max(axis=0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.floats(-4.0, 4.0), start=log_starts,
+       steps=st.lists(st.tuples(st.floats(0.2, 5.0), st.floats(-3.0, 3.0)),
+                      min_size=1, max_size=400))
+def test_growth_scanner_feed_never_lowers_its_log_sum(x, start, steps):
+    sc = GrowthScanner(x)
+    sc.log_sum = start
+    for a, b in steps:
+        before = sc.log_sum
+        sc.feed(a, b)
+        assert sc.log_sum >= before
+
+
 # ---------------------------------------------------------------------------
 # the energy axis: lanes against separate single-energy scans
 
@@ -598,6 +630,33 @@ def test_truncated_schedule_rows_equal_prefix_replay():
     sched = build_schedule(2, 0.5, 5, cap=1500)
     assert sched.truncated and sched.horizon == 1500
     assert sched.rows == replayed_schedule_rows(sched)
+
+
+@pytest.mark.parametrize("cap", [777, 1001, 3000])
+def test_capped_schedule_rows_equal_prefix_replay(cap):
+    # 777 and 3000 fall inside runs of decided steps, 1001 just past one
+    sched = build_schedule(2, 0.5, 5, cap=cap)
+    assert sched.truncated and sched.horizon == cap
+    assert sched.rows == replayed_schedule_rows(sched)
+
+
+def test_schedule_search_feeds_each_decided_run_once(monkeypatch):
+    feeds = []
+    feed = _Lanes.feed
+    monkeypatch.setattr(_Lanes, "feed", lambda self, b: feed(self, feeds.append(b) or b))
+    build_schedule(2, 0.5, 5)
+    assert len(feeds) <= 40  # one call a step's window made 248
+
+
+def test_levels_the_cap_never_reaches_make_no_lanes(monkeypatch):
+    sizes = []
+    init = _Lanes.__init__
+    monkeypatch.setattr(_Lanes, "__init__",
+                        lambda self, x: init(self, sizes.append(len(x)) or x))
+    sched = build_schedule(2, 0.5, 9, cap=25000)
+    assert sched.truncated and len(sched.rows) == 7
+    assert sizes == [m * len(c) for m, c in zip(sched.m[:7], sched.centers)]
+    assert sched.rows == build_schedule(2, 0.5, 7, cap=25000).rows
 
 
 @pytest.mark.parametrize("q, levels", [(2, 3), (3, 2)])
