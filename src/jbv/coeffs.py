@@ -46,6 +46,13 @@ def staircase_level_value(level: int, k: int, m_l: int, lam: float) -> float:
     Sweeps between -lam and lam in increments of 2*lam/m_l, flipping direction
     between consecutive levels.
     """
+    return _staircase_value(as_int(level, "level"), as_int(k, "k"),
+                            as_int(m_l, "m_l", 1), as_real(lam, "lam"))
+
+
+def _staircase_value(level: int, k: int, m_l: int, lam: float) -> float:
+    """`staircase_level_value` of checked arguments: the flattening of a
+    validated schedule calls it once a window, on every coefficient lookup."""
     sign = -1.0 if level % 2 else 1.0
     return sign * (1.0 - 2.0 * k / m_l) * lam
 
@@ -257,7 +264,7 @@ def staircase_comb_parts(p: dict, n: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for li, row in enumerate(sched["rows"]):
         for k in range(len(row) - 1):
             rights.append(row[k + 1])
-            stair.append(staircase_level_value(li + 1, k, sched["m"][li], p["lam"]))
+            stair.append(_staircase_value(li + 1, k, sched["m"][li], p["lam"]))
             wcomb.append(sched["w"][li])
     idx = np.searchsorted(rights, n, side="left")
     return np.array(stair)[idx], np.where(n % p["q"] == 0, np.array(wcomb)[idx], 0.0)

@@ -169,11 +169,12 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
       transfer products of the sequence built so far at the level's shifted
       gap-center energies, a rule stronger than the analytic one by n log^2 n;
       it yields desk-scale schedules.  A level's energies, one per step and
-      gap center, become kernel lanes (`_Lanes`) when the level starts.  A
-      run of steps whose lanes' sums already clear their thresholds at the
-      run's start ends every 5 indices (`_decided_steps`) and is multiplied
-      onto the lanes left in one call; only an undecided step is searched
-      index by index (`_empirical_step`).
+      gap center, become kernel lanes (`_Lanes`), each at its own index and
+      fed from the realized diagonal only when a decision needs its sum.  A
+      run of steps whose lanes' sums, where they stand, already clear their
+      thresholds ends every 5 indices (`_decided_steps`); only a step that
+      stays undecided once its lanes are caught up is searched index by
+      index (`_empirical_step`).
     """
     q, levels = as_int(q, "q", 2), as_int(levels, "levels", 1)
     cap = as_int(cap, "cap", 16)
@@ -202,7 +203,7 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
         m_list.append(max(2 ** level, math.ceil(4.0 / rep.min_width - 1e-6)))
 
     rows: list[tuple[int, ...]] = []
-    diag: list[float] = []  # the realized b_1, ..., b_end of the empirical search
+    diag: list[float] = []  # the realized b_1, ..., b_end: every lane's coefficients
     truncated = False
     end = 0
     for level in range(1, levels + 1):
@@ -212,10 +213,8 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
             values = [staircase_level_value(level, k, m_l, lam) for k in range(m_l)]
             log_margin = math.log(growth_margin * level)
             # one lane per step and gap center, in the order the search
-            # reaches them, resumed from the realized prefix
+            # reaches them, each at n = 0 until a decision reads its sum
             lanes = _Lanes(np.array([z + v for v in values for z in centers_list[li]]))
-            if diag:
-                lanes.feed(diag)
         row, k = [end], 0
         while k < m_l and not truncated:
             n0 = row[-1]
@@ -223,6 +222,9 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
                 ends = [_analytic_step(level, delta_list[li], n0, growth_margin, cap)]
             else:
                 run = _decided_steps(lanes.log_sum, count, n0, log_margin, cap)
+                if not run:
+                    lanes.catch_up(diag, n0, count, log_margin, cap)
+                    run = _decided_steps(lanes.log_sum, count, n0, log_margin, cap)
                 if run:
                     lanes.leave(run * count)
                     ends = list(range(n0 + 5, n0 + 5 * run + 1, 5))
@@ -230,11 +232,9 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
                     ends = [_empirical_step(q, values[k], w_l, lanes.take(count), n0,
                                             log_margin, cap)]
                 if ends[-1] is not None:
-                    window = [values[k + j] + (w_l if n % q == 0 else 0.0)
-                              for j, (lo, hi) in enumerate(zip([n0] + ends, ends))
-                              for n in range(lo + 1, hi + 1)]
-                    diag += window
-                    lanes.feed(window)
+                    diag += [values[k + j] + (w_l if n % q == 0 else 0.0)
+                             for j, (lo, hi) in enumerate(zip([n0] + ends, ends))
+                             for n in range(lo + 1, hi + 1)]
             for n_next in ends:
                 if n_next is None:
                     truncated, n_next = True, cap
@@ -255,46 +255,61 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
 
 
 class _Lanes:
-    """T_{1,n}(x) as one Scan and log sum_{n' <= n} ||T_{1,n'}(x)||^2 at the
-    energies x of one level's steps, all at the same n; each coefficient run
-    is multiplied onto every lane in one `transfer_scan`, so no energy's
-    prefix is scanned twice.  A step's lanes leave from the front, as
-    scanners when its end is searched index by index, bare when it is
-    decided (`_decided_steps`)."""
+    """T_{1,n}(x) as a mantissa t times 2**e and log sum_{n' <= n}
+    ||T_{1,n'}(x)||^2 at the energies x of one level's steps, each lane at
+    its own n.  A lane starts at n = 0 and is multiplied forward
+    (`catch_up`) only when a decision needs its sum at the search's index;
+    a lane whose lagging sum already decides its step is never fed.  A
+    step's lanes leave from the front, as scanners when its end is searched
+    index by index, bare when it is decided (`_decided_steps`)."""
 
     def __init__(self, x: np.ndarray) -> None:
         self.x = x
-        self.scan = Scan(np.broadcast_to(np.eye(2)[..., None], (2, 2, len(x))),
-                         np.zeros(len(x), np.int64))
+        self.n = np.zeros(len(x), np.int64)
+        self.t = np.repeat(np.eye(2)[..., None], len(x), axis=2)
+        self.e = np.zeros(len(x), np.int64)
         self.log_sum = np.full(len(x), -np.inf)
-        self.n = 0
 
     def leave(self, count: int) -> None:
         """Drop the first `count` lanes."""
-        self.x, self.log_sum = self.x[count:], self.log_sum[count:]
-        self.scan = Scan(self.scan.t[..., count:], self.scan.e[count:])
+        self.x, self.n, self.e, self.log_sum = (
+            v[count:] for v in (self.x, self.n, self.e, self.log_sum))
+        self.t = self.t[..., count:]
 
     def take(self, count: int) -> list[GrowthScanner]:
         """GrowthScanners resumed from the first `count` lanes, which leave."""
         scanners = []
         for i in range(count):
             sc = GrowthScanner(float(self.x[i]))
-            (sc.t11, sc.t12), (sc.t21, sc.t22) = self.scan.t[..., i].tolist()
-            sc.n, sc.e, sc.log_sum = self.n, int(self.scan.e[i]), float(self.log_sum[i])
+            (sc.t11, sc.t12), (sc.t21, sc.t22) = self.t[..., i].tolist()
+            sc.n, sc.e, sc.log_sum = int(self.n[i]), int(self.e[i]), float(self.log_sum[i])
             scanners.append(sc)
         self.leave(count)
         return scanners
 
-    def feed(self, b: list[float]) -> None:
-        """Multiply the nonempty run b_{n+1}, ..., b_{n+len(b)} (with a = 1)
-        onto every lane; with none left, only n advances."""
-        if len(self.x):
-            for scan in transfer_scan(np.ones(len(b)), np.array(b), self.x, self.scan,
-                                      prefixes=True):
-                self.log_sum = _log_sums(log_norm2(scan.prefix_t, scan.prefix_e),
-                                         self.log_sum, prefixes=False)
-            self.scan = Scan(scan.t, scan.e)
-        self.n += len(b)
+    def catch_up(self, diag: list[float], n0: int, count: int, log_margin: float,
+                 cap: int) -> None:
+        """Bring up to n0, with diag's b_{n+1}, ..., b_{n0} (a = 1), the first
+        `count` lanes and every lane of a later step j whose sum misses the
+        threshold of `_clears` at that step's earliest end n0 + 5 (j + 1) <=
+        cap: it misses at every later decision too, so its step cannot go
+        without it.  numpy's logs only choose lanes here; `_decided_steps`
+        decides.  One `transfer_scan` for each lag start n the lanes share."""
+        j = np.arange(len(self.x)) // count
+        ends = n0 + 5 * (j + 1)
+        ln_n = np.log(ends)
+        log_ln2 = 2.0 * np.log(ln_n)
+        behind = (self.n < n0) & ((j == 0) | (ends <= cap) & (
+            self.log_sum - ln_n - log_ln2 < log_margin + ln_n + log_ln2))
+        for n in sorted(set(self.n[behind].tolist())):  # np.unique imports numpy.ma
+            i = np.flatnonzero(behind & (self.n == n))
+            log_sum = self.log_sum[i]
+            for scan in transfer_scan(np.ones(n0 - n), np.array(diag[n:n0]), self.x[i],
+                                      Scan(self.t[..., i], self.e[i]), prefixes=True):
+                log_sum = _log_sums(log_norm2(scan.prefix_t, scan.prefix_e), log_sum,
+                                    prefixes=False)
+            self.t[..., i], self.e[i], self.log_sum[i] = scan.t, scan.e, log_sum
+            self.n[i] = n0
 
 
 def _clears(log_sums, n: int, log_margin: float) -> bool:
@@ -309,15 +324,17 @@ def _clears(log_sums, n: int, log_margin: float) -> bool:
 
 def _decided_steps(log_sum: np.ndarray, count: int, n0: int, log_margin: float,
                    cap: int) -> int:
-    """The number r of steps from n0 on, `count` lanes each in `log_sum` at
-    n0, that are decided: step j < r ends at n0 + 5 (j + 1) <= cap.
+    """The number r of steps from n0 on, `count` lanes each in `log_sum`,
+    that are decided: step j < r ends at n0 + 5 (j + 1) <= cap.
 
-    Step j is decided when its lanes' sums at n0 already clear the threshold
-    at n = n0 + 5 (j + 1), the first index its search would check after the
-    j steps before it.  That is exact: a float log-sum never falls as terms
-    are added (`_log_sums` returns ref + log(x) with x >= 1 in the total,
-    `GrowthScanner.feed` hi + log1p(.)), and fl(S - c) is monotone in S, so
-    the sum at n clears `_clears` wherever the sum at n0 does."""
+    A lane's sum may lag: it is the sum at the lane's own index, at most n0.
+    Step j is decided when its lanes' sums, as they stand, already clear the
+    threshold at n = n0 + 5 (j + 1), the first index its search would check
+    after the j steps before it.  That is exact: a float log-sum never falls
+    as terms are added, in any pieces (`_log_sums` returns ref + log(x) with
+    x >= 1 in the total, `GrowthScanner.feed` hi + log1p(.)), and fl(S - c)
+    is monotone in S, so the sum at n clears `_clears` wherever a lagging
+    one does."""
     sums, run = log_sum.tolist(), 0
     while (count * run < len(sums) and n0 + 5 * (run + 1) <= cap
            and _clears(sums[count * run:count * (run + 1)], n0 + 5 * (run + 1),

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -342,6 +343,17 @@ def transfer_product(spec: CoefficientSpec, m: int, n: int, x: complex) -> Scale
     return ScaledMatrix2(Matrix2(*scan.t.ravel().tolist()), scan.e * _LN2)
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _coefficient_error(a: float, b: float) -> ValueError:
+    """The error for a step whose a is not positive and finite, or whose b
+    is not finite."""
+    if not 0.0 < a <= _FLOAT_MAX:
+        return ValueError(f"coefficient a must be positive and finite, got {a!r}")
+    return ValueError(f"coefficient b must be finite, got {b!r}")
+
+
 class GrowthScanner:
     """Accumulates T_{1,n}(x) together with sum_{n' <= n} ||T_{1,n'}||^2.
 
@@ -363,7 +375,10 @@ class GrowthScanner:
         self.running_max_log = -math.inf
 
     def feed(self, a: float, b: float) -> None:
-        """Take one step in Python floats: the sequential reference."""
+        """Take one step in Python floats: the sequential reference.  a must
+        be positive and finite, b finite (ValueError)."""
+        if not (0.0 < a <= _FLOAT_MAX and -_FLOAT_MAX <= b <= _FLOAT_MAX):
+            raise _coefficient_error(a, b)
         t11, t12, t21, t22 = self.t11, self.t12, self.t21, self.t22
         p = (self.x - b) / a
         qv = -1.0 / a
@@ -396,6 +411,10 @@ class GrowthScanner:
         Returns the log statistic after each step (-inf while n < 2), an
         empty array for an empty run."""
         a, b = np.asarray(avals, np.float64), np.asarray(bvals, np.float64)
+        bad = ~((0.0 < a) & (a <= _FLOAT_MAX) & (np.abs(b) <= _FLOAT_MAX))
+        if bad.any():
+            i = int(bad.argmax())
+            raise _coefficient_error(float(a[i]), float(b[i]))
         start = Scan(np.array([[self.t11, self.t12], [self.t21, self.t22]]), self.e)
         stats = [np.empty(0)]
         for scan in transfer_scan(a, b, self.x, start, prefixes=True):

@@ -83,6 +83,26 @@ def test_staircase_value_formula():
     assert np.allclose(np.abs(steps), 2 * 0.5 / 16)
 
 
+@pytest.mark.parametrize("args, error, message", [
+    ((1, 0, 0, 0.5), ValueError, "^m_l must be an integer >= 1, got 0$"),
+    (("1", 0, 2, 0.5), TypeError, "^level must be an integer, got '1'$"),
+    ((1, 0.0, 2, 0.5), TypeError, "^k must be an integer, got 0.0$"),
+    ((1, 0, 2.0, 0.5), TypeError, "^m_l must be an integer, got 2.0$"),
+    ((1, 0, 2, "0.5"), TypeError, "^lam must be a real number, got '0.5'$"),
+    ((1, 0, 2, math.nan), ValueError, "^lam must be finite, got nan$"),
+])
+def test_staircase_value_checks_its_arguments(args, error, message):
+    # (1, 0, 0, 0.5) raised ZeroDivisionError and ("1", 0, 2, 0.5) a bare
+    # TypeError from the % operator
+    with pytest.raises(error, match=message):
+        staircase_level_value(*args)
+
+
+def test_staircase_value_takes_numpy_numbers_as_python_ones():
+    assert (staircase_level_value(np.int64(3), np.int32(5), np.int64(12), np.float64(0.7))
+            == staircase_level_value(3, 5, 12, 0.7))
+
+
 def test_schedule_invariants(small_schedule):
     sched = small_schedule
     sched.validate()

@@ -15,6 +15,7 @@ from jbv import (ApproximantSpec, GrowthScanner, Matrix2, OutsideBandError,
                  explicit_spec, free_spec, growth_statistic, one_step_matrix,
                  periodic_spec, slow_cosine_spec, staircase_comb_spec,
                  staircase_level_value, transfer_product)
+from jbv import constructions
 from jbv.constructions import _Lanes
 from jbv.matrix2 import RESCALE_LIMIT
 from jbv.transfer import CHUNK, Scan, _log_sums, log_norm2, transfer_scan
@@ -640,12 +641,48 @@ def test_capped_schedule_rows_equal_prefix_replay(cap):
     assert sched.rows == replayed_schedule_rows(sched)
 
 
-def test_schedule_search_feeds_each_decided_run_once(monkeypatch):
-    feeds = []
-    feed = _Lanes.feed
-    monkeypatch.setattr(_Lanes, "feed", lambda self, b: feed(self, feeds.append(b) or b))
+def lane_kernel_calls(monkeypatch):
+    """(coefficients, lanes) of every kernel call the schedule search makes."""
+    calls = []
+    scan = constructions.transfer_scan
+
+    def counted(a, b, z, *args, **kwargs):
+        calls.append((len(b), np.size(z)))
+        return scan(a, b, z, *args, **kwargs)
+
+    monkeypatch.setattr(constructions, "transfer_scan", counted)
+    return calls
+
+
+def test_schedule_search_feeds_its_lanes_in_few_kernel_calls(monkeypatch):
+    calls = lane_kernel_calls(monkeypatch)
     build_schedule(2, 0.5, 5)
-    assert len(feeds) <= 40  # one call a step's window made 248
+    assert len(calls) <= 40  # one call a step's window made 248
+
+
+def test_schedule_search_feeds_only_lanes_a_decision_reads(monkeypatch):
+    # every window fed onto every remaining lane made 526,723 lane-steps;
+    # lanes whose lagging sums already decide their steps make about 209,000
+    calls = lane_kernel_calls(monkeypatch)
+    build_schedule(2, 0.5, 5)
+    assert sum(steps * lanes for steps, lanes in calls) <= 250_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), xs=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=3),
+       b=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=300))
+def test_lanes_caught_up_in_pieces_never_fall_below_their_lagging_sums(data, xs, b):
+    # `_decided_steps` reads a lane's sum where it lags: sound while no
+    # catch-up, in whatever pieces, lowers it.  With count = every lane, all
+    # of them are the next step's, so each catch-up takes them all
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, len(b)), max_size=6)) + [len(b)]))
+    lanes, whole = _Lanes(np.array(xs)), _Lanes(np.array(xs))
+    for n0 in cuts:
+        lagging = lanes.log_sum.copy()
+        lanes.catch_up(b, n0, len(xs), 0.0, 10 ** 6)
+        assert np.all(lanes.n == n0) and np.all(lanes.log_sum >= lagging)
+    whole.catch_up(b, len(b), len(xs), 0.0, 10 ** 6)
+    assert lanes.log_sum == pytest.approx(whole.log_sum, rel=KERNEL_RTOL)
 
 
 def test_levels_the_cap_never_reaches_make_no_lanes(monkeypatch):
@@ -761,11 +798,10 @@ def test_more_lanes_than_lane_chunk_take_one_step_a_call():
         assert np.array_equal(lanes[-1].t[..., i], ft)
 
 
-def test_lanes_advance_after_the_last_lane_leaves():
+def test_lanes_catch_up_after_the_last_lane_leaves():
     lanes = _Lanes(np.array([0.1, 0.2]))
-    lanes.feed([0.5] * 10)
+    lanes.catch_up([0.5] * 10, 10, 2, 0.0, 10 ** 6)
     assert [sc.n for sc in lanes.take(2)] == [10, 10]
-    lanes.feed([0.3] * 7)
-    assert lanes.n == 17
-    assert lanes.scan.t.shape == (2, 2, 0)
-    assert lanes.scan.e.shape == lanes.log_sum.shape == lanes.x.shape == (0,)
+    lanes.catch_up([0.5] * 10 + [0.3] * 7, 17, 2, 0.0, 10 ** 6)
+    assert lanes.t.shape == (2, 2, 0)
+    assert lanes.e.shape == lanes.n.shape == lanes.log_sum.shape == lanes.x.shape == (0,)

@@ -435,3 +435,27 @@ def test_growth_scanner_rejects_a_non_finite_energy(x):
     # maximum of 0.0
     with pytest.raises(ValueError, match="energy x must be finite"):
         GrowthScanner(x)
+
+
+@pytest.mark.parametrize("step, message", [
+    (lambda sc: sc.feed(0.0, 0.0), "coefficient a must be positive and finite, got 0.0"),
+    (lambda sc: sc.feed(-1.0, 0.0), "coefficient a must be positive and finite, got -1.0"),
+    (lambda sc: sc.feed(math.inf, 0.0), "coefficient a must be positive and finite, got inf"),
+    (lambda sc: sc.feed(1.0, math.nan), "coefficient b must be finite, got nan"),
+    (lambda sc: sc.feed_arrays([0.0, 1.0], [0.0, 0.0]),
+     "coefficient a must be positive and finite, got 0.0"),
+    (lambda sc: sc.feed_arrays([1.0, math.nan], [0.0, 0.0]),
+     "coefficient a must be positive and finite, got nan"),
+    (lambda sc: sc.feed_arrays([1.0, 1.0], [0.2, -math.inf]),
+     "coefficient b must be finite, got -inf"),
+], ids=["feed a=0", "feed a<0", "feed a=inf", "feed b=nan", "run a=0", "run a=nan",
+        "run b=-inf"])
+def test_growth_scanner_rejects_a_bad_coefficient(step, message):
+    # feed(0, 0) raised ZeroDivisionError, a run with a = 0 a RuntimeWarning,
+    # and a NaN b left the log-sum NaN
+    sc = GrowthScanner(0.3)
+    sc.feed(1.0, 0.1)
+    before = (sc.n, sc.log_sum, sc.t11, sc.t12, sc.t21, sc.t22, sc.e)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        step(sc)
+    assert (sc.n, sc.log_sum, sc.t11, sc.t12, sc.t21, sc.t22, sc.e) == before
