@@ -50,9 +50,10 @@ def staircase_level_value(level: int, k: int, m_l: int, lam: float) -> float:
                             as_int(m_l, "m_l", 1), as_real(lam, "lam"))
 
 
-def _staircase_value(level: int, k: int, m_l: int, lam: float) -> float:
-    """`staircase_level_value` of checked arguments: the flattening of a
-    validated schedule calls it once a window, on every coefficient lookup."""
+def _staircase_value(level: int, k, m_l: int, lam: float):
+    """`staircase_level_value` of checked arguments, k an int or an array of
+    them: the flattening of a validated schedule calls it once a level with
+    that level's steps, on every coefficient lookup."""
     sign = -1.0 if level % 2 else 1.0
     return sign * (1.0 - 2.0 * k / m_l) * lam
 
@@ -256,18 +257,19 @@ def staircase_comb_parts(p: dict, n: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """The staircase part and the comb part w_l [q divides n] of b_n at the
     indices n, none past the horizon, under staircase_comb params p.
 
-    The schedule is flattened into windows, the half-open index ranges
-    (n_{l,k}, n_{l,k+1}], each with its right endpoint, its staircase value
-    and the comb coupling of its level; n is looked up among the endpoints.
+    The schedule is flattened, one level at a time, into windows, the
+    half-open index ranges (n_{l,k}, n_{l,k+1}], each with its right
+    endpoint, its staircase value and the comb coupling of its level; n is
+    looked up among the endpoints.
     """
-    sched, rights, stair, wcomb = p["schedule"], [], [], []
-    for li, row in enumerate(sched["rows"]):
-        for k in range(len(row) - 1):
-            rights.append(row[k + 1])
-            stair.append(_staircase_value(li + 1, k, sched["m"][li], p["lam"]))
-            wcomb.append(sched["w"][li])
+    sched = p["schedule"]
+    rows, steps = sched["rows"], [len(row) - 1 for row in sched["rows"]]
+    rights = np.array([right for row in rows for right in row[1:]])
+    stair = np.concatenate([_staircase_value(level, np.arange(k), m_l, p["lam"])
+                            for level, (k, m_l) in enumerate(zip(steps, sched["m"]), 1)])
+    wcomb = np.repeat(sched["w"][:len(rows)], steps)
     idx = np.searchsorted(rights, n, side="left")
-    return np.array(stair)[idx], np.where(n % p["q"] == 0, np.array(wcomb)[idx], 0.0)
+    return stair[idx], np.where(n % p["q"] == 0, wcomb[idx], 0.0)
 
 
 def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int

@@ -3,10 +3,11 @@
 Spectra of periodic Jacobi matrices are finite unions of closed bands, while
 their band interiors drop a finite set of touch points.  The difference is
 exactly a few endpoints, so sets carry explicit endpoint flags instead of
-being tracked only up to measure zero.  Intersections and differences run as
-one sweep over the sorted endpoints of all operands, which counts how many
-operands cover each endpoint and each open segment between endpoints; it
-only compares endpoints, so results are exact.
+being tracked only up to measure zero.  One sweep over sorted endpoints
+forms every union: it counts the intervals that cover each endpoint and each
+open segment between endpoints, and keeps what at least n of them cover
+(n = 1 merges, n operands intersect).  It only compares endpoints, so
+results are exact.
 """
 
 from __future__ import annotations
@@ -28,11 +29,18 @@ class Interval:
     closed_hi: bool = True
 
     def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("interval endpoints must be real numbers")
-        if self.hi < self.lo:
-            raise ValueError(f"empty interval: ({self.lo}, {self.hi})")
-        if self.lo == self.hi and not (self.closed_lo and self.closed_hi):
+        lo, hi = self.lo, self.hi
+        if not type(lo) is float is type(hi):   # two Python floats pass at once
+            for name, value in (("lo", lo), ("hi", hi)):
+                if (not isinstance(value, (int, float, np.integer, np.floating))
+                        or isinstance(value, bool)):
+                    raise TypeError(f"interval {name} must be a real number, got {value!r}")
+        # +-inf is allowed: complements have infinite ends
+        if lo != lo or hi != hi:
+            raise ValueError(f"interval {'lo' if lo != lo else 'hi'} must not be NaN")
+        if hi < lo:
+            raise ValueError(f"empty interval: ({lo}, {hi})")
+        if lo == hi and not (self.closed_lo and self.closed_hi):
             raise ValueError("a degenerate interval must be closed on both sides")
 
     @staticmethod
@@ -60,14 +68,6 @@ class Interval:
         return (self.lo, self.hi)
 
 
-def _touches(a: Interval, b: Interval) -> bool:
-    # assumes b.lo >= a.lo; True when a and b overlap or meet at a point that
-    # belongs to at least one of them
-    if b.lo < a.hi:
-        return True
-    return b.lo == a.hi and (a.closed_hi or b.closed_lo)
-
-
 def _count_equal(sorted_values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """How many of sorted_values equal each point."""
     return (np.searchsorted(sorted_values, points, "right")
@@ -82,21 +82,12 @@ class IntervalUnion:
 
     @staticmethod
     def of(parts: Iterable[Interval]) -> "IntervalUnion":
-        items = sorted(parts, key=lambda iv: (iv.lo, not iv.closed_lo, iv.hi))
-        merged: list[Interval] = []
-        for iv in items:
-            if merged and _touches(merged[-1], iv):
-                a = merged.pop()
-                if iv.hi > a.hi:
-                    hi, chi = iv.hi, iv.closed_hi
-                elif iv.hi < a.hi:
-                    hi, chi = a.hi, a.closed_hi
-                else:
-                    hi, chi = a.hi, a.closed_hi or iv.closed_hi
-                merged.append(Interval(a.lo, hi, a.closed_lo, chi))
-            else:
-                merged.append(iv)
-        return IntervalUnion(tuple(merged))
+        """The canonical union of any intervals, in any order."""
+        parts = tuple(parts)
+        for i, iv in enumerate(parts):
+            if not isinstance(iv, Interval):
+                raise TypeError(f"union part {i} must be an Interval, got {iv!r}")
+        return _sweep(parts, 1)
 
     @staticmethod
     def empty() -> "IntervalUnion":
@@ -116,20 +107,30 @@ class IntervalUnion:
     @staticmethod
     def intersect_all(unions: Sequence["IntervalUnion"]) -> "IntervalUnion":
         """The points every union contains, whatever tuples the unions hold."""
-        return _sweep([IntervalUnion.of(u.intervals) for u in unions])
+        if not unions:
+            raise ValueError("intersect_all needs at least one union")
+        canonical = [IntervalUnion.of(_operand(u, f"union {i}").intervals)
+                     for i, u in enumerate(unions)]
+        return _sweep([iv for u in canonical for iv in u.intervals], len(unions))
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.intersect_all((self, other))
+        return IntervalUnion.intersect_all((self, _operand(other, "other")))
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.of(self.intervals + other.intervals)
+        return IntervalUnion.of(self.intervals + _operand(other, "other").intervals)
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
-        return _sweep((IntervalUnion.of(self.intervals),
-                       _complement(IntervalUnion.of(other.intervals))))
+        cut = _complement(IntervalUnion.of(_operand(other, "other").intervals))
+        return _sweep(IntervalUnion.of(self.intervals).intervals + cut.intervals, 2)
 
     def as_pairs(self) -> list[tuple[float, float]]:
         return [iv.as_pair() for iv in self.intervals]
+
+
+def _operand(u, name: str) -> IntervalUnion:
+    if not isinstance(u, IntervalUnion):
+        raise TypeError(f"{name} must be an IntervalUnion, got {u!r}")
+    return u
 
 
 def _complement(u: IntervalUnion) -> IntervalUnion:
@@ -145,28 +146,24 @@ def _complement(u: IntervalUnion) -> IntervalUnion:
         if lo < hi or (lo == hi and clo and chi)))
 
 
-def _sweep(unions: Sequence[IntervalUnion]) -> IntervalUnion:
-    """The points that every union contains (`_sweep_arrays` on the
-    intervals of all of them)."""
-    if not unions:
-        raise ValueError("intersect_all needs at least one union")
+def _sweep(parts: Iterable[Interval], n: int) -> IntervalUnion:
+    """The points that at least n of the intervals cover (`_sweep_arrays`)."""
     lo, hi, closed_lo, closed_hi = np.array(
-        [(iv.lo, iv.hi, iv.closed_lo, iv.closed_hi) for u in unions for iv in u.intervals],
+        [(iv.lo, iv.hi, iv.closed_lo, iv.closed_hi) for iv in parts],
         dtype=float).reshape(-1, 4).T
-    return _sweep_arrays(lo, hi, closed_lo == 1.0, closed_hi == 1.0, len(unions))
+    return _sweep_arrays(lo, hi, closed_lo == 1.0, closed_hi == 1.0, n)
 
 
 def _sweep_arrays(lo: np.ndarray, hi: np.ndarray, closed_lo: np.ndarray,
                   closed_hi: np.ndarray, n: int) -> IntervalUnion:
-    """The points that all n unions contain, by one endpoint sweep over the
-    intervals (lo, hi) of all of them, with their closed-end flags.
-
-    Each union must be canonical, so it covers a point at most once; a point
-    or open segment is in the result when n intervals cover it.  The
-    endpoints E are sorted once, and searchsorted counts, for each E, the
-    intervals that contain it and those that contain the open segment to
-    the next endpoint.  Maximal runs of covered points and segments are
-    the result's intervals, closed where a run starts or ends on a point.
+    """The one sweep that forms every union: the points that at least n of
+    the intervals (lo, hi), with their closed-end flags, cover.  With n = 1
+    that is their union; n canonical unions cover a point at most n times,
+    so with n of them it is their intersection.  The endpoints E are sorted
+    once, and searchsorted counts, for each E, the intervals that contain it
+    and those that contain the open segment to the next endpoint.  Maximal
+    runs of covered points and segments are the result's intervals, closed
+    where a run starts or ends on a point.
     """
     if not len(lo):
         return IntervalUnion.empty()
@@ -184,8 +181,8 @@ def _sweep_arrays(lo: np.ndarray, hi: np.ndarray, closed_lo: np.ndarray,
     on_segment = np.searchsorted(lo, ends, "right") - below
     # atoms in order: point E_0, segment (E_0, E_1), point E_1, ...
     covered = np.empty(2 * len(ends) - 1, dtype=bool)
-    covered[0::2] = at_point == n
-    covered[1::2] = on_segment[:-1] == n
+    covered[0::2] = at_point >= n
+    covered[1::2] = on_segment[:-1] >= n
     edge = np.diff(np.concatenate(([False], covered, [False])).astype(np.int8))
     values = ends.tolist()
     return IntervalUnion(tuple(
@@ -197,4 +194,4 @@ def _sweep_arrays(lo: np.ndarray, hi: np.ndarray, closed_lo: np.ndarray,
 
 def interval_union_intersect(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:
     """Set intersection of two interval unions, endpoint flags respected."""
-    return u.intersect(v)
+    return _operand(u, "u").intersect(_operand(v, "v"))

@@ -346,12 +346,17 @@ def transfer_product(spec: CoefficientSpec, m: int, n: int, x: complex) -> Scale
 _FLOAT_MAX = sys.float_info.max
 
 
-def _coefficient_error(a: float, b: float) -> ValueError:
-    """The error for a step whose a is not positive and finite, or whose b
-    is not finite."""
+def _coefficient_error(x: float, a: float, b: float) -> ValueError:
+    """The error for a step at energy x whose a is not positive and finite,
+    whose b is not finite, or whose entry -1/a or (x - b)/a is not finite."""
     if not 0.0 < a <= _FLOAT_MAX:
         return ValueError(f"coefficient a must be positive and finite, got {a!r}")
-    return ValueError(f"coefficient b must be finite, got {b!r}")
+    if not abs(b) <= _FLOAT_MAX:
+        return ValueError(f"coefficient b must be finite, got {b!r}")
+    if 1.0 / a > _FLOAT_MAX:
+        return ValueError(f"coefficient a = {a!r} makes the step entry -1/a infinite")
+    return ValueError(f"coefficients a = {a!r}, b = {b!r} make the step entry "
+                      f"(x - b)/a infinite at x = {x!r}")
 
 
 class GrowthScanner:
@@ -376,12 +381,13 @@ class GrowthScanner:
 
     def feed(self, a: float, b: float) -> None:
         """Take one step in Python floats: the sequential reference.  a must
-        be positive and finite, b finite (ValueError)."""
-        if not (0.0 < a <= _FLOAT_MAX and -_FLOAT_MAX <= b <= _FLOAT_MAX):
-            raise _coefficient_error(a, b)
+        be positive and finite, and the step's entries -1/a and (x - b)/a
+        finite, so b too (ValueError)."""
+        # after the test of a, one chained comparison: qv >= -max, |p| <= max
+        if not (0.0 < a <= _FLOAT_MAX and (qv := -1.0 / a) >= -_FLOAT_MAX
+                <= (p := (self.x - b) / a) <= _FLOAT_MAX):
+            raise _coefficient_error(self.x, a, b)
         t11, t12, t21, t22 = self.t11, self.t12, self.t21, self.t22
-        p = (self.x - b) / a
-        qv = -1.0 / a
         r11 = p * t11 + qv * t21
         r12 = p * t12 + qv * t22
         t21 = a * t11
@@ -411,10 +417,19 @@ class GrowthScanner:
         Returns the log statistic after each step (-inf while n < 2), an
         empty array for an empty run."""
         a, b = np.asarray(avals, np.float64), np.asarray(bvals, np.float64)
-        bad = ~((0.0 < a) & (a <= _FLOAT_MAX) & (np.abs(b) <= _FLOAT_MAX))
-        if bad.any():
-            i = int(bad.argmax())
-            raise _coefficient_error(float(a[i]), float(b[i]))
+        if len(a):
+            # rounding is monotone, so the extreme a and b bound every step's
+            # entries; only a run they do not clear is tested step by step
+            a_lo, a_hi, b_lo, b_hi = (float(v) for v in (a.min(), a.max(), b.min(), b.max()))
+            reach = max(abs(self.x - b_lo), abs(self.x - b_hi))
+            if not (0.0 < a_lo and a_hi <= _FLOAT_MAX
+                    and 1.0 / a_lo <= _FLOAT_MAX >= reach / a_lo):
+                with np.errstate(all="ignore"):   # a bad step divides by 0 or overflows
+                    bad = ~((0.0 < a) & (a <= _FLOAT_MAX) & (1.0 / a <= _FLOAT_MAX)
+                            & (np.abs((self.x - b) / a) <= _FLOAT_MAX))
+                if bad.any():
+                    i = int(bad.argmax())
+                    raise _coefficient_error(self.x, float(a[i]), float(b[i]))
         start = Scan(np.array([[self.t11, self.t12], [self.t21, self.t22]]), self.e)
         stats = [np.empty(0)]
         for scan in transfer_scan(a, b, self.x, start, prefixes=True):

@@ -6,8 +6,11 @@ solves instead of Weyl seeds, plain numpy products instead of scaled scans,
 a prefix replayed at every step instead of energy lanes carried forward,
 one block and one frame at a time instead of a block axis,
 every grid sample evaluated and scanned in Python instead of array passes,
-interval operands merged pairwise instead of one endpoint sweep,
-a geometric sum carried term by term instead of in closed form.
+interval operands merged pairwise and any intervals merged in sorted order
+instead of one endpoint sweep,
+a geometric sum carried term by term instead of in closed form,
+a staircase diagonal written out index by index instead of looked up among
+flattened windows.
 """
 
 from __future__ import annotations
@@ -359,6 +362,27 @@ def _scalar_edge_roots(poly, samples, crit, tol, noise):
 # ---------------------------------------------------------------------------
 # interval unions, one pair of canonical operands at a time
 
+def merged_union(parts):
+    """The canonical union of any intervals: sorted by left end, each merged
+    into the last kept interval when the two overlap or meet at a point that
+    either of them holds."""
+    items = sorted(parts, key=lambda iv: (iv.lo, not iv.closed_lo, iv.hi))
+    merged = []
+    for iv in items:
+        a = merged[-1] if merged else None
+        if a is not None and (iv.lo < a.hi or (iv.lo == a.hi and (a.closed_hi or iv.closed_lo))):
+            if iv.hi > a.hi:
+                hi, chi = iv.hi, iv.closed_hi
+            elif iv.hi < a.hi:
+                hi, chi = a.hi, a.closed_hi
+            else:
+                hi, chi = a.hi, a.closed_hi or iv.closed_hi
+            merged[-1] = Interval(a.lo, hi, a.closed_lo, chi)
+        else:
+            merged.append(iv)
+    return IntervalUnion(tuple(merged))
+
+
 def _max_lo(a, b):
     if a.lo > b.lo:
         return a.lo, a.closed_lo
@@ -425,4 +449,19 @@ def carved_difference(u, v):
                                    _piece(b.hi, a.hi, not b.closed_hi, a.closed_hi))
                        if p is not None]
         pieces = carved
-    return IntervalUnion.of(pieces)
+    return merged_union(pieces)
+
+
+def staircase_diagonal(spec):
+    """b_1, ..., b_horizon of a staircase_comb spec, one index at a time:
+    window k of level l covers (rows[l][k], rows[l][k + 1]], and q | n adds
+    the level's comb coupling."""
+    p = spec.params
+    sched = p["schedule"]
+    out = []
+    for level, row in enumerate(sched["rows"], 1):
+        for k in range(len(row) - 1):
+            stair = staircase_level_value(level, k, sched["m"][level - 1], p["lam"])
+            for n in range(row[k] + 1, row[k + 1] + 1):
+                out.append(stair + (sched["w"][level - 1] if n % p["q"] == 0 else 0.0))
+    return np.array(out)

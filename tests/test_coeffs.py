@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jbv import (CoefficientSpec, HorizonError, Schedule, coefficient_arrays,
-                 constant_spec, eval_coefficients, eventually_periodic_spec,
-                 explicit_spec, free_spec, periodic_spec, staircase_level_value)
+from jbv import (CoefficientSpec, HorizonError, Schedule, build_schedule,
+                 coefficient_arrays, constant_spec, eval_coefficients,
+                 eventually_periodic_spec, explicit_spec, free_spec, periodic_spec,
+                 staircase_comb_spec, staircase_level_value)
 from jbv.coeffs import KINDS
+
+from oracles import staircase_diagonal
 
 
 def test_constant_rule():
@@ -87,6 +90,25 @@ def staircase_closed_form(n):
                 return staircase_level_value(level, k, sched["m"][level - 1],
                                              0.5) + comb
     raise AssertionError(n)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((2, 0.5, 4), {}), ((3, 1.0, 3), {}),
+    ((2, 0.5, 5), {"cap": 777}), ((4, 0.3, 4), {"growth_margin": 1.5, "cap": 1500}),
+], ids=["(2,.5,4)", "(3,1,3)", "(2,.5,5) cap 777", "(4,.3,4) margin 1.5 cap 1500"])
+def test_staircase_diagonal_is_the_per_index_value(args, kwargs):
+    # the lookup flattens the schedule one level at a time on arrays; the
+    # float operations are those of staircase_level_value, so every b_n has
+    # the same bytes, on complete and on truncated (partial last row) schedules
+    schedule = build_schedule(*args, **kwargs)
+    assert schedule.truncated == ("cap" in kwargs)
+    spec = staircase_comb_spec(schedule)
+    want = staircase_diagonal(spec)
+    assert len(want) == schedule.horizon
+    _, b = coefficient_arrays(spec, 1, schedule.horizon + 1)
+    assert b.tobytes() == want.tobytes()
+    _, part = coefficient_arrays(spec, 5, schedule.horizon // 2)
+    assert part.tobytes() == want[4:schedule.horizon // 2 - 1].tobytes()
 
 
 def test_arrays_match_scalar():

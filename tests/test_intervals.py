@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from jbv import Interval, IntervalUnion, interval_union_intersect
 
-from oracles import carved_difference, pairwise_intersection
+from oracles import carved_difference, merged_union, pairwise_intersection
 
 
 def u(*parts):
@@ -101,8 +103,8 @@ ENDPOINT = st.integers(-8, 8).map(lambda k: k / 2)
 
 
 @st.composite
-def intervals(draw):
-    lo, hi = sorted((draw(ENDPOINT), draw(ENDPOINT)))
+def intervals(draw, endpoint=ENDPOINT):
+    lo, hi = sorted((draw(endpoint), draw(endpoint)))
     if lo == hi:
         return Interval.point(lo)
     return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
@@ -145,7 +147,27 @@ def test_contains_agrees_with_each_operation_at_the_endpoints(a, b):
 
 
 def _canonical(u: IntervalUnion) -> bool:
-    return IntervalUnion.of(u.intervals) == u
+    """Sorted and disjoint, and no two neighbours meet at a point that
+    either of them holds."""
+    return all(a.hi < b.lo or (a.hi == b.lo and not (a.closed_hi or b.closed_lo))
+               for a, b in zip(u.intervals, u.intervals[1:]))
+
+
+EXTENDED = st.one_of(ENDPOINT, st.sampled_from([-math.inf, math.inf]))
+
+
+@given(st.lists(intervals(EXTENDED), max_size=8))
+@example([Interval(0.0, 2.0), Interval(1.0, 3.0)])
+@example([Interval.open(0.0, 1.0), Interval.point(1.0), Interval.open(1.0, 2.0)])
+@example([Interval(-math.inf, 0.0, False, True), Interval.open(0.0, math.inf)])
+def test_of_matches_the_sorted_merge(parts):
+    # the sweep keeps what at least one part covers: overlaps and touch
+    # points that either side holds merge, as in a merge of sorted parts
+    got = IntervalUnion.of(parts)
+    assert got == merged_union(parts)
+    assert _canonical(got)
+    for x in _endpoints(got) | {x + 0.25 for x in _endpoints(got)}:
+        assert got.contains(x) == any(iv.contains(x) for iv in parts)
 
 
 @given(st.lists(UNIONS, min_size=1, max_size=6))
@@ -212,3 +234,38 @@ def test_intersections_take_unions_built_from_overlapping_tuples(unions, a, b):
     assert IntervalUnion.intersect_all(unions) == pairwise_intersection(canonical(*unions))
     want = pairwise_intersection(canonical(a, b))
     assert a.intersect(b) == interval_union_intersect(a, b) == want
+
+
+ONE = IntervalUnion((Interval(0.0, 1.0),))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Interval("a", 1), TypeError, "interval lo must be a real number, got 'a'"),
+    (lambda: Interval(0.0, None), TypeError, "interval hi must be a real number, got None"),
+    (lambda: Interval(True, 2.0), TypeError, "interval lo must be a real number, got True"),
+    (lambda: Interval(0.0, math.nan), ValueError, "interval hi must not be NaN"),
+    (lambda: IntervalUnion.of([1, 2]), TypeError, "union part 0 must be an Interval, got 1"),
+    (lambda: IntervalUnion.of([Interval(0.0, 1.0), (1.0, 2.0)]), TypeError,
+     r"union part 1 must be an Interval, got \(1.0, 2.0\)"),
+    (lambda: interval_union_intersect(1, 2), TypeError, "u must be an IntervalUnion, got 1"),
+    (lambda: interval_union_intersect(ONE, 2), TypeError, "v must be an IntervalUnion, got 2"),
+    (lambda: ONE.intersect("x"), TypeError, "other must be an IntervalUnion, got 'x'"),
+    (lambda: ONE.union([]), TypeError, r"other must be an IntervalUnion, got \[\]"),
+    (lambda: ONE.difference(None), TypeError, "other must be an IntervalUnion, got None"),
+    (lambda: IntervalUnion.intersect_all([ONE, 3]), TypeError,
+     "union 1 must be an IntervalUnion, got 3"),
+], ids=["lo string", "hi None", "lo bool", "hi nan", "of ints", "of tuple",
+        "intersect u", "intersect v", "intersect other", "union other",
+        "difference other", "intersect_all union"])
+def test_bad_inputs_raise_errors_that_name_them(call, error, message):
+    # interval_union_intersect(1, 2) and IntervalUnion.of([1, 2]) raised
+    # AttributeError, and Interval("a", 1) a TypeError that named no field
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_infinite_endpoints_are_accepted():
+    line = IntervalUnion.of([Interval(-math.inf, 0.0, False, True),
+                             Interval.open(0.0, math.inf)])
+    assert line == IntervalUnion((Interval.open(-math.inf, math.inf),))
+    assert ONE.difference(line).is_empty

@@ -448,14 +448,39 @@ def test_growth_scanner_rejects_a_non_finite_energy(x):
      "coefficient a must be positive and finite, got nan"),
     (lambda sc: sc.feed_arrays([1.0, 1.0], [0.2, -math.inf]),
      "coefficient b must be finite, got -inf"),
+    (lambda sc: sc.feed(1e-310, 0.0),
+     "coefficient a = 1e-310 makes the step entry -1/a infinite"),
+    (lambda sc: sc.feed(1e-300, 1e10), r"coefficients a = 1e-300, b = 10000000000.0 "
+     r"make the step entry \(x - b\)/a infinite at x = 0.3"),
+    (lambda sc: sc.feed_arrays([1e-310, 1.0], [0.0, 0.0]),
+     "coefficient a = 1e-310 makes the step entry -1/a infinite"),
+    (lambda sc: sc.feed_arrays([1.0, 1e-300], [0.0, 1e10]),
+     r"coefficients a = 1e-300, b = 10000000000.0 "
+     r"make the step entry \(x - b\)/a infinite at x = 0.3"),
 ], ids=["feed a=0", "feed a<0", "feed a=inf", "feed b=nan", "run a=0", "run a=nan",
-        "run b=-inf"])
+        "run b=-inf", "feed 1/a=inf", "feed (x-b)/a=inf", "run 1/a=inf",
+        "run (x-b)/a=inf"])
+@pytest.mark.filterwarnings("error")
 def test_growth_scanner_rejects_a_bad_coefficient(step, message):
-    # feed(0, 0) raised ZeroDivisionError, a run with a = 0 a RuntimeWarning,
-    # and a NaN b left the log-sum NaN
+    # feed(0, 0) raised ZeroDivisionError, a run with a = 0 or a = 1e-310 a
+    # RuntimeWarning, and a NaN b, a = 1e-310 or (a, b) = (1e-300, 1e10) left
+    # the log-sum NaN
     sc = GrowthScanner(0.3)
     sc.feed(1.0, 0.1)
     before = (sc.n, sc.log_sum, sc.t11, sc.t12, sc.t21, sc.t22, sc.e)
     with pytest.raises(ValueError, match=f"^{message}$"):
         step(sc)
     assert (sc.n, sc.log_sum, sc.t11, sc.t12, sc.t21, sc.t22, sc.e) == before
+    sc.feed(1.0, 0.0)
+    assert math.isfinite(sc.log_sum)
+
+
+@pytest.mark.filterwarnings("error")
+def test_growth_scanner_run_checks_each_step_when_its_extremes_do_not_clear():
+    # (x - max b)/min a overflows, but no one step's entries do
+    run, steps = GrowthScanner(0.0), GrowthScanner(0.0)
+    stats = run.feed_arrays([1e-300, 1.0, 1.0], [0.0, 1e10, 0.0])
+    for a, b in [(1e-300, 0.0), (1.0, 1e10), (1.0, 0.0)]:
+        steps.feed(a, b)
+    assert np.isfinite(stats[1:]).all()
+    assert math.isclose(run.log_sum, steps.log_sum, rel_tol=1e-12)
