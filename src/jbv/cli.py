@@ -24,7 +24,7 @@ from .coeffs import CoefficientSpec, as_int, as_real
 from .constructions import (build_schedule, slow_cosine_spec,
                             staircase_comb_spec)
 from .density import ApproximantSpec, ac_density
-from .diagnostics import growth_statistic, verify_gap_window_growth
+from .diagnostics import _window_reports, growth_statistic, verify_gap_window_growth
 from .errors import (DegenerateBlockError, HorizonError, OutsideBandError,
                      PoleOfMError, PreconditionError, RootIsolationError)
 from .periodic import PeriodicJacobi, band_structure, comb_potential, \
@@ -295,8 +295,7 @@ def _verify_random(args) -> int:
     if args.random < 1:
         raise ValueError(f"--random needs at least one window, got {args.random}")
     rng = np.random.default_rng(_CONFIG["seed"][1](args.seed, "--seed"))
-    rows = []
-    all_pass = True
+    draws, windows = [], []
     for case in range(args.random):
         q = int(rng.integers(2, 5))
         w = float(rng.uniform(0.1, 1.0))
@@ -307,13 +306,14 @@ def _verify_random(args) -> int:
         e = float(rng.uniform(gap.lo + delta, gap.hi - delta))
         m = int(rng.integers(1, 20))
         k = m + int(rng.integers(8, 40))
-        report = verify_gap_window_growth(comb.as_spec(), q, m, k, e, delta)
-        all_pass = all_pass and report.passed
-        rows.append([case, q, w, m, k, e, delta, len(report.l_values),
-                     len(report.violations), "pass" if report.passed else "fail"])
+        draws.append([case, q, w, m, k, e, delta])
+        windows.append((comb.as_spec(), q, m, k, e, delta))
+    reports = _window_reports(windows)
+    rows = [draw + [len(r.l_values), len(r.violations), "pass" if r.passed else "fail"]
+            for draw, r in zip(draws, reports)]
     _emit_table(args, ["case", "q", "w", "m", "k", "E", "delta", "checked",
                        "violations", "status"], rows)
-    return 0 if all_pass else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ int or real, never a bool or a string (`as_int`, `as_real`).
 
 from __future__ import annotations
 
+import cmath
 import json
 import sys
 from contextlib import contextmanager
@@ -122,6 +123,19 @@ def as_real(value, name: str) -> float:
     if not abs(value) <= sys.float_info.max:  # no OverflowError on a huge int
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def as_complex(value, name: str) -> complex:
+    """The one complex-number rule for energies from outside: a finite int,
+    float, complex or numpy number, never a bool or a string."""
+    if (not isinstance(value, (int, float, complex, np.number))
+            or isinstance(value, bool)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, (int, np.integer)):
+        value = as_real(value, name)   # no OverflowError on a huge int
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return complex(value)
 
 
 @contextmanager

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (CoefficientSpec, as_real, check_params, coefficient_arrays,
-                     eval_coefficients, eventually_periodic_spec)
+from .coeffs import (CoefficientSpec, as_complex, as_real, check_params,
+                     coefficient_arrays, eval_coefficients, eventually_periodic_spec)
 from .errors import OutsideBandError, PoleOfMError
 from .transfer import (Diagonalization, QStepBlock, Scan, eigen_branch,
                        q_step_block, transfer_scan, weyl_branch_sign)
@@ -106,7 +106,7 @@ def weyl_solution(aspec: ApproximantSpec, z: complex, s: int) -> WeylSolution:
 
     Block inverses are exact for unimodular blocks.
     """
-    zc = complex(z)
+    zc = as_complex(z, "energy z")
     block_n = q_step_block(aspec.base, aspec.q, aspec.N, zc)
     diag, _, values = _solve(aspec, block_n, s, keep_values=True)
     return WeylSolution(zc, s, tuple(map(tuple, reversed(values))),
@@ -158,7 +158,7 @@ def m_function(aspec: ApproximantSpec, z: complex, s: int | None = None) -> comp
     With s=None the contracting eigenvalue branch at block N is used, which is
     the square-summable (Weyl) direction.
     """
-    zc = complex(z)
+    zc = as_complex(z, "energy z")
     if zc.imag <= 0.0:
         raise ValueError("the Weyl function is evaluated for Im z > 0")
     block_n = q_step_block(aspec.base, aspec.q, aspec.N, zc)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,6 +114,26 @@ def verify_gap_window_growth(spec: CoefficientSpec, q: int, m: int, k: int,
     `periodic._band_edges`) must avoid (E - delta, E + delta).  Then for every
     l in {4, ..., k - m} the norm ||T_{m, m+l}(E)|| must reach the bound.
     """
+    return _window_reports([(spec, q, m, k, E, delta)])[0]
+
+
+class _Window(NamedTuple):
+    """A window whose own preconditions hold, with its coefficients and its
+    comparison block."""
+
+    q: int
+    m: int
+    k: int
+    E: float
+    delta: float
+    a: np.ndarray
+    b: np.ndarray
+    block: PeriodicJacobi
+
+
+def _window(spec: CoefficientSpec, q: int, m: int, k: int, E: float,
+            delta: float) -> _Window:
+    """One window's own preconditions, up to its comparison block."""
     q, E = as_int(q, "period", 1), as_real(E, "energy E")
     m, k = as_int(m, "window start m", 1), as_int(k, "window end k")
     if k - m < 4:
@@ -127,25 +148,78 @@ def verify_gap_window_growth(spec: CoefficientSpec, q: int, m: int, k: int,
     if np.max(np.abs(b - tiled)) > 1e-12:
         raise PreconditionError("window-periodicity: window does not tile its "
                                 "leading q entries")
-    comparison = PeriodicJacobi.of(q, [1.0] * q, block_b)
-    edges = _band_edges([comparison])[0].tolist()
-    for lo, hi in zip(edges[0::2], edges[1::2]):   # the q bands
-        if lo < E + delta and hi > E - delta:
-            raise PreconditionError(f"spectrum-avoidance: band [{lo}, {hi}] meets "
-                                    f"({E - delta}, {E + delta})")
-    # one prefix scan over the window: entry l is log ||T_{m, m+l}(E)||
-    log_norms = np.concatenate([0.5 * log_norm2(scan.prefix_t, scan.prefix_e)
-                                for scan in transfer_scan(a, b, E, prefixes=True)])
+    return _Window(q, m, k, E, delta, a, b, PeriodicJacobi.of(q, [1.0] * q, block_b))
+
+
+def _window_reports(windows: list[tuple]) -> list[GapWindowReport]:
+    """`verify_gap_window_growth` on each window (spec, q, m, k, E, delta),
+    as if on one after the other: the first window that fails raises its
+    error.  The comparison blocks' edges come from one `_band_edges` call per
+    period q.  The norms come from prefix `transfer_scan` calls with a lane
+    per window, on groups of consecutive windows of at most CHUNK padded
+    lane-steps: a group is one kernel call, so each window's products are
+    bit for bit those of a call on it alone, and memory stays at one chunk.
+    The runs are padded past a window's end with a = 1, b = 0, which no
+    prefix of the window reads."""
+    runs, failure = [], None
+    for window in windows:
+        try:
+            runs.append(_window(*window))
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            failure = exc   # raised once the windows before it are checked
+            break
+    edges = [None] * len(runs)
+    for q in {run.q for run in runs}:
+        group = [i for i, run in enumerate(runs) if run.q == q]
+        for i, row in zip(group, _band_edges([runs[i].block for i in group]).tolist()):
+            edges[i] = row
+    bounds = []
+    for row, run in zip(edges, runs):
+        E, delta = run.E, run.delta
+        for lo, hi in zip(row[0::2], row[1::2]):   # the q bands
+            if lo < E + delta and hi > E - delta:
+                raise PreconditionError(f"spectrum-avoidance: band [{lo}, {hi}] meets "
+                                        f"({E - delta}, {E + delta})")
+        bounds.append([gap_growth_lower_bound(delta, l) for l in range(4, run.k - run.m + 1)])
+    if failure is not None:
+        raise failure
+    if not runs:
+        return []
+    reports, lo, longest = [], 0, 0
+    for hi, run in enumerate(runs):
+        longest = max(longest, len(run.b))
+        if longest * (hi + 1 - lo) > CHUNK and hi > lo:   # window hi starts a group
+            reports += _group_reports(runs[lo:hi], bounds[lo:hi])
+            lo, longest = hi, len(run.b)
+    return reports + _group_reports(runs[lo:], bounds[lo:])
+
+
+def _group_reports(runs: list[_Window], bounds: list[list[float]]) -> list[GapWindowReport]:
+    """The reports of windows whose preconditions hold, from one prefix
+    scan: entry (l, i) of its log-norms is log ||T_{m, m+l}(E)|| of window i."""
+    if len(runs) == 1:   # one energy, with no lane axis to carry
+        a, b, z = runs[0].a, runs[0].b, runs[0].E
+    else:
+        a = np.ones((max(len(run.b) for run in runs), len(runs)))
+        b, z = np.zeros(a.shape), np.array([run.E for run in runs])
+        for i, run in enumerate(runs):
+            a[:len(run.a), i], b[:len(run.b), i] = run.a, run.b
+    log_norms = np.concatenate([
+        0.5 * log_norm2(scan.prefix_t, scan.prefix_e)
+        for scan in transfer_scan(a, b, z, prefixes=True)]).reshape(len(a), -1)
     with np.errstate(over="ignore"):
-        norms = np.exp(log_norms[4:]).tolist()
-    l_values = list(range(4, k - m + 1))
-    bounds = [gap_growth_lower_bound(delta, l) for l in l_values]
-    # decided in log space, where neither side leaves float range
-    log_bounds = (math.log(0.5 * delta * delta) + math.log1p(-1e-12)
-                  + 0.5 * (np.arange(4, k - m + 1) - 3) * math.log1p(delta * delta))
-    violations = [l for l, low in zip(l_values, log_norms[4:] < log_bounds) if low]
-    return GapWindowReport(m, k, E, delta, tuple(l_values), tuple(norms),
-                           tuple(bounds), tuple(violations))
+        norms = np.exp(log_norms)
+    reports = []
+    for i, (run, bound) in enumerate(zip(runs, bounds)):
+        n, delta = len(run.b), run.delta   # steps l = 0 .. k - m
+        # decided in log space, where neither side leaves float range
+        log_bounds = (math.log(0.5 * delta * delta) + math.log1p(-1e-12)
+                      + 0.5 * (np.arange(4, n) - 3) * math.log1p(delta * delta))
+        low = np.flatnonzero(log_norms[4:n, i] < log_bounds) + 4
+        reports.append(GapWindowReport(
+            run.m, run.k, run.E, delta, tuple(range(4, n)), tuple(norms[4:n, i].tolist()),
+            tuple(bound), tuple(low.tolist())))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,11 @@ class Interval:
                 if (not isinstance(value, (int, float, np.integer, np.floating))
                         or isinstance(value, bool)):
                     raise TypeError(f"interval {name} must be a real number, got {value!r}")
+        if not type(self.closed_lo) is bool is type(self.closed_hi):
+            for name in ("closed_lo", "closed_hi"):
+                if not isinstance(getattr(self, name), (bool, np.bool_)):
+                    raise TypeError(f"interval {name} must be a bool, "
+                                    f"got {getattr(self, name)!r}")
         # +-inf is allowed: complements have infinite ends
         if lo != lo or hi != hi:
             raise ValueError(f"interval {'lo' if lo != lo else 'hi'} must not be NaN")

@@ -6,12 +6,16 @@ mantissa times 2**e with an integer e, so log-norms stay available far past
 float overflow.
 
 `transfer_scan` is the kernel behind every long product.  It takes one
-energy, a lane axis of shape (), or an energy axis of E energies (lanes):
-the coefficient run is shared, and each lane keeps its own product,
-exponent and rescaling in a trailing array axis.  A kernel call takes
-CHUNK // E steps (CHUNK = 8192, one energy counting as E = 1, at least one
-step) and carries its products, exponents included, to the next, so memory
-stays at one chunk, a few times 32 bytes per step and lane.  Over its L
+energy, a lane axis of shape (), or an energy axis of E energies (lanes),
+each lane with its own product, exponent and rescaling in a trailing array
+axis.  The coefficient run is one for every lane, of shape (L,), or one per
+lane, of shape (L, E), so lanes may scan different windows at different
+energies; the shape alone tells them apart.  A kernel call takes CHUNK // E
+steps (CHUNK = 8192, one energy counting as E = 1, at least one step) and
+carries its products, exponents included, to the next, so memory stays at
+one chunk, a few times 32 bytes per step and lane.  E lanes of L steps in
+one call cost one call's overhead and E L times the per-step cost below, so
+many short runs are cheapest as the lanes of one call.  Over its L
 steps a call is a pairwise tree (Blelloch 1990) of O(log L) array passes:
 products of neighbouring steps, then of neighbouring pairs, and so on, an
 odd one out carried up as it is; on request a pass back down fills in the
@@ -218,12 +222,16 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: Scan | None = None,
     `start` in array order (a[0]'s acts first), with the product carried
     from kernel call to kernel call; yields each call's Scan.
 
-    z is one energy or a numpy array of E energies, the lanes: one call
-    then multiplies the shared coefficient run onto every lane, each with
-    its own product and rescaling, and start (if given) and every field of
-    the Scan gain a trailing lane axis; one energy is a lane axis of shape
-    ().  A call takes CHUNK // E steps, at least one; E may be 0.  Every
-    energy must be finite (ValueError).
+    z is one energy or a numpy array of E energies, the lanes: each lane
+    has its own product and rescaling, and start (if given) and every field
+    of the Scan gain a trailing lane axis; one energy is a lane axis of
+    shape ().  a and b are numpy arrays of one shape: (L,), one coefficient
+    run shared by every lane, or (L,) + z.shape, a run per lane (column i
+    is lane i's); any other shape is a ValueError.  A lane's products are
+    bit for bit those of a one-energy scan of its own run cut into the same
+    calls.  A call takes CHUNK // E steps, at least one, so it costs one
+    call's overhead plus E times the per-step cost at one energy; E may be
+    0.  Every energy must be finite (ValueError).
     start, a Scan, defaults to the identity; its t of shape (2, 1) carries a
     column, and its e is carried too, so every e and prefix_e is absolute
     and a Scan yielded can start another scan.  With inverse=True each step
@@ -234,6 +242,9 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: Scan | None = None,
     _finite_energy(z)
     z = np.asarray(z, complex)
     z = z if np.any(z.imag) else z.real
+    if not (a.ndim and a.shape == b.shape and a.shape[1:] in ((), z.shape)):
+        raise ValueError(f"coefficient runs need shape (L,) or (L,) + {z.shape} "
+                         f"at energies of shape {z.shape}, got {a.shape} and {b.shape}")
     if start is None:
         start = Scan(np.multiply.outer(np.eye(2), np.ones(z.shape)),
                      np.zeros(z.shape, np.int64))
@@ -290,10 +301,10 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
                 prefixes: bool, inverse: bool) -> Scan:
     # every array below ends in the lane axis, of shape () at one energy
     L, lane = len(a), z.shape
-    ones = (1,) * len(lane)
+    run = (L,) + (lane if a.ndim > 1 else (1,) * len(lane))  # per lane or shared
     flip = slice(None, None, -1 if inverse else 1)
     ct, fold = carry.t[flip], carry.t.shape[1] == 2
-    num, den = z - b.reshape((L,) + ones), a.reshape((L,) + ones)
+    num, den = z - b.reshape(run), a.reshape(run)
     dtype = np.result_type(z, b, ct) if fold else np.result_type(z, b)
     t = np.empty((2, 2, L) + lane, dtype)
     # the steps ((p, -1/a), (a, 0)); in swapped coordinates their inverses
@@ -382,11 +393,17 @@ class GrowthScanner:
     def feed(self, a: float, b: float) -> None:
         """Take one step in Python floats: the sequential reference.  a must
         be positive and finite, and the step's entries -1/a and (x - b)/a
-        finite, so b too (ValueError)."""
-        # after the test of a, one chained comparison: qv >= -max, |p| <= max
-        if not (0.0 < a <= _FLOAT_MAX and (qv := -1.0 / a) >= -_FLOAT_MAX
-                <= (p := (self.x - b) / a) <= _FLOAT_MAX):
-            raise _coefficient_error(self.x, a, b)
+        finite, so b too (ValueError).  A step with an entry past
+        RESCALE_LIMIT is divided by a power of two first, as in the kernel."""
+        # after the test of a, one chained comparison: qv >= -limit, |p| <= limit
+        if not (0.0 < a <= RESCALE_LIMIT and (qv := -1.0 / a) >= -RESCALE_LIMIT
+                <= (p := (self.x - b) / a) <= RESCALE_LIMIT):
+            if not (0.0 < a <= _FLOAT_MAX and (qv := -1.0 / a) >= -_FLOAT_MAX
+                    <= (p := (self.x - b) / a) <= _FLOAT_MAX):
+                raise _coefficient_error(self.x, a, b)
+            shift = math.frexp(max(abs(p), -qv, a))[1]
+            p, qv, a = math.ldexp(p, -shift), math.ldexp(qv, -shift), math.ldexp(a, -shift)
+            self.e += shift
         t11, t12, t21, t22 = self.t11, self.t12, self.t21, self.t22
         r11 = p * t11 + qv * t21
         r12 = p * t12 + qv * t22
@@ -394,7 +411,9 @@ class GrowthScanner:
         t22 = a * t12
         t11, t12 = r11, r12
         m = max(abs(t11), abs(t12), abs(t21), abs(t22))
-        if m > RESCALE_LIMIT:
+        # the kernel's range [1 / RESCALE_LIMIT, RESCALE_LIMIT]: a product of
+        # scaled steps has no determinant 1 and can shrink
+        if m > RESCALE_LIMIT or m * RESCALE_LIMIT < 1.0:
             shift = math.frexp(m)[1]
             t11, t12 = math.ldexp(t11, -shift), math.ldexp(t12, -shift)
             t21, t22 = math.ldexp(t21, -shift), math.ldexp(t22, -shift)
@@ -518,8 +537,11 @@ def eigen_branch(block: QStepBlock, s: int) -> Diagonalization:
 
 def branch_sign_for_interval(P: PeriodicJacobi, lo: float, hi: float) -> int:
     """Branch sign from the derivative of the discriminant at the interval
-    midpoint, D' = tr dT/dx from the transfer recursion: s = sign(-D'(mid))."""
+    midpoint, D' = tr dT/dx from the transfer recursion: s = sign(-D'(mid)).
+    Needs lo <= hi (ValueError)."""
     slope = block_product(P.a, P.b, 0.5 * (lo + hi))[1].trace()
+    if lo > hi:   # after the energy check, which names a non-finite end
+        raise ValueError(f"need lo <= hi, got lo={lo!r} > hi={hi!r}")
     if slope == 0.0:
         raise ValueError("discriminant derivative vanishes at the midpoint; "
                          "the interval straddles a critical point")

@@ -10,12 +10,15 @@ interval operands merged pairwise and any intervals merged in sorted order
 instead of one endpoint sweep,
 a geometric sum carried term by term instead of in closed form,
 a staircase diagonal written out index by index instead of looked up among
-flattened windows.
+flattened windows, and `verify --random` checked one window per call instead
+of all windows on the lanes of one kernel call.
 """
 
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import math
 
 import numpy as np
@@ -23,9 +26,10 @@ import numpy.polynomial.polynomial as npoly
 from scipy.linalg import solve_banded
 
 from jbv import (CouplingSeries, GrowthScanner, Interval, IntervalUnion, Matrix2,
-                 PolynomialReal, coefficient_arrays, discriminant_value,
-                 eigen_branch, q_step_block, spectral_bracket,
-                 staircase_level_value)
+                 PolynomialReal, coefficient_arrays, comb_potential,
+                 discriminant_value, eigen_branch, gap_report, q_step_block,
+                 spectral_bracket, staircase_level_value,
+                 verify_gap_window_growth)
 from jbv.errors import DegenerateBlockError, NonDiagonalizableFrameError, RootIsolationError
 from jbv.polynomial import bisect_root
 
@@ -465,3 +469,40 @@ def staircase_diagonal(spec):
             for n in range(row[k] + 1, row[k + 1] + 1):
                 out.append(stair + (sched["w"][level - 1] if n % p["q"] == 0 else 0.0))
     return np.array(out)
+
+
+def random_windows(count: int, seed: int) -> list[tuple]:
+    """The windows (spec, q, m, k, E, delta) and the w of each that
+    `verify --random count --seed seed` draws, in its order of rng calls."""
+    rng = np.random.default_rng(seed)
+    windows = []
+    for _ in range(count):
+        q = int(rng.integers(2, 5))
+        w = float(rng.uniform(0.1, 1.0))
+        comb = comb_potential(q, w)
+        rep = gap_report(comb)
+        gap = rep.gap_intervals[int(rng.integers(0, len(rep.gap_intervals)))]
+        delta = 0.25 * gap.width
+        e = float(rng.uniform(gap.lo + delta, gap.hi - delta))
+        m = int(rng.integers(1, 20))
+        k = m + int(rng.integers(8, 40))
+        windows.append(((comb.as_spec(), q, m, k, e, delta), w))
+    return windows
+
+
+def per_window_verify_random(count: int, seed: int) -> tuple[int, str]:
+    """`verify --random count --seed seed` with one verify_gap_window_growth
+    call per window, as a loop over the cases: its exit code and CSV."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["case", "q", "w", "m", "k", "E", "delta", "checked",
+                     "violations", "status"])
+    all_pass = True
+    for case, (window, w) in enumerate(random_windows(count, seed)):
+        _, q, m, k, e, delta = window
+        report = verify_gap_window_growth(*window)
+        all_pass = all_pass and report.passed
+        writer.writerow([case, q, repr(w), m, k, repr(e), repr(delta),
+                         len(report.l_values), len(report.violations),
+                         "pass" if report.passed else "fail"])
+    return (0 if all_pass else 1), buf.getvalue()

@@ -221,6 +221,17 @@ def test_stacked_blocks_get_the_edges_they_get_alone():
         assert row.tobytes() == _band_edges([P])[0].tobytes()
 
 
+def test_stacks_of_1000_random_blocks_get_the_edges_they_get_alone():
+    # the gap-window check takes its edges from one stack per period q
+    rng = np.random.default_rng(23)
+    qs = rng.integers(2, 9, 1000)
+    blocks = [random_block(int(q), seed) for seed, q in enumerate(qs)]
+    for q in set(qs.tolist()):
+        group = [P for P in blocks if P.q == q]
+        for P, row in zip(group, _band_edges(group)):
+            assert row.tobytes() == _band_edges([P])[0].tobytes()
+
+
 # blocks whose edges leave float range: the corner add overflows at q = 2,
 # and eigvalsh returns infinite edges at q = 3 and 4 (at q = 4 these used to
 # fail as an invalid interval, a usage error)

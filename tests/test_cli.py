@@ -9,7 +9,7 @@ from jbv import (CoefficientSpec, Interval, IntervalUnion, PeriodicJacobi, Sched
                  comb_potential, eval_coefficients, gap_report,
                  staircase_bv_breakdown)
 from jbv.cli import main
-from oracles import free_density
+from oracles import free_density, per_window_verify_random
 
 
 def _reject_constant(name):
@@ -468,6 +468,14 @@ def test_verify_wide_gap_decides_bounds_past_float_range(tmp_path, capsys):
     assert code == 0 and doc["passed"] and len(doc["rows"]) == 996
     assert [r["bound"] for r in doc["rows"]] == [
         None if r[2] == "inf" else float(r[2]) for r in rows]
+
+
+@pytest.mark.parametrize("seed, count", [(seed, 100) for seed in range(20)]
+                         + [(20, 1), (21, 7), (22, 300), (23, 301)])
+def test_verify_random_csv_matches_one_call_per_window(capsys, seed, count):
+    # 100 windows are one kernel call; 300 take a few, cut at CHUNK lane-steps
+    code, out, err = run(capsys, "verify", "--random", str(count), "--seed", str(seed))
+    assert (code, out, err) == (*per_window_verify_random(count, seed), "")
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

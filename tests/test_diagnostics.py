@@ -10,7 +10,9 @@ from jbv import (ApproximantSpec, PreconditionError, ac_density,
                  gap_growth_lower_bound, gap_report, growth_statistic,
                  periodic_spec, slow_cosine_spec, staircase_comb_spec,
                  staircase_level_value, sturm_count, verify_gap_window_growth)
-from oracles import free_truncation_eigs
+from jbv.diagnostics import _window_reports
+from jbv.transfer import CHUNK
+from oracles import free_truncation_eigs, random_windows
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,78 @@ def test_gap_window_meeting_a_band_by_1e6_is_rejected():
     with pytest.raises(PreconditionError, match="spectrum-avoidance: band "):
         verify_gap_window_growth(_COMB24.as_spec(), 24, 1, 240,
                                  gap.hi - delta + 1e-6, delta)
+
+
+# ---------------------------------------------------------------------------
+# a list of windows on the lanes of one kernel call per group, against one
+# call per window
+
+def drawn_windows(seed: int, count: int, longest: int) -> list[tuple]:
+    """Admissible comb windows of period 2 to 8 and up to `longest` steps,
+    at energies inside a gap, a quarter to all of the gap's half-width away
+    from its ends."""
+    rng = np.random.default_rng(seed)
+    windows = []
+    for _ in range(count):
+        q = int(rng.integers(2, 9))
+        comb = comb_potential(q, float(rng.uniform(0.1, 3.0)))
+        gap = gap_report(comb).gap_intervals[int(rng.integers(0, q - 1))]
+        delta = float(rng.uniform(0.05, 0.5)) * gap.width
+        e = float(rng.uniform(gap.lo + delta, gap.hi - delta))
+        m = int(rng.integers(1, 50))
+        windows.append((comb.as_spec(), q, m, m + int(rng.integers(q + 3, longest)), e, delta))
+    return windows
+
+
+def assert_reports_match_single_calls(windows):
+    reports = _window_reports(windows)
+    assert len(reports) == len(windows)
+    # bit for bit: repr tells every float apart
+    assert list(map(repr, reports)) == [repr(verify_gap_window_growth(*w)) for w in windows]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_window_list_matches_one_call_per_window(seed):
+    # 100 windows of up to 400 steps fill several kernel calls
+    windows = drawn_windows(seed, 100, 400)
+    assert max(w[3] - w[2] + 1 for w in windows) * len(windows) > CHUNK
+    assert_reports_match_single_calls(windows)
+
+
+def test_verify_random_windows_match_one_call_per_window():
+    for seed in range(20):
+        assert_reports_match_single_calls([w for w, _ in random_windows(100, seed)])
+
+
+def test_a_window_past_chunk_steps_in_a_list():
+    # a window longer than CHUNK takes several kernel calls, as it does alone
+    windows = drawn_windows(7, 6, 40)
+    spec, q, m, _, e, delta = windows[2]
+    windows.insert(3, (spec, q, m, m + CHUNK + 40, e, delta))
+    assert_reports_match_single_calls(windows)
+    assert _window_reports([]) == []
+
+
+_GOOD = (comb_potential(2, 0.5).as_spec(), 2, 1, 40, 0.25, 0.12)
+_FAILING = {   # a window and the error it raises, in the check order of a window
+    "window-length": ((_GOOD[0], 2, 1, 4, 0.25, 0.12), PreconditionError),
+    "schroedinger-window": ((periodic_spec(2, [1.0, 1.3], [0.0, 0.5]), 2, 1, 40, 0.25, 0.1),
+                            PreconditionError),
+    "window-periodicity": ((slow_cosine_spec(0.5, 0.4), 2, 1, 40, 0.25, 0.1),
+                           PreconditionError),
+    "spectrum-avoidance": ((_GOOD[0], 2, 1, 40, 1.5, 0.2), PreconditionError),
+    "gap radius must be positive": ((_GOOD[0], 2, 1, 40, 0.25, 0.0), ValueError),
+}
+
+
+@pytest.mark.parametrize("second, third", [(s, t) for s in _FAILING for t in _FAILING
+                                           if s != t])
+def test_the_first_failing_window_of_a_list_raises(second, third):
+    # the checks of a list run before its kernel calls, in three passes, but
+    # raise as one window after the other would: the 2nd window's error
+    windows = [_GOOD, _FAILING[second][0], _FAILING[third][0], _GOOD]
+    with pytest.raises(_FAILING[second][1], match=second):
+        _window_reports(windows)
 
 
 _COMB = comb_potential(2, 0.5).as_spec()

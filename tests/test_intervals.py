@@ -244,6 +244,11 @@ ONE = IntervalUnion((Interval(0.0, 1.0),))
     (lambda: Interval(0.0, None), TypeError, "interval hi must be a real number, got None"),
     (lambda: Interval(True, 2.0), TypeError, "interval lo must be a real number, got True"),
     (lambda: Interval(0.0, math.nan), ValueError, "interval hi must not be NaN"),
+    (lambda: Interval(0.0, 1.0, None, 2), TypeError,
+     "interval closed_lo must be a bool, got None"),
+    (lambda: Interval(0, 1, "no", True), TypeError,
+     "interval closed_lo must be a bool, got 'no'"),
+    (lambda: Interval(0.0, 1.0, True, 1), TypeError, "interval closed_hi must be a bool, got 1"),
     (lambda: IntervalUnion.of([1, 2]), TypeError, "union part 0 must be an Interval, got 1"),
     (lambda: IntervalUnion.of([Interval(0.0, 1.0), (1.0, 2.0)]), TypeError,
      r"union part 1 must be an Interval, got \(1.0, 2.0\)"),
@@ -254,14 +259,23 @@ ONE = IntervalUnion((Interval(0.0, 1.0),))
     (lambda: ONE.difference(None), TypeError, "other must be an IntervalUnion, got None"),
     (lambda: IntervalUnion.intersect_all([ONE, 3]), TypeError,
      "union 1 must be an IntervalUnion, got 3"),
-], ids=["lo string", "hi None", "lo bool", "hi nan", "of ints", "of tuple",
+], ids=["lo string", "hi None", "lo bool", "hi nan", "closed_lo None", "closed_lo string",
+        "closed_hi int", "of ints", "of tuple",
         "intersect u", "intersect v", "intersect other", "union other",
         "difference other", "intersect_all union"])
 def test_bad_inputs_raise_errors_that_name_them(call, error, message):
     # interval_union_intersect(1, 2) and IntervalUnion.of([1, 2]) raised
-    # AttributeError, and Interval("a", 1) a TypeError that named no field
+    # AttributeError, and Interval("a", 1) a TypeError that named no field;
+    # Interval(0.0, 1.0, None, 2) contained 1.0 while `of` gave it an open
+    # end, and a string flag made `of` raise NumPy's conversion error
     with pytest.raises(error, match=f"^{message}$"):
         call()
+
+
+def test_numpy_bool_flags_are_flags():
+    iv = Interval(0.0, 1.0, np.True_, np.False_)
+    assert iv.contains(0.0) and not iv.contains(1.0)
+    assert IntervalUnion.of([iv]) == IntervalUnion((Interval(0.0, 1.0, True, False),))
 
 
 def test_infinite_endpoints_are_accepted():

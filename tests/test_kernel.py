@@ -615,6 +615,61 @@ def test_real_lane_on_a_complex_axis_rounds_as_one_real_energy():
 
 
 # ---------------------------------------------------------------------------
+# a coefficient run per lane against one-lane scans of each run
+
+lane_energies = st.lists(st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([1e200, -1e200, 50.0, 2.6]),   # rescaling fires
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(1e-3, 1.0))),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(zs=lane_energies, n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
+       start=st.sampled_from([None, "matrix", "column"]), inverse=st.booleans(),
+       prefixes=st.booleans())
+def test_lane_runs_match_one_lane_scans_bit_for_bit(zs, n, seed, start, inverse,
+                                                    prefixes):
+    # each lane's run is scanned alone over the pieces the lane call cuts
+    # (CHUNK // lanes steps), from the lane's start, and every Scan field of
+    # every call must be the lane's, bit for bit
+    rng = np.random.default_rng(seed)
+    zs, lanes = np.array(zs), len(zs)
+    a, b = rng.uniform(0.5, 1.5, (n, lanes)), rng.uniform(-2.0, 2.0, (n, lanes))
+    cols = 1 if start == "column" else 2
+    first = None if start is None else rng.normal(size=(2, cols, lanes))
+    if first is not None and seed % 2:   # a complex start
+        first = first + 1j * rng.normal(size=first.shape)
+    lane_start = None if first is None else Scan(first, np.zeros(lanes, np.int64))
+    scans = list(transfer_scan(a, b, zs, lane_start, prefixes=prefixes, inverse=inverse))
+    steps = CHUNK // lanes
+    assert len(scans) == -(-n // steps)
+    for i, z in enumerate(zs.tolist()):
+        one = None if first is None else Scan(first[..., i], 0)
+        for k, lo in enumerate(range(0, n, steps)):
+            (one,) = transfer_scan(a[lo:lo + steps, i].copy(), b[lo:lo + steps, i].copy(),
+                                   z, one, prefixes=prefixes, inverse=inverse)
+            lane = scans[k]
+            assert np.array_equal(lane.t[..., i], one.t)
+            assert lane.e[i] == one.e
+            if prefixes:
+                assert np.array_equal(lane.prefix_t[..., i], one.prefix_t)
+                assert np.array_equal(lane.prefix_e[:, i], one.prefix_e)
+
+
+@pytest.mark.parametrize("a_shape, b_shape, zs", [
+    ((5, 2), (5, 2), [0.3, 0.4, 0.5]),    # lanes of another count
+    ((5, 3), (5,), [0.3, 0.4, 0.5]),      # a per lane, b shared
+    ((5,), (4,), [0.3]),                  # runs of two lengths
+    ((5, 1), (5, 1), 0.3),                # a lane axis at one energy
+    ((), (), 0.3),                        # no run axis
+])
+def test_coefficient_runs_of_another_shape_are_rejected(a_shape, b_shape, zs):
+    with pytest.raises(ValueError, match="coefficient runs need shape"):
+        list(transfer_scan(np.ones(a_shape), np.zeros(b_shape), np.asarray(zs)))
+
+
+# ---------------------------------------------------------------------------
 # the empirical schedule search on energy lanes against the prefix replay
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -405,6 +406,38 @@ def test_non_finite_energy_is_rejected_at_the_block_and_the_kernel(entry, energy
         NON_FINITE_ENERGY_ENTRY_POINTS[entry](energy)
 
 
+def test_branch_sign_needs_lo_at_most_hi():
+    # lo > hi used to return the branch sign at the swapped interval's midpoint
+    with pytest.raises(ValueError, match=r"^need lo <= hi, got lo=1.0 > hi=0.5$"):
+        branch_sign_for_interval(_COMB2, 1.0, 0.5)
+    with pytest.raises(ValueError, match="^need lo <= hi"):
+        strip_margins(_COMB2, 1.2, 0.6)
+
+
+WEYL_ENTRY_POINTS = {
+    "weyl_solution": lambda z: weyl_solution(_APPROXIMANT, z, 1),
+    "m_function": lambda z: m_function(_APPROXIMANT, z),
+}
+
+
+@pytest.mark.parametrize("z", ["0.3+1j", True, None, [0.3 + 1j]])
+@pytest.mark.parametrize("entry", sorted(WEYL_ENTRY_POINTS))
+def test_weyl_energies_follow_the_complex_rule(entry, z):
+    # m_function(asp, "0.3+1j") converted the string and returned a value
+    with pytest.raises(TypeError, match=f"^energy z must be a number, got {re.escape(repr(z))}$"):
+        WEYL_ENTRY_POINTS[entry](z)
+
+
+@pytest.mark.parametrize("entry", sorted(WEYL_ENTRY_POINTS))
+def test_weyl_energies_of_every_numeric_type(entry):
+    call = WEYL_ENTRY_POINTS[entry]
+    assert call(0.25 + 1j) == call(np.complex128(0.25 + 1j)) == call(np.complex64(0.25 + 1j))
+    with pytest.raises(ValueError, match="^energy z must be finite, got 1000"):
+        call(10 ** 400)
+    if entry == "weyl_solution":   # real energies, as ints and numpy reals
+        assert call(1) == call(1.0) == call(np.float64(1.0)) == call(np.int64(1))
+
+
 INTEGER_CALLS = {
     "transfer_product m=1.5": (lambda: transfer_product(free_spec(), 1.5, 4, 0.3), "m"),
     "transfer_product m=True": (lambda: transfer_product(free_spec(), True, 4, 0.3), "m"),
@@ -473,6 +506,24 @@ def test_growth_scanner_rejects_a_bad_coefficient(step, message):
     assert (sc.n, sc.log_sum, sc.t11, sc.t12, sc.t21, sc.t22, sc.e) == before
     sc.feed(1.0, 0.0)
     assert math.isfinite(sc.log_sum)
+
+
+@pytest.mark.parametrize("a, b", [(1e-300, 0.0), (1e150, 0.0), (1.0, -1e200),
+                                  (1e-120, 1.0)])
+@pytest.mark.filterwarnings("error")
+def test_growth_scanner_step_past_the_rescale_limit_stays_finite(a, b):
+    # 140 steps of (1, 0) at x = 5 make a product near 1.9e95; a step whose
+    # entries pass 1e100 then made feed's product and log-sum NaN (inf *
+    # 0), while the kernel, which rescales each step first, stays finite
+    run, steps = GrowthScanner(5.0), GrowthScanner(5.0)
+    run.feed_arrays(np.r_[np.ones(140), a, 1.0], np.r_[np.zeros(140), b, 0.0])
+    for ai, bi in [(1.0, 0.0)] * 140 + [(a, b), (1.0, 0.0)]:
+        steps.feed(ai, bi)
+    assert math.isfinite(steps.log_sum) and math.isfinite(steps.running_max_log)
+    assert math.isclose(steps.log_sum, run.log_sum, rel_tol=1e-12)
+    t_steps, t_run = ([[sc.t11, sc.t12], [sc.t21, sc.t22]] for sc in (steps, run))
+    gap = np.ldexp(t_steps, steps.e - run.e) - t_run   # exponents aligned exactly
+    assert np.abs(gap).max() <= 1e-12 * np.abs(t_run).max()
 
 
 @pytest.mark.filterwarnings("error")
