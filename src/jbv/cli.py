@@ -348,7 +348,10 @@ def _cmd_intersect(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _build_parser(config: dict) -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: the tunable flags default to None, which `main`
+    fills in from the effective config."""
     parser = argparse.ArgumentParser(
         prog="jbv",
         description="Band structures, spectral densities and transfer-matrix "
@@ -361,7 +364,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--a", help="comma separated off-diagonal block")
     p.add_argument("--b", help="comma separated diagonal block")
     p.add_argument("--file", help="JSON file with {q, a, b}")
-    p.add_argument("--tol", type=float, default=config["tol"])
+    p.add_argument("--tol", type=float)
     p.add_argument("--out")
 
     p = sub.add_parser("construct", help="write counterexample coefficient specs")
@@ -370,9 +373,9 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p15.add_argument("--q", type=int, required=True)
     p15.add_argument("--lambda", dest="lam", type=float, required=True)
     p15.add_argument("--levels", type=int, required=True)
-    p15.add_argument("--cap", type=int, default=config["cap"])
-    p15.add_argument("--mode", choices=_MODES, default=config["mode"])
-    p15.add_argument("--margin", type=float, default=config["margin"])
+    p15.add_argument("--cap", type=int)
+    p15.add_argument("--mode", choices=_MODES)
+    p15.add_argument("--margin", type=float)
     p15.add_argument("--out", required=True)
     p15.add_argument("--schedule-out")
     p16 = csub.add_parser("thm16", help="slow cosine sequence")
@@ -406,7 +409,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_finite_float)
     p.add_argument("--random", type=int,
                    help="run this many randomized admissible windows")
-    p.add_argument("--seed", type=int, default=config["seed"])
+    p.add_argument("--seed", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
 
@@ -416,20 +419,12 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--lambda", dest="lam", type=_finite_float,
                    help="half-width of the constant-shift family")
-    p.add_argument("--points", type=int, default=config["points"])
+    p.add_argument("--points", type=int)
     p.add_argument("--mode", choices=("spectrum", "qinterior"), default="spectrum")
-    p.add_argument("--tol", type=float, default=config["tol"])
+    p.add_argument("--tol", type=float)
     p.add_argument("--out")
 
     return parser
-
-
-@functools.lru_cache(maxsize=8)
-def _parser(config: tuple) -> argparse.ArgumentParser:
-    """`_build_parser` once per effective config, whose entries come as
-    (key, repr, value): values that compare equal but print differently,
-    such as 0.0 and -0.0, get parsers of their own."""
-    return _build_parser({key: value for key, _, value in config})
 
 
 def main(argv=None) -> int:
@@ -438,8 +433,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError, TypeError) as exc:
         sys.stderr.write(f"error reading JBV_CONFIG: {exc}\n")
         return 2
-    args = _parser(tuple((key, repr(value), value)
-                         for key, value in config.items())).parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    for key, value in config.items():
+        if getattr(args, key, value) is None:
+            setattr(args, key, value)
     try:
         # looked up on every call: the cached parser holds no handler
         return globals()[f"_cmd_{args.command}"](args)

@@ -171,10 +171,10 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
       it yields desk-scale schedules.  A level's energies, one per step and
       gap center, become kernel lanes (`_Lanes`), each at its own index and
       fed from the realized diagonal only when a decision needs its sum.  A
-      run of steps whose lanes' sums, where they stand, already clear their
-      thresholds ends every 5 indices (`_decided_steps`); only a step that
-      stays undecided once its lanes are caught up is searched index by
-      index (`_empirical_step`).
+      step whose lanes' sums, where they stand, already clear their
+      thresholds ends 5 indices after the last; only a step that stays
+      undecided once its lanes are caught up is searched index by index
+      (`_empirical_step`).
     """
     q, levels = as_int(q, "q", 2), as_int(levels, "levels", 1)
     cap = as_int(cap, "cap", 16)
@@ -215,32 +215,19 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
             # one lane per step and gap center, in the order the search
             # reaches them, each at n = 0 until a decision reads its sum
             lanes = _Lanes(np.array([z + v for v in values for z in centers_list[li]]))
-        row, k = [end], 0
-        while k < m_l and not truncated:
+        row = [end]
+        for k in range(m_l):
             n0 = row[-1]
             if mode == "analytic":
-                ends = [_analytic_step(level, delta_list[li], n0, growth_margin, cap)]
+                n_next = _analytic_step(level, delta_list[li], n0, growth_margin, cap)
             else:
-                run = _decided_steps(lanes.log_sum, count, n0, log_margin, cap)
-                if not run:
-                    lanes.catch_up(diag, n0, count, log_margin, cap)
-                    run = _decided_steps(lanes.log_sum, count, n0, log_margin, cap)
-                if run:
-                    lanes.leave(run * count)
-                    ends = list(range(n0 + 5, n0 + 5 * run + 1, 5))
-                else:
-                    ends = [_empirical_step(q, values[k], w_l, lanes.take(count), n0,
-                                            log_margin, cap)]
-                if ends[-1] is not None:
-                    diag += [values[k + j] + (w_l if n % q == 0 else 0.0)
-                             for j, (lo, hi) in enumerate(zip([n0] + ends, ends))
-                             for n in range(lo + 1, hi + 1)]
-            for n_next in ends:
-                if n_next is None:
-                    truncated, n_next = True, cap
-                if n_next > row[-1]:
-                    row.append(n_next)
-            k += len(ends)
+                n_next = _empirical_step(q, values[k], w_l, lanes, count, n0, log_margin,
+                                         cap, diag)
+            if n_next is None:
+                truncated = True
+                row += [cap] if cap > n0 else []
+                break
+            row.append(n_next)
         rows.append(tuple(row))
         end = row[-1]
         if truncated:
@@ -260,8 +247,8 @@ class _Lanes:
     its own n.  A lane starts at n = 0 and is multiplied forward
     (`catch_up`) only when a decision needs its sum at the search's index;
     a lane whose lagging sum already decides its step is never fed.  A
-    step's lanes leave from the front, as scanners when its end is searched
-    index by index, bare when it is decided (`_decided_steps`)."""
+    step's lanes leave from the front (`_empirical_step`), as scanners when
+    its end is searched index by index, bare when their sums decide it."""
 
     def __init__(self, x: np.ndarray) -> None:
         self.x = x
@@ -293,7 +280,7 @@ class _Lanes:
         `count` lanes and every lane of a later step j whose sum misses the
         threshold of `_clears` at that step's earliest end n0 + 5 (j + 1) <=
         cap: it misses at every later decision too, so its step cannot go
-        without it.  numpy's logs only choose lanes here; `_decided_steps`
+        without it.  numpy's logs only choose lanes here; `_empirical_step`
         decides.  One `transfer_scan` for each lag start n the lanes share."""
         j = np.arange(len(self.x)) // count
         ends = n0 + 5 * (j + 1)
@@ -322,36 +309,34 @@ def _clears(log_sums, n: int, log_margin: float) -> bool:
     return all(s - ln_n - log_ln2 >= thr for s in log_sums)
 
 
-def _decided_steps(log_sum: np.ndarray, count: int, n0: int, log_margin: float,
-                   cap: int) -> int:
-    """The number r of steps from n0 on, `count` lanes each in `log_sum`,
-    that are decided: step j < r ends at n0 + 5 (j + 1) <= cap.
-
-    A lane's sum may lag: it is the sum at the lane's own index, at most n0.
-    Step j is decided when its lanes' sums, as they stand, already clear the
-    threshold at n = n0 + 5 (j + 1), the first index its search would check
-    after the j steps before it.  That is exact: a float log-sum never falls
-    as terms are added, in any pieces (`_log_sums` returns ref + log(x) with
-    x >= 1 in the total, `GrowthScanner.feed` hi + log1p(.)), and fl(S - c)
-    is monotone in S, so the sum at n clears `_clears` wherever a lagging
-    one does."""
-    sums, run = log_sum.tolist(), 0
-    while (count * run < len(sums) and n0 + 5 * (run + 1) <= cap
-           and _clears(sums[count * run:count * (run + 1)], n0 + 5 * (run + 1),
-                       log_margin)):
-        run += 1
-    return run
-
-
-def _empirical_step(q: int, v: float, w_l: float, scanners: list[GrowthScanner],
-                    n0: int, log_margin: float, cap: int) -> int | None:
-    """Extend one undecided staircase step, of value v, to the first
+def _empirical_step(q: int, v: float, w_l: float, lanes: _Lanes, count: int, n0: int,
+                    log_margin: float, cap: int, diag: list[float]) -> int | None:
+    """The end of the staircase step of value v that starts at n0: the first
     n >= n0 + 5 at which the statistic (1/(n log^2 n)) sum_{n'<=n}
-    ||T_{1,n'}||^2 of every one of its scanners (taken at n0, one per shifted
-    gap center) reaches growth_margin * level * n log^2 n (`_clears`); the
-    scanners are fed one index at a time.  None when no n <= cap does."""
+    ||T_{1,n'}||^2 at each of the step's `count` lanes, the first in `lanes`,
+    reaches growth_margin * level * n log^2 n (`_clears`); None when no
+    n <= cap does.  The step's realized b_n are appended to diag.
+
+    The step ends at n0 + 5 when its lanes' sums, as they stand, clear the
+    threshold there, then when they do once caught up (`_Lanes.catch_up`).
+    That is exact although a sum may lag, at the lane's own index, at most
+    n0: a float log-sum never falls as terms are added, in any pieces
+    (`_log_sums` returns ref + log(x) with x >= 1 in the total,
+    `GrowthScanner.feed` hi + log1p(.)), and fl(S - c) is monotone in S, so
+    the sum at n0 + 5 clears `_clears` wherever a lagging one does.  Else
+    the lanes leave as scanners, fed one index at a time."""
+    if n0 + 5 > cap:
+        return None
+    if not _clears(lanes.log_sum[:count].tolist(), n0 + 5, log_margin):
+        lanes.catch_up(diag, n0, count, log_margin, cap)
+    if _clears(lanes.log_sum[:count].tolist(), n0 + 5, log_margin):
+        lanes.leave(count)
+        diag += [v + (w_l if n % q == 0 else 0.0) for n in range(n0 + 1, n0 + 6)]
+        return n0 + 5
+    scanners = lanes.take(count)
     for n in range(n0 + 1, cap + 1):
         b_n = v + (w_l if n % q == 0 else 0.0)
+        diag.append(b_n)
         for sc in scanners:
             sc.feed(1.0, b_n)
         if n >= n0 + 5 and _clears([sc.log_sum for sc in scanners], n, log_margin):

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coeffs import as_real
+
 # raw entry magnitude at which a product switches to the scaled representation
 RESCALE_LIMIT = 1e100
 _LN2 = math.log(2.0)
@@ -95,10 +97,13 @@ class Matrix2:
 def one_step_matrix(a: float, b: float, z: complex) -> Matrix2:
     """One-step update matrix ((z-b)/a, -1/a; a, 0) of the Jacobi recurrence.
 
-    Unimodular: det = 1 exactly in exact arithmetic.
+    Unimodular: det = 1 exactly in exact arithmetic.  z is a finite number or
+    a numpy array of them.
     """
+    a, b = as_real(a, "off-diagonal coefficient"), as_real(b, "diagonal coefficient")
     if not a > 0:
         raise ValueError(f"off-diagonal coefficient must be positive, got {a}")
+    _finite_energy(z)
     return Matrix2((z - b) / a, -1.0 / a, a, 0.0)
 
 

@@ -60,6 +60,7 @@ class PeriodicJacobi:
         return periodic_spec(self.q, self.a, self.b)
 
     def shifted(self, c: float) -> "PeriodicJacobi":
+        c = as_real(c, "shift c")
         return PeriodicJacobi(self.q, self.a, tuple(x + c for x in self.b))
 
     def to_dict(self) -> dict:
@@ -138,7 +139,7 @@ def chebyshev_second_kind(n: int, x: float) -> float:
     """p_n(x) by the three-term recurrence p_0 = 1, p_1 = x,
     p_{n+1} = x p_n - p_{n-1}; p_n(2 cos t) = sin((n+1)t)/sin(t)."""
     n = as_int(n, "degree n", 0)
-    p_prev, p_cur = 1.0, x
+    p_prev, p_cur = 1.0, as_real(x, "argument x")
     if n == 0:
         return p_prev
     for _ in range(n - 1):
@@ -149,7 +150,7 @@ def chebyshev_second_kind(n: int, x: float) -> float:
 def comb_potential(q: int, w: float) -> PeriodicJacobi:
     """Discrete Schroedinger period block with a single bump: b = (0,...,0,w)."""
     q = as_int(q, "q", 2)
-    if not w > 0:
+    if not as_real(w, "coupling") > 0:
         raise ValueError("coupling must be positive")
     return PeriodicJacobi.of(q, [1.0] * q, [0.0] * (q - 1) + [w])
 

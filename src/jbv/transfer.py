@@ -75,6 +75,7 @@ __all__ = [
 ]
 
 CHUNK = 8192  # steps times lanes per kernel call; one energy is one lane
+_UNDERFLOW = "a transfer product underflowed to zero: its steps span past float range"
 
 
 @dataclass(frozen=True)
@@ -132,14 +133,18 @@ def _rescale(t: np.ndarray, e: np.ndarray) -> float:
     that brings that entry into [0.5, 1), which is exact, and add s to its
     e, in place: so a product of two stays in float range, and a tree of
     products at a huge energy does not shrink to zero.  Returns the largest
-    entry of t, or inf when a matrix was rescaled."""
+    entry of t, or inf when a matrix was rescaled.  A matrix that is zero,
+    a product whose entries all underflowed, is a FloatingPointError."""
     a, low = np.abs(t), 1.0 / RESCALE_LIMIT
     top = a.max(initial=0.0)
     # every entry in range is quicker to see than every matrix's largest
     if top <= RESCALE_LIMIT and low <= a.min(initial=np.inf):
         return top
     tops = a.max(axis=(0, 1))
-    if top <= RESCALE_LIMIT and low <= tops.min(initial=low):
+    least = tops.min(initial=low)
+    if least == 0.0:
+        raise FloatingPointError(_UNDERFLOW)
+    if top <= RESCALE_LIMIT and low <= least:
         return top
     shift = np.where((tops < low) | (tops > RESCALE_LIMIT), np.frexp(tops)[1], 0)
     t *= np.ldexp(1.0, -shift)
@@ -414,6 +419,8 @@ class GrowthScanner:
         # the kernel's range [1 / RESCALE_LIMIT, RESCALE_LIMIT]: a product of
         # scaled steps has no determinant 1 and can shrink
         if m > RESCALE_LIMIT or m * RESCALE_LIMIT < 1.0:
+            if m == 0.0:
+                raise FloatingPointError(_UNDERFLOW)
             shift = math.frexp(m)[1]
             t11, t12 = math.ldexp(t11, -shift), math.ldexp(t12, -shift)
             t21, t22 = math.ldexp(t21, -shift), math.ldexp(t22, -shift)

@@ -319,7 +319,7 @@ def test_env_config_defaults(tmp_path, capsys, monkeypatch):
 
 
 def test_config_change_between_calls_takes_effect(tmp_path, capsys, monkeypatch):
-    # the parser is built once per effective config, not once per process
+    # the cached parser holds no defaults: each call reads the config anew
     cfg = tmp_path / "cfg.json"
     members = []
     for points in (3, 4, 3):
@@ -468,6 +468,23 @@ def test_verify_wide_gap_decides_bounds_past_float_range(tmp_path, capsys):
     assert code == 0 and doc["passed"] and len(doc["rows"]) == 996
     assert [r["bound"] for r in doc["rows"]] == [
         None if r[2] == "inf" else float(r[2]) for r in rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--period", "3", "--m", "1", "--k", "12", "--E", "0", "--delta", "0.1"],
+    ["diagnose", "--x", "0", "--N", "50"]], ids=["verify", "diagnose"])
+@pytest.mark.filterwarnings("error")
+def test_a_product_that_underflows_to_zero_is_a_numerical_failure(tmp_path, capsys, argv):
+    # the steps, scaled by 2**-1023 past b = +-1e308, lose their small
+    # entries and the products become zero matrices: verify wrote eight
+    # "nan,...,pass" rows and exited 0, diagnose wrote null statistics
+    p = tmp_path / "span.json"
+    p.write_text(json.dumps({"kind": "periodic",
+                             "params": {"q": 3, "a": [1, 1, 1], "b": [1e308, 0, -1e308]}}))
+    code, out, err = run(capsys, *argv, "--spec", str(p))
+    assert (code, out) == (1, "")
+    assert err == ("numerical failure: a transfer product underflowed to zero: "
+                   "its steps span past float range\n")
 
 
 @pytest.mark.parametrize("seed, count", [(seed, 100) for seed in range(20)]

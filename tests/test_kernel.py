@@ -489,7 +489,7 @@ def test_log_sums_match_logaddexp_accumulate(case):
 
 
 # the schedule search decides a step from its lanes' sums before the step is
-# fed (`constructions._decided_steps`), which holds while no float log-sum
+# fed (`constructions._empirical_step`), which holds while no float log-sum
 # falls as terms are added.  Starts of -inf, terms far below the start and
 # spreads past 600 included
 log_starts = st.one_of(st.just(-math.inf), st.floats(-2000.0, 2000.0))
@@ -690,7 +690,8 @@ def test_truncated_schedule_rows_equal_prefix_replay():
 
 @pytest.mark.parametrize("cap", [777, 1001, 3000])
 def test_capped_schedule_rows_equal_prefix_replay(cap):
-    # 777 and 3000 fall inside runs of decided steps, 1001 just past one
+    # 777 and 3000 fall among steps that their lanes' lagging sums decide,
+    # 1001 just past such steps
     sched = build_schedule(2, 0.5, 5, cap=cap)
     assert sched.truncated and sched.horizon == cap
     assert sched.rows == replayed_schedule_rows(sched)
@@ -727,7 +728,7 @@ def test_schedule_search_feeds_only_lanes_a_decision_reads(monkeypatch):
 @given(data=st.data(), xs=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=3),
        b=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=300))
 def test_lanes_caught_up_in_pieces_never_fall_below_their_lagging_sums(data, xs, b):
-    # `_decided_steps` reads a lane's sum where it lags: sound while no
+    # `_empirical_step` reads a lane's sum where it lags: sound while no
     # catch-up, in whatever pieces, lowers it.  With count = every lane, all
     # of them are the next step's, so each catch-up takes them all
     cuts = sorted(set(data.draw(st.lists(st.integers(1, len(b)), max_size=6)) + [len(b)]))
@@ -749,6 +750,34 @@ def test_levels_the_cap_never_reaches_make_no_lanes(monkeypatch):
     assert sched.truncated and len(sched.rows) == 7
     assert sizes == [m * len(c) for m, c in zip(sched.m[:7], sched.centers)]
     assert sched.rows == build_schedule(2, 0.5, 7, cap=25000).rows
+
+
+def counted_catch_ups(monkeypatch):
+    """The kernel calls and catch-ups one `_empirical_step` makes."""
+    calls, catch_ups, catch_up = lane_kernel_calls(monkeypatch), [], _Lanes.catch_up
+    monkeypatch.setattr(_Lanes, "catch_up",
+                        lambda self, *args: catch_ups.append(args) or catch_up(self, *args))
+    return calls, catch_ups
+
+
+def test_a_step_whose_lagging_sums_clear_ends_five_indices_on(monkeypatch):
+    calls, catch_ups = counted_catch_ups(monkeypatch)
+    lanes = _Lanes(np.array([0.1, 0.2, 0.3]))
+    lanes.log_sum[:2] = 100.0   # the step's two lanes, still at n = 0
+    diag = [0.25] * 10
+    assert constructions._empirical_step(2, 0.25, 0.5, lanes, 2, 10, 0.0, 10 ** 6,
+                                         diag) == 15
+    assert (calls, catch_ups) == ([], [])
+    assert lanes.x.tolist() == [0.3] and lanes.n.tolist() == [0]
+    assert diag == [0.25] * 10 + [0.25, 0.75, 0.25, 0.75, 0.25]
+
+
+def test_a_step_that_cannot_end_before_the_cap_makes_no_kernel_call(monkeypatch):
+    calls, catch_ups = counted_catch_ups(monkeypatch)
+    lanes = _Lanes(np.array([0.1, 0.2]))   # sums of -inf: nothing is decided
+    assert constructions._empirical_step(2, 0.25, 0.5, lanes, 2, 10, 0.0, 14,
+                                         [0.25] * 10) is None
+    assert (calls, catch_ups) == ([], [])
 
 
 @pytest.mark.parametrize("q, levels", [(2, 3), (3, 2)])

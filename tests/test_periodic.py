@@ -556,3 +556,17 @@ def test_free_helpers_take_integers_by_the_rule(helper, name, value, error):
     # range() without naming the argument, as did free_critical_points(2.5)
     with pytest.raises(error, match=f"^{name} must be an integer"):
         helper(value)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: comb_potential(2, "0.5"), TypeError, "coupling must be a real number, got '0.5'"),
+    (lambda: one_step_matrix("1", 0, 0.3), TypeError,
+     "off-diagonal coefficient must be a real number, got '1'"),
+    (lambda: chebyshev_second_kind(3, math.nan), ValueError, "argument x must be finite, got nan"),
+    (lambda: free_block(2).shifted("1"), TypeError, "shift c must be a real number, got '1'"),
+], ids=["comb_potential w", "one_step_matrix a", "chebyshev_second_kind x", "shifted c"])
+def test_real_arguments_follow_the_number_rule(call, error, message):
+    # the strings failed with TypeErrors that named no argument, and
+    # chebyshev_second_kind(3, nan) returned nan
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

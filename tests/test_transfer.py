@@ -11,7 +11,7 @@ from jbv import (ApproximantSpec, DegenerateBlockError, GrowthScanner, Matrix2,
                  explicit_spec, free_spec, m_function, periodic_spec,
                  q_step_block, slow_cosine_spec, strip_margins,
                  transfer_product, weyl_branch_sign, weyl_solution)
-from jbv.matrix2 import block_product
+from jbv.matrix2 import block_product, one_step_matrix
 from jbv.transfer import transfer_scan
 from oracles import naive_product, per_block_coupling_series
 
@@ -393,14 +393,15 @@ NON_FINITE_ENERGY_ENTRY_POINTS = {
     "m_function": lambda z: m_function(_APPROXIMANT, z + 1j),
     "branch_sign_for_interval": lambda z: branch_sign_for_interval(_COMB2, z, 1.0),
     "strip_margins": lambda z: strip_margins(_COMB2, 0.6, z),
+    "one_step_matrix": lambda z: one_step_matrix(1.0, 0.0, z),
 }
 
 
 @pytest.mark.parametrize("energy", [math.nan, math.inf, complex(0.3, math.nan)])
 @pytest.mark.parametrize("entry", sorted(NON_FINITE_ENERGY_ENTRY_POINTS))
 def test_non_finite_energy_is_rejected_at_the_block_and_the_kernel(entry, energy):
-    # a NaN energy used to give a NaN product, trace, block, Weyl solution or
-    # margin (with RuntimeWarnings in the kernel), and branch sign -1;
+    # a NaN energy used to give a NaN product, trace, block, Weyl solution,
+    # margin or step (with RuntimeWarnings in the kernel), and branch sign -1;
     # m_function at inf + 1j raised a RuntimeWarning
     with pytest.raises(ValueError, match="energy z must be finite"):
         NON_FINITE_ENERGY_ENTRY_POINTS[entry](energy)
@@ -470,39 +471,48 @@ def test_growth_scanner_rejects_a_non_finite_energy(x):
         GrowthScanner(x)
 
 
-@pytest.mark.parametrize("step, message", [
-    (lambda sc: sc.feed(0.0, 0.0), "coefficient a must be positive and finite, got 0.0"),
-    (lambda sc: sc.feed(-1.0, 0.0), "coefficient a must be positive and finite, got -1.0"),
-    (lambda sc: sc.feed(math.inf, 0.0), "coefficient a must be positive and finite, got inf"),
-    (lambda sc: sc.feed(1.0, math.nan), "coefficient b must be finite, got nan"),
-    (lambda sc: sc.feed_arrays([0.0, 1.0], [0.0, 0.0]),
+@pytest.mark.parametrize("error, step, message", [
+    (ValueError, lambda sc: sc.feed(0.0, 0.0),
      "coefficient a must be positive and finite, got 0.0"),
-    (lambda sc: sc.feed_arrays([1.0, math.nan], [0.0, 0.0]),
+    (ValueError, lambda sc: sc.feed(-1.0, 0.0),
+     "coefficient a must be positive and finite, got -1.0"),
+    (ValueError, lambda sc: sc.feed(math.inf, 0.0),
+     "coefficient a must be positive and finite, got inf"),
+    (ValueError, lambda sc: sc.feed(1.0, math.nan), "coefficient b must be finite, got nan"),
+    (ValueError, lambda sc: sc.feed_arrays([0.0, 1.0], [0.0, 0.0]),
+     "coefficient a must be positive and finite, got 0.0"),
+    (ValueError, lambda sc: sc.feed_arrays([1.0, math.nan], [0.0, 0.0]),
      "coefficient a must be positive and finite, got nan"),
-    (lambda sc: sc.feed_arrays([1.0, 1.0], [0.2, -math.inf]),
+    (ValueError, lambda sc: sc.feed_arrays([1.0, 1.0], [0.2, -math.inf]),
      "coefficient b must be finite, got -inf"),
-    (lambda sc: sc.feed(1e-310, 0.0),
+    (ValueError, lambda sc: sc.feed(1e-310, 0.0),
      "coefficient a = 1e-310 makes the step entry -1/a infinite"),
-    (lambda sc: sc.feed(1e-300, 1e10), r"coefficients a = 1e-300, b = 10000000000.0 "
-     r"make the step entry \(x - b\)/a infinite at x = 0.3"),
-    (lambda sc: sc.feed_arrays([1e-310, 1.0], [0.0, 0.0]),
-     "coefficient a = 1e-310 makes the step entry -1/a infinite"),
-    (lambda sc: sc.feed_arrays([1.0, 1e-300], [0.0, 1e10]),
+    (ValueError, lambda sc: sc.feed(1e-300, 1e10),
      r"coefficients a = 1e-300, b = 10000000000.0 "
      r"make the step entry \(x - b\)/a infinite at x = 0.3"),
+    (ValueError, lambda sc: sc.feed_arrays([1e-310, 1.0], [0.0, 0.0]),
+     "coefficient a = 1e-310 makes the step entry -1/a infinite"),
+    (ValueError, lambda sc: sc.feed_arrays([1.0, 1e-300], [0.0, 1e10]),
+     r"coefficients a = 1e-300, b = 10000000000.0 "
+     r"make the step entry \(x - b\)/a infinite at x = 0.3"),
+    (FloatingPointError, lambda sc: [sc.feed(1.0, b) for b in (1e308, 0.3, -1e308)],
+     "a transfer product underflowed to zero: its steps span past float range"),
 ], ids=["feed a=0", "feed a<0", "feed a=inf", "feed b=nan", "run a=0", "run a=nan",
         "run b=-inf", "feed 1/a=inf", "feed (x-b)/a=inf", "run 1/a=inf",
-        "run (x-b)/a=inf"])
+        "run (x-b)/a=inf", "feed underflow"])
 @pytest.mark.filterwarnings("error")
-def test_growth_scanner_rejects_a_bad_coefficient(step, message):
+def test_growth_scanner_rejects_a_bad_coefficient(error, step, message):
     # feed(0, 0) raised ZeroDivisionError, a run with a = 0 or a = 1e-310 a
     # RuntimeWarning, and a NaN b, a = 1e-310 or (a, b) = (1e-300, 1e10) left
-    # the log-sum NaN
+    # the log-sum NaN; steps past b = +-1e308 that cancel to a zero product
+    # raised "math domain error"
     sc = GrowthScanner(0.3)
     sc.feed(1.0, 0.1)
     before = (sc.n, sc.log_sum, sc.t11, sc.t12, sc.t21, sc.t22, sc.e)
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(error, match=f"^{message}$"):
         step(sc)
+    if error is FloatingPointError:  # the steps before the last were taken
+        return
     assert (sc.n, sc.log_sum, sc.t11, sc.t12, sc.t21, sc.t22, sc.e) == before
     sc.feed(1.0, 0.0)
     assert math.isfinite(sc.log_sum)
