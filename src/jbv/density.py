@@ -116,6 +116,8 @@ def weyl_solution(aspec: ApproximantSpec, z: complex, s: int) -> WeylSolution:
 def wronskian_defect(u: WeylSolution) -> float:
     """Largest deviation of Im(u_n[0] conj(u_n[1])) from its block-N value
     C_N Im lam_N; at real energies this is conserved along the recursion."""
+    if not isinstance(u, WeylSolution):
+        raise TypeError(f"u must be a WeylSolution, got {u!r}")
     if u.z.imag != 0.0:
         raise ValueError("the conserved form is checked at real energies only")
     target = u.C.real * u.lam.imag

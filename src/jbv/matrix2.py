@@ -7,13 +7,12 @@ mantissa, rescaled by exact powers of two, and an accumulated natural-log scale.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import as_real
+from .coeffs import as_complex, as_real
 
 # raw entry magnitude at which a product switches to the scaled representation
 RESCALE_LIMIT = 1e100
@@ -29,9 +28,15 @@ def _exp_saturating(x: float) -> float:
 
 
 def _finite_energy(z) -> None:
-    """ValueError unless the energy z, a number or a numpy array, is finite."""
-    if not (np.isfinite(z).all() if isinstance(z, np.ndarray) else cmath.isfinite(z)):
-        raise ValueError(f"energy z must be finite, got {z!r}")
+    """TypeError unless the energy z is a number or a numpy array of numbers,
+    never a bool or a string; ValueError unless it is finite."""
+    if isinstance(z, np.ndarray):
+        if z.dtype.kind not in "iufc":
+            raise TypeError(f"energy z must be a number, got an array of {z.dtype}")
+        if not np.isfinite(z).all():
+            raise ValueError(f"energy z must be finite, got {z!r}")
+    else:
+        as_complex(z, "energy z")
 
 
 @dataclass(frozen=True)

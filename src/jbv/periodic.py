@@ -125,6 +125,8 @@ def discriminant_polynomial(P: PeriodicJacobi) -> PolynomialReal:
 
 def spectral_bracket(P: PeriodicJacobi) -> tuple[float, float]:
     """Crude enclosure of the spectrum: [min b - 2 max a, max b + 2 max a]."""
+    if not isinstance(P, PeriodicJacobi):
+        raise TypeError(f"P must be a PeriodicJacobi, got {P!r}")
     amax = max(P.a)
     return (min(P.b) - 2.0 * amax, max(P.b) + 2.0 * amax)
 
@@ -409,6 +411,7 @@ def same_discriminant(p1: PeriodicJacobi, p2: PeriodicJacobi,
     """Whether two periodic blocks share a discriminant, i.e. lie on the same
     isospectral set.  Membership testing is all that is supported here; the
     geometry of that set is out of scope."""
+    tol = as_real(tol, "tol")
     if p1.q != p2.q:
         return False
     c1 = discriminant_polynomial(p1).coeffs

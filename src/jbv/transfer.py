@@ -11,38 +11,45 @@ each lane with its own product, exponent and rescaling in a trailing array
 axis.  The coefficient run is one for every lane, of shape (L,), or one per
 lane, of shape (L, E), so lanes may scan different windows at different
 energies; the shape alone tells them apart.  A kernel call takes CHUNK // E
-steps (CHUNK = 8192, one energy counting as E = 1, at least one step) and
+steps (CHUNK = 16384, one energy counting as E = 1, at least one step) and
 carries its products, exponents included, to the next, so memory stays at
 one chunk, a few times 32 bytes per step and lane.  E lanes of L steps in
 one call cost one call's overhead and E L times the per-step cost below, so
-many short runs are cheapest as the lanes of one call.  Over its L
-steps a call is a pairwise tree (Blelloch 1990) of O(log L) array passes:
-products of neighbouring steps, then of neighbouring pairs, and so on, an
-odd one out carried up as it is; on request a pass back down fills in the
-product after every step, both passes then in place on the stack of steps.
-A carried matrix is folded into the first step, a carried column
-multiplies the products last.
+many short runs are cheapest as the lanes of one call.  A step
+((p, q), (r, 0)) is kept as its three nonzero entries, one array each, and
+no stack of step matrices is built.  Over its L steps a call is a pairwise
+tree (Blelloch 1990) of O(log L) array passes: products of neighbouring
+steps, ((p1 p0 + q1 r0, p1 q0), (r1 p0, r1 q0)), then of neighbouring
+pairs, and so on, an odd one out carried up as it is; on request a pass
+back down fills in the product after every step, the last level's as
+(p S[0] + q S[1], r S[0]) from the product S before it.  Both passes run in
+place on the stack of products.  A carried matrix is folded into the first
+step, a carried column multiplies the products last.
 Every step and product whose largest entry leaves [1e-100, 1e100]
-(RESCALE_LIMIT) is multiplied by a power of two, which is exact.  The check
-first reads the smallest and largest entry of a whole stack, and reads each
-matrix's largest only when one of those leaves the range.  On the prefix
-path the check is left out where it cannot fire, so every product is bit
-for bit the one a check of every product gives.  A step's largest entry is
-at least max(|a|, |1/a|) >= 1, so a max and a min over the stack clear all
-steps.  A product of unshifted steps has determinant 1, so its largest
-entry is at least 1 / sqrt(2), and entries at most B make products at most
-4 B**2, rounding included: a level of the pass up checks only slot 0,
-which holds the folded carry, while that bound stays below the limit, and
-where it does not, a check of the whole level measures a new bound.  After
-a shift, on the pass down and on a complex stack every product is checked.
-Cost at one energy, measured on a shared 2-vCPU x86-64 VM with numpy 2.4
-and a heap that reuses freed pages: a call with prefixes takes about 30 us,
-plus 23 us a tree level (some 25 numpy calls on small arrays), plus 50 ns
-a step, 0.75 ms for 8192 steps; one that only multiplies takes 10 us a
-level and 22 ns a step.  The checks left out save 2-3 % of a call at one
-energy and more on an energy axis.  A fresh process also pays for the
-pages its buffers first touch: in place, a call with prefixes touches
-about 60 new pages per 8192 steps where copying levels touched 230.
+(RESCALE_LIMIT) is multiplied by a power of two, which is exact.  A call's
+exponents stay 0, and are not added level by level, until a step or
+product is rescaled; the carry's exponent is added once, at the end.  The
+check first reads the smallest and largest entry of a whole stack, and
+reads each matrix's largest only when one of those leaves the range.  On
+the prefix path the check is left out where it cannot fire, so every
+product is bit for bit the one a check of every product gives.  A step's
+largest entry is at least max(|a|, |1/a|) >= 1, so the largest |p|, |q|
+and |r| clear all steps.  A product of unshifted steps has determinant 1,
+so its largest entry is at least 1 / sqrt(2), and entries at most B make
+products at most 4 B**2, rounding included: a level of the pass up checks
+only slot 0, which holds the folded carry, while that bound stays below
+the limit, and where it does not, a check of the whole level measures a
+new bound.  After a shift, on the pass down and on a complex stack every
+product is checked.
+Cost at one energy, medians on a shared 2-vCPU x86-64 VM with numpy 2.4:
+a call with prefixes takes about 30 us, plus 25 us a tree level (some 15
+numpy calls on small arrays), plus 40 ns a step in band and 65 ns off
+band, where rescales turn the exponent adds on: 1.2 and 1.8 ms for 16384
+steps.  One that only multiplies takes 0.65-0.8 ms for 16384 steps.  The
+checks left out save 2-3 % of a call at one energy and more on an energy
+axis.  A process also pays for each page the heap gives back to the
+system and takes again, hence the order of the allocations in
+`_scan_chunk`.
 `GrowthScanner.feed` takes one step in Python floats, rescaled by that rule,
 and is the sequential reference; `GrowthScanner.feed_arrays` sends a run of
 any length through the kernel and sums its log-norms with `_log_sums`.
@@ -74,7 +81,7 @@ __all__ = [
     "weyl_branch_sign",
 ]
 
-CHUNK = 8192  # steps times lanes per kernel call; one energy is one lane
+CHUNK = 16384  # steps times lanes per kernel call; one energy is one lane
 _UNDERFLOW = "a transfer product underflowed to zero: its steps span past float range"
 
 
@@ -127,37 +134,66 @@ class Scan(NamedTuple):
     prefix_e: np.ndarray | None = None
 
 
-def _rescale(t: np.ndarray, e: np.ndarray) -> float:
-    """Divide each matrix (over the two leading axes of t) whose largest
-    entry leaves [1 / RESCALE_LIMIT, RESCALE_LIMIT] by the power of two 2**s
-    that brings that entry into [0.5, 1), which is exact, and add s to its
-    e, in place: so a product of two stays in float range, and a tree of
-    products at a huge energy does not shrink to zero.  Returns the largest
-    entry of t, or inf when a matrix was rescaled.  A matrix that is zero,
-    a product whose entries all underflowed, is a FloatingPointError."""
-    a, low = np.abs(t), 1.0 / RESCALE_LIMIT
-    top = a.max(initial=0.0)
-    # every entry in range is quicker to see than every matrix's largest
-    if top <= RESCALE_LIMIT and low <= a.min(initial=np.inf):
-        return top
-    tops = a.max(axis=(0, 1))
+def _shifts(tops: np.ndarray, top: float) -> np.ndarray | None:
+    """For matrices whose largest entries are tops, with top their maximum:
+    the power s of two for each one whose entry leaves [1 / RESCALE_LIMIT,
+    RESCALE_LIMIT] such that 2**-s brings it into [0.5, 1), 0 for the
+    others, or None when none leaves.  A zero matrix, a product whose
+    entries all underflowed, is a FloatingPointError."""
+    low = 1.0 / RESCALE_LIMIT
     least = tops.min(initial=low)
     if least == 0.0:
         raise FloatingPointError(_UNDERFLOW)
     if top <= RESCALE_LIMIT and low <= least:
+        return None
+    return np.where((tops < low) | (tops > RESCALE_LIMIT), np.frexp(tops)[1], 0)
+
+
+def _rescale(t: np.ndarray, e: np.ndarray) -> float:
+    """Divide each matrix (over the two leading axes of t) whose largest
+    entry leaves [1 / RESCALE_LIMIT, RESCALE_LIMIT] by the power of two of
+    `_shifts`, which is exact, and add its power to its e, in place: so a
+    product of two stays in float range, and a tree of products at a huge
+    energy does not shrink to zero.  Returns the largest entry of t, or inf
+    when a matrix was rescaled."""
+    a = np.abs(t)
+    top = a.max(initial=0.0)
+    # every entry in range is quicker to see than every matrix's largest
+    if top <= RESCALE_LIMIT and 1.0 / RESCALE_LIMIT <= a.min(initial=np.inf):
         return top
-    shift = np.where((tops < low) | (tops > RESCALE_LIMIT), np.frexp(tops)[1], 0)
+    shift = _shifts(a.max(axis=(0, 1)), top)
+    if shift is None:
+        return top
     t *= np.ldexp(1.0, -shift)
     e += shift
     return math.inf
 
 
-def _set_product(t: np.ndarray, e: np.ndarray, x: np.ndarray, xe, y: np.ndarray,
-                 ye) -> None:
-    """t * 2**e = (x * 2**xe) @ (y * 2**ye) for stacks of matrices with the
-    two matrix axes first, written into t and e, which may be x or y."""
+def _set_product(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """t = x @ y for stacks of matrices with the two matrix axes first; t may
+    be x or y.  Exponents are the caller's."""
     np.add(x[:, :1] * y[:1], x[:, 1:] * y[1:], out=t)
-    np.add(xe, ye, out=e)
+
+
+def _step_times(t: np.ndarray, p, q, r, y: np.ndarray) -> None:
+    """t = M @ y for the steps M = ((p, q), (r, 0)) on axis 0 of p, q and r
+    and a stack y of matrices or columns (matrix axes first), which t may
+    not be: the terms of M's zero entry are left out."""
+    np.add(p * y[0], q * y[1], out=t[0])
+    np.multiply(r, y[0], out=t[1])
+
+
+def _step_pairs(t: np.ndarray, p, q, r, s0: np.ndarray) -> None:
+    """t = M_{2i+1} M_{2i} for the steps M_i = ((p_i, q_i), (r_i, 0)) on
+    axis 0 of p, q and r: ((p1 p0 + q1 r0, p1 q0), (r1 p0, r1 q0)), but
+    M_1 s0 for pair 0, s0 (2, 2, 1) being step 0 with the carry folded in."""
+    n = len(p)
+    p1, q1, r1, p0, q0, r0 = p[1::2], q[1::2], r[1::2], p[:n - 1:2], q[:n - 1:2], r[:n - 1:2]
+    np.add(p1 * p0, q1 * r0, out=t[0, 0])
+    np.multiply(p1, q0, out=t[0, 1])
+    np.multiply(r1, p0, out=t[1, 0])
+    np.multiply(r1, q0, out=t[1, 1])
+    _step_times(t[:, :, :1], p[1:2], q[1:2], r[1:2], s0)
 
 
 def log_norm2(t: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -260,45 +296,71 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: Scan | None = None,
         yield start
 
 
-def _prefix_products(t: np.ndarray, e: np.ndarray, bound: float) -> None:
+def _prefix_products(t: np.ndarray, e: np.ndarray, bound: float, live: bool,
+                     steps=None) -> bool:
     """Overwrite the stack of matrices M on axis 2 of t, and their exponents
     e, with the products S_i = M_i ... M_0: each odd slot takes the pair
     M_{2i+1} M_{2i}, the odd slots are scanned in place, and each even slot
-    2i > 0 then takes M_{2i} S_{2i-1}.  `bound` bounds the entries past
-    slot 0, inf after a shift and on a complex stack: below the limit only
-    slot 0, which holds the folded carry, is checked (see the module
-    docstring)."""
+    2i > 0 then takes M_{2i} S_{2i-1}.  With steps = (p, q, r) the M_i past
+    slot 0 are those steps and are read from there, not from t.  `bound`
+    bounds the entries past slot 0, inf after a shift and on a complex stack:
+    below the limit only slot 0, which holds the folded carry, is checked
+    (see the module docstring).  live says whether any exponent may be
+    nonzero; while none is, no exponents are added.  Returns live after the
+    products' rescales."""
     n = t.shape[2]
     if n == 1:
-        return
+        return live
     odd_t, odd_e = t[:, :, 1::2], e[1::2]
-    _set_product(odd_t, odd_e, odd_t, odd_e, t[:, :, 0:n - 1:2], e[0:n - 1:2])
+    if steps is None:
+        _set_product(odd_t, odd_t, t[:, :, 0:n - 1:2])
+    else:
+        p, q, r = steps
+        _step_pairs(odd_t, p, q, r, t[:, :, :1])
+    if live:
+        np.add(odd_e, e[0:n - 1:2], out=odd_e)
     bound = 4.0 * bound * bound
     if bound <= RESCALE_LIMIT:
-        _rescale(odd_t[:, :, :1], odd_e[:1])
+        top = _rescale(odd_t[:, :, :1], odd_e[:1])
     else:  # a check of them all, which measures them unless it shifts
         top = _rescale(odd_t, odd_e)
         bound = math.inf if bound == math.inf else top
-    _prefix_products(odd_t, odd_e, bound)
+    live = _prefix_products(odd_t, odd_e, bound, live or top == math.inf)
     even_t, even_e = t[:, :, 2::2], e[2::2]
-    _set_product(even_t, even_e, even_t, even_e, t[:, :, 1:n - 1:2], e[1:n - 1:2])
-    _rescale(even_t, even_e)
+    if steps is None:
+        _set_product(even_t, even_t, t[:, :, 1:n - 1:2])
+    else:
+        _step_times(even_t, p[2::2], q[2::2], r[2::2], t[:, :, 1:n - 1:2])
+    if live:
+        np.add(even_e, e[1:n - 1:2], out=even_e)
+    return _rescale(even_t, even_e) == math.inf or live
 
 
-def _reduced(t: np.ndarray, e: np.ndarray):
-    """M_{n-1} ... M_0 for the stack on axis 2 of t, as a stack of one:
-    pairs level by level, an odd tail carried up a level as it is."""
+def _reduced(t0: np.ndarray, e: np.ndarray, live: bool, p, q, r):
+    """M_{L-1} ... M_1 S_0 for the steps M_i = (p, q, r)[i] past slot 0,
+    whose product S_0 is t0, and their exponents e (slot 0's first), as a
+    stack of one with its exponent: pairs level by level, in place on the
+    first level's stack and on e, an odd tail carried up a level as it is."""
+    L = len(p)
+    if L == 1:
+        return t0, e
+    t = np.empty((2, 2, (L + 1) // 2) + t0.shape[3:], t0.dtype)
+    _step_pairs(t[:, :, :L // 2], p, q, r, t0)
+    if L % 2:
+        t[0, 0, -1], t[0, 1, -1], t[1, 0, -1], t[1, 1, -1] = p[-1], q[-1], r[-1], 0.0
+    # pair i's exponent goes to slot 2i of e, so that a tail sits at L - 1
+    if live:
+        np.add(e[0:L - 1:2], e[1::2], out=e[0:L - 1:2])
+    e = e[::2]
+    live = _rescale(t[:, :, :L // 2], e[:L // 2]) == math.inf or live
     while t.shape[2] > 1:
         n = t.shape[2]
-        pair_t = np.empty((2, 2, n // 2) + t.shape[3:], t.dtype)
-        pair_e = np.empty((n // 2,) + e.shape[1:], e.dtype)
-        _set_product(pair_t, pair_e, t[:, :, 1::2], e[1::2], t[:, :, 0:n - 1:2],
-                     e[0:n - 1:2])
-        _rescale(pair_t, pair_e)
-        if n % 2:
-            pair_t = np.concatenate((pair_t, t[:, :, -1:]), axis=2)
-            pair_e = np.concatenate((pair_e, e[-1:]))
-        t, e = pair_t, pair_e
+        pair_t, pair_e = t[:, :, 0:n - 1:2], e[0:n - 1:2]
+        _set_product(pair_t, t[:, :, 1::2], pair_t)
+        if live:
+            np.add(pair_e, e[1::2], out=pair_e)
+        live = _rescale(pair_t, pair_e) == math.inf or live
+        t, e = t[:, :, ::2], e[::2]
     return t, e
 
 
@@ -309,41 +371,56 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
     run = (L,) + (lane if a.ndim > 1 else (1,) * len(lane))  # per lane or shared
     flip = slice(None, None, -1 if inverse else 1)
     ct, fold = carry.t[flip], carry.t.shape[1] == 2
-    num, den = z - b.reshape(run), a.reshape(run)
     dtype = np.result_type(z, b, ct) if fold else np.result_type(z, b)
-    t = np.empty((2, 2, L) + lane, dtype)
-    # the steps ((p, -1/a), (a, 0)); in swapped coordinates their inverses
-    # are ((p, -a), (1/a, 0)).  p by parts, so that a real lane on a complex
+    # the arrays returned first and the steps' after them, p and 1/a in
+    # place: glibc hands a free heap top back to the system, and a call
+    # that frees its temporaries last keeps the next call from faulting
+    # those pages in again
+    t = np.empty((2, 2, L if prefixes else 1) + lane, dtype)
+    e = np.zeros((L,) + lane, np.int64)
+    # step i is ((p, q), (r, 0)) = ((p, -1/a), (a, 0)), kept as three arrays
+    # (q and r of the run's shape); in swapped coordinates its inverse is
+    # ((p, -a), (1/a, 0)).  p by parts, so that a real lane on a complex
     # axis rounds as a real energy
-    if t.dtype.kind == "c":
-        t[0, 0] = num.real / den + 1j * (num.imag / den)
+    p, den = z - b.reshape(run), a.reshape(run)
+    if dtype.kind == "c":
+        p = p.real / den + 1j * (p.imag / den)
     else:
-        np.divide(num, den, out=t[0, 0])
-    inv = 1.0 / den
-    t[0, 1], t[1, 0] = (-den, inv) if inverse else (-inv, den)
-    t[1, 1] = 0.0
+        p /= den
+    q = 1.0 / den
+    q, r = (-den, q) if inverse else (np.negative(q, out=q), den)
     # each step rescaled first, so that no product of two leaves float range.
     # A step's largest entry is at least max(|a|, |1/a|) >= 1, so only the
-    # upper limit can fire, and no step needs it while no entry does
-    e = np.zeros((L,) + lane, np.int64)
-    bound = (math.inf if t.dtype.kind == "c"
-             else max(t.max(initial=0.0), -t.min(initial=0.0)))
+    # upper limit can fire, and no step needs it while no entry does.  The
+    # exponents stay 0, and are not added, until a step or product is shifted
+    live = False
+    bound = math.inf if dtype.kind == "c" else max(
+        max(v.max(initial=0.0), -v.min(initial=0.0)) for v in (p, q, r))
     if not bound <= RESCALE_LIMIT:
-        _rescale(t, e)
+        tops = np.maximum(np.maximum(np.abs(p), np.abs(q)), np.abs(r))
+        shift = _shifts(tops, tops.max(initial=0.0))
+        if shift is not None:
+            scale = np.ldexp(1.0, -shift)
+            p, q, r, live = p * scale, q * scale, r * scale, True
+            e += shift
         bound = math.inf
-    # a matrix carry is folded into step 0, a column multiplies the products
+    # slot 0 is step 0 with a matrix carry folded in; a column multiplies
+    # the products last
     if fold:
-        _set_product(t[:, :, :1], e[:1], t[:, :, :1], e[:1], ct[:, :, None], carry.e)
-        _rescale(t[:, :, :1], e[:1])
-    if prefixes:
-        _prefix_products(t, e, bound)
+        _step_times(t[:, :, :1], p[:1], q[:1], r[:1], ct[:, :, None])
+        live = _rescale(t[:, :, :1], e[:1]) == math.inf or live
     else:
-        t, e = _reduced(t, e)
+        t[0, 0, 0], t[0, 1, 0], t[1, 0, 0], t[1, 1, 0] = p[0], q[0], r[0], 0.0
+    if prefixes:
+        _prefix_products(t, e, bound, live, (p, q, r))
+    else:
+        t, e = _reduced(t, e, live, p, q, r)
     if not fold:
         col = np.empty((2, 1) + t.shape[2:], np.result_type(t, ct))
-        _set_product(col, e, t, e, ct[:, :, None], carry.e)
+        _set_product(col, t, ct[:, :, None])
         _rescale(col, e)
         t = col
+    e += carry.e  # the carry's exponent, once
     last = Scan(t[flip, :, -1], e[-1])
     return last._replace(prefix_t=t[flip], prefix_e=e) if prefixes else last
 

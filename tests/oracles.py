@@ -8,6 +8,7 @@ one block and one frame at a time instead of a block axis,
 every grid sample evaluated and scanned in Python instead of array passes,
 interval operands merged pairwise and any intervals merged in sorted order
 instead of one endpoint sweep,
+the transfer kernel's steps as a stack of matrices instead of three arrays,
 a geometric sum carried term by term instead of in closed form,
 a staircase diagonal written out index by index instead of looked up among
 flattened windows, and `verify --random` checked one window per call instead
@@ -31,7 +32,9 @@ from jbv import (CouplingSeries, GrowthScanner, Interval, IntervalUnion, Matrix2
                  spectral_bracket, staircase_level_value,
                  verify_gap_window_growth)
 from jbv.errors import DegenerateBlockError, NonDiagonalizableFrameError, RootIsolationError
+from jbv.matrix2 import RESCALE_LIMIT
 from jbv.polynomial import bisect_root
+from jbv.transfer import Scan
 
 
 def interp_discriminant_coeffs(P) -> np.ndarray:
@@ -506,3 +509,150 @@ def per_window_verify_random(count: int, seed: int) -> tuple[int, str]:
                          len(report.l_values), len(report.violations),
                          "pass" if report.passed else "fail"])
     return (0 if all_pass else 1), buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the transfer kernel as it was before it kept its steps as three arrays: a
+# (2, 2, L) stack of one-step matrices, its min/max bound scan, and an
+# exponent add at every level of the tree.  Frozen here verbatim, so that the
+# kernel is checked bit for bit against it on the same cuts
+
+_UNDERFLOW = "a transfer product underflowed to zero: its steps span past float range"
+
+
+def _rescale(t: np.ndarray, e: np.ndarray) -> float:
+    """Divide each matrix (over the two leading axes of t) whose largest
+    entry leaves [1 / RESCALE_LIMIT, RESCALE_LIMIT] by the power of two 2**s
+    that brings that entry into [0.5, 1), which is exact, and add s to its
+    e, in place: so a product of two stays in float range, and a tree of
+    products at a huge energy does not shrink to zero.  Returns the largest
+    entry of t, or inf when a matrix was rescaled.  A matrix that is zero,
+    a product whose entries all underflowed, is a FloatingPointError."""
+    a, low = np.abs(t), 1.0 / RESCALE_LIMIT
+    top = a.max(initial=0.0)
+    # every entry in range is quicker to see than every matrix's largest
+    if top <= RESCALE_LIMIT and low <= a.min(initial=np.inf):
+        return top
+    tops = a.max(axis=(0, 1))
+    least = tops.min(initial=low)
+    if least == 0.0:
+        raise FloatingPointError(_UNDERFLOW)
+    if top <= RESCALE_LIMIT and low <= least:
+        return top
+    shift = np.where((tops < low) | (tops > RESCALE_LIMIT), np.frexp(tops)[1], 0)
+    t *= np.ldexp(1.0, -shift)
+    e += shift
+    return math.inf
+
+
+def _set_product(t: np.ndarray, e: np.ndarray, x: np.ndarray, xe, y: np.ndarray,
+                 ye) -> None:
+    """t * 2**e = (x * 2**xe) @ (y * 2**ye) for stacks of matrices with the
+    two matrix axes first, written into t and e, which may be x or y."""
+    np.add(x[:, :1] * y[:1], x[:, 1:] * y[1:], out=t)
+    np.add(xe, ye, out=e)
+
+
+def _prefix_products(t: np.ndarray, e: np.ndarray, bound: float) -> None:
+    """Overwrite the stack of matrices M on axis 2 of t, and their exponents
+    e, with the products S_i = M_i ... M_0: each odd slot takes the pair
+    M_{2i+1} M_{2i}, the odd slots are scanned in place, and each even slot
+    2i > 0 then takes M_{2i} S_{2i-1}.  `bound` bounds the entries past
+    slot 0, inf after a shift and on a complex stack: below the limit only
+    slot 0, which holds the folded carry, is checked (see the module
+    docstring)."""
+    n = t.shape[2]
+    if n == 1:
+        return
+    odd_t, odd_e = t[:, :, 1::2], e[1::2]
+    _set_product(odd_t, odd_e, odd_t, odd_e, t[:, :, 0:n - 1:2], e[0:n - 1:2])
+    bound = 4.0 * bound * bound
+    if bound <= RESCALE_LIMIT:
+        _rescale(odd_t[:, :, :1], odd_e[:1])
+    else:  # a check of them all, which measures them unless it shifts
+        top = _rescale(odd_t, odd_e)
+        bound = math.inf if bound == math.inf else top
+    _prefix_products(odd_t, odd_e, bound)
+    even_t, even_e = t[:, :, 2::2], e[2::2]
+    _set_product(even_t, even_e, even_t, even_e, t[:, :, 1:n - 1:2], e[1:n - 1:2])
+    _rescale(even_t, even_e)
+
+
+def _reduced(t: np.ndarray, e: np.ndarray):
+    """M_{n-1} ... M_0 for the stack on axis 2 of t, as a stack of one:
+    pairs level by level, an odd tail carried up a level as it is."""
+    while t.shape[2] > 1:
+        n = t.shape[2]
+        pair_t = np.empty((2, 2, n // 2) + t.shape[3:], t.dtype)
+        pair_e = np.empty((n // 2,) + e.shape[1:], e.dtype)
+        _set_product(pair_t, pair_e, t[:, :, 1::2], e[1::2], t[:, :, 0:n - 1:2],
+                     e[0:n - 1:2])
+        _rescale(pair_t, pair_e)
+        if n % 2:
+            pair_t = np.concatenate((pair_t, t[:, :, -1:]), axis=2)
+            pair_e = np.concatenate((pair_e, e[-1:]))
+        t, e = pair_t, pair_e
+    return t, e
+
+
+def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
+                prefixes: bool, inverse: bool) -> Scan:
+    # every array below ends in the lane axis, of shape () at one energy
+    L, lane = len(a), z.shape
+    run = (L,) + (lane if a.ndim > 1 else (1,) * len(lane))  # per lane or shared
+    flip = slice(None, None, -1 if inverse else 1)
+    ct, fold = carry.t[flip], carry.t.shape[1] == 2
+    num, den = z - b.reshape(run), a.reshape(run)
+    dtype = np.result_type(z, b, ct) if fold else np.result_type(z, b)
+    t = np.empty((2, 2, L) + lane, dtype)
+    # the steps ((p, -1/a), (a, 0)); in swapped coordinates their inverses
+    # are ((p, -a), (1/a, 0)).  p by parts, so that a real lane on a complex
+    # axis rounds as a real energy
+    if t.dtype.kind == "c":
+        t[0, 0] = num.real / den + 1j * (num.imag / den)
+    else:
+        np.divide(num, den, out=t[0, 0])
+    inv = 1.0 / den
+    t[0, 1], t[1, 0] = (-den, inv) if inverse else (-inv, den)
+    t[1, 1] = 0.0
+    # each step rescaled first, so that no product of two leaves float range.
+    # A step's largest entry is at least max(|a|, |1/a|) >= 1, so only the
+    # upper limit can fire, and no step needs it while no entry does
+    e = np.zeros((L,) + lane, np.int64)
+    bound = (math.inf if t.dtype.kind == "c"
+             else max(t.max(initial=0.0), -t.min(initial=0.0)))
+    if not bound <= RESCALE_LIMIT:
+        _rescale(t, e)
+        bound = math.inf
+    # a matrix carry is folded into step 0, a column multiplies the products
+    if fold:
+        _set_product(t[:, :, :1], e[:1], t[:, :, :1], e[:1], ct[:, :, None], carry.e)
+        _rescale(t[:, :, :1], e[:1])
+    if prefixes:
+        _prefix_products(t, e, bound)
+    else:
+        t, e = _reduced(t, e)
+    if not fold:
+        col = np.empty((2, 1) + t.shape[2:], np.result_type(t, ct))
+        _set_product(col, e, t, e, ct[:, :, None], carry.e)
+        _rescale(col, e)
+        t = col
+    last = Scan(t[flip, :, -1], e[-1])
+    return last._replace(prefix_t=t[flip], prefix_e=e) if prefixes else last
+
+
+def frozen_transfer_scan(a, b, z, steps: int, start=None, prefixes=False,
+                         inverse=False):
+    """`transfer_scan` on the frozen kernel, cut into calls of `steps` steps:
+    the list of Scans it yields."""
+    z = np.asarray(z, complex)
+    z = z if np.any(z.imag) else z.real
+    if start is None:
+        start = Scan(np.multiply.outer(np.eye(2), np.ones(z.shape)),
+                     np.zeros(z.shape, np.int64))
+    scans = []
+    for lo in range(0, len(a), steps):
+        start = _scan_chunk(a[lo:lo + steps], b[lo:lo + steps], z, start,
+                            prefixes, inverse)
+        scans.append(start)
+    return scans

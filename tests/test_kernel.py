@@ -4,10 +4,11 @@ it against the prefix replay, and the density solve on it against an mpmath
 recursion."""
 
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jbv import (ApproximantSpec, GrowthScanner, Matrix2, OutsideBandError,
@@ -15,11 +16,11 @@ from jbv import (ApproximantSpec, GrowthScanner, Matrix2, OutsideBandError,
                  explicit_spec, free_spec, growth_statistic, one_step_matrix,
                  periodic_spec, slow_cosine_spec, staircase_comb_spec,
                  staircase_level_value, transfer_product)
-from jbv import constructions
+from jbv import constructions, transfer
 from jbv.constructions import _Lanes
 from jbv.matrix2 import RESCALE_LIMIT
 from jbv.transfer import CHUNK, Scan, _log_sums, log_norm2, transfer_scan
-from oracles import _threshold_log, replayed_schedule_rows
+from oracles import _threshold_log, frozen_transfer_scan, replayed_schedule_rows
 
 COSINE = slow_cosine_spec(0.5, 0.4)
 STAIRCASE_SCHEDULE = build_schedule(2, 0.5, levels=3)
@@ -655,6 +656,68 @@ def test_lane_runs_match_one_lane_scans_bit_for_bit(zs, n, seed, start, inverse,
             if prefixes:
                 assert np.array_equal(lane.prefix_t[..., i], one.prefix_t)
                 assert np.array_equal(lane.prefix_e[:, i], one.prefix_e)
+
+
+# carried mantissas' scales: none, 10^+-99, and a largest entry just below
+# 1 / RESCALE_LIMIT, which the fold into step 0 has to rescale
+CARRY_SCALES = [1.0, 1e99, 1e-99, (1.0 / RESCALE_LIMIT) * (1 - 2 ** -52)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lanes=st.sampled_from(["one", "shared", "per lane"]), zs=lane_energies,
+       n=st.integers(1, 1500), seed=st.integers(0, 2 ** 32 - 1),
+       start=st.sampled_from([None, "matrix", "column"]),
+       scale=st.sampled_from(CARRY_SCALES), cosine=st.booleans(),
+       tiny_a=st.booleans(), cut=st.sampled_from([1, 3, 64]))
+@example(lanes="one", zs=[2.6], n=1500, seed=2, start="matrix", scale=1.0,
+         cosine=True, tiny_a=False, cut=1)
+@example(lanes="shared", zs=[2.6, 1e200, 0.3 + 0.1j], n=1200, seed=2, start="column",
+         scale=1e-99, cosine=True, tiny_a=False, cut=3)
+@example(lanes="per lane", zs=[0.3, -1.2], n=1000, seed=4, start="matrix",
+         scale=CARRY_SCALES[-1], cosine=False, tiny_a=True, cut=1)
+@example(lanes="one", zs=[-0.4], n=777, seed=3, start="matrix", scale=1e99,
+         cosine=False, tiny_a=True, cut=64)
+def test_kernel_matches_the_frozen_stack_kernel_bit_for_bit(lanes, zs, n, seed, start,
+                                                             scale, cosine, tiny_a, cut):
+    # the kernel keeps its steps as three arrays and adds exponents only after
+    # a rescale; every Scan field of every call must be the one the frozen
+    # kernel, with its stack of steps and an exponent add per level, gives for
+    # the same cuts: prefixes on and off, forwards and inverse, real and
+    # complex lanes, steps past RESCALE_LIMIT (|z| = 1e200, a <= 1e-100) and a
+    # first rescale mid-tree (the cosine at x = 2.6, about 300 steps in)
+    rng = np.random.default_rng(seed)
+    zs = np.array(zs[:1] if lanes == "one" else zs)
+    if cosine:
+        a, b = coefficient_arrays(COSINE, 1, n + 1)
+    else:
+        a, b = rng.uniform(0.5, 1.5, n), rng.uniform(-2.0, 2.0, n)
+    if tiny_a and np.abs(zs).max() < 1e100:   # past it, (z - b) / a overflows
+        a[rng.integers(0, n, 3)] = 10.0 ** -rng.uniform(100.0, 150.0, 3)
+    if lanes == "per lane":
+        a, b = np.repeat(a[:, None], len(zs), 1), b[:, None] + rng.uniform(-0.1, 0.1, (n, len(zs)))
+    z = complex(zs[0]) if lanes == "one" else zs
+    shape = () if lanes == "one" else zs.shape
+    carry = None
+    if start is not None:
+        t = rng.normal(size=(2, 2 if start == "matrix" else 1) + shape)
+        if seed % 2:   # a complex carry
+            t = t + 1j * rng.normal(size=t.shape)
+        t *= scale / np.abs(t).max(axis=(0, 1))
+        carry = Scan(t, np.asarray(rng.integers(-3000, 3000, shape), np.int64)[()])
+    steps = 64 if cut == 64 else -(-n // cut)   # calls of whole, a third, 64 steps
+    for prefixes in (False, True):
+        for inverse in (False, True):
+            with unittest.mock.patch.object(transfer, "CHUNK", steps * len(zs)):
+                got = list(transfer_scan(a, b, z, carry, prefixes=prefixes, inverse=inverse))
+            want = frozen_transfer_scan(a, b, z, steps, carry, prefixes=prefixes,
+                                        inverse=inverse)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                for field in Scan._fields:
+                    gv, wv = getattr(g, field), getattr(w, field)
+                    assert (gv is None) == (wv is None), field
+                    assert np.array_equal(gv, wv), (field, prefixes, inverse)
+                    assert np.shape(gv) == np.shape(wv), field
 
 
 @pytest.mark.parametrize("a_shape, b_shape, zs", [

@@ -10,7 +10,8 @@ from jbv import (Interval, IntervalUnion, PeriodicJacobi, RootIsolationError,
                  band_structure, chebyshev_second_kind, comb_potential,
                  discriminant_polynomial, discriminant_value,
                  free_critical_points, gap_report, intersection_over_family,
-                 one_step_matrix, periodic_spec, spectral_bracket)
+                 one_step_matrix, periodic_spec, same_discriminant,
+                 spectral_bracket, wronskian_defect)
 from jbv.periodic import _band_edges
 from oracles import (chebu_sine, comb2_band_edges, interp_discriminant_coeffs,
                      scalar_band_edges)
@@ -564,9 +565,15 @@ def test_free_helpers_take_integers_by_the_rule(helper, name, value, error):
      "off-diagonal coefficient must be a real number, got '1'"),
     (lambda: chebyshev_second_kind(3, math.nan), ValueError, "argument x must be finite, got nan"),
     (lambda: free_block(2).shifted("1"), TypeError, "shift c must be a real number, got '1'"),
-], ids=["comb_potential w", "one_step_matrix a", "chebyshev_second_kind x", "shifted c"])
+    (lambda: same_discriminant(free_block(2), free_block(2), "x"), TypeError,
+     "tol must be a real number, got 'x'"),
+    (lambda: spectral_bracket("P"), TypeError, "P must be a PeriodicJacobi, got 'P'"),
+    (lambda: wronskian_defect("u"), TypeError, "u must be a WeylSolution, got 'u'"),
+], ids=["comb_potential w", "one_step_matrix a", "chebyshev_second_kind x", "shifted c",
+        "same_discriminant tol", "spectral_bracket P", "wronskian_defect u"])
 def test_real_arguments_follow_the_number_rule(call, error, message):
-    # the strings failed with TypeErrors that named no argument, and
+    # the strings failed with TypeErrors that named no argument, or with an
+    # AttributeError (spectral_bracket, wronskian_defect), and
     # chebyshev_second_kind(3, nan) returned nan
     with pytest.raises(error, match=f"^{message}$"):
         call()

@@ -407,6 +407,23 @@ def test_non_finite_energy_is_rejected_at_the_block_and_the_kernel(entry, energy
         NON_FINITE_ENERGY_ENTRY_POINTS[entry](energy)
 
 
+# the entries above that hand z to the energy check as it is
+DIRECT_ENERGY_ENTRY_POINTS = ["block_product", "discriminant_value", "one_step_matrix",
+                              "q_step_block", "transfer_product", "transfer_scan"]
+
+
+@pytest.mark.parametrize("z", ["0.3", "x", True, np.bool_(True), None,
+                               np.array(["0.3"]), np.array([True, False])],
+                         ids=["'0.3'", "'x'", "True", "np.True_", "None",
+                              "str array", "bool array"])
+@pytest.mark.parametrize("entry", DIRECT_ENERGY_ENTRY_POINTS)
+def test_energy_types_are_rejected_at_the_block_and_the_kernel(entry, z):
+    # one_step_matrix(1, 0, True) and transfer_scan(a, b, True) ran at z = 1,
+    # and a string failed with Python's bare "must be real number, not str"
+    with pytest.raises(TypeError, match="^energy z must be a number, got "):
+        NON_FINITE_ENERGY_ENTRY_POINTS[entry](z)
+
+
 def test_branch_sign_needs_lo_at_most_hi():
     # lo > hi used to return the branch sign at the swapped interval's midpoint
     with pytest.raises(ValueError, match=r"^need lo <= hi, got lo=1.0 > hi=0.5$"):
