@@ -27,7 +27,7 @@ from .coeffs import (CoefficientSpec, as_int, as_real, check_params,
                      coefficient_arrays, params_errors, staircase_comb_parts,
                      staircase_level_value)
 from .periodic import comb_potential, gap_report
-from .transfer import GrowthScanner, Scan, _log_sums, log_norm2, transfer_scan
+from .transfer import GrowthScanner
 
 __all__ = [
     "Schedule", "build_schedule", "slow_cosine_spec", "staircase_comb_spec",
@@ -169,12 +169,12 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
       transfer products of the sequence built so far at the level's shifted
       gap-center energies, a rule stronger than the analytic one by n log^2 n;
       it yields desk-scale schedules.  A level's energies, one per step and
-      gap center, become kernel lanes (`_Lanes`), each at its own index and
-      fed from the realized diagonal only when a decision needs its sum.  A
-      step whose lanes' sums, where they stand, already clear their
-      thresholds ends 5 indices after the last; only a step that stays
-      undecided once its lanes are caught up is searched index by index
-      (`_empirical_step`).
+      gap center, are the lanes of one `GrowthScanner`, each at its own
+      index and fed from the realized diagonal only when a decision needs
+      its sum (`_catch_up`).  A step whose lanes' sums, where they stand,
+      already clear their thresholds ends 5 indices after the last; only a
+      step that stays undecided once its lanes are caught up is searched
+      index by index (`_empirical_step`).
     """
     q, levels = as_int(q, "q", 2), as_int(levels, "levels", 1)
     cap = as_int(cap, "cap", 16)
@@ -214,15 +214,15 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
             log_margin = math.log(growth_margin * level)
             # one lane per step and gap center, in the order the search
             # reaches them, each at n = 0 until a decision reads its sum
-            lanes = _Lanes(np.array([z + v for v in values for z in centers_list[li]]))
+            lanes = GrowthScanner(np.array([z + v for v in values for z in centers_list[li]]))
         row = [end]
         for k in range(m_l):
             n0 = row[-1]
             if mode == "analytic":
                 n_next = _analytic_step(level, delta_list[li], n0, growth_margin, cap)
             else:
-                n_next = _empirical_step(q, values[k], w_l, lanes, count, n0, log_margin,
-                                         cap, diag)
+                step = slice(k * count, (k + 1) * count)   # the step's lanes
+                n_next = _empirical_step(q, values[k], w_l, lanes, step, n0, log_margin, cap, diag)
             if n_next is None:
                 truncated = True
                 row += [cap] if cap > n0 else []
@@ -241,62 +241,25 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
     return sched
 
 
-class _Lanes:
-    """T_{1,n}(x) as a mantissa t times 2**e and log sum_{n' <= n}
-    ||T_{1,n'}(x)||^2 at the energies x of one level's steps, each lane at
-    its own n.  A lane starts at n = 0 and is multiplied forward
-    (`catch_up`) only when a decision needs its sum at the search's index;
-    a lane whose lagging sum already decides its step is never fed.  A
-    step's lanes leave from the front (`_empirical_step`), as scanners when
-    its end is searched index by index, bare when their sums decide it."""
-
-    def __init__(self, x: np.ndarray) -> None:
-        self.x = x
-        self.n = np.zeros(len(x), np.int64)
-        self.t = np.repeat(np.eye(2)[..., None], len(x), axis=2)
-        self.e = np.zeros(len(x), np.int64)
-        self.log_sum = np.full(len(x), -np.inf)
-
-    def leave(self, count: int) -> None:
-        """Drop the first `count` lanes."""
-        self.x, self.n, self.e, self.log_sum = (
-            v[count:] for v in (self.x, self.n, self.e, self.log_sum))
-        self.t = self.t[..., count:]
-
-    def take(self, count: int) -> list[GrowthScanner]:
-        """GrowthScanners resumed from the first `count` lanes, which leave."""
-        scanners = []
-        for i in range(count):
-            sc = GrowthScanner(float(self.x[i]))
-            (sc.t11, sc.t12), (sc.t21, sc.t22) = self.t[..., i].tolist()
-            sc.n, sc.e, sc.log_sum = int(self.n[i]), int(self.e[i]), float(self.log_sum[i])
-            scanners.append(sc)
-        self.leave(count)
-        return scanners
-
-    def catch_up(self, diag: list[float], n0: int, count: int, log_margin: float,
-                 cap: int) -> None:
-        """Bring up to n0, with diag's b_{n+1}, ..., b_{n0} (a = 1), the first
-        `count` lanes and every lane of a later step j whose sum misses the
-        threshold of `_clears` at that step's earliest end n0 + 5 (j + 1) <=
-        cap: it misses at every later decision too, so its step cannot go
-        without it.  numpy's logs only choose lanes here; `_empirical_step`
-        decides.  One `transfer_scan` for each lag start n the lanes share."""
-        j = np.arange(len(self.x)) // count
-        ends = n0 + 5 * (j + 1)
-        ln_n = np.log(ends)
-        log_ln2 = 2.0 * np.log(ln_n)
-        behind = (self.n < n0) & ((j == 0) | (ends <= cap) & (
-            self.log_sum - ln_n - log_ln2 < log_margin + ln_n + log_ln2))
-        for n in sorted(set(self.n[behind].tolist())):  # np.unique imports numpy.ma
-            i = np.flatnonzero(behind & (self.n == n))
-            log_sum = self.log_sum[i]
-            for scan in transfer_scan(np.ones(n0 - n), np.array(diag[n:n0]), self.x[i],
-                                      Scan(self.t[..., i], self.e[i]), prefixes=True):
-                log_sum = _log_sums(log_norm2(scan.prefix_t, scan.prefix_e), log_sum,
-                                    prefixes=False)
-            self.t[..., i], self.e[i], self.log_sum[i] = scan.t, scan.e, log_sum
-            self.n[i] = n0
+def _catch_up(lanes: GrowthScanner, step: slice, diag: list[float], n0: int,
+              log_margin: float, cap: int) -> None:
+    """Bring up to n0, with diag's b_{n+1}, ..., b_{n0} (a = 1), the lanes
+    `step` of the step that starts at n0 and every lane of a later step j
+    whose sum misses the threshold of `_clears` at that step's earliest end
+    n0 + 5 (j + 1) <= cap: it misses at every later decision too, so its
+    step cannot go without it.  Lanes before `step` are never read again.
+    numpy's logs only choose lanes; `_empirical_step` decides.  One kernel
+    call for each lag start n the lanes share, on totals only."""
+    n, log_sum = lanes.n[step.start:], lanes.log_sum[step.start:]
+    j = np.arange(len(n)) // (step.stop - step.start)
+    ends = n0 + 5 * (j + 1)
+    ln_n = np.log(ends)
+    log_ln2 = 2.0 * np.log(ln_n)
+    behind = (n < n0) & ((j == 0) | (ends <= cap) & (
+        log_sum - ln_n - log_ln2 < log_margin + ln_n + log_ln2))
+    for start in sorted(set(n[behind].tolist())):  # np.unique imports numpy.ma
+        i = step.start + np.flatnonzero(behind & (n == start))
+        lanes._advance(np.ones(n0 - start), np.array(diag[start:n0]), i, prefixes=False)
 
 
 def _clears(log_sums, n: int, log_margin: float) -> bool:
@@ -309,31 +272,30 @@ def _clears(log_sums, n: int, log_margin: float) -> bool:
     return all(s - ln_n - log_ln2 >= thr for s in log_sums)
 
 
-def _empirical_step(q: int, v: float, w_l: float, lanes: _Lanes, count: int, n0: int,
-                    log_margin: float, cap: int, diag: list[float]) -> int | None:
+def _empirical_step(q: int, v: float, w_l: float, lanes: GrowthScanner, step: slice,
+                    n0: int, log_margin: float, cap: int, diag: list[float]) -> int | None:
     """The end of the staircase step of value v that starts at n0: the first
     n >= n0 + 5 at which the statistic (1/(n log^2 n)) sum_{n'<=n}
-    ||T_{1,n'}||^2 at each of the step's `count` lanes, the first in `lanes`,
-    reaches growth_margin * level * n log^2 n (`_clears`); None when no
-    n <= cap does.  The step's realized b_n are appended to diag.
+    ||T_{1,n'}||^2 at each of the step's lanes, `lanes` at the indices
+    `step`, reaches growth_margin * level * n log^2 n (`_clears`); None when
+    no n <= cap does.  The step's realized b_n are appended to diag.
 
     The step ends at n0 + 5 when its lanes' sums, as they stand, clear the
-    threshold there, then when they do once caught up (`_Lanes.catch_up`).
+    threshold there, then when they do once caught up (`_catch_up`).
     That is exact although a sum may lag, at the lane's own index, at most
     n0: a float log-sum never falls as terms are added, in any pieces
     (`_log_sums` returns ref + log(x) with x >= 1 in the total,
     `GrowthScanner.feed` hi + log1p(.)), and fl(S - c) is monotone in S, so
     the sum at n0 + 5 clears `_clears` wherever a lagging one does.  Else
-    the lanes leave as scanners, fed one index at a time."""
+    the lanes are copied to one-energy scanners, fed one index at a time."""
     if n0 + 5 > cap:
         return None
-    if not _clears(lanes.log_sum[:count].tolist(), n0 + 5, log_margin):
-        lanes.catch_up(diag, n0, count, log_margin, cap)
-    if _clears(lanes.log_sum[:count].tolist(), n0 + 5, log_margin):
-        lanes.leave(count)
+    if not _clears(lanes.log_sum[step].tolist(), n0 + 5, log_margin):
+        _catch_up(lanes, step, diag, n0, log_margin, cap)
+    if _clears(lanes.log_sum[step].tolist(), n0 + 5, log_margin):
         diag += [v + (w_l if n % q == 0 else 0.0) for n in range(n0 + 1, n0 + 6)]
         return n0 + 5
-    scanners = lanes.take(count)
+    scanners = [lanes._lane(i) for i in range(step.start, step.stop)]
     for n in range(n0 + 1, cap + 1):
         b_n = v + (w_l if n % q == 0 else 0.0)
         diag.append(b_n)

@@ -74,11 +74,14 @@ def growth_statistic(spec: CoefficientSpec, x: float, N: int,
 def gap_growth_lower_bound(delta: float, l: int) -> float:
     """(1/2) delta^2 (1 + delta^2)^{(l-3)/2}: guaranteed norm growth after l
     steps across a window whose local spectrum misses (E-delta, E+delta);
-    inf past float range."""
-    if not delta > 0:
-        raise ValueError("gap radius must be positive")
-    if l < 4:
-        raise ValueError("bound is stated for l >= 4")
+    inf past float range.  Needs delta > 0 and l >= 4."""
+    if not as_real(delta, "gap radius") > 0:
+        raise ValueError(f"gap radius must be positive, got {delta}")
+    return _gap_bound(float(delta), as_int(l, "window length l", 4))
+
+
+def _gap_bound(delta: float, l: int) -> float:
+    """`gap_growth_lower_bound` with its arguments checked by the caller."""
     try:
         return 0.5 * delta * delta * (1.0 + delta * delta) ** (0.5 * (l - 3))
     except OverflowError:
@@ -134,7 +137,7 @@ class _Window(NamedTuple):
 def _window(spec: CoefficientSpec, q: int, m: int, k: int, E: float,
             delta: float) -> _Window:
     """One window's own preconditions, up to its comparison block."""
-    q, E = as_int(q, "period", 1), as_real(E, "energy E")
+    q, E, delta = as_int(q, "period", 1), as_real(E, "energy E"), as_real(delta, "gap radius")
     m, k = as_int(m, "window start m", 1), as_int(k, "window end k")
     if k - m < 4:
         raise PreconditionError("window-length: need k - m >= 4")
@@ -148,6 +151,8 @@ def _window(spec: CoefficientSpec, q: int, m: int, k: int, E: float,
     if np.max(np.abs(b - tiled)) > 1e-12:
         raise PreconditionError("window-periodicity: window does not tile its "
                                 "leading q entries")
+    if not delta > 0:
+        raise ValueError(f"gap radius must be positive, got {delta}")
     return _Window(q, m, k, E, delta, a, b, PeriodicJacobi.of(q, [1.0] * q, block_b))
 
 
@@ -180,7 +185,7 @@ def _window_reports(windows: list[tuple]) -> list[GapWindowReport]:
             if lo < E + delta and hi > E - delta:
                 raise PreconditionError(f"spectrum-avoidance: band [{lo}, {hi}] meets "
                                         f"({E - delta}, {E + delta})")
-        bounds.append([gap_growth_lower_bound(delta, l) for l in range(4, run.k - run.m + 1)])
+        bounds.append([_gap_bound(delta, l) for l in range(4, run.k - run.m + 1)])
     if failure is not None:
         raise failure
     if not runs:

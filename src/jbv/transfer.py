@@ -50,9 +50,9 @@ checks left out save 2-3 % of a call at one energy and more on an energy
 axis.  A process also pays for each page the heap gives back to the
 system and takes again, hence the order of the allocations in
 `_scan_chunk`.
-`GrowthScanner.feed` takes one step in Python floats, rescaled by that rule,
-and is the sequential reference; `GrowthScanner.feed_arrays` sends a run of
-any length through the kernel and sums its log-norms with `_log_sums`.
+`GrowthScanner.feed` takes one step in Python floats, rescaled by that rule:
+the sequential reference.  `GrowthScanner._advance` runs the kernel and
+`_log_sums` on one energy or on lanes, per step or in totals.
 """
 
 from __future__ import annotations
@@ -233,24 +233,32 @@ def _log_sums(terms: np.ndarray, start, prefixes: bool) -> np.ndarray:
     before the block added to its first row; no partial sum loses precision
     while no block climbs 600 past that maximum before it and its first
     term.  The rows are one block where they can be, else blocks of 64;
-    where those climb too, np.logaddexp.accumulate adds term by term."""
+    where those climb too, np.logaddexp.accumulate adds term by term.  With
+    prefixes, each lane takes its own path, bit for bit as a call on it alone."""
     n, lane = len(terms), terms.shape[1:]
     start = np.reshape(start, (1,) + lane)
     ref = np.maximum(terms.max(axis=0), start)
     if not prefixes:
         return (ref + np.log(np.exp(terms - ref).sum(axis=0) + np.exp(start - ref)))[0]
     rows = terms[None]
-    if np.any(ref - np.maximum(terms[0], start) >= 600.0):
+    if np.any(far := ref - np.maximum(terms[0], start) >= 600.0):
         blocks = -(-n // 64)
         rows = np.concatenate((terms, np.full((64 * blocks - n,) + lane, -np.inf)))
         rows = rows.reshape((blocks, 64) + lane)
         ref = np.maximum.accumulate(np.concatenate((start, rows.max(axis=1))))
-        if np.any(ref[1:] - np.maximum(ref[:-1], rows[:, 0]) >= 600.0):
+        path = 2 * (ref[1:] - np.maximum(ref[:-1], rows[:, 0]) >= 600.0).any(axis=0) + far[0]
+        if lane and path.min() < path.max():   # the lanes of each path together
+            out = np.empty_like(terms)
+            for i in (path == kind for kind in set(path.tolist())):
+                out[:, i] = _log_sums(terms[:, i], start[0, i], True)
+            return out
+        if path.max() > 1:
             return np.logaddexp.accumulate(np.concatenate((start, terms)))[1:]
         ref = ref[1:]
     s = np.exp(rows - ref[:, None])
-    before = start if len(ref) == 1 else np.logaddexp.accumulate(
-        np.concatenate((start, np.log(s[:-1].sum(axis=1)) + ref[:-1])))
+    # block totals summed along a contiguous axis, pairwise, as for one lane
+    before = start if len(ref) == 1 else np.logaddexp.accumulate(np.concatenate((start, np.log(
+        np.ascontiguousarray(s[:-1].swapaxes(1, -1)).sum(axis=-1)) + ref[:-1])))
     s[:, 0] += np.exp(before - ref)
     out = np.log(np.cumsum(s, axis=1, out=s), out=s)
     out += ref[:, None]
@@ -458,25 +466,31 @@ class GrowthScanner:
     The sum lives in natural-log space; `statistic_log` is the log of
     sum / (n log^2 n) and `running_max_log` its maximum over all prefixes
     n >= 2 seen so far.  One instance is fed coefficients in index order
-    starting at n = 1.
-    """
+    starting at n = 1; the product is (t11, t12; t21, t22) * 2**e.  x is one
+    energy or a 1-D numpy array of E energies (lanes), each at its own n,
+    every other field then an array (E,); `feed` and the properties take one."""
 
     __slots__ = ("x", "n", "t11", "t12", "t21", "t22", "e",
                  "log_sum", "running_max_log")
 
-    def __init__(self, x: float) -> None:
-        self.x = as_real(x, "energy x")
-        self.n = 0
-        self.t11, self.t12, self.t21, self.t22 = 1.0, 0.0, 0.0, 1.0
-        self.e = 0  # the product is (t11, t12; t21, t22) * 2**e
-        self.log_sum = -math.inf
-        self.running_max_log = -math.inf
+    def __init__(self, x: float | np.ndarray) -> None:
+        if isinstance(x, np.ndarray):
+            if x.dtype.kind not in "iuf":
+                raise TypeError(f"energy x must be real, got an array of {x.dtype}")
+            if x.ndim != 1 or not np.isfinite(x).all():
+                raise ValueError(f"energy x must be a 1-D array of finite energies, got {x!r}")
+        self.x = x.astype(np.float64) if isinstance(x, np.ndarray) else as_real(x, "energy x")
+        for name, v in zip(GrowthScanner.__slots__[1:],
+                           (0, 1.0, 0.0, 0.0, 1.0, 0, -math.inf, -math.inf)):
+            setattr(self, name, v if self.x.__class__ is float else np.full(x.shape, v))
 
     def feed(self, a: float, b: float) -> None:
         """Take one step in Python floats: the sequential reference.  a must
         be positive and finite, and the step's entries -1/a and (x - b)/a
         finite, so b too (ValueError).  A step with an entry past
         RESCALE_LIMIT is divided by a power of two first, as in the kernel."""
+        if self.x.__class__ is not float:
+            raise TypeError("feed takes one energy; feed energy lanes with feed_arrays")
         # after the test of a, one chained comparison: qv >= -limit, |p| <= limit
         if not (0.0 < a <= RESCALE_LIMIT and (qv := -1.0 / a) >= -RESCALE_LIMIT
                 <= (p := (self.x - b) / a) <= RESCALE_LIMIT):
@@ -487,10 +501,8 @@ class GrowthScanner:
             p, qv, a = math.ldexp(p, -shift), math.ldexp(qv, -shift), math.ldexp(a, -shift)
             self.e += shift
         t11, t12, t21, t22 = self.t11, self.t12, self.t21, self.t22
-        r11 = p * t11 + qv * t21
-        r12 = p * t12 + qv * t22
-        t21 = a * t11
-        t22 = a * t12
+        r11, r12 = p * t11 + qv * t21, p * t12 + qv * t22
+        t21, t22 = a * t11, a * t12
         t11, t12 = r11, r12
         m = max(abs(t11), abs(t12), abs(t21), abs(t22))
         # the kernel's range [1 / RESCALE_LIMIT, RESCALE_LIMIT]: a product of
@@ -505,9 +517,7 @@ class GrowthScanner:
         self.t11, self.t12, self.t21, self.t22 = t11, t12, t21, t22
         self.n += 1
         # log of the squared operator norm, by the formula of Matrix2.op_norm
-        p = t11 * t11 + t12 * t12
-        s = t21 * t21 + t22 * t22
-        r = t11 * t21 + t12 * t22
+        p, s, r = t11 * t11 + t12 * t12, t21 * t21 + t22 * t22, t11 * t21 + t12 * t22
         term = (math.log(0.5 * (p + s + math.hypot(p - s, 2.0 * r)))
                 + (2.0 * _LN2) * self.e)
         lo, hi = (term, self.log_sum) if term <= self.log_sum else (self.log_sum, term)
@@ -516,40 +526,61 @@ class GrowthScanner:
             self.running_max_log = max(self.running_max_log, self.statistic_log)
 
     def feed_arrays(self, avals, bvals) -> np.ndarray:
-        """Feed a run of coefficients in index order through `transfer_scan`.
-        Returns the log statistic after each step (-inf while n < 2), an
-        empty array for an empty run."""
+        """Feed a run of coefficients (L,) in index order to every lane
+        through `transfer_scan`.  Returns the log statistic after each step
+        (-inf at n = 1), of shape (L,) or (L, E), empty for an empty run."""
         a, b = np.asarray(avals, np.float64), np.asarray(bvals, np.float64)
+        if not (a.ndim == 1 and a.shape == b.shape):
+            raise ValueError(f"coefficient runs need one shape (L,), got {a.shape} and {b.shape}")
+        x = np.atleast_1d(self.x)
         if len(a):
-            # rounding is monotone, so the extreme a and b bound every step's
+            # rounding is monotone, so the extreme a, b and x bound every step's
             # entries; only a run they do not clear is tested step by step
-            a_lo, a_hi, b_lo, b_hi = (float(v) for v in (a.min(), a.max(), b.min(), b.max()))
-            reach = max(abs(self.x - b_lo), abs(self.x - b_hi))
+            a_lo, a_hi, b_lo, b_hi, x_lo, x_hi = (float(v) for v in (
+                a.min(), a.max(), b.min(), b.max(), x.min(initial=np.inf), x.max(initial=-np.inf)))
+            reach = max(abs(x_hi - b_lo), abs(x_lo - b_hi))
             if not (0.0 < a_lo and a_hi <= _FLOAT_MAX
                     and 1.0 / a_lo <= _FLOAT_MAX >= reach / a_lo):
                 with np.errstate(all="ignore"):   # a bad step divides by 0 or overflows
-                    bad = ~((0.0 < a) & (a <= _FLOAT_MAX) & (1.0 / a <= _FLOAT_MAX)
-                            & (np.abs((self.x - b) / a) <= _FLOAT_MAX))
-                if bad.any():
-                    i = int(bad.argmax())
-                    raise _coefficient_error(self.x, float(a[i]), float(b[i]))
-        start = Scan(np.array([[self.t11, self.t12], [self.t21, self.t22]]), self.e)
-        stats = [np.empty(0)]
-        for scan in transfer_scan(a, b, self.x, start, prefixes=True):
-            sums = _log_sums(log_norm2(scan.prefix_t, scan.prefix_e), self.log_sum,
-                             prefixes=True)
-            n = np.arange(self.n + 1, self.n + 1 + len(sums), dtype=np.float64)
-            ln_n = np.log(np.maximum(n, 2.0, out=n), out=n)
-            stat = sums - ln_n
-            stat -= 2.0 * np.log(ln_n, out=ln_n)
-            stat[:max(0, 1 - self.n)] = -np.inf  # n = 1
-            self.running_max_log = max(self.running_max_log, float(stat.max()))
-            self.log_sum = float(sums[-1])
-            self.n += len(sums)
-            stats.append(stat)
-            (self.t11, self.t12), (self.t21, self.t22) = scan.t.tolist()
-            self.e = int(scan.e)
-        return np.concatenate(stats)
+                    fine = ((0.0 < a) & (a <= _FLOAT_MAX) & (1.0 / a <= _FLOAT_MAX)
+                            & (np.abs(np.subtract.outer(x, b) / a) <= _FLOAT_MAX))
+                if not fine.all():   # the first bad step, at its first bad lane
+                    j, i = np.argwhere(~fine.T)[0]
+                    raise _coefficient_error(float(x[i]), float(a[j]), float(b[j]))
+        return self._advance(a, b)
+
+    def _advance(self, a: np.ndarray, b: np.ndarray, at=slice(None), prefixes: bool = True):
+        """Feed a, b (L,) to the lanes `at`: per step as `feed_arrays`, or totals only."""
+        one = self.x.__class__ is float
+        x, n, t11, t12, t21, t22, e, log_sum, top = (
+            v if one else v[at] for v in map(self.__getattribute__, GrowthScanner.__slots__))
+        scan, stats = Scan(np.array([[t11, t12], [t21, t22]]), e), []
+        for scan in transfer_scan(a, b, x, scan, prefixes=True):
+            sums = total = _log_sums(log_norm2(scan.prefix_t, scan.prefix_e), log_sum, prefixes)
+            if prefixes:
+                steps = (np.arange(n + 1.0, n + 1.0 + len(sums)) if one
+                         else np.add.outer(np.arange(1.0, len(sums) + 1.0), n))
+                ln_n = np.log(np.maximum(steps, 2.0, out=steps), out=steps)
+                stat = sums - ln_n
+                stat -= 2.0 * np.log(ln_n, out=ln_n)
+                stat[:1][..., n == 0] = -np.inf  # n = 1
+                top, total = np.maximum(top, stat.max(axis=0)), sums[-1]
+                stats.append(stat)
+            log_sum, n = total, n + len(scan.prefix_e)
+        for name, v in zip(GrowthScanner.__slots__[1:], (
+                n, *scan.t[0], *scan.t[1], scan.e, log_sum, top)):
+            if one:   # as the field's Python number type, which `feed` keeps
+                setattr(self, name, type(getattr(self, name))(v))
+            else:
+                getattr(self, name)[at] = v
+        return np.concatenate(stats) if stats else np.empty((0,) + np.shape(x))
+
+    def _lane(self, i: int) -> GrowthScanner:
+        """Lane i as a one-energy scanner, a copy."""
+        sc = GrowthScanner(float(self.x[i]))
+        for name in GrowthScanner.__slots__[1:]:
+            setattr(sc, name, getattr(self, name)[i].item())
+        return sc
 
     @property
     def statistic_log(self) -> float:

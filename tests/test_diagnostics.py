@@ -83,6 +83,41 @@ def test_gap_bound_domain():
         gap_growth_lower_bound(0.0, 5)
 
 
+_WINDOW = (comb_potential(2, 0.5).as_spec(), 2, 1, 12, 0.0)
+GAP_RADIUS_CALLS = {   # a call and the start of its error message
+    "bound delta=True": (lambda: gap_growth_lower_bound(True, 5),
+                         TypeError, "gap radius must be a real number, got True"),
+    "bound delta='0.1'": (lambda: gap_growth_lower_bound("0.1", 5),
+                          TypeError, "gap radius must be a real number, got '0.1'"),
+    "bound delta=nan": (lambda: gap_growth_lower_bound(math.nan, 5),
+                        ValueError, "gap radius must be finite"),
+    "bound l=5.5": (lambda: gap_growth_lower_bound(0.1, 5.5),
+                    TypeError, "window length l must be an integer, got 5.5"),
+    "bound l=None": (lambda: gap_growth_lower_bound(0.1, None),
+                     TypeError, "window length l must be an integer, got None"),
+    "bound l='5'": (lambda: gap_growth_lower_bound(0.1, "5"),
+                    TypeError, "window length l must be an integer, got '5'"),
+    "verify delta='0.1'": (lambda: verify_gap_window_growth(*_WINDOW, "0.1"),
+                           TypeError, "gap radius must be a real number, got '0.1'"),
+    "verify delta=True": (lambda: verify_gap_window_growth(*_WINDOW, True),
+                          TypeError, "gap radius must be a real number, got True"),
+    # delta > 0 is checked before the spectrum, which this energy's band meets
+    "verify delta=0 in a band": (
+        lambda: verify_gap_window_growth(comb_potential(2, 0.5).as_spec(), 2, 1, 40, 1.5, 0.0),
+        ValueError, "gap radius must be positive, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GAP_RADIUS_CALLS))
+def test_gap_radius_and_window_length_follow_the_number_rules(case):
+    # the bound took True as 1 and 5.5 as a length and raised a bare
+    # TypeError for None and strings; verify ran delta=True as 1.0, and a
+    # zero radius in a band failed the spectrum check first
+    call, error, message = GAP_RADIUS_CALLS[case]
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # gap-window verification
 
@@ -217,8 +252,8 @@ _FAILING = {   # a window and the error it raises, in the check order of a windo
                             PreconditionError),
     "window-periodicity": ((slow_cosine_spec(0.5, 0.4), 2, 1, 40, 0.25, 0.1),
                            PreconditionError),
-    "spectrum-avoidance": ((_GOOD[0], 2, 1, 40, 1.5, 0.2), PreconditionError),
     "gap radius must be positive": ((_GOOD[0], 2, 1, 40, 0.25, 0.0), ValueError),
+    "spectrum-avoidance": ((_GOOD[0], 2, 1, 40, 1.5, 0.2), PreconditionError),
 }
 
 

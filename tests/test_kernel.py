@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 
 from jbv import (ApproximantSpec, GrowthScanner, Matrix2, OutsideBandError,
                  ScaledMatrix2, ac_density, build_schedule, coefficient_arrays,
-                 explicit_spec, free_spec, growth_statistic, one_step_matrix,
-                 periodic_spec, slow_cosine_spec, staircase_comb_spec,
+                 comb_potential, explicit_spec, free_spec, gap_report, growth_statistic,
+                 one_step_matrix, periodic_spec, slow_cosine_spec, staircase_comb_spec,
                  staircase_level_value, transfer_product)
 from jbv import constructions, transfer
-from jbv.constructions import _Lanes
 from jbv.matrix2 import RESCALE_LIMIT
 from jbv.transfer import CHUNK, Scan, _log_sums, log_norm2, transfer_scan
 from oracles import _threshold_log, frozen_transfer_scan, replayed_schedule_rows
@@ -733,6 +732,68 @@ def test_coefficient_runs_of_another_shape_are_rejected(a_shape, b_shape, zs):
 
 
 # ---------------------------------------------------------------------------
+# GrowthScanner's energy lanes against one-energy scanners
+
+COMB = comb_potential(2, 0.5)
+# in the bands of the cosine and the comb, in the comb's gap (0, 0.5), and
+# off band (x = +-2.6, where the products rescale and the prefix log-sum
+# takes blocks of 64, and x = 200, where it adds term by term).  Near the
+# gap's edges a sum grows slowly enough that its blocks' totals matter
+SCANNER_ENERGIES = st.lists(st.one_of(st.floats(-1.5, 1.5), st.sampled_from(
+    [2.6, -2.6, 200.0, 0.05, 0.45, *gap_report(COMB).centers])), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(comb=st.booleans(), xs=SCANNER_ENERGIES, n=st.integers(1, 9000),
+       cuts=st.lists(st.integers(1, 8999), max_size=3))
+@example(comb=False, xs=[0.3, 2.6, -2.6, 200.0], n=9000, cuts=[300, 5000])
+@example(comb=True, xs=[0.05, 0.45, 1.0], n=9000, cuts=[4000])
+def test_lanes_match_one_energy_scanners_bit_for_bit(comb, xs, n, cuts):
+    # a lane scanner fed a run in pieces against one-energy scanners fed the
+    # same pieces, each cut where the lanes' kernel calls end (CHUNK // E
+    # steps into a piece): the per-step statistics and every field are bit
+    # for bit the same, across the lanes' paths of the prefix log-sum
+    a, b = coefficient_arrays(periodic_spec(2, COMB.a, COMB.b) if comb else COSINE, 1, n + 1)
+    pieces = sorted({0, n} | {c for c in cuts if c < n})
+    lanes = GrowthScanner(np.array(xs))
+    got = np.concatenate([lanes.feed_arrays(a[lo:hi], b[lo:hi])
+                          for lo, hi in zip(pieces, pieces[1:])])
+    assert got.shape == (n, len(xs))
+    steps = CHUNK // len(xs)
+    for i, x in enumerate(xs):
+        one = GrowthScanner(x)
+        want = np.concatenate([one.feed_arrays(a[k:min(k + steps, hi)], b[k:min(k + steps, hi)])
+                               for lo, hi in zip(pieces, pieces[1:])
+                               for k in range(lo, hi, steps)])
+        assert np.array_equal(got[:, i], want), x
+        for name in GrowthScanner.__slots__:
+            assert getattr(lanes, name)[i] == getattr(one, name), (x, name)
+
+
+def test_a_lane_subset_advance_touches_no_other_lane():
+    # two of five lanes advance past CHUNK // 2 steps on totals only: their
+    # products are those of a two-lane scanner fed the same pieces, bit for
+    # bit, and their sums agree to KERNEL_RTOL; no other lane moves
+    xs = np.array([0.3, 2.6, -1.1, 1.2, 1.7])
+    a, b = coefficient_arrays(COSINE, 1, CHUNK // 2 + 301)
+    lanes = GrowthScanner(xs)
+    lanes.feed_arrays(a[:300], b[:300])
+    before = {name: getattr(lanes, name).copy() for name in GrowthScanner.__slots__}
+    sub, others = np.array([1, 3]), np.array([0, 2, 4])
+    ref = GrowthScanner(xs[sub])
+    ref.feed_arrays(a[:300], b[:300])
+    ref.feed_arrays(a[300:], b[300:])
+    lanes._advance(a[300:], b[300:], sub, prefixes=False)
+    for name in GrowthScanner.__slots__:
+        assert np.array_equal(getattr(lanes, name)[others], before[name][others]), name
+    for name in ("x", "n", "t11", "t12", "t21", "t22", "e"):
+        assert np.array_equal(getattr(lanes, name)[sub], getattr(ref, name)), name
+    assert lanes.e[1] > 1000 and lanes.n[1] == CHUNK // 2 + 300
+    assert lanes.log_sum[sub] == pytest.approx(ref.log_sum, rel=KERNEL_RTOL)
+    assert np.array_equal(lanes.running_max_log[sub], before["running_max_log"][sub])
+
+
+# ---------------------------------------------------------------------------
 # the empirical schedule search on energy lanes against the prefix replay
 
 
@@ -763,13 +824,13 @@ def test_capped_schedule_rows_equal_prefix_replay(cap):
 def lane_kernel_calls(monkeypatch):
     """(coefficients, lanes) of every kernel call the schedule search makes."""
     calls = []
-    scan = constructions.transfer_scan
+    scan = transfer.transfer_scan
 
     def counted(a, b, z, *args, **kwargs):
         calls.append((len(b), np.size(z)))
         return scan(a, b, z, *args, **kwargs)
 
-    monkeypatch.setattr(constructions, "transfer_scan", counted)
+    monkeypatch.setattr(transfer, "transfer_scan", counted)
     return calls
 
 
@@ -795,20 +856,20 @@ def test_lanes_caught_up_in_pieces_never_fall_below_their_lagging_sums(data, xs,
     # catch-up, in whatever pieces, lowers it.  With count = every lane, all
     # of them are the next step's, so each catch-up takes them all
     cuts = sorted(set(data.draw(st.lists(st.integers(1, len(b)), max_size=6)) + [len(b)]))
-    lanes, whole = _Lanes(np.array(xs)), _Lanes(np.array(xs))
+    lanes, whole = GrowthScanner(np.array(xs)), GrowthScanner(np.array(xs))
     for n0 in cuts:
         lagging = lanes.log_sum.copy()
-        lanes.catch_up(b, n0, len(xs), 0.0, 10 ** 6)
+        constructions._catch_up(lanes, slice(0, len(xs)), b, n0, 0.0, 10 ** 6)
         assert np.all(lanes.n == n0) and np.all(lanes.log_sum >= lagging)
-    whole.catch_up(b, len(b), len(xs), 0.0, 10 ** 6)
+    constructions._catch_up(whole, slice(0, len(xs)), b, len(b), 0.0, 10 ** 6)
     assert lanes.log_sum == pytest.approx(whole.log_sum, rel=KERNEL_RTOL)
 
 
 def test_levels_the_cap_never_reaches_make_no_lanes(monkeypatch):
     sizes = []
-    init = _Lanes.__init__
-    monkeypatch.setattr(_Lanes, "__init__",
-                        lambda self, x: init(self, sizes.append(len(x)) or x))
+    scanner = constructions.GrowthScanner
+    monkeypatch.setattr(constructions, "GrowthScanner",
+                        lambda x: sizes.append(len(x)) or scanner(x))
     sched = build_schedule(2, 0.5, 9, cap=25000)
     assert sched.truncated and len(sched.rows) == 7
     assert sizes == [m * len(c) for m, c in zip(sched.m[:7], sched.centers)]
@@ -817,28 +878,28 @@ def test_levels_the_cap_never_reaches_make_no_lanes(monkeypatch):
 
 def counted_catch_ups(monkeypatch):
     """The kernel calls and catch-ups one `_empirical_step` makes."""
-    calls, catch_ups, catch_up = lane_kernel_calls(monkeypatch), [], _Lanes.catch_up
-    monkeypatch.setattr(_Lanes, "catch_up",
-                        lambda self, *args: catch_ups.append(args) or catch_up(self, *args))
+    calls, catch_ups, catch_up = lane_kernel_calls(monkeypatch), [], constructions._catch_up
+    monkeypatch.setattr(constructions, "_catch_up",
+                        lambda *args: catch_ups.append(args) or catch_up(*args))
     return calls, catch_ups
 
 
 def test_a_step_whose_lagging_sums_clear_ends_five_indices_on(monkeypatch):
     calls, catch_ups = counted_catch_ups(monkeypatch)
-    lanes = _Lanes(np.array([0.1, 0.2, 0.3]))
-    lanes.log_sum[:2] = 100.0   # the step's two lanes, still at n = 0
+    lanes = GrowthScanner(np.array([0.1, 0.2, 0.3, 0.4]))
+    lanes.log_sum[1:3] = 100.0   # the step's two lanes, from lane 1 on, at n = 0
     diag = [0.25] * 10
-    assert constructions._empirical_step(2, 0.25, 0.5, lanes, 2, 10, 0.0, 10 ** 6,
+    assert constructions._empirical_step(2, 0.25, 0.5, lanes, slice(1, 3), 10, 0.0, 10 ** 6,
                                          diag) == 15
     assert (calls, catch_ups) == ([], [])
-    assert lanes.x.tolist() == [0.3] and lanes.n.tolist() == [0]
+    assert lanes.n.tolist() == [0, 0, 0, 0]   # no lane fed
     assert diag == [0.25] * 10 + [0.25, 0.75, 0.25, 0.75, 0.25]
 
 
 def test_a_step_that_cannot_end_before_the_cap_makes_no_kernel_call(monkeypatch):
     calls, catch_ups = counted_catch_ups(monkeypatch)
-    lanes = _Lanes(np.array([0.1, 0.2]))   # sums of -inf: nothing is decided
-    assert constructions._empirical_step(2, 0.25, 0.5, lanes, 2, 10, 0.0, 14,
+    lanes = GrowthScanner(np.array([0.1, 0.2]))   # sums of -inf: nothing is decided
+    assert constructions._empirical_step(2, 0.25, 0.5, lanes, slice(0, 2), 10, 0.0, 14,
                                          [0.25] * 10) is None
     assert (calls, catch_ups) == ([], [])
 
@@ -945,10 +1006,13 @@ def test_more_lanes_than_lane_chunk_take_one_step_a_call():
         assert np.array_equal(lanes[-1].t[..., i], ft)
 
 
-def test_lanes_catch_up_after_the_last_lane_leaves():
-    lanes = _Lanes(np.array([0.1, 0.2]))
-    lanes.catch_up([0.5] * 10, 10, 2, 0.0, 10 ** 6)
-    assert [sc.n for sc in lanes.take(2)] == [10, 10]
-    lanes.catch_up([0.5] * 10 + [0.3] * 7, 17, 2, 0.0, 10 ** 6)
-    assert lanes.t.shape == (2, 2, 0)
-    assert lanes.e.shape == lanes.n.shape == lanes.log_sum.shape == lanes.x.shape == (0,)
+def test_lanes_catch_up_after_the_last_step_is_decided():
+    # the search reads lanes from the current step's first on; past the last
+    # step that is none, and a catch-up reads and feeds no lane
+    lanes = GrowthScanner(np.array([0.1, 0.2]))
+    constructions._catch_up(lanes, slice(0, 2), [0.5] * 10, 10, 0.0, 10 ** 6)
+    assert [lanes._lane(i).n for i in range(2)] == [10, 10]
+    before = [getattr(lanes, name).copy() for name in GrowthScanner.__slots__]
+    constructions._catch_up(lanes, slice(2, 4), [0.5] * 10 + [0.3] * 7, 17, 0.0, 10 ** 6)
+    for name, was in zip(GrowthScanner.__slots__, before):
+        assert np.array_equal(getattr(lanes, name), was), name

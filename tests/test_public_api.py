@@ -1,6 +1,7 @@
 """The names `jbv/__init__.py` exports are the library's contract: adding or
 removing one is deliberate, and a removal is recorded in CHANGES.md."""
 
+import inspect
 import types
 
 import jbv
@@ -48,3 +49,17 @@ def test_exported_names_are_pinned():
                 and not isinstance(value, types.ModuleType)}
     assert exported == EXPORTED
     assert isinstance(jbv.__version__, str)
+
+
+def test_growth_scanner_members_are_pinned():
+    # one energy or a lane axis of energies, the same fields and methods
+    scanner = jbv.GrowthScanner
+    fields = ("x", "n", "t11", "t12", "t21", "t22", "e", "log_sum", "running_max_log")
+    assert scanner.__slots__ == fields
+    assert {name for name in vars(scanner) if not name.startswith("_")} == {
+        *fields, "feed", "feed_arrays", "statistic_log", "statistic", "running_max"}
+    for method, params in ((scanner, ["x"]), (scanner.feed, ["self", "a", "b"]),
+                           (scanner.feed_arrays, ["self", "avals", "bvals"])):
+        assert list(inspect.signature(method).parameters) == params
+    for name in ("statistic_log", "statistic", "running_max"):
+        assert isinstance(vars(scanner)[name], property)

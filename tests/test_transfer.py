@@ -562,3 +562,55 @@ def test_growth_scanner_run_checks_each_step_when_its_extremes_do_not_clear():
         steps.feed(a, b)
     assert np.isfinite(stats[1:]).all()
     assert math.isclose(run.log_sum, steps.log_sum, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("x, error, message", [
+    (np.array([[0.3, 0.4]]), ValueError, "energy x must be a 1-D array"),
+    (np.array(0.3), ValueError, "energy x must be a 1-D array"),
+    (np.array([0.3, math.nan]), ValueError, "energy x must be a 1-D array of finite"),
+    (np.array([-math.inf, 0.3]), ValueError, "energy x must be a 1-D array of finite"),
+    (np.array([True, False]), TypeError, "energy x must be real, got an array of bool"),
+    (np.array(["0.3"]), TypeError, "energy x must be real, got an array of <U3"),
+    (np.array([0.3], dtype=object), TypeError, "energy x must be real, got an array of object"),
+    (np.array([0.3 + 0.1j]), TypeError, "energy x must be real, got an array of complex"),
+], ids=["2-D", "0-D", "nan", "-inf", "bool", "str", "object", "complex"])
+def test_growth_scanner_checks_its_energy_lanes(x, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        GrowthScanner(x)
+
+
+@pytest.mark.parametrize("xs", [[0.3], [0.3, 0.4]])
+def test_feed_takes_one_energy(xs):
+    # without its check, feed on lanes fails on numpy's "truth value is
+    # ambiguous", or with one lane runs on and changes the scanner
+    lanes = GrowthScanner(np.array(xs))
+    with pytest.raises(TypeError, match="^feed takes one energy"):
+        lanes.feed(1.0, 0.0)
+    assert lanes.n.tolist() == [0] * len(xs) and lanes.t11.tolist() == [1.0] * len(xs)
+
+
+@pytest.mark.parametrize("b, message", [
+    ([0.0, -1e308], r"coefficients a = 1.0, b = -1e\+308 make the step entry "
+                    r"\(x - b\)/a infinite at x = 1e\+308"),
+    ([1e308, 0.0], r"coefficients a = 1.0, b = 1e\+308 make the step entry "
+                   r"\(x - b\)/a infinite at x = -1e\+308"),
+    ([0.2, math.nan], "coefficient b must be finite, got nan"),
+])
+@pytest.mark.filterwarnings("error")
+def test_a_lane_run_names_the_energy_of_its_bad_step(b, message):
+    # the extreme energies bound every lane's steps: a run that clears them
+    # is taken, and a bad step names its first lane whose entry overflows
+    lanes = GrowthScanner(np.array([0.3, -1e308, 1e308]))
+    assert np.isfinite(lanes.feed_arrays([1.0, 1.0], [0.0, 0.0])[1]).all()
+    before = [getattr(lanes, name).copy() for name in GrowthScanner.__slots__]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lanes.feed_arrays([1.0, 1.0], b)
+    for name, was in zip(GrowthScanner.__slots__, before):
+        assert np.array_equal(getattr(lanes, name), was), name
+
+
+@pytest.mark.parametrize("a, b", [(np.ones((3, 2)), np.zeros((3, 2))), (np.ones(3), np.zeros(4)),
+                                  (1.0, 0.0)])
+def test_a_run_of_another_shape_is_rejected(a, b):
+    with pytest.raises(ValueError, match=r"^coefficient runs need one shape \(L,\)"):
+        GrowthScanner(np.array([0.3, 0.4])).feed_arrays(a, b)
