@@ -51,7 +51,7 @@ def growth_statistic(spec: CoefficientSpec, x: float, N: int,
                      trace_points: int = 32) -> GrowthStatistic:
     """Scan T_{1,n}(x) up to n = N with scaled products; never overflows."""
     N, x = as_int(N, "N", 2), as_real(x, "energy x")
-    trace_points = as_int(trace_points, "trace_points")
+    trace_points = as_int(trace_points, "trace_points", 1)
     checkpoints = sorted(set(
         int(round(N ** (i / max(trace_points - 1, 1)))) for i in range(trace_points)
     ) | {N})
@@ -202,13 +202,10 @@ def _window_reports(windows: list[tuple]) -> list[GapWindowReport]:
 def _group_reports(runs: list[_Window], bounds: list[list[float]]) -> list[GapWindowReport]:
     """The reports of windows whose preconditions hold, from one prefix
     scan: entry (l, i) of its log-norms is log ||T_{m, m+l}(E)|| of window i."""
-    if len(runs) == 1:   # one energy, with no lane axis to carry
-        a, b, z = runs[0].a, runs[0].b, runs[0].E
-    else:
-        a = np.ones((max(len(run.b) for run in runs), len(runs)))
-        b, z = np.zeros(a.shape), np.array([run.E for run in runs])
-        for i, run in enumerate(runs):
-            a[:len(run.a), i], b[:len(run.b), i] = run.a, run.b
+    a = np.ones((max(len(run.b) for run in runs), len(runs)))
+    b, z = np.zeros(a.shape), np.array([run.E for run in runs])
+    for i, run in enumerate(runs):
+        a[:len(run.a), i], b[:len(run.b), i] = run.a, run.b
     log_norms = np.concatenate([
         0.5 * log_norm2(scan.prefix_t, scan.prefix_e)
         for scan in transfer_scan(a, b, z, prefixes=True)]).reshape(len(a), -1)

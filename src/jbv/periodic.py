@@ -412,6 +412,9 @@ def same_discriminant(p1: PeriodicJacobi, p2: PeriodicJacobi,
     isospectral set.  Membership testing is all that is supported here; the
     geometry of that set is out of scope."""
     tol = as_real(tol, "tol")
+    for name, P in (("p1", p1), ("p2", p2)):
+        if not isinstance(P, PeriodicJacobi):
+            raise TypeError(f"{name} must be a PeriodicJacobi, got {P!r}")
     if p1.q != p2.q:
         return False
     c1 = discriminant_polynomial(p1).coeffs

@@ -32,15 +32,20 @@ product is rescaled; the carry's exponent is added once, at the end.  The
 check first reads the smallest and largest entry of a whole stack, and
 reads each matrix's largest only when one of those leaves the range.  On
 the prefix path the check is left out where it cannot fire, so every
-product is bit for bit the one a check of every product gives.  A step's
-largest entry is at least max(|a|, |1/a|) >= 1, so the largest |p|, |q|
-and |r| clear all steps.  A product of unshifted steps has determinant 1,
-so its largest entry is at least 1 / sqrt(2), and entries at most B make
-products at most 4 B**2, rounding included: a level of the pass up checks
-only slot 0, which holds the folded carry, while that bound stays below
-the limit, and where it does not, a check of the whole level measures a
-new bound.  After a shift, on the pass down and on a complex stack every
-product is checked.
+product is bit for bit the one a check of every product gives.  A step
+needs a > 0, that is q < 0, and finite entries, the rule of
+`GrowthScanner.feed`: every caller's steps are checked here, with a
+ValueError for the first bad step at its first bad lane.  A good step's
+largest entry is at least max(|a|, |1/a|) >= 1, so no step is bad or
+rescaled where the largest |p|, |q| and |r| clear the limit and q stays
+negative, for an np.errstate (2 us a call); past it, and on a complex
+stack, the path that forms each step's largest entry tests every step.  A
+product of unshifted steps has determinant 1, so its largest entry is at
+least 1 / sqrt(2), and entries at most B make products at most 4 B**2,
+rounding included: a level of the pass up checks only slot 0, which holds
+the folded carry, while that bound stays below the limit, and where it
+does not, a check of the whole level measures a new bound.  After a
+shift, on the pass down and on a complex stack every product is checked.
 Cost at one energy, medians on a shared 2-vCPU x86-64 VM with numpy 2.4:
 a call with prefixes takes about 30 us, plus 25 us a tree level (some 15
 numpy calls on small arrays), plus 40 ns a step in band and 65 ns off
@@ -83,8 +88,6 @@ __all__ = [
 
 CHUNK = 16384  # steps times lanes per kernel call; one energy is one lane
 _UNDERFLOW = "a transfer product underflowed to zero: its steps span past float range"
-
-
 @dataclass(frozen=True)
 class QStepBlock:
     """One q-step transfer matrix with its trace and named entries."""
@@ -290,7 +293,7 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: Scan | None = None,
     """
     _finite_energy(z)
     z = np.asarray(z, complex)
-    z = z if np.any(z.imag) else z.real
+    z = z if z.imag.any() else z.real
     if not (a.ndim and a.shape == b.shape and a.shape[1:] in ((), z.shape)):
         raise ValueError(f"coefficient runs need shape (L,) or (L,) + {z.shape} "
                          f"at energies of shape {z.shape}, got {a.shape} and {b.shape}")
@@ -390,22 +393,30 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
     # (q and r of the run's shape); in swapped coordinates its inverse is
     # ((p, -a), (1/a, 0)).  p by parts, so that a real lane on a complex
     # axis rounds as a real energy
-    p, den = z - b.reshape(run), a.reshape(run)
-    if dtype.kind == "c":
-        p = p.real / den + 1j * (p.imag / den)
-    else:
-        p /= den
-    q = 1.0 / den
+    with np.errstate(all="ignore"):   # a bad step divides by 0 or overflows
+        p, den = z - b.reshape(run), a.reshape(run)
+        if dtype.kind == "c":
+            p = p.real / den + 1j * (p.imag / den)
+        else:
+            p /= den
+        q = 1.0 / den
     q, r = (-den, q) if inverse else (np.negative(q, out=q), den)
-    # each step rescaled first, so that no product of two leaves float range.
-    # A step's largest entry is at least max(|a|, |1/a|) >= 1, so only the
-    # upper limit can fire, and no step needs it while no entry does.  The
-    # exponents stay 0, and are not added, until a step or product is shifted
-    live = False
-    bound = math.inf if dtype.kind == "c" else max(
-        max(v.max(initial=0.0), -v.min(initial=0.0)) for v in (p, q, r))
+    # each step rescaled first, so that no product of two leaves float range
+    # (see the module docstring).  Where q < 0, max |q| = -min q and max |r| =
+    # max r; p goes first, where a NaN (from b) stays the maximum, and the
+    # initial values serve an empty lane axis.  The exponents stay 0, and are
+    # not added, until a step or product is shifted
+    live, bound = False, math.inf
+    if dtype.kind != "c" and q.max(initial=-1.0) < 0.0:
+        bound = max(p.max(initial=0.0), -p.min(initial=0.0),
+                    -q.min(initial=0.0), r.max(initial=0.0))
     if not bound <= RESCALE_LIMIT:
         tops = np.maximum(np.maximum(np.abs(p), np.abs(q)), np.abs(r))
+        good = (tops <= _FLOAT_MAX) & (q < 0.0)
+        if not good.all():   # the first bad step, at its first bad lane
+            at = np.unravel_index(np.argmin(good), good.shape)
+            a_at, b_at = (np.broadcast_to(v.reshape(run), good.shape)[at].item() for v in (a, b))
+            raise _coefficient_error(z[at[1:]].item(), a_at, b_at)
         shift = _shifts(tops, tops.max(initial=0.0))
         if shift is not None:
             scale = np.ldexp(1.0, -shift)
@@ -527,26 +538,13 @@ class GrowthScanner:
 
     def feed_arrays(self, avals, bvals) -> np.ndarray:
         """Feed a run of coefficients (L,) in index order to every lane
-        through `transfer_scan`.  Returns the log statistic after each step
-        (-inf at n = 1), of shape (L,) or (L, E), empty for an empty run."""
+        through `transfer_scan`, whose check of the steps raises as `feed`
+        does and leaves the scanner as it was.  Returns the log statistic
+        after each step (-inf at n = 1), of shape (L,) or (L, E), empty for
+        an empty run."""
         a, b = np.asarray(avals, np.float64), np.asarray(bvals, np.float64)
         if not (a.ndim == 1 and a.shape == b.shape):
             raise ValueError(f"coefficient runs need one shape (L,), got {a.shape} and {b.shape}")
-        x = np.atleast_1d(self.x)
-        if len(a):
-            # rounding is monotone, so the extreme a, b and x bound every step's
-            # entries; only a run they do not clear is tested step by step
-            a_lo, a_hi, b_lo, b_hi, x_lo, x_hi = (float(v) for v in (
-                a.min(), a.max(), b.min(), b.max(), x.min(initial=np.inf), x.max(initial=-np.inf)))
-            reach = max(abs(x_hi - b_lo), abs(x_lo - b_hi))
-            if not (0.0 < a_lo and a_hi <= _FLOAT_MAX
-                    and 1.0 / a_lo <= _FLOAT_MAX >= reach / a_lo):
-                with np.errstate(all="ignore"):   # a bad step divides by 0 or overflows
-                    fine = ((0.0 < a) & (a <= _FLOAT_MAX) & (1.0 / a <= _FLOAT_MAX)
-                            & (np.abs(np.subtract.outer(x, b) / a) <= _FLOAT_MAX))
-                if not fine.all():   # the first bad step, at its first bad lane
-                    j, i = np.argwhere(~fine.T)[0]
-                    raise _coefficient_error(float(x[i]), float(a[j]), float(b[j]))
         return self._advance(a, b)
 
     def _advance(self, a: np.ndarray, b: np.ndarray, at=slice(None), prefixes: bool = True):
@@ -689,9 +687,10 @@ def strip_margins(P: PeriodicJacobi, lo: float, hi: float, y_max: float = 0.05,
       c_lower / c_upper   min of t Re C and max of |C|, t = sign of Re C
       contraction_slope   min of (1 - |lam|)/y over y > 0, contracting branch
     """
-    nx, ny = as_int(nx, "nx"), as_int(ny, "ny")
-    if nx < 2 or ny < 1:
-        raise ValueError(f"need nx >= 2 and ny >= 1, got nx={nx}, ny={ny}")
+    nx, ny, y_max = as_int(nx, "nx"), as_int(ny, "ny"), as_real(y_max, "y_max")
+    if nx < 2 or ny < 1 or not y_max > 0.0:
+        raise ValueError(f"need nx >= 2 and ny >= 1 and y_max > 0, got nx={nx}, ny={ny}, "
+                         f"y_max={y_max!r}")
     s = branch_sign_for_interval(P, lo, hi)
     t = 1 if block_product(P.a, P.b, 0.5 * (lo + hi))[0].e21 >= 0 else -1
     x = lo + (hi - lo) * np.arange(nx) / (nx - 1)

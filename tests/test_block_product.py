@@ -165,6 +165,7 @@ def test_strip_margins_rejects_a_grid_without_two_columns_or_a_row(grid):
         strip_margins(comb_potential(2, 0.5), 0.6, 1.2, **grid)
 
 
-def test_strip_margins_without_upper_rows_has_no_contraction_bound():
-    rep = strip_margins(comb_potential(2, 0.5), 0.6, 1.2, y_max=0.0)
-    assert rep["contraction_slope"] == math.inf
+def test_strip_margins_without_upper_rows_is_rejected():
+    # y_max = 0 used to return contraction_slope = inf, a bound over no strip
+    with pytest.raises(ValueError, match="and y_max > 0, got nx=41, ny=8, y_max=0.0$"):
+        strip_margins(comb_potential(2, 0.5), 0.6, 1.2, y_max=0.0)

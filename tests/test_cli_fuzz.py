@@ -7,7 +7,8 @@ bool, a non-integral number, NaN, an infinity, a huge number or nested junk)
 or drops one key.  It writes the document, and in one call of three a
 JBV_CONFIG perturbed the same way, to a temporary directory and runs one
 whole CLI call in-process.  The call must exit 0, 1 or 2, write no
-traceback, and write output that a strict JSON parser reads.
+traceback, and write output that a strict JSON parser reads, or with CSV
+output no row marked ok whose f is not finite.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jbv.cli import main
-from test_cli import strict_loads
+from test_cli import read_csv, strict_loads
 
 BLOCK = {"q": 2, "a": [1.0, 1.0], "b": [0.0, 0.5]}
 PERIODIC = {"kind": "periodic", "params": BLOCK}
@@ -44,7 +45,7 @@ SCALAR_JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 6),
     st.floats(-3.0, 3.0),
     st.sampled_from(["1", "0.5", "1e-10", 2.0, 2.7, 1e308, -1e308, 10 ** 400,
-                     math.nan, math.inf, -math.inf]))
+                     1e-310, 5e-324, math.nan, math.inf, -math.inf]))
 JUNK = st.recursive(SCALAR_JUNK, lambda inner: st.one_of(
     st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner,
                                                  max_size=2)), max_leaves=6)
@@ -89,6 +90,8 @@ COMMANDS = {
     "diagnose": (documents(SPECS), ["diagnose", "--x", "0.3", "--N", "50", "--spec"]),
     "density": (documents(SPECS), ["density", "--q", "1", "--N", "5",
                                    "--grid=-1:1:3", "--format", "json", "--spec"]),
+    "density csv": (documents(SPECS), ["density", "--q", "1", "--N", "5",
+                                       "--grid=-1:1:3", "--spec"]),
     "intersect": (documents([[BLOCK, {**BLOCK, "b": [0.1, 0.4]}]]),
                   ["intersect", "--family"]),
     "verify": (documents(SPECS), ["verify", "--period", "2", "--m", "1", "--k", "20",
@@ -111,6 +114,10 @@ class Drawn:
 # a = 1e308 sends the density solve's u_0 past float range
 OVERFLOWING_U0 = {"kind": "periodic", "params": {"q": 2, "a": [1e308, 1.0],
                                                  "b": [0.0, 0.5]}}
+# a_2 = 1e-310 makes a step entry -1/a infinite: the density solve gave
+# f = nan marked ok, which JSON output turned into exit 2 and CSV wrote out
+SUBNORMAL_STEP = {"kind": "explicit", "params": {"a": [1.0, 1e-310] + [1.0] * 4,
+                                                 "b": [0.0] * 6}}
 
 
 def _run(argv):
@@ -126,6 +133,7 @@ def _run(argv):
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @given(data=st.data())
 @example(data=Drawn(document=OVERFLOWING_U0, JBV_CONFIG=None))
+@example(data=Drawn(document=SUBNORMAL_STEP, JBV_CONFIG=None))
 def test_cli_survives_malformed_documents(command, data):
     docs, argv = COMMANDS[command]
     doc = data.draw(docs, label="document")
@@ -142,7 +150,10 @@ def test_cli_survives_malformed_documents(command, data):
         code, out, err = _run(argv + [path])
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err
-    if out:
+    if out and command == "density csv":
+        assert all(status != "ok" or math.isfinite(float(f))
+                   for _, f, *_, status in read_csv(out)[1]), out
+    elif out:
         strict_loads(out)
 
 

@@ -300,6 +300,8 @@ INTEGER_ENTRY_POINTS = {
         (lambda v: verify_gap_window_growth(_COMB, 2, 1, v, 0.25, 0.12), "window end k"),
     "sturm_count size": (lambda v: sturm_count(_COMB, v, 0.25), "truncation size"),
     "ac_interval_estimate horizon": (lambda v: ac_interval_estimate(_COMB, v), "horizon"),
+    "growth_statistic trace_points":
+        (lambda v: growth_statistic(_COMB, 0.25, 100, trace_points=v), "trace_points"),
 }
 
 
@@ -317,7 +319,8 @@ def test_integer_arguments_follow_the_integer_rule(entry, value):
 @pytest.mark.parametrize("entry, value", [("growth_statistic N", 1),
                                           ("verify_gap_window_growth m", 0),
                                           ("sturm_count size", 0),
-                                          ("ac_interval_estimate horizon", 15)])
+                                          ("ac_interval_estimate horizon", 15),
+                                          ("growth_statistic trace_points", 0)])
 def test_integer_arguments_below_their_least_value(entry, value):
     call, name = INTEGER_ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= {value + 1}"):

@@ -11,7 +11,7 @@ from jbv import (Interval, IntervalUnion, PeriodicJacobi, RootIsolationError,
                  discriminant_polynomial, discriminant_value,
                  free_critical_points, gap_report, intersection_over_family,
                  one_step_matrix, periodic_spec, same_discriminant,
-                 spectral_bracket, wronskian_defect)
+                 spectral_bracket, strip_margins, wronskian_defect)
 from jbv.periodic import _band_edges
 from oracles import (chebu_sine, comb2_band_edges, interp_discriminant_coeffs,
                      scalar_band_edges)
@@ -567,13 +567,25 @@ def test_free_helpers_take_integers_by_the_rule(helper, name, value, error):
     (lambda: free_block(2).shifted("1"), TypeError, "shift c must be a real number, got '1'"),
     (lambda: same_discriminant(free_block(2), free_block(2), "x"), TypeError,
      "tol must be a real number, got 'x'"),
+    (lambda: same_discriminant(free_block(2), 3), TypeError,
+     "p2 must be a PeriodicJacobi, got 3"),
     (lambda: spectral_bracket("P"), TypeError, "P must be a PeriodicJacobi, got 'P'"),
     (lambda: wronskian_defect("u"), TypeError, "u must be a WeylSolution, got 'u'"),
+    (lambda: strip_margins(comb_potential(2, 0.5), 0.6, 1.2, y_max="0.05"), TypeError,
+     "y_max must be a real number, got '0.05'"),
+    (lambda: strip_margins(comb_potential(2, 0.5), 0.6, 1.2, y_max=True), TypeError,
+     "y_max must be a real number, got True"),
+    (lambda: strip_margins(comb_potential(2, 0.5), 0.6, 1.2, y_max=-0.05), ValueError,
+     "need nx >= 2 and ny >= 1 and y_max > 0, got nx=41, ny=8, y_max=-0.05"),
 ], ids=["comb_potential w", "one_step_matrix a", "chebyshev_second_kind x", "shifted c",
-        "same_discriminant tol", "spectral_bracket P", "wronskian_defect u"])
+        "same_discriminant tol", "same_discriminant p2", "spectral_bracket P",
+        "wronskian_defect u", "strip_margins y_max str", "strip_margins y_max bool",
+        "strip_margins y_max<0"])
 def test_real_arguments_follow_the_number_rule(call, error, message):
     # the strings failed with TypeErrors that named no argument, or with an
-    # AttributeError (spectral_bracket, wronskian_defect), and
-    # chebyshev_second_kind(3, nan) returned nan
+    # AttributeError (spectral_bracket, wronskian_defect, same_discriminant),
+    # chebyshev_second_kind(3, nan) returned nan, and strip_margins failed on
+    # y_max = "0.05" inside numpy, ran y_max = True as 1.0 and returned
+    # contraction_slope = inf for y_max <= 0
     with pytest.raises(error, match=f"^{message}$"):
         call()

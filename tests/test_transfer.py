@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -11,6 +12,8 @@ from jbv import (ApproximantSpec, DegenerateBlockError, GrowthScanner, Matrix2,
                  explicit_spec, free_spec, m_function, periodic_spec,
                  q_step_block, slow_cosine_spec, strip_margins,
                  transfer_product, weyl_branch_sign, weyl_solution)
+from jbv.cli import main
+from jbv.density import ac_density
 from jbv.matrix2 import block_product, one_step_matrix
 from jbv.transfer import transfer_scan
 from oracles import naive_product, per_block_coupling_series
@@ -614,3 +617,74 @@ def test_a_lane_run_names_the_energy_of_its_bad_step(b, message):
 def test_a_run_of_another_shape_is_rejected(a, b):
     with pytest.raises(ValueError, match=r"^coefficient runs need one shape \(L,\)"):
         GrowthScanner(np.array([0.3, 0.4])).feed_arrays(a, b)
+
+
+# a step outside float range: a_2 = 1e-310 makes -1/a infinite
+_SUBNORMAL = explicit_spec([1.0, 1e-310, 1.0, 1.0, 1.0, 1.0], [0.0] * 6)
+_SUBNORMAL_APPROXIMANT = ApproximantSpec(_SUBNORMAL, 1, 4)
+_SUBNORMAL_MESSAGE = "coefficient a = 1e-310 makes the step entry -1/a infinite"
+# a bad step (a, b) at energy x, with the message of its error
+BAD_STEPS = {
+    "a=0": (0.0, 0.0, 0.3, "coefficient a must be positive and finite, got 0.0"),
+    "a=-1": (-1.0, 0.0, 0.3, "coefficient a must be positive and finite, got -1.0"),
+    "a=nan": (math.nan, 0.0, 0.3, "coefficient a must be positive and finite, got nan"),
+    "a=1e-310": (1e-310, 0.0, 0.3, _SUBNORMAL_MESSAGE),
+    "b=1.5e308": (1.0, 1.5e308, -1.5e308, r"coefficients a = 1.0, b = 1.5e\+308 make the "
+                                          r"step entry \(x - b\)/a infinite at x = -1.5e\+308"),
+}
+
+
+def _runs(a, b):
+    """Four steps, the bad one second and a = -2 fourth, so that the error
+    must name the first."""
+    return np.array([1.0, a, 1.0, -2.0]), np.array([0.0, b, 0.0, 0.0])
+
+
+def _lane_runs(a, b):
+    """Lane 0 bad only at its fourth step, lane 1 at its second first: the
+    first bad step wins over the first bad lane."""
+    (a0, b0), (a1, b1) = _runs(1.0, 0.0), _runs(a, b)
+    return np.c_[a0, a1], np.c_[b0, b1]
+
+
+KERNEL_CALLERS = {
+    "transfer_scan on a shared run": lambda a, b, x: list(
+        transfer_scan(*_runs(a, b), np.array([0.2, x]))),
+    "transfer_scan on a run per lane": lambda a, b, x: list(
+        transfer_scan(*_lane_runs(a, b), np.array([0.2, x]))),
+    "transfer_scan inverse": lambda a, b, x: list(
+        transfer_scan(*_runs(a, b), x, prefixes=True, inverse=True)),
+    "GrowthScanner.feed_arrays": lambda a, b, x: GrowthScanner(x).feed_arrays(*_runs(a, b)),
+}
+SUBNORMAL_CALLERS = {
+    "transfer_product": lambda: transfer_product(_SUBNORMAL, 1, 4, 0.3),
+    "transfer_product complex": lambda: transfer_product(_SUBNORMAL, 1, 4, 0.3 + 1j),
+    "ac_density": lambda: ac_density(_SUBNORMAL_APPROXIMANT, 0.3),
+    "weyl_solution": lambda: weyl_solution(_SUBNORMAL_APPROXIMANT, 0.3, 1),
+    "m_function": lambda: m_function(_SUBNORMAL_APPROXIMANT, 0.3 + 1j),
+}
+CALLS = {**{f"{caller}, {step}": (lambda c=caller, s=step: KERNEL_CALLERS[c](*BAD_STEPS[s][:3]),
+                                  BAD_STEPS[step][3])
+            for caller in KERNEL_CALLERS for step in BAD_STEPS},
+         **{caller: (call, _SUBNORMAL_MESSAGE) for caller, call in SUBNORMAL_CALLERS.items()}}
+
+
+@pytest.mark.parametrize("case", sorted(CALLS))
+@pytest.mark.filterwarnings("error")
+def test_every_kernel_caller_rejects_a_step_outside_float_range(case):
+    # transfer_product, ac_density, weyl_solution and m_function returned NaN
+    # after RuntimeWarnings, and transfer_scan took a <= 0 and NaN steps
+    # without a word; only feed_arrays checked its steps
+    call, message = CALLS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_density_on_a_step_outside_float_range_is_a_usage_error(tmp_path, capsys):
+    # it wrote rows "x,nan,4,1,ok" and exited 0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_SUBNORMAL.to_dict()))
+    code = main(["density", "--q", "1", "--N", "4", "--grid=-1:1:3", "--spec", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {_SUBNORMAL_MESSAGE}\n"
