@@ -27,6 +27,7 @@ from .density import ApproximantSpec, ac_density
 from .diagnostics import _window_reports, growth_statistic, verify_gap_window_growth
 from .errors import (DegenerateBlockError, HorizonError, OutsideBandError,
                      PoleOfMError, PreconditionError, RootIsolationError)
+from .matrix2 import _exp_saturating
 from .periodic import PeriodicJacobi, band_structure, comb_potential, \
     gap_report, intersection_over_family
 
@@ -167,7 +168,7 @@ def _cmd_construct(args) -> int:
 # density
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
-    """steps >= 1 evenly spaced points from lo to hi; one step is the midpoint."""
+    """steps evenly spaced points from lo to hi: none below 1, the midpoint for 1."""
     if steps == 1:
         return [0.5 * (lo + hi)]
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
@@ -255,9 +256,8 @@ def _window(text: str) -> tuple[int, int, float, float]:
 
 
 def _linear(log_value: float) -> float | None:
-    """exp(log_value), or None where that would leave float range (JSON has
-    no Infinity)."""
-    return math.exp(log_value) if log_value < 700.0 else None
+    """exp(log_value), or None where it leaves float range (JSON has no Infinity)."""
+    return _finite(_exp_saturating(log_value))
 
 
 def _finite(value: float) -> float | None:
@@ -329,8 +329,6 @@ def _cmd_intersect(args) -> int:
     else:
         if args.q is None or args.lam is None:
             raise ValueError("either --family or --q/--lambda are required")
-        if args.points < 1:
-            raise ValueError("need at least one family member")
         family = [PeriodicJacobi.of(args.q, [1.0] * args.q, [beta] * args.q)
                   for beta in _grid(-args.lam, args.lam, args.points)]
     result = intersection_over_family(family, args.mode, args.tol)

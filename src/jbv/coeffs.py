@@ -289,6 +289,8 @@ def staircase_comb_parts(p: dict, n: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int
                        ) -> tuple[np.ndarray, np.ndarray]:
     """(a_n, b_n) as float arrays for n in [start, stop), start >= 1."""
+    if not isinstance(spec, CoefficientSpec):
+        raise TypeError(f"spec must be a CoefficientSpec, got {spec!r}")
     start = as_int(start, "start", 1)
     stop = as_int(stop, "stop", start)
     n = np.arange(start, stop, dtype=np.int64)

@@ -90,12 +90,11 @@ class Schedule:
             raise ValueError("first comb coupling must be <= 1")
         if any(nxt >= cur for cur, nxt in zip(self.w, self.w[1:])):
             raise ValueError("comb couplings must decrease strictly")
-        for li, (m_l, d_l) in enumerate(zip(self.m, self.delta)):
-            level = li + 1
-            if m_l < 2 ** level:
-                raise ValueError(f"level {level}: m={m_l} below 2^{level}")
-            if m_l < 4.0 / d_l - 1e-6:
-                raise ValueError(f"level {level}: m={m_l} below 4/delta={4.0 / d_l}")
+        for level, (m_l, d_l) in enumerate(zip(self.m, self.delta), 1):
+            if not d_l > 0.0:
+                raise ValueError(f"level {level}: gap width delta={d_l} is not positive")
+            if m_l < _least_steps(level, d_l):
+                raise ValueError(f"level {level}: m={m_l} below max(2^{level}, 4/{d_l})")
         for li, row in enumerate(self.rows):
             if not self.truncated and len(row) != self.m[li] + 1:
                 raise ValueError(f"level {li + 1} has {len(row) - 1} windows, "
@@ -146,9 +145,17 @@ def staircase_comb_spec(schedule: Schedule) -> CoefficientSpec:
     )
 
 
-def _threshold_log(level: int, margin: float, n: int) -> float:
-    ln_n = math.log(n)
-    return math.log(margin * level) + ln_n + 2.0 * math.log(ln_n)
+def _least_steps(level: int, delta: float) -> float:
+    """Level l's least step count max(2^l, 4/delta_l), 4/delta backed off by a hair:
+    delta, a difference of eigenvalues, is exact only to rounding."""
+    return max(2.0 ** level, 4.0 / delta - 1e-6)
+
+
+def _growth_logs(n, log_margin: float, xp=math):
+    """ln n, 2 ln ln n and the growth threshold log_margin + ln n + 2 ln ln n (math or np)."""
+    ln_n = xp.log(n)
+    log_ln2 = 2.0 * xp.log(ln_n)
+    return ln_n, log_ln2, log_margin + ln_n + log_ln2
 
 
 def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
@@ -156,9 +163,10 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
     """Choose all breakpoints of the staircase + comb construction.
 
     Per level l: w_l = 2^{-l}; delta_l and the gap centers come from the comb
-    block with coupling w_l; m_l = max(2^l, ceil(4/delta_l)).  Within level l,
-    each step end n_{l,k+1} is the smallest index n at which a growth quantity
-    reaches growth_margin * l * n * log^2 n.  With S_n = sum_{n'<=n} ||T_{1,n'}||^2:
+    block with coupling w_l; m_l = ceil(`_least_steps`).  Within level l, each
+    step end n_{l,k+1} is the smallest index n at which a growth quantity
+    reaches growth_margin * l * n * log^2 n (`_growth_logs`, in logs, with
+    log(growth_margin * l) once per level).  With S_n = sum_{n'<=n} ||T_{1,n'}||^2:
 
     * "analytic" mode compares a closed-form lower bound on S_n itself,
       10^{-2 n_{l,k}} * sum_j (1/4)(delta/4)^4 (1+(delta/4)^2)^{j - n_{l,k} - 4},
@@ -197,10 +205,7 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
         w_list.append(w_l)
         delta_list.append(rep.min_width)
         centers_list.append(rep.centers)
-        # delta is a difference of eigenvalues, exact only to rounding, so back
-        # off by a relative hair before ceil: an exactly integral 4/delta must
-        # not round up
-        m_list.append(max(2 ** level, math.ceil(4.0 / rep.min_width - 1e-6)))
+        m_list.append(math.ceil(_least_steps(level, rep.min_width)))
 
     rows: list[tuple[int, ...]] = []
     diag: list[float] = []  # the realized b_1, ..., b_end: every lane's coefficients
@@ -209,9 +214,9 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
     for level in range(1, levels + 1):
         li = level - 1
         m_l, w_l, count = m_list[li], w_list[li], len(centers_list[li])
+        log_margin = math.log(growth_margin * level)
         if mode == "empirical":
             values = [staircase_level_value(level, k, m_l, lam) for k in range(m_l)]
-            log_margin = math.log(growth_margin * level)
             # one lane per step and gap center, in the order the search
             # reaches them, each at n = 0 until a decision reads its sum
             lanes = GrowthScanner(np.array([z + v for v in values for z in centers_list[li]]))
@@ -219,7 +224,7 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
         for k in range(m_l):
             n0 = row[-1]
             if mode == "analytic":
-                n_next = _analytic_step(level, delta_list[li], n0, growth_margin, cap)
+                n_next = _analytic_step(delta_list[li], n0, log_margin, cap)
             else:
                 step = slice(k * count, (k + 1) * count)   # the step's lanes
                 n_next = _empirical_step(q, values[k], w_l, lanes, step, n0, log_margin, cap, diag)
@@ -253,10 +258,8 @@ def _catch_up(lanes: GrowthScanner, step: slice, diag: list[float], n0: int,
     n, log_sum = lanes.n[step.start:], lanes.log_sum[step.start:]
     j = np.arange(len(n)) // (step.stop - step.start)
     ends = n0 + 5 * (j + 1)
-    ln_n = np.log(ends)
-    log_ln2 = 2.0 * np.log(ln_n)
-    behind = (n < n0) & ((j == 0) | (ends <= cap) & (
-        log_sum - ln_n - log_ln2 < log_margin + ln_n + log_ln2))
+    ln_n, log_ln2, threshold = _growth_logs(ends, log_margin, np)
+    behind = (n < n0) & ((j == 0) | (ends <= cap) & (log_sum - ln_n - log_ln2 < threshold))
     for start in sorted(set(n[behind].tolist())):  # np.unique imports numpy.ma
         i = step.start + np.flatnonzero(behind & (n == start))
         lanes._advance(np.ones(n0 - start), np.array(diag[start:n0]), i, prefixes=False)
@@ -264,12 +267,10 @@ def _catch_up(lanes: GrowthScanner, step: slice, diag: list[float], n0: int,
 
 def _clears(log_sums, n: int, log_margin: float) -> bool:
     """Whether every log-sum S at index n has its statistic S - ln n - 2 ln ln n
-    (`GrowthScanner.statistic_log`) at or above log_margin + ln n + 2 ln ln n
-    (`_threshold_log`): the same float operations on one pair of logs."""
-    ln_n = math.log(n)
-    log_ln2 = 2.0 * math.log(ln_n)
-    thr = log_margin + ln_n + log_ln2
-    return all(s - ln_n - log_ln2 >= thr for s in log_sums)
+    (`GrowthScanner.statistic_log`) at or above the threshold of
+    `_growth_logs`: the same float operations on one pair of logs."""
+    ln_n, log_ln2, threshold = _growth_logs(n, log_margin)
+    return all(s - ln_n - log_ln2 >= threshold for s in log_sums)
 
 
 def _empirical_step(q: int, v: float, w_l: float, lanes: GrowthScanner, step: slice,
@@ -306,14 +307,14 @@ def _empirical_step(q: int, v: float, w_l: float, lanes: GrowthScanner, step: sl
     return None
 
 
-def _analytic_step(level: int, delta: float, n0: int,
-                   growth_margin: float, cap: int) -> int | None:
+def _analytic_step(delta: float, n0: int, log_margin: float, cap: int) -> int | None:
     """Smallest n <= cap at which the lower bound on the sum itself (see
     `build_schedule`), with sum_{j=1}^{k} r^j = r (r^k - 1) / (r - 1) taken in
-    logs, reaches growth_margin * level * n log^2 n.  numpy evaluates it on
-    blocks of indices up to the first that misses by less than 1e-9, far
-    more than its logs and math's differ by; from there the math rule
-    decides one index at a time."""
+    logs, reaches the threshold of `_growth_logs`, log_margin being the
+    level's log(growth_margin * level).  numpy evaluates it on blocks of
+    indices up to the first that misses by less than 1e-9, far more than its
+    logs and math's differ by; from there the math rule decides one index at
+    a time."""
     d4 = delta / 4.0
     log_r = math.log1p(d4 * d4)
     log_pref = (-2.0 * n0 * math.log(10.0) + math.log(0.25) + 4.0 * math.log(d4)
@@ -325,12 +326,11 @@ def _analytic_step(level: int, delta: float, n0: int,
 
     for lo in range(n0 + 5, cap + 1, 1 << 16):
         n = np.arange(lo, min(lo + (1 << 16), cap + 1))
-        ln_n = np.log(n)
-        threshold = math.log(growth_margin * level) + ln_n + 2.0 * np.log(ln_n)
+        threshold = _growth_logs(n, log_margin, np)[2]   # first: half the page faults
         near = np.flatnonzero(bound_log(n, np) - threshold > -1e-9)
         if len(near):
             return next((m for m in range(int(n[near[0]]), cap + 1) if bound_log(m, math)
-                         >= _threshold_log(level, growth_margin, m)), None)
+                         >= _growth_logs(m, log_margin)[2]), None)
     return None
 
 
@@ -352,6 +352,8 @@ def staircase_bv_breakdown(spec: CoefficientSpec, horizon: int | None = None) ->
     comb part:      sum_n |W_{n+q} - W_n|^2   <= q * sum_l |w_{l+1} - w_l|^2
     staircase part: sum_n |s_{n+1} - s_n|^2   <= 4 lam^2 * sum_l 1/m_l
     """
+    if not isinstance(spec, CoefficientSpec):
+        raise TypeError(f"spec must be a CoefficientSpec, got {spec!r}")
     if spec.kind != "staircase_comb":
         raise ValueError("breakdown applies to staircase_comb specs")
     q, lam, sched = (spec.params[key] for key in ("q", "lam", "schedule"))

@@ -14,13 +14,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import transfer
 from .coeffs import CoefficientSpec, as_int, as_real, coefficient_arrays
 from .errors import PreconditionError
-# band_structure stays bound here: perfbench/tracing.py wraps this name
+# band_structure and transfer_product stay bound here: perfbench/tracing.py wraps them
 from .periodic import PeriodicJacobi, _band_edges, band_structure  # noqa: F401
-# transfer_product stays bound here: perfbench/tracing.py wraps this name
-from .transfer import (CHUNK, GrowthScanner, log_norm2,  # noqa: F401
-                       transfer_product, transfer_scan)
+from .transfer import GrowthScanner, log_norm2, transfer_product, transfer_scan  # noqa: F401
 
 __all__ = [
     "GrowthStatistic", "growth_statistic", "gap_growth_lower_bound",
@@ -58,8 +57,8 @@ def growth_statistic(spec: CoefficientSpec, x: float, N: int,
     checkpoints = [c for c in checkpoints if c >= 2]
     scanner = GrowthScanner(x)
     trace: list[tuple[int, float]] = []
-    for lo in range(1, N + 1, CHUNK):
-        a, b = coefficient_arrays(spec, lo, min(lo + CHUNK, N + 1))
+    for lo in range(1, N + 1, transfer.CHUNK):   # a kernel call each
+        a, b = coefficient_arrays(spec, lo, min(lo + transfer.CHUNK, N + 1))
         stats = scanner.feed_arrays(a, b)
         trace += [(cp, float(stats[cp - lo])) for cp in checkpoints
                   if lo <= cp < lo + len(a)]
@@ -161,11 +160,11 @@ def _window_reports(windows: list[tuple]) -> list[GapWindowReport]:
     as if on one after the other: the first window that fails raises its
     error.  The comparison blocks' edges come from one `_band_edges` call per
     period q.  The norms come from prefix `transfer_scan` calls with a lane
-    per window, on groups of consecutive windows of at most CHUNK padded
-    lane-steps: a group is one kernel call, so each window's products are
-    bit for bit those of a call on it alone, and memory stays at one chunk.
-    The runs are padded past a window's end with a = 1, b = 0, which no
-    prefix of the window reads."""
+    per window, on groups of consecutive windows of at most `transfer.CHUNK`
+    padded lane-steps, the kernel's own: a group is one kernel call, so each
+    window's products are bit for bit those of a call on it alone.  The runs
+    are padded past a window's end with a = 1, b = 0, which no prefix of the
+    window reads."""
     runs, failure = [], None
     for window in windows:
         try:
@@ -193,7 +192,7 @@ def _window_reports(windows: list[tuple]) -> list[GapWindowReport]:
     reports, lo, longest = [], 0, 0
     for hi, run in enumerate(runs):
         longest = max(longest, len(run.b))
-        if longest * (hi + 1 - lo) > CHUNK and hi > lo:   # window hi starts a group
+        if longest * (hi + 1 - lo) > transfer.CHUNK and hi > lo:   # hi starts a group
             reports += _group_reports(runs[lo:hi], bounds[lo:hi])
             lo, longest = hi, len(run.b)
     return reports + _group_reports(runs[lo:], bounds[lo:])

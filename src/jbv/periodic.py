@@ -456,9 +456,11 @@ def intersection_over_family(family: list[PeriodicJacobi], mode: str,
     if mode == "spectrum":
         los, his = [], []
         for edges in map(_band_edges, by_q.values()):
-            # a member's components start and end at its outer edges and open gaps
-            ends = np.pad(np.diff(edges)[:, 1::2] >= tol, ((0, 0), (1, 1)),
-                          constant_values=True)
+            # a member's components start and end at its outer edges and open
+            # gaps; a gap too wide for float range (width inf) is open
+            with np.errstate(over="ignore"):
+                ends = np.pad(np.diff(edges)[:, 1::2] >= tol, ((0, 0), (1, 1)),
+                              constant_values=True)
             los.append(edges[:, 0::2][ends[:, :-1]])
             his.append(edges[:, 1::2][ends[:, 1:]])
         lo, hi = np.concatenate(los), np.concatenate(his)

@@ -35,7 +35,9 @@ the prefix path the check is left out where it cannot fire, so every
 product is bit for bit the one a check of every product gives.  A step
 needs a > 0, that is q < 0, and finite entries, the rule of
 `GrowthScanner.feed`: every caller's steps are checked here, with a
-ValueError for the first bad step at its first bad lane.  A good step's
+ValueError for the first bad step at its first bad lane.  A complex entry
+whose modulus overflows but whose parts are finite counts by its larger
+part, so that its step is scaled like any other.  A good step's
 largest entry is at least max(|a|, |1/a|) >= 1, so no step is bad or
 rescaled where the largest |p|, |q| and |r| clear the limit and q stays
 negative, for an np.errstate (2 us a call); past it, and on a complex
@@ -412,12 +414,20 @@ def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
                     -q.min(initial=0.0), r.max(initial=0.0))
     if not bound <= RESCALE_LIMIT:
         tops = np.maximum(np.maximum(np.abs(p), np.abs(q)), np.abs(r))
+        top = tops.max(initial=0.0)
+        if dtype.kind == "c" and not top <= _FLOAT_MAX:
+            # a modulus |p| past float range, of finite parts, counts by its larger part
+            big = np.abs(p)
+            np.copyto(big, np.maximum(np.abs(p.real), np.abs(p.imag)),
+                      where=np.isinf(big) & np.isfinite(p))
+            tops = np.maximum(np.maximum(big, np.abs(q)), np.abs(r))
+            top = tops.max(initial=0.0)
         good = (tops <= _FLOAT_MAX) & (q < 0.0)
         if not good.all():   # the first bad step, at its first bad lane
             at = np.unravel_index(np.argmin(good), good.shape)
             a_at, b_at = (np.broadcast_to(v.reshape(run), good.shape)[at].item() for v in (a, b))
             raise _coefficient_error(z[at[1:]].item(), a_at, b_at)
-        shift = _shifts(tops, tops.max(initial=0.0))
+        shift = _shifts(tops, top)
         if shift is not None:
             scale = np.ldexp(1.0, -shift)
             p, q, r, live = p * scale, q * scale, r * scale, True

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -215,6 +216,21 @@ def test_diagnose_warns_outside_crude_bound(tmp_path, capsys):
     assert code == 0
     assert "warning" in err
     assert strict_loads(out)["results"][0]["x"] == 6.0
+
+
+@pytest.mark.parametrize("N", [514, 515, 600])
+def test_diagnose_writes_null_only_past_float_range(tmp_path, capsys, N):
+    # log statistics in [700, 709.78) were written as null at N = 515: the
+    # CLI cut linear values at 700, short of float range
+    p = _write_free_spec(tmp_path)
+    code, out, _ = run(capsys, "diagnose", "--spec", str(p), "--x", "2.5", "--N", str(N))
+    assert code == 0
+    res = strict_loads(out)["results"][0]
+    for (n, value), (_, log_value) in zip(res["statistic"], res["statistic_log"]):
+        past = log_value > math.log(sys.float_info.max)
+        assert value == (None if past else math.exp(log_value)), n
+    assert (res["statistic"][-1][1] is None) == (N == 600)
+    assert res["statistic_log"][-1][1] > 700.0
 
 
 def test_diagnose_deterministic(tmp_path, capsys):
@@ -608,6 +624,33 @@ def test_verify_gap_names_its_format(tmp_path, capsys, window, message):
                          "--N", "50", "--verify-gap", window, "--period", "2")
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["density", "--spec", "{comb}", "--q", "1", "--N", "5", "--grid=-1:1:0"],
+     "grid needs at least one step"),
+    (["diagnose", "--spec", "{comb}", "--N", "50"], "at least one --x is required"),
+    (["diagnose", "--spec", "{comb}", "--x", "0.25", "--N", "50",
+      "--verify-gap", "1,20,0.25,0.12"], "--verify-gap requires --period"),
+    (["verify", "--period", "2"], "either --random or --spec with window flags is required"),
+    (["verify", "--spec", "{comb}", "--period", "2", "--m", "1", "--k", "20",
+      "--E", "0.25"], "explicit verification needs --period, --m, --k, --E and --delta"),
+    (["intersect", "--q", "2"], "either --family or --q/--lambda are required"),
+    (["construct", "thm15", "--q", "2", "--lambda", "0.5", "--levels", "1",
+      "--mode", "analytic", "--cap", "100", "--out", ""], "construct thm15 requires --out"),
+    # the library's rule that a family has a member, no CLI copy of it
+    (["intersect", "--q", "2", "--lambda", "0.5", "--points", "0"],
+     "family must be nonempty"),
+    (["intersect", "--q", "2", "--lambda", "0.5", "--points", "-3"],
+     "family must be nonempty"),
+])
+def test_usage_errors_exit_2_with_their_message(tmp_path, capsys, argv, message):
+    comb = tmp_path / "comb.json"
+    comb.write_text(json.dumps({"kind": "periodic", "params": {
+        "q": 2, "a": [1.0, 1.0], "b": [0.0, 0.5]}}))
+    code, out, err = run(capsys, *(arg.format(comb=comb) for arg in argv))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_negative_seed_names_the_flag_or_the_config_key(tmp_path, capsys, monkeypatch):

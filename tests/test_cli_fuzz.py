@@ -118,6 +118,9 @@ OVERFLOWING_U0 = {"kind": "periodic", "params": {"q": 2, "a": [1e308, 1.0],
 # f = nan marked ok, which JSON output turned into exit 2 and CSV wrote out
 SUBNORMAL_STEP = {"kind": "explicit", "params": {"a": [1.0, 1e-310] + [1.0] * 4,
                                                  "b": [0.0] * 6}}
+# a = 1e308 puts a member's bands at about +-1e308: the gap width between
+# them overflowed in the spectrum intersection, with a RuntimeWarning
+OVERFLOWING_GAP = [{**BLOCK, "a": [1e308, 1.0]}, {**BLOCK, "b": [0.1, 0.4]}]
 
 
 def _run(argv):
@@ -134,6 +137,7 @@ def _run(argv):
 @given(data=st.data())
 @example(data=Drawn(document=OVERFLOWING_U0, JBV_CONFIG=None))
 @example(data=Drawn(document=SUBNORMAL_STEP, JBV_CONFIG=None))
+@example(data=Drawn(document=OVERFLOWING_GAP, JBV_CONFIG=None))
 def test_cli_survives_malformed_documents(command, data):
     docs, argv = COMMANDS[command]
     doc = data.draw(docs, label="document")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -118,6 +119,25 @@ def test_schedule_invariants(small_schedule):
         assert all(n2 > n1 for n1, n2 in zip(row, row[1:]))
     assert sched.rows[0][0] == 0
     assert sched.rows[1][0] == sched.rows[0][-1]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"lam": 2.0}, "coupling must lie in"),
+    ({"w": (1.5, 0.25)}, "first comb coupling"),
+    ({"w": (0.5, 0.5)}, "decrease strictly"),
+    # delta = 10 makes 4/delta small, so 2^1 is the bound m = 1 misses
+    ({"delta": (10.0, 0.1), "m": (1, 40)}, r"level 1: m=1 below max\(2\^1"),
+    ({"m": (3, 40)}, "level 1: m=3 below max"),
+    ({"rows": ((0, 5, 10),)}, "level 1 has 2 windows"),
+    # a delta <= 0 or NaN used to pass its level (4/delta is then negative
+    # or NaN) or, at 0, raise ZeroDivisionError
+    ({"delta": (0.0, 0.1)}, "delta=0.0 is not positive"),
+    ({"delta": (-0.25, 0.1)}, "delta=-0.25 is not positive"),
+    ({"delta": (0.5, math.nan)}, "level 2: gap width delta=nan"),
+])
+def test_schedule_validate_names_each_invariant(small_schedule, change, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(small_schedule, **change).validate()
 
 
 def test_schedule_json_round_trip(small_schedule):
@@ -267,7 +287,8 @@ def test_analytic_step_matches_the_running_sum_on_random_draws():
     for _ in range(300):
         args = (int(rng.integers(1, 6)), float(rng.uniform(0.05, 2.0)),
                 int(rng.integers(0, 30)), float(rng.uniform(1.0, 2.0)), 2000)
-        n = _analytic_step(*args)
+        level, delta, n0, margin, cap = args
+        n = _analytic_step(delta, n0, math.log(margin * level), cap)
         assert n == running_sum_analytic_step(*args), args
         ended += n is not None
     assert 50 < ended < 250  # steps that end and steps that reach the cap

@@ -1,4 +1,5 @@
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from jbv import (ApproximantSpec, PreconditionError, ac_density,
                  gap_growth_lower_bound, gap_report, growth_statistic,
                  periodic_spec, slow_cosine_spec, staircase_comb_spec,
                  staircase_level_value, sturm_count, verify_gap_window_growth)
+from jbv import diagnostics, transfer
 from jbv.diagnostics import _window_reports
 from jbv.transfer import CHUNK
 from oracles import free_truncation_eigs, random_windows
@@ -234,6 +236,29 @@ def test_window_list_matches_one_call_per_window(seed):
 def test_verify_random_windows_match_one_call_per_window():
     for seed in range(20):
         assert_reports_match_single_calls([w for w, _ in random_windows(100, seed)])
+
+
+@pytest.mark.parametrize("chunk", [4096, 1000])
+def test_window_groups_follow_the_kernels_chunk(chunk):
+    # diagnostics kept its own copy of CHUNK: with the kernel's set alone, a
+    # group of 16384 lane-steps took several kernel calls and its products
+    # differed from one call per window
+    with unittest.mock.patch.object(transfer, "CHUNK", chunk):
+        assert_reports_match_single_calls(drawn_windows(3, 100, 400))
+
+
+def test_growth_statistic_feeds_the_kernels_chunk():
+    # each run it evaluates and feeds is one kernel call, whatever CHUNK is
+    spec, pieces = slow_cosine_spec(0.5, 0.4), []
+
+    def recorded(spec, start, stop):
+        pieces.append((start, stop))
+        return coefficient_arrays(spec, start, stop)
+
+    with unittest.mock.patch.object(transfer, "CHUNK", 1000), \
+            unittest.mock.patch.object(diagnostics, "coefficient_arrays", recorded):
+        growth_statistic(spec, 0.3, 2500)
+    assert pieces == [(1, 1001), (1001, 2001), (2001, 2501)]
 
 
 def test_a_window_past_chunk_steps_in_a_list():

@@ -270,6 +270,22 @@ def test_qinterior_drops_components_of_8_tol_or_less():
     assert kept.as_pairs() == spectrum.as_pairs()
 
 
+# a_1 = 1e308 puts the bands at about +-1e308: the gap between them is
+# wider than float range
+HUGE_GAP = PeriodicJacobi.of(2, [1e308, 1.0], [0.0, 0.5])
+
+
+def test_a_gap_wider_than_float_range_is_open():
+    # np.diff of the edges overflowed with a RuntimeWarning, which the suite
+    # makes an error
+    edges = _band_edges([HUGE_GAP])[0].tolist()
+    assert edges[1] < -1e307 and edges[2] > 1e307
+    assert intersection_over_family([HUGE_GAP], "spectrum").as_pairs() == [
+        (edges[0], edges[1]), (edges[2], edges[3])]
+    assert intersection_over_family([HUGE_GAP, PeriodicJacobi.of(
+        2, [1.0, 1.0], [0.1, 0.4])], "spectrum").is_empty
+
+
 def test_intersection_bad_inputs():
     with pytest.raises(ValueError):
         intersection_over_family([], "spectrum")

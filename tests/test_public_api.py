@@ -4,6 +4,8 @@ removing one is deliberate, and a removal is recorded in CHANGES.md."""
 import inspect
 import types
 
+import pytest
+
 import jbv
 
 EXPORTED = {
@@ -63,3 +65,29 @@ def test_growth_scanner_members_are_pinned():
         assert list(inspect.signature(method).parameters) == params
     for name in ("statistic_log", "statistic", "running_max"):
         assert isinstance(vars(scanner)[name], property)
+
+
+SPEC_CALLS = {   # every public entry point that takes a coefficient spec
+    "growth_statistic": lambda spec: jbv.growth_statistic(spec, 0.3, 50),
+    "transfer_product": lambda spec: jbv.transfer_product(spec, 1, 5, 0.3),
+    "q_step_block": lambda spec: jbv.q_step_block(spec, 2, 0, 0.3),
+    "bv_energy": lambda spec: jbv.bv_energy(spec, 2, 10),
+    "sturm_count": lambda spec: jbv.sturm_count(spec, 5, 0.3),
+    "ac_interval_estimate": lambda spec: jbv.ac_interval_estimate(spec, 16),
+    "coefficient_arrays": lambda spec: jbv.coefficient_arrays(spec, 1, 5),
+    "eval_coefficients": lambda spec: jbv.eval_coefficients(spec, 1),
+    "coupling_series": lambda spec: jbv.coupling_series(spec, 2, 0.3 + 0.1j, range(1, 4), 1),
+    "verify_gap_window_growth":
+        lambda spec: jbv.verify_gap_window_growth(spec, 2, 1, 20, 0.25, 0.12),
+    "staircase_bv_breakdown": lambda spec: jbv.staircase_bv_breakdown(spec),
+}
+
+
+@pytest.mark.parametrize("spec", [None, {"kind": "constant", "params": {"a": 1.0, "b": 0.0}}],
+                         ids=["None", "dict"])
+@pytest.mark.parametrize("entry", sorted(SPEC_CALLS))
+def test_a_non_spec_is_a_type_error_naming_the_spec(entry, spec):
+    # each used to raise AttributeError on spec.params (spec.kind in the
+    # breakdown)
+    with pytest.raises(TypeError, match="^spec must be a CoefficientSpec, got "):
+        SPEC_CALLS[entry](spec)

@@ -107,6 +107,30 @@ def test_complex_energy_product():
     assert np.max(np.abs(ours - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("z", [1.5e308 + 1.5e308j, -1e308 + 1.7e308j, 1.7e308 - 1e308j])
+@pytest.mark.parametrize("n", [1, 3, 40])
+@pytest.mark.filterwarnings("error")
+def test_a_complex_step_past_float_range_in_modulus_only(z, n):
+    # both parts of the entry x - b are finite, its modulus is not: the step
+    # was rejected as "(x - b)/a infinite"
+    mpmath = pytest.importorskip("mpmath")
+    t = transfer_product(constant_spec(1.0, 0.0), 1, n, z)
+    with mpmath.workdps(60):
+        step = mpmath.matrix([[mpmath.mpc(z.real, z.imag), -1], [1, 0]])
+        ref = mpmath.log(max(mpmath.svd_c(step ** n, compute_uv=False)))
+    assert t.op_norm_log() == pytest.approx(float(ref), rel=1e-14)
+    # a lane beside it keeps its own steps' shifts: bit for bit its scan alone
+    a, b = np.ones(n), np.zeros(n)
+    *_, both = transfer_scan(a, b, np.array([0.3 + 0.1j, z]))
+    *_, alone = transfer_scan(a, b, 0.3 + 0.1j)
+    assert (both.t[..., 0] == alone.t).all() and both.e[0] == alone.e
+
+
+def test_a_complex_step_with_an_infinite_part_is_still_rejected():
+    with pytest.raises(ValueError, match=r"make the step entry \(x - b\)/a infinite"):
+        transfer_product(constant_spec(1.0, -1.5e308), 1, 3, 1.5e308 + 1j)
+
+
 # ---------------------------------------------------------------------------
 # eigen decomposition
 
