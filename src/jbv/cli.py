@@ -149,11 +149,11 @@ def _cmd_construct(args) -> int:
         spec = slow_cosine_spec(args.lam, args.gamma)
         _emit(_json(spec.to_dict()), args.out)
         return 0
+    if not args.out:   # before the search, which it would waste
+        raise ValueError("construct thm15 requires --out")
     sched = build_schedule(args.q, args.lam, args.levels,
                            growth_margin=args.margin, cap=args.cap, mode=args.mode)
     spec = staircase_comb_spec(sched)
-    if not args.out:
-        raise ValueError("construct thm15 requires --out")
     _emit(_json(spec.to_dict()), args.out)
     spath = args.schedule_out or _schedule_path(args.out)
     _emit(_json(sched.to_dict()), spath)

@@ -308,7 +308,8 @@ def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int
         base_a, base_b = coefficient_arrays(p["base"], lo + 1, hi + 1)
         return (base_a[idx - lo], base_b[idx - lo])
     if spec.kind == "cosine_power":
-        return (np.ones(n.shape), p["lam"] * np.cos(n.astype(np.float64) ** p["gamma"]))
+        b = np.power(n, p["gamma"], out=np.empty(n.shape))   # in place from here on
+        return (np.ones(n.shape), np.multiply(p["lam"], np.cos(b, out=b), out=b))
     if spec.kind == "staircase_comb":
         horizon = p["schedule"]["rows"][-1][-1]
         if stop - 1 > horizon:

@@ -324,8 +324,8 @@ def _analytic_step(delta: float, n0: int, log_margin: float, cap: int) -> int | 
         k_log_r = (n - n0 - 4) * log_r
         return log_pref + k_log_r + xp.log(-xp.expm1(-k_log_r))
 
-    for lo in range(n0 + 5, cap + 1, 1 << 16):
-        n = np.arange(lo, min(lo + (1 << 16), cap + 1))
+    for lo in range(n0 + 5, cap + 1, 1 << 14):   # 128 KiB arrays: reused, not mapped afresh
+        n = np.arange(lo, min(lo + (1 << 14), cap + 1))
         threshold = _growth_logs(n, log_margin, np)[2]   # first: half the page faults
         near = np.flatnonzero(bound_log(n, np) - threshold > -1e-9)
         if len(near):

@@ -48,7 +48,19 @@ class ApproximantSpec:
 
 def approximant_coefficients(aspec: ApproximantSpec, n: int) -> tuple[float, float]:
     """(a_n, b_n) of the approximant: block index clipped at N."""
-    return eval_coefficients(aspec.as_spec(), n)
+    return eval_coefficients(_approximant(aspec).as_spec(), n)
+
+
+def _approximant(aspec: ApproximantSpec) -> ApproximantSpec:
+    if not isinstance(aspec, ApproximantSpec):
+        raise TypeError(f"aspec must be an ApproximantSpec, got {aspec!r}")
+    return aspec
+
+
+def _block_n(aspec: ApproximantSpec, z: complex) -> QStepBlock:
+    """Block N of the approximant at energy z, the seed of every solve."""
+    aspec = _approximant(aspec)
+    return q_step_block(aspec.base, aspec.q, aspec.N, z)
 
 
 @dataclass(frozen=True)
@@ -107,7 +119,7 @@ def weyl_solution(aspec: ApproximantSpec, z: complex, s: int) -> WeylSolution:
     Block inverses are exact for unimodular blocks.
     """
     zc = as_complex(z, "energy z")
-    block_n = q_step_block(aspec.base, aspec.q, aspec.N, zc)
+    block_n = _block_n(aspec, zc)
     diag, _, values = _solve(aspec, block_n, s, keep_values=True)
     return WeylSolution(zc, s, tuple(map(tuple, reversed(values))),
                         diag.lam, block_n.C, block_n.D, block_n.Delta)
@@ -137,7 +149,7 @@ def ac_density(aspec: ApproximantSpec, x: float, s: int | None = None) -> float:
     s = +1 ones, so f(-1) = -f(+1) bit for bit and one solve decides both.
     """
     x = as_real(x, "energy x")
-    block_n = q_step_block(aspec.base, aspec.q, aspec.N, complex(x))
+    block_n = _block_n(aspec, complex(x))
     if abs(block_n.Delta.real) >= 2.0 - 1e-9 or abs(block_n.Delta.imag) > 1e-9:
         raise OutsideBandError(
             f"x={x}: block-N discriminant {block_n.Delta.real:.12g} is not "
@@ -163,7 +175,7 @@ def m_function(aspec: ApproximantSpec, z: complex, s: int | None = None) -> comp
     zc = as_complex(z, "energy z")
     if zc.imag <= 0.0:
         raise ValueError("the Weyl function is evaluated for Im z > 0")
-    block_n = q_step_block(aspec.base, aspec.q, aspec.N, zc)
+    block_n = _block_n(aspec, zc)
     if s is None:
         s = weyl_branch_sign(block_n)
     _, (u0, _), _ = _solve(aspec, block_n, s)

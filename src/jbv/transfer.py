@@ -11,28 +11,35 @@ each lane with its own product, exponent and rescaling in a trailing array
 axis.  The coefficient run is one for every lane, of shape (L,), or one per
 lane, of shape (L, E), so lanes may scan different windows at different
 energies; the shape alone tells them apart.  A kernel call takes CHUNK // E
-steps (CHUNK = 16384, one energy counting as E = 1, at least one step) and
-carries its products, exponents included, to the next, so memory stays at
-one chunk, a few times 32 bytes per step and lane.  E lanes of L steps in
-one call cost one call's overhead and E L times the per-step cost below, so
-many short runs are cheapest as the lanes of one call.  A step
-((p, q), (r, 0)) is kept as its three nonzero entries, one array each, and
-no stack of step matrices is built.  Over its L steps a call is a pairwise
-tree (Blelloch 1990) of O(log L) array passes: products of neighbouring
-steps, ((p1 p0 + q1 r0, p1 q0), (r1 p0, r1 q0)), then of neighbouring
-pairs, and so on, an odd one out carried up as it is; on request a pass
-back down fills in the product after every step, the last level's as
-(p S[0] + q S[1], r S[0]) from the product S before it.  Both passes run in
-place on the stack of products.  A carried matrix is folded into the first
+steps (CHUNK = 20480, one energy counting as E = 1, at least one step) and
+carries its products, exponents included, to the next.  Every array the
+size of a call, in the kernel and in `log_norm2`, `_log_sums` and
+`GrowthScanner._advance`, is taken from a workspace (`_take`; not the few
+of a complex step past float range, nor of lanes whose log-sums part
+ways): one per thread, each buffer grown to its largest use, at most
+max(CHUNK, E) lane-steps, and then kept, about 95 bytes a lane-step on a
+real scan (1.9 MB at CHUNK), so a process's later calls allocate none of
+them and take no page faults.  So a Scan's prefixes are views of the workspace,
+valid until the thread's next kernel call, and a call copies its carry out
+of it.  E lanes of L steps in one call cost one call's overhead and E L
+times the per-step cost below, so many short runs are cheapest as the
+lanes of one call.  A step ((p, q), (r, 0)) is kept as its three nonzero
+entries, one array each, and no stack of step matrices is built.  Over
+its L steps a call is a pairwise tree (Blelloch 1990) of O(log L) array
+passes: products of neighbouring steps, ((p1 p0 + q1 r0, p1 q0), (r1 p0,
+r1 q0)), then of neighbouring pairs, and so on, an odd one out carried up
+as it is; on request a pass back down fills in the product after every
+step, the last level's as (p S[0] + q S[1], r S[0]) from the product S
+before it.  Both passes run in place on the stack of products.  A carried matrix is folded into the first
 step, a carried column multiplies the products last.
 Every step and product whose largest entry leaves [1e-100, 1e100]
 (RESCALE_LIMIT) is multiplied by a power of two, which is exact.  A call's
 exponents stay 0, and are not added level by level, until a step or
 product is rescaled; the carry's exponent is added once, at the end.  The
 check first reads the smallest and largest entry of a whole stack, and
-reads each matrix's largest only when one of those leaves the range.  On
-the prefix path the check is left out where it cannot fire, so every
-product is bit for bit the one a check of every product gives.  A step
+reads each matrix's largest only when one of those leaves the range.  Up
+the tree the check is left out where it cannot fire, so every product is
+bit for bit the one a check of every product gives.  A step
 needs a > 0, that is q < 0, and finite entries, the rule of
 `GrowthScanner.feed`: every caller's steps are checked here, with a
 ValueError for the first bad step at its first bad lane.  A complex entry
@@ -44,19 +51,19 @@ negative, for an np.errstate (2 us a call); past it, and on a complex
 stack, the path that forms each step's largest entry tests every step.  A
 product of unshifted steps has determinant 1, so its largest entry is at
 least 1 / sqrt(2), and entries at most B make products at most 4 B**2,
-rounding included: a level of the pass up checks only slot 0, which holds
-the folded carry, while that bound stays below the limit, and where it
+rounding included: a level up the tree checks only slot 0, and that only
+where it holds a folded carry, while that bound stays below the limit, and where it
 does not, a check of the whole level measures a new bound.  After a
 shift, on the pass down and on a complex stack every product is checked.
-Cost at one energy, medians on a shared 2-vCPU x86-64 VM with numpy 2.4:
-a call with prefixes takes about 30 us, plus 25 us a tree level (some 15
-numpy calls on small arrays), plus 40 ns a step in band and 65 ns off
-band, where rescales turn the exponent adds on: 1.2 and 1.8 ms for 16384
-steps.  One that only multiplies takes 0.65-0.8 ms for 16384 steps.  The
-checks left out save 2-3 % of a call at one energy and more on an energy
-axis.  A process also pays for each page the heap gives back to the
-system and takes again, hence the order of the allocations in
-`_scan_chunk`.
+Cost at one energy, medians of alternated calls on a shared 2-vCPU x86-64
+VM with numpy 2.4: a call with prefixes takes about 30 us, plus 25 us a
+tree level (some 15 numpy calls on small arrays, each out= a workspace
+view), plus 40 ns a step in band and 65 ns off band, where rescales turn
+the exponent adds on: 1.2-1.3 and 1.8 ms for 16384 steps, against 1.5 and
+2.2 ms when each call allocated its arrays and faulted their pages in.  One
+that only multiplies takes 0.5 ms for 16384 steps, 0.7 ms with every level
+checked.  The checks left out save 2-3 % of a prefix call at one energy
+and more on an energy axis.
 `GrowthScanner.feed` takes one step in Python floats, rescaled by that rule:
 the sequential reference.  `GrowthScanner._advance` runs the kernel and
 `_log_sums` on one energy or on lanes, per step or in totals.
@@ -67,6 +74,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -88,7 +96,7 @@ __all__ = [
     "weyl_branch_sign",
 ]
 
-CHUNK = 16384  # steps times lanes per kernel call; one energy is one lane
+CHUNK = 20480  # steps times lanes per kernel call; one energy is one lane
 _UNDERFLOW = "a transfer product underflowed to zero: its steps span past float range"
 @dataclass(frozen=True)
 class QStepBlock:
@@ -139,19 +147,57 @@ class Scan(NamedTuple):
     prefix_e: np.ndarray | None = None
 
 
-def _shifts(tops: np.ndarray, top: float) -> np.ndarray | None:
+class _Workspace(threading.local):
+    """One thread's flat buffers by (slot, dtype), their views by (slot,
+    shape, dtype) for `_take`, and counts 1.0, 2.0, ... for the statistics."""
+
+    def __init__(self) -> None:
+        self.buffers, self.views, self.counts = {}, {}, np.empty(0)
+
+
+_WORK = _Workspace()
+_VIEWS = 1024   # views kept per thread: one costs a small call more than its arithmetic
+_F8, _I8, _I4, _B1 = (np.dtype(t) for t in (np.float64, np.int64, np.intc, bool))
+_max, _min = np.maximum.reduce, np.minimum.reduce   # as ndarray.max, without its wrapper
+
+
+def _take(slot: str, shape: tuple, dtype: np.dtype = _F8) -> np.ndarray:
+    """An array of `shape` on the calling thread's buffer for slot and dtype,
+    grown to its largest use and then kept (see the module docstring).  A
+    slot holds one live array at a time."""
+    views = _WORK.views
+    view = views.get((slot, shape, dtype))
+    if view is None:
+        size, buffers = math.prod(shape), _WORK.buffers
+        buf = buffers.get((slot, dtype))
+        if buf is None or len(buf) < size or len(views) >= _VIEWS:
+            if buf is None or len(buf) < size:
+                buf = buffers[slot, dtype] = np.empty(size, dtype)
+            views.clear()   # none left on a buffer given up
+        view = views[slot, shape, dtype] = buf[:size].reshape(shape)
+    return view
+
+
+def _shifts(tops: np.ndarray, top: float):
     """For matrices whose largest entries are tops, with top their maximum:
     the power s of two for each one whose entry leaves [1 / RESCALE_LIMIT,
     RESCALE_LIMIT] such that 2**-s brings it into [0.5, 1), 0 for the
-    others, or None when none leaves.  A zero matrix, a product whose
-    entries all underflowed, is a FloatingPointError."""
+    others, as 2**-s (written over tops) and -s, or None when none leaves.
+    A zero matrix, a product whose entries all underflowed, is a
+    FloatingPointError."""
     low = 1.0 / RESCALE_LIMIT
-    least = tops.min(initial=low)
+    least = _min(tops, None, initial=low)
     if least == 0.0:
         raise FloatingPointError(_UNDERFLOW)
     if top <= RESCALE_LIMIT and low <= least:
         return None
-    return np.where((tops < low) | (tops > RESCALE_LIMIT), np.frexp(tops)[1], 0)
+    shape = tops.shape
+    out = np.less(tops, low, out=_take("out", shape, _B1))
+    out |= np.greater(tops, RESCALE_LIMIT, out=_take("over", shape, _B1))
+    neg = np.frexp(tops, out=(tops, _take("neg", shape, _I4)))[1]
+    neg *= out
+    np.negative(neg, out=neg)
+    return np.ldexp(1.0, neg, out=tops), neg
 
 
 def _rescale(t: np.ndarray, e: np.ndarray) -> float:
@@ -161,30 +207,34 @@ def _rescale(t: np.ndarray, e: np.ndarray) -> float:
     product of two stays in float range, and a tree of products at a huge
     energy does not shrink to zero.  Returns the largest entry of t, or inf
     when a matrix was rescaled."""
-    a = np.abs(t)
-    top = a.max(initial=0.0)
+    a = np.abs(t, out=_take("y", t.shape))
+    top = _max(a, None, initial=0.0)
     # every entry in range is quicker to see than every matrix's largest
-    if top <= RESCALE_LIMIT and 1.0 / RESCALE_LIMIT <= a.min(initial=np.inf):
+    if top <= RESCALE_LIMIT and 1.0 / RESCALE_LIMIT <= _min(a, None, initial=np.inf):
         return top
-    shift = _shifts(a.max(axis=(0, 1)), top)
-    if shift is None:
+    shifted = _shifts(_max(a, (0, 1), out=_take("tops", a.shape[2:])), top)
+    if shifted is None:
         return top
-    t *= np.ldexp(1.0, -shift)
-    e += shift
+    t *= shifted[0]
+    e -= shifted[1]
     return math.inf
 
 
 def _set_product(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
     """t = x @ y for stacks of matrices with the two matrix axes first; t may
     be x or y.  Exponents are the caller's."""
-    np.add(x[:, :1] * y[:1], x[:, 1:] * y[1:], out=t)
+    np.add(np.multiply(x[:, :1], y[:1], out=_take("x", t.shape, t.dtype)),
+           np.multiply(x[:, 1:], y[1:], out=_take("y", t.shape, t.dtype)), out=t)
 
 
 def _step_times(t: np.ndarray, p, q, r, y: np.ndarray) -> None:
     """t = M @ y for the steps M = ((p, q), (r, 0)) on axis 0 of p, q and r
     and a stack y of matrices or columns (matrix axes first), which t may
     not be: the terms of M's zero entry are left out."""
-    np.add(p * y[0], q * y[1], out=t[0])
+    # products into contiguous arrays: numpy's complex loops round by layout
+    shape = t.shape[1:]
+    np.add(np.multiply(p, y[0], out=_take("x", shape, t.dtype)),
+           np.multiply(q, y[1], out=_take("y", shape, t.dtype)), out=t[0])
     np.multiply(r, y[0], out=t[1])
 
 
@@ -194,7 +244,9 @@ def _step_pairs(t: np.ndarray, p, q, r, s0: np.ndarray) -> None:
     M_1 s0 for pair 0, s0 (2, 2, 1) being step 0 with the carry folded in."""
     n = len(p)
     p1, q1, r1, p0, q0, r0 = p[1::2], q[1::2], r[1::2], p[:n - 1:2], q[:n - 1:2], r[:n - 1:2]
-    np.add(p1 * p0, q1 * r0, out=t[0, 0])
+    shape = t.shape[2:]
+    np.add(np.multiply(p1, p0, out=_take("x", shape, t.dtype)),
+           np.multiply(q1, r0, out=_take("y", shape, t.dtype)), out=t[0, 0])
     np.multiply(p1, q0, out=t[0, 1])
     np.multiply(r1, p0, out=t[1, 0])
     np.multiply(r1, q0, out=t[1, 1])
@@ -204,27 +256,35 @@ def _step_pairs(t: np.ndarray, p, q, r, s0: np.ndarray) -> None:
 def log_norm2(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     """log ||t * 2**e||^2 (operator norm) for t of shape (2, 2) + e.shape,
     by the formula of `Matrix2.op_norm` with f = p + s factored out of the
-    hypot, since numpy's hypot is several times slower than its sqrt."""
+    hypot, since numpy's hypot is several times slower than its sqrt.  The
+    result is in the thread's workspace, valid until its next kernel call
+    or log_norm2."""
+    shape, dtype = e.shape, t.dtype
     t11, t12, t21, t22 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
-    cj = np.conj if t.dtype.kind == "c" else (lambda v: v)
+    v = _take("q", shape, dtype)
+    cj = (lambda y: np.conjugate(y, out=v)) if dtype.kind == "c" else (lambda y: y)
     # in place, in the order of log(0.5 f (1 + sqrt(d d + c c))) + 2 e ln 2
-    p, s, c = t11 * cj(t11), t21 * cj(t21), t11 * cj(t21)
-    p += t12 * cj(t12)
-    s += t22 * cj(t22)
-    c += t12 * cj(t22)
-    p, s, c = p.real, s.real, np.abs(c)
-    f, d = p + s, p - s
+    p = np.multiply(t11, cj(t11), out=_take("x", shape, dtype))
+    s = np.multiply(t21, cj(t21), out=_take("y", shape, dtype))
+    c = np.multiply(t11, cj(t21), out=_take("p", shape, dtype))
+    p += np.multiply(t12, cj(t12), out=v)
+    s += np.multiply(t22, cj(t22), out=v)
+    c += np.multiply(t12, cj(t22), out=v)
+    # each real array over the real one it replaces, or beside a complex one
+    p, s, c = p.real, s.real, np.abs(c, out=_take("p", shape))
+    d = np.subtract(p, s, out=_take("q", shape))
+    f = np.add(p, s, out=_take("x", shape))
     c *= 2.0
-    for v in (d, c):
-        v /= f
-        v *= v
+    for u in (d, c):
+        u /= f
+        u *= u
     d += c
     np.sqrt(d, out=d)
     d += 1.0
     f *= 0.5
     f *= d
     np.log(f, out=f)
-    f += (2.0 * _LN2) * e
+    f += np.multiply(2.0 * _LN2, e, out=_take("y", shape))
     return f
 
 
@@ -239,16 +299,20 @@ def _log_sums(terms: np.ndarray, start, prefixes: bool) -> np.ndarray:
     while no block climbs 600 past that maximum before it and its first
     term.  The rows are one block where they can be, else blocks of 64;
     where those climb too, np.logaddexp.accumulate adds term by term.  With
-    prefixes, each lane takes its own path, bit for bit as a call on it alone."""
+    prefixes, each lane takes its own path, bit for bit as a call on it
+    alone, and the sums are in the thread's workspace, valid until its next
+    kernel call, log_norm2 or _log_sums."""
     n, lane = len(terms), terms.shape[1:]
     start = np.reshape(start, (1,) + lane)
     ref = np.maximum(terms.max(axis=0), start)
     if not prefixes:
-        return (ref + np.log(np.exp(terms - ref).sum(axis=0) + np.exp(start - ref)))[0]
+        s = np.subtract(terms, ref, out=_take("p", terms.shape))
+        return (ref + np.log(np.exp(s, out=s).sum(axis=0) + np.exp(start - ref)))[0]
     rows = terms[None]
     if np.any(far := ref - np.maximum(terms[0], start) >= 600.0):
         blocks = -(-n // 64)
-        rows = np.concatenate((terms, np.full((64 * blocks - n,) + lane, -np.inf)))
+        rows = _take("p", (64 * blocks,) + lane)
+        rows[:n], rows[n:] = terms, -np.inf
         rows = rows.reshape((blocks, 64) + lane)
         ref = np.maximum.accumulate(np.concatenate((start, rows.max(axis=1))))
         path = 2 * (ref[1:] - np.maximum(ref[:-1], rows[:, 0]) >= 600.0).any(axis=0) + far[0]
@@ -258,12 +322,20 @@ def _log_sums(terms: np.ndarray, start, prefixes: bool) -> np.ndarray:
                 out[:, i] = _log_sums(terms[:, i], start[0, i], True)
             return out
         if path.max() > 1:
-            return np.logaddexp.accumulate(np.concatenate((start, terms)))[1:]
+            acc = _take("y", (n + 1,) + lane)
+            acc[:1], acc[1:] = start, terms
+            return np.logaddexp.accumulate(acc, out=_take("p", acc.shape))[1:]
         ref = ref[1:]
-    s = np.exp(rows - ref[:, None])
-    # block totals summed along a contiguous axis, pairwise, as for one lane
-    before = start if len(ref) == 1 else np.logaddexp.accumulate(np.concatenate((start, np.log(
-        np.ascontiguousarray(s[:-1].swapaxes(1, -1)).sum(axis=-1)) + ref[:-1])))
+    s = np.subtract(rows, ref[:, None], out=_take("p", rows.shape))
+    np.exp(s, out=s)
+    before = start
+    if len(ref) > 1:   # block totals summed along a contiguous axis, pairwise, as for one lane
+        totals = s[:-1].swapaxes(1, -1)
+        if lane:
+            np.copyto(copy := _take("y", totals.shape), totals)
+            totals = copy
+        before = np.logaddexp.accumulate(np.concatenate((start, np.log(totals.sum(axis=-1))
+                                                         + ref[:-1])))
     s[:, 0] += np.exp(before - ref)
     out = np.log(np.cumsum(s, axis=1, out=s), out=s)
     out += ref[:, None]
@@ -292,6 +364,10 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: Scan | None = None,
     is replaced by its inverse, so reversed arrays solve the recursion
     backwards.  With prefixes=True each Scan also holds the product after
     every step of its call.
+    A Scan's t and e are its own, but its prefix_t and prefix_e are views of
+    the thread's workspace, valid until the thread's next kernel call: a
+    thread runs one scan at a time and uses each Scan before it asks for the
+    next (copy a prefix to keep it).
     """
     _finite_energy(z)
     z = np.asarray(z, complex)
@@ -310,15 +386,13 @@ def transfer_scan(a: np.ndarray, b: np.ndarray, z, start: Scan | None = None,
 
 
 def _prefix_products(t: np.ndarray, e: np.ndarray, bound: float, live: bool,
-                     steps=None) -> bool:
+                     carried: bool, steps=None) -> bool:
     """Overwrite the stack of matrices M on axis 2 of t, and their exponents
     e, with the products S_i = M_i ... M_0: each odd slot takes the pair
     M_{2i+1} M_{2i}, the odd slots are scanned in place, and each even slot
     2i > 0 then takes M_{2i} S_{2i-1}.  With steps = (p, q, r) the M_i past
     slot 0 are those steps and are read from there, not from t.  `bound`
-    bounds the entries past slot 0, inf after a shift and on a complex stack:
-    below the limit only slot 0, which holds the folded carry, is checked
-    (see the module docstring).  live says whether any exponent may be
+    and carried are `_checked`'s.  live says whether any exponent may be
     nonzero; while none is, no exponents are added.  Returns live after the
     products' rescales."""
     n = t.shape[2]
@@ -332,13 +406,8 @@ def _prefix_products(t: np.ndarray, e: np.ndarray, bound: float, live: bool,
         _step_pairs(odd_t, p, q, r, t[:, :, :1])
     if live:
         np.add(odd_e, e[0:n - 1:2], out=odd_e)
-    bound = 4.0 * bound * bound
-    if bound <= RESCALE_LIMIT:
-        top = _rescale(odd_t[:, :, :1], odd_e[:1])
-    else:  # a check of them all, which measures them unless it shifts
-        top = _rescale(odd_t, odd_e)
-        bound = math.inf if bound == math.inf else top
-    live = _prefix_products(odd_t, odd_e, bound, live or top == math.inf)
+    live = _prefix_products(odd_t, odd_e, *_checked(odd_t, odd_e, bound, live, carried),
+                            carried)
     even_t, even_e = t[:, :, 2::2], e[2::2]
     if steps is None:
         _set_product(even_t, even_t, t[:, :, 1:n - 1:2])
@@ -349,15 +418,35 @@ def _prefix_products(t: np.ndarray, e: np.ndarray, bound: float, live: bool,
     return _rescale(even_t, even_e) == math.inf or live
 
 
-def _reduced(t0: np.ndarray, e: np.ndarray, live: bool, p, q, r):
+def _checked(t: np.ndarray, e: np.ndarray, bound: float, live: bool,
+             carried: bool) -> tuple[float, bool]:
+    """`_rescale` on a level of products whose entries past slot 0 the level
+    below bounds by `bound`, inf after a shift and on a complex stack: below
+    the limit only slot 0 is checked, and only where it carries a matrix
+    folded in (see the module docstring), else all, which measures them
+    unless it shifts.  Returns the level's bound and live after its rescales."""
+    bound = 4.0 * bound * bound
+    if bound > RESCALE_LIMIT:
+        top = _rescale(t, e)
+        bound = math.inf if bound == math.inf else top
+    elif carried:
+        top = _rescale(t[:, :, :1], e[:1])
+    else:
+        return bound, live
+    return bound, live or top == math.inf
+
+
+def _reduced(t0: np.ndarray, e: np.ndarray, bound: float, live: bool, carried: bool,
+             p, q, r):
     """M_{L-1} ... M_1 S_0 for the steps M_i = (p, q, r)[i] past slot 0,
     whose product S_0 is t0, and their exponents e (slot 0's first), as a
     stack of one with its exponent: pairs level by level, in place on the
-    first level's stack and on e, an odd tail carried up a level as it is."""
+    first level's stack and on e, an odd tail carried up a level as it is,
+    each level checked by `_checked`."""
     L = len(p)
     if L == 1:
         return t0, e
-    t = np.empty((2, 2, (L + 1) // 2) + t0.shape[3:], t0.dtype)
+    t = _take("t", (2, 2, (L + 1) // 2) + t0.shape[3:], t0.dtype)
     _step_pairs(t[:, :, :L // 2], p, q, r, t0)
     if L % 2:
         t[0, 0, -1], t[0, 1, -1], t[1, 0, -1], t[1, 1, -1] = p[-1], q[-1], r[-1], 0.0
@@ -365,92 +454,105 @@ def _reduced(t0: np.ndarray, e: np.ndarray, live: bool, p, q, r):
     if live:
         np.add(e[0:L - 1:2], e[1::2], out=e[0:L - 1:2])
     e = e[::2]
-    live = _rescale(t[:, :, :L // 2], e[:L // 2]) == math.inf or live
+    bound, live = _checked(t[:, :, :L // 2], e[:L // 2], bound, live, carried)
     while t.shape[2] > 1:
         n = t.shape[2]
         pair_t, pair_e = t[:, :, 0:n - 1:2], e[0:n - 1:2]
         _set_product(pair_t, t[:, :, 1::2], pair_t)
         if live:
             np.add(pair_e, e[1::2], out=pair_e)
-        live = _rescale(pair_t, pair_e) == math.inf or live
+        bound, live = _checked(pair_t, pair_e, bound, live, carried)
         t, e = t[:, :, ::2], e[::2]
     return t, e
 
 
 def _scan_chunk(a: np.ndarray, b: np.ndarray, z, carry: Scan,
                 prefixes: bool, inverse: bool) -> Scan:
-    # every array below ends in the lane axis, of shape () at one energy
+    # every array below ends in the lane axis, of shape () at one energy, and
+    # every one the size of the call is in the workspace
     L, lane = len(a), z.shape
     run = (L,) + (lane if a.ndim > 1 else (1,) * len(lane))  # per lane or shared
+    steps = (L,) + lane
     flip = slice(None, None, -1 if inverse else 1)
     ct, fold = carry.t[flip], carry.t.shape[1] == 2
     dtype = np.result_type(z, b, ct) if fold else np.result_type(z, b)
-    # the arrays returned first and the steps' after them, p and 1/a in
-    # place: glibc hands a free heap top back to the system, and a call
-    # that frees its temporaries last keeps the next call from faulting
-    # those pages in again
-    t = np.empty((2, 2, L if prefixes else 1) + lane, dtype)
-    e = np.zeros((L,) + lane, np.int64)
     # step i is ((p, q), (r, 0)) = ((p, -1/a), (a, 0)), kept as three arrays
     # (q and r of the run's shape); in swapped coordinates its inverse is
     # ((p, -a), (1/a, 0)).  p by parts, so that a real lane on a complex
     # axis rounds as a real energy
+    den, p, q = a.reshape(run), _take("p", steps, dtype), _take("q", run)
     with np.errstate(all="ignore"):   # a bad step divides by 0 or overflows
-        p, den = z - b.reshape(run), a.reshape(run)
+        np.subtract(z, b.reshape(run), out=p)
         if dtype.kind == "c":
-            p = p.real / den + 1j * (p.imag / den)
+            im = np.divide(p.imag, den, out=_take("im", steps))
+            re = np.divide(p.real, den, out=_take("re", steps))
+            np.add(re, np.multiply(1j, im, out=p), out=p)
         else:
             p /= den
-        q = 1.0 / den
-    q, r = (-den, q) if inverse else (np.negative(q, out=q), den)
+        if inverse:
+            r = np.divide(1.0, den, out=_take("r", run))
+            np.negative(den, out=q)
+        else:
+            r = den
+            np.negative(np.divide(1.0, den, out=q), out=q)
     # each step rescaled first, so that no product of two leaves float range
     # (see the module docstring).  Where q < 0, max |q| = -min q and max |r| =
     # max r; p goes first, where a NaN (from b) stays the maximum, and the
     # initial values serve an empty lane axis.  The exponents stay 0, and are
     # not added, until a step or product is shifted
+    e = _take("e", steps, _I8)
+    e.fill(0)
     live, bound = False, math.inf
-    if dtype.kind != "c" and q.max(initial=-1.0) < 0.0:
-        bound = max(p.max(initial=0.0), -p.min(initial=0.0),
-                    -q.min(initial=0.0), r.max(initial=0.0))
+    if dtype.kind != "c" and _max(q, None, initial=-1.0) < 0.0:
+        bound = max(_max(p, None, initial=0.0), -_min(p, None, initial=0.0),
+                    -_min(q, None, initial=0.0), _max(r, None, initial=0.0))
     if not bound <= RESCALE_LIMIT:
-        tops = np.maximum(np.maximum(np.abs(p), np.abs(q)), np.abs(r))
-        top = tops.max(initial=0.0)
+        tops = np.abs(p, out=_take("tops", steps))
+        np.maximum(tops, np.abs(q, out=_take("y", run)), out=tops)
+        np.maximum(tops, np.abs(r, out=_take("y", run)), out=tops)
+        top = _max(tops, None, initial=0.0)
         if dtype.kind == "c" and not top <= _FLOAT_MAX:
             # a modulus |p| past float range, of finite parts, counts by its larger part
             big = np.abs(p)
             np.copyto(big, np.maximum(np.abs(p.real), np.abs(p.imag)),
                       where=np.isinf(big) & np.isfinite(p))
-            tops = np.maximum(np.maximum(big, np.abs(q)), np.abs(r))
-            top = tops.max(initial=0.0)
-        good = (tops <= _FLOAT_MAX) & (q < 0.0)
+            np.maximum(np.maximum(big, np.abs(q)), np.abs(r), out=tops)
+            top = _max(tops, None, initial=0.0)
+        good = np.less_equal(tops, _FLOAT_MAX, out=_take("out", steps, _B1))
+        good &= np.less(q, 0.0, out=_take("over", run, _B1))
         if not good.all():   # the first bad step, at its first bad lane
             at = np.unravel_index(np.argmin(good), good.shape)
             a_at, b_at = (np.broadcast_to(v.reshape(run), good.shape)[at].item() for v in (a, b))
             raise _coefficient_error(z[at[1:]].item(), a_at, b_at)
-        shift = _shifts(tops, top)
-        if shift is not None:
-            scale = np.ldexp(1.0, -shift)
-            p, q, r, live = p * scale, q * scale, r * scale, True
-            e += shift
+        shifted = _shifts(tops, top)
+        if shifted is not None:
+            scale, neg = shifted
+            p *= scale
+            q = np.multiply(q, scale, out=_take("qs", steps))
+            r = np.multiply(r, scale, out=_take("rs", steps))
+            live = True
+            e -= neg
         bound = math.inf
     # slot 0 is step 0 with a matrix carry folded in; a column multiplies
     # the products last
+    t = _take("t" if prefixes else "head", (2, 2, L if prefixes else 1) + lane, dtype)
     if fold:
         _step_times(t[:, :, :1], p[:1], q[:1], r[:1], ct[:, :, None])
         live = _rescale(t[:, :, :1], e[:1]) == math.inf or live
     else:
         t[0, 0, 0], t[0, 1, 0], t[1, 0, 0], t[1, 1, 0] = p[0], q[0], r[0], 0.0
     if prefixes:
-        _prefix_products(t, e, bound, live, (p, q, r))
+        _prefix_products(t, e, bound, live, fold, (p, q, r))
     else:
-        t, e = _reduced(t, e, live, p, q, r)
+        t, e = _reduced(t, e, bound, live, fold, p, q, r)
     if not fold:
-        col = np.empty((2, 1) + t.shape[2:], np.result_type(t, ct))
+        col = _take("col", (2, 1) + t.shape[2:], np.result_type(t, ct))
         _set_product(col, t, ct[:, :, None])
         _rescale(col, e)
         t = col
     e += carry.e  # the carry's exponent, once
-    last = Scan(t[flip, :, -1], e[-1])
+    # the carry is copied out: the next call overwrites the workspace
+    last = Scan(t[flip, :, -1].copy(), e[-1].copy())
     return last._replace(prefix_t=t[flip], prefix_e=e) if prefixes else last
 
 
@@ -562,18 +664,23 @@ class GrowthScanner:
         one = self.x.__class__ is float
         x, n, t11, t12, t21, t22, e, log_sum, top = (
             v if one else v[at] for v in map(self.__getattribute__, GrowthScanner.__slots__))
-        scan, stats = Scan(np.array([[t11, t12], [t21, t22]]), e), []
+        scan = Scan(np.array([[t11, t12], [t21, t22]]), e)
+        stats, lo = np.empty((len(a) if prefixes else 0,) + np.shape(x)), 0
         for scan in transfer_scan(a, b, x, scan, prefixes=True):
             sums = total = _log_sums(log_norm2(scan.prefix_t, scan.prefix_e), log_sum, prefixes)
             if prefixes:
-                steps = (np.arange(n + 1.0, n + 1.0 + len(sums)) if one
-                         else np.add.outer(np.arange(1.0, len(sums) + 1.0), n))
-                ln_n = np.log(np.maximum(steps, 2.0, out=steps), out=steps)
-                stat = sums - ln_n
-                stat -= 2.0 * np.log(ln_n, out=ln_n)
+                hi = lo + len(sums)
+                if len(_WORK.counts) < len(sums):
+                    _WORK.counts = np.arange(1.0, len(sums) + 1.0)
+                ln_n = (np.add if one else np.add.outer)(_WORK.counts[:len(sums)], n,
+                                                         out=_take("y", sums.shape))
+                np.maximum(ln_n[:1], 2.0, out=ln_n[:1])   # n = 1; the rest are at least 2
+                np.log(ln_n, out=ln_n)
+                stat = np.subtract(sums, ln_n, out=stats[lo:hi])
+                stat -= np.multiply(2.0, np.log(ln_n, out=ln_n), out=ln_n)
                 stat[:1][..., n == 0] = -np.inf  # n = 1
-                top, total = np.maximum(top, stat.max(axis=0)), sums[-1]
-                stats.append(stat)
+                # the sums are the workspace's, which the next call overwrites
+                top, total, lo = np.maximum(top, stat.max(axis=0)), sums[-1].copy(), hi
             log_sum, n = total, n + len(scan.prefix_e)
         for name, v in zip(GrowthScanner.__slots__[1:], (
                 n, *scan.t[0], *scan.t[1], scan.e, log_sum, top)):
@@ -581,7 +688,7 @@ class GrowthScanner:
                 setattr(self, name, type(getattr(self, name))(v))
             else:
                 getattr(self, name)[at] = v
-        return np.concatenate(stats) if stats else np.empty((0,) + np.shape(x))
+        return stats
 
     def _lane(self, i: int) -> GrowthScanner:
         """Lane i as a one-energy scanner, a copy."""
@@ -647,6 +754,12 @@ def _eigenframe(m, delta, c, d, s: int, sqrt=cmath.sqrt):
             Matrix2(pref * c, pref * (d - lam_inv), -pref * c, pref * (lam - d)))
 
 
+def _block(block: QStepBlock) -> QStepBlock:
+    if not isinstance(block, QStepBlock):
+        raise TypeError(f"block must be a QStepBlock, got {block!r}")
+    return block
+
+
 def eigen_branch(block: QStepBlock, s: int) -> Diagonalization:
     """Diagonalize a nondegenerate block with the branch selected by s.
 
@@ -654,7 +767,7 @@ def eigen_branch(block: QStepBlock, s: int) -> Diagonalization:
     square root; its partner is the algebraic reciprocal.  The eigenvector
     frame uses the block's lower row, which needs C != 0.
     """
-    delta, c, d = complex(block.Delta), complex(block.C), complex(block.D)
+    delta, c, d = complex(_block(block).Delta), complex(block.C), complex(block.D)
     return Diagonalization(*_eigenframe(block.m, delta, c, d, s), s)
 
 
@@ -675,7 +788,7 @@ def weyl_branch_sign(block: QStepBlock) -> int:
     """The branch sign whose eigenvalue is contracting (|lam| < 1), defined off
     the real axis (on it both branches are unimodular); the s = -1 eigenvalue
     is the s = +1 one's partner up to the sign of a zero."""
-    lam_p, lam_m = _eigenvalue_pair(complex(block.Delta), +1)
+    lam_p, lam_m = _eigenvalue_pair(complex(_block(block).Delta), +1)
     if abs(abs(lam_p) - abs(lam_m)) < 1e-14:
         raise DegenerateBlockError("both eigenvalue branches are unimodular; "
                                    "no contracting branch at this energy")

@@ -653,6 +653,18 @@ def test_usage_errors_exit_2_with_their_message(tmp_path, capsys, argv, message)
     assert err == f"error: {message}\n"
 
 
+def test_construct_thm15_without_out_exits_before_the_search(capsys, monkeypatch):
+    # the check used to run after build_schedule, a whole search before exit 2
+    def search(*args, **kwargs):
+        raise AssertionError("build_schedule ran")
+
+    monkeypatch.setattr("jbv.cli.build_schedule", search)
+    code, out, err = run(capsys, "construct", "thm15", "--q", "2", "--lambda", "0.5",
+                         "--levels", "5", "--out", "")
+    assert code == 2 and out == ""
+    assert err == "error: construct thm15 requires --out\n"
+
+
 def test_negative_seed_names_the_flag_or_the_config_key(tmp_path, capsys, monkeypatch):
     # both used to exit 2 with numpy's "expected non-negative integer"
     code, out, err = run(capsys, "verify", "--random", "3", "--seed", "-1")

@@ -4,6 +4,7 @@ it against the prefix replay, and the density solve on it against an mpmath
 recursion."""
 
 import math
+import threading
 import unittest.mock
 
 import numpy as np
@@ -76,6 +77,19 @@ def matrix2_chain(spec, m, n, z):
     return scaled_parts(t)
 
 
+def kept(scans):
+    """The Scans of a kernel scan with their prefixes copied out of the
+    thread's workspace, which the next kernel call overwrites."""
+    return [s if s.prefix_t is None else s._replace(prefix_t=s.prefix_t.copy(),
+                                                    prefix_e=s.prefix_e.copy())
+            for s in scans]
+
+
+def log_norms(scans):
+    """log ||T||^2 after every step of the Scans, each taken before the next."""
+    return np.concatenate([log_norm2(s.prefix_t, s.prefix_e).copy() for s in scans])
+
+
 def assert_same_product(ours, ref):
     """ours = (t, e) equals ref = (ref_t, ref_e) entry by entry within
     KERNEL_RTOL of ref's largest entry, once the exponents are aligned
@@ -87,8 +101,8 @@ def assert_same_product(ours, ref):
 
 def assert_kernel_matches_scanner(spec, n, x):
     a, b = coefficient_arrays(spec, 1, n + 1)
-    scans = list(transfer_scan(a, b, x, prefixes=True))
-    ours = np.concatenate([log_norm2(s.prefix_t, s.prefix_e) for s in scans])
+    scans = kept(transfer_scan(a, b, x, prefixes=True))
+    ours = log_norms(scans)
     ref, final = sequential_log_norms(a, b, x)
     assert np.all(np.abs(ours - ref) <= KERNEL_RTOL * (1.0 + np.abs(ref)))
     last = scans[-1]
@@ -189,8 +203,7 @@ def test_operator_norms_of_nearly_orthogonal_products_match_mpmath():
                 ref_stat.append(float(mpmath.log(total) - mpmath.log(k)
                                       - 2 * mpmath.log(mpmath.log(k))))
     a, b = coefficient_arrays(free_spec(), 1, n + 1)
-    kernel = np.concatenate([log_norm2(s.prefix_t, s.prefix_e)
-                             for s in transfer_scan(a, b, x, prefixes=True)])
+    kernel = log_norms(transfer_scan(a, b, x, prefixes=True))
     assert np.max(np.abs(kernel - ref)) <= 1e-12
     op_norms, _ = sequential_log_norms(a, b, x)
     assert np.max(np.abs(op_norms - ref)) <= 1e-12
@@ -264,8 +277,8 @@ def test_tree_lengths_match_growth_scanner(x):
     a, b = coefficient_arrays(COSINE, 1, TREE_LENGTHS[-1] + 1)
     ref, ref_t, ref_e = scanner_steps(a, b, x)
     for n in TREE_LENGTHS:
-        scans = list(transfer_scan(a[:n], b[:n], x, prefixes=True))
-        ours = np.concatenate([log_norm2(s.prefix_t, s.prefix_e) for s in scans])
+        scans = kept(transfer_scan(a[:n], b[:n], x, prefixes=True))
+        ours = log_norms(scans)
         assert np.all(np.isfinite(ours)), n
         assert np.all(np.abs(ours - ref[:n])
                       <= KERNEL_RTOL * (1.0 + np.abs(ref[:n]))), n
@@ -297,9 +310,9 @@ def test_huge_energies_on_an_energy_axis_match_growth_scanners():
     # four lanes: calls of CHUNK // 4 steps, the last one of three
     a, b = coefficient_arrays(COSINE, 1, CHUNK // 2 + 4)
     zs = np.array([1e200, -1e200, 1e300, 0.3])
-    lanes = list(transfer_scan(a, b, zs, prefixes=True))
+    lanes = kept(transfer_scan(a, b, zs, prefixes=True))
     *_, last = transfer_scan(a, b, zs)
-    ours = np.concatenate([log_norm2(s.prefix_t, s.prefix_e) for s in lanes])
+    ours = log_norms(lanes)
     for i, x in enumerate(zs.tolist()):
         ref, ref_t, ref_e = scanner_steps(a, b, x)
         assert np.all(np.abs(ours[:, i] - ref) <= KERNEL_RTOL * (1.0 + np.abs(ref)))
@@ -362,7 +375,7 @@ def test_tree_lengths_match_matrix2_chain(zs, start, inverse):
     kernel_start = (None if start is None else Scan(first[..., 0], 0) if one
                     else Scan(first, np.zeros(len(zs), np.int64)))
     for n in [n for n in TREE_LENGTHS if n <= n_max]:
-        scans = list(transfer_scan(a[:n], b[:n], z, kernel_start, prefixes=True,
+        scans = kept(transfer_scan(a[:n], b[:n], z, kernel_start, prefixes=True,
                                    inverse=inverse))
         *_, last = transfer_scan(a[:n], b[:n], z, kernel_start, inverse=inverse)
         pre_t = np.concatenate([s.prefix_t for s in scans], axis=2)
@@ -406,7 +419,7 @@ def test_carries_at_the_rescale_limits_match_matrix2_chains(z, top, inverse):
     z, carry = ((z, Scan(start[..., 0], 0)) if one
                 else (zs, Scan(start, np.zeros(len(zs), np.int64))))
     for n in (1, 2, 3, 5, 64, 65, 1023, n_max):
-        (scan,) = transfer_scan(a[:n], b[:n], z, carry, prefixes=True, inverse=inverse)
+        (scan,) = kept(transfer_scan(a[:n], b[:n], z, carry, prefixes=True, inverse=inverse))
         (last,) = transfer_scan(a[:n], b[:n], z, carry, inverse=inverse)
         pre_t, pre_e = scan.prefix_t, scan.prefix_e
         if one:
@@ -532,8 +545,8 @@ def single_energy_scans(a, b, z, start, steps):
     (`steps` = CHUNK // lanes), so that the association is the same."""
     pre_t, pre_e, scan = [], [], Scan(start, 0)
     for lo in range(0, len(a), steps):
-        *_, scan = transfer_scan(a[lo:lo + steps], b[lo:lo + steps], z, scan,
-                                 prefixes=True)
+        *_, scan = kept(transfer_scan(a[lo:lo + steps], b[lo:lo + steps], z, scan,
+                                      prefixes=True))
         pre_t.append(scan.prefix_t)
         pre_e.append(scan.prefix_e)
     return np.concatenate(pre_t, axis=2), np.concatenate(pre_e), scan.t, scan.e
@@ -542,7 +555,7 @@ def single_energy_scans(a, b, z, start, steps):
 def assert_lanes_match_single(a, b, zs, start=None):
     zs = np.asarray(zs)
     lane_starts = None if start is None else Scan(start, np.zeros(len(zs), np.int64))
-    lanes = list(transfer_scan(a, b, zs, lane_starts, prefixes=True))
+    lanes = kept(transfer_scan(a, b, zs, lane_starts, prefixes=True))
     assert len(lanes) == -(-len(a) // (CHUNK // len(zs)))
     pre_t = np.concatenate([s.prefix_t for s in lanes], axis=2)
     pre_e = np.concatenate([s.prefix_e for s in lanes])
@@ -606,7 +619,7 @@ def test_real_lane_on_a_complex_axis_rounds_as_one_real_energy():
     rng = np.random.default_rng(7)
     a, b = rng.uniform(0.5, 1.5, 300), rng.uniform(-2.0, 2.0, 300)
     for inverse in (False, True):
-        lanes = list(transfer_scan(a, b, np.array([-2.3, 0.4 + 0.1j, 1.1]),
+        lanes = kept(transfer_scan(a, b, np.array([-2.3, 0.4 + 0.1j, 1.1]),
                                    prefixes=True, inverse=inverse))
         for i, x in ((0, -2.3), (2, 1.1)):
             (scan,) = transfer_scan(a, b, x, prefixes=True, inverse=inverse)
@@ -641,7 +654,7 @@ def test_lane_runs_match_one_lane_scans_bit_for_bit(zs, n, seed, start, inverse,
     if first is not None and seed % 2:   # a complex start
         first = first + 1j * rng.normal(size=first.shape)
     lane_start = None if first is None else Scan(first, np.zeros(lanes, np.int64))
-    scans = list(transfer_scan(a, b, zs, lane_start, prefixes=prefixes, inverse=inverse))
+    scans = kept(transfer_scan(a, b, zs, lane_start, prefixes=prefixes, inverse=inverse))
     steps = CHUNK // lanes
     assert len(scans) == -(-n // steps)
     for i, z in enumerate(zs.tolist()):
@@ -660,6 +673,20 @@ def test_lane_runs_match_one_lane_scans_bit_for_bit(zs, n, seed, start, inverse,
 # carried mantissas' scales: none, 10^+-99, and a largest entry just below
 # 1 / RESCALE_LIMIT, which the fold into step 0 has to rescale
 CARRY_SCALES = [1.0, 1e99, 1e-99, (1.0 / RESCALE_LIMIT) * (1 - 2 ** -52)]
+
+
+def assert_frozen(got, a, b, z, start=None, prefixes=False, inverse=False):
+    """Every field of every Scan in got equals the frozen kernel's, bit for
+    bit, for the cuts transfer_scan makes at the kernel's CHUNK."""
+    want = frozen_transfer_scan(a, b, z, max(1, transfer.CHUNK // max(1, np.size(z))), start,
+                                prefixes=prefixes, inverse=inverse)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for field in Scan._fields:
+            gv, wv = getattr(g, field), getattr(w, field)
+            assert (gv is None) == (wv is None), field
+            assert np.array_equal(gv, wv), (field, prefixes, inverse)
+            assert np.shape(gv) == np.shape(wv), field
 
 
 @settings(max_examples=150, deadline=None)
@@ -707,16 +734,8 @@ def test_kernel_matches_the_frozen_stack_kernel_bit_for_bit(lanes, zs, n, seed, 
     for prefixes in (False, True):
         for inverse in (False, True):
             with unittest.mock.patch.object(transfer, "CHUNK", steps * len(zs)):
-                got = list(transfer_scan(a, b, z, carry, prefixes=prefixes, inverse=inverse))
-            want = frozen_transfer_scan(a, b, z, steps, carry, prefixes=prefixes,
-                                        inverse=inverse)
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                for field in Scan._fields:
-                    gv, wv = getattr(g, field), getattr(w, field)
-                    assert (gv is None) == (wv is None), field
-                    assert np.array_equal(gv, wv), (field, prefixes, inverse)
-                    assert np.shape(gv) == np.shape(wv), field
+                got = kept(transfer_scan(a, b, z, carry, prefixes=prefixes, inverse=inverse))
+                assert_frozen(got, a, b, z, carry, prefixes, inverse)
 
 
 @pytest.mark.parametrize("a_shape, b_shape, zs", [
@@ -984,7 +1003,7 @@ def test_empty_energy_axis_keeps_zero_width_lanes(prefixes):
     L = CHUNK + 5
     a, b = np.ones(L), np.linspace(-1.0, 1.0, L)
     start = Scan(np.empty((2, 2, 0)), np.zeros(0, np.int64))
-    scans = list(transfer_scan(a, b, np.empty(0), start, prefixes=prefixes))
+    scans = kept(transfer_scan(a, b, np.empty(0), start, prefixes=prefixes))
     assert len(scans) == 2  # CHUNK steps a call, as for one lane
     for scan in scans:
         assert scan.t.shape == (2, 2, 0) and scan.e.shape == (0,)
@@ -997,7 +1016,7 @@ def test_more_lanes_than_lane_chunk_take_one_step_a_call():
     # CHUNK // E is 0 past CHUNK lanes, which used to stop the scan
     a, b = np.linspace(0.6, 1.4, 5), np.linspace(-1.0, 1.0, 5)
     zs = np.linspace(-2.5, 2.5, CHUNK + 1)
-    lanes = list(transfer_scan(a, b, zs, prefixes=True))
+    lanes = kept(transfer_scan(a, b, zs, prefixes=True))
     assert len(lanes) == len(a)
     pre_t = np.concatenate([s.prefix_t for s in lanes], axis=2)
     for i in (0, 1, CHUNK // 2, CHUNK):
@@ -1016,3 +1035,76 @@ def test_lanes_catch_up_after_the_last_step_is_decided():
     constructions._catch_up(lanes, slice(2, 4), [0.5] * 10 + [0.3] * 7, 17, 0.0, 10 ** 6)
     for name, was in zip(GrowthScanner.__slots__, before):
         assert np.array_equal(getattr(lanes, name), was), name
+
+
+# ---------------------------------------------------------------------------
+# the kernel's workspace: one per thread, reused from call to call
+
+def test_a_sequence_of_unlike_calls_matches_the_frozen_kernel():
+    # real, complex and real again, on lane shapes (), (3,) and (0,), of 1,
+    # 2 CHUNK - 1 and 16 steps: each call reuses what the one before left
+    rng = np.random.default_rng(29)
+    n = 2 * CHUNK - 1
+    a, b = rng.uniform(0.5, 1.5, n), rng.uniform(-2.0, 2.0, n)
+    lanes = np.array([0.3 + 0.1j, -1.2, 2.6])
+    column = Scan(rng.normal(size=(2, 1, 3)) + 1j * rng.normal(size=(2, 1, 3)),
+                  np.array([5, -7, 0]))
+    calls = [
+        (1, 0.3, None, True, False),
+        (n, lanes, column, False, True),
+        (16, np.empty(0), Scan(np.empty((2, 2, 0)), np.zeros(0, np.int64)), True, False),
+        (16, 2.6, None, False, False),
+        (n, 0.4 + 0.05j, Scan(rng.normal(size=(2, 2)), 3), True, False),
+        (16, lanes.real, Scan(rng.normal(size=(2, 1, 3)), np.zeros(3, np.int64)), True, True),
+        (n, 2.6, None, True, True),
+    ]
+    for L, z, start, prefixes, inverse in calls:
+        got = kept(transfer_scan(a[:L], b[:L], z, start, prefixes=prefixes, inverse=inverse))
+        assert_frozen(got, a[:L], b[:L], z, start, prefixes, inverse)
+
+
+@pytest.mark.parametrize("cols", [1, 2])
+def test_a_yielded_scan_starts_the_next_scan_unaliased(cols):
+    # the carry is copied out of the workspace, so a Scan yielded with its
+    # prefixes can start a scan whose calls overwrite that workspace; at
+    # x = 2.6 the exponents are far from 0
+    a, b = coefficient_arrays(COSINE, 1, 3 * CHUNK)
+    start = Scan(np.eye(2)[:, :cols] + 0.25, 0)
+    for prefixes in (True, False):
+        *_, first = transfer_scan(a[:CHUNK + 9], b[:CHUNK + 9], 2.6, start, prefixes=True)
+        assert first.e > 100
+        got = kept(transfer_scan(a[CHUNK + 9:], b[CHUNK + 9:], 2.6, first, prefixes=prefixes))
+        *_, want_first = frozen_transfer_scan(a[:CHUNK + 9], b[:CHUNK + 9], 2.6, CHUNK, start,
+                                              prefixes=True)
+        assert_frozen(got, a[CHUNK + 9:], b[CHUNK + 9:], 2.6, want_first, prefixes)
+
+
+def test_a_scan_on_another_thread_has_its_own_workspace():
+    # two threads scan at once, each against the frozen kernel
+    a, b = coefficient_arrays(COSINE, 1, 2 * CHUNK + 100)
+    results, errors = {}, []
+
+    def scan(name, z, inverse):
+        try:
+            for _ in range(3):
+                results[name] = kept(transfer_scan(a, b, z, prefixes=True, inverse=inverse))
+        except BaseException as exc:   # reported on the main thread
+            errors.append(exc)
+            raise
+
+    other = threading.Thread(target=scan, args=("other", 2.6, True))
+    other.start()
+    scan("main", np.array([0.3, 1.1 + 0.2j]), False)
+    other.join(timeout=120)
+    assert not other.is_alive() and not errors
+    assert_frozen(results["main"], a, b, np.array([0.3, 1.1 + 0.2j]), prefixes=True)
+    assert_frozen(results["other"], a, b, 2.6, prefixes=True, inverse=True)
+
+
+def test_warmed_growth_scans_reuse_their_buffers():
+    # the second call allocates no buffer: every data pointer stays
+    growth_statistic(COSINE, 2.6, 2 * CHUNK + 5)
+    before = {key: buf.ctypes.data for key, buf in transfer._WORK.buffers.items()}
+    growth_statistic(COSINE, 2.6, 2 * CHUNK + 5)
+    after = {key: buf.ctypes.data for key, buf in transfer._WORK.buffers.items()}
+    assert before and after == before

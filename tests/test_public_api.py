@@ -91,3 +91,23 @@ def test_a_non_spec_is_a_type_error_naming_the_spec(entry, spec):
     # breakdown)
     with pytest.raises(TypeError, match="^spec must be a CoefficientSpec, got "):
         SPEC_CALLS[entry](spec)
+
+
+OBJECT_CALLS = {   # every public entry point that takes an approximant or a block
+    "ac_density": (lambda obj: jbv.ac_density(obj, 0.0), "aspec", "ApproximantSpec"),
+    "weyl_solution": (lambda obj: jbv.weyl_solution(obj, 0.1j, 1), "aspec", "ApproximantSpec"),
+    "m_function": (lambda obj: jbv.m_function(obj, 0.1j), "aspec", "ApproximantSpec"),
+    "approximant_coefficients": (lambda obj: jbv.approximant_coefficients(obj, 3),
+                                 "aspec", "ApproximantSpec"),
+    "eigen_branch": (lambda obj: jbv.eigen_branch(obj, 1), "block", "QStepBlock"),
+    "weyl_branch_sign": (lambda obj: jbv.weyl_branch_sign(obj), "block", "QStepBlock"),
+}
+
+
+@pytest.mark.parametrize("obj", [None, {}], ids=["None", "dict"])
+@pytest.mark.parametrize("entry", sorted(OBJECT_CALLS))
+def test_a_wrong_object_is_a_type_error_naming_the_argument(entry, obj):
+    # each used to raise AttributeError on .base, .as_spec or .Delta
+    call, name, kind = OBJECT_CALLS[entry]
+    with pytest.raises(TypeError, match=f"^{name} must be an? {kind}, got "):
+        call(obj)
