@@ -28,8 +28,9 @@ from .diagnostics import _window_reports, growth_statistic, verify_gap_window_gr
 from .errors import (DegenerateBlockError, HorizonError, OutsideBandError,
                      PoleOfMError, PreconditionError, RootIsolationError)
 from .matrix2 import _exp_saturating
-from .periodic import PeriodicJacobi, band_structure, comb_potential, \
-    gap_report, intersection_over_family
+# gap_report stays bound here: perfbench/tracing.py wraps this name
+from .periodic import PeriodicJacobi, _band_edges, band_structure, comb_potential, \
+    gap_report, intersection_over_family  # noqa: F401
 
 _MODES = ("empirical", "analytic")
 
@@ -76,8 +77,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_table(args, header: list[str], rows: list[list], **fields) -> None:
-    """The rows as CSV (floats by repr, None as empty), or with --format json
-    as the "rows" entry after `fields`, each row keyed by the header."""
+    """The rows as CSV (csv writes a float by repr, None as empty), or with
+    --format json as the "rows" entry after `fields`, each row keyed by the header."""
     if args.format == "json":
         _emit(_json({**fields, "rows": [dict(zip(header, r)) for r in rows]}),
               args.out)
@@ -85,8 +86,7 @@ def _emit_table(args, header: list[str], rows: list[list], **fields) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([repr(v) if isinstance(v, float) else "" if v is None else str(v)
-                      for v in r] for r in rows)
+    writer.writerows(rows)
     _emit(buf.getvalue(), args.out)
 
 
@@ -295,19 +295,30 @@ def _verify_random(args) -> int:
     if args.random < 1:
         raise ValueError(f"--random needs at least one window, got {args.random}")
     rng = np.random.default_rng(_CONFIG["seed"][1](args.seed, "--seed"))
-    draws, windows = [], []
-    for case in range(args.random):
+    # a case draws q, w, the index of one of the comb's q - 1 gaps, a double u,
+    # m and k, in this order: with every gap open, the draws of a gap_report
+    # per case, whose rng.uniform(lo, hi) is lo + (hi - lo) u
+    cases = []
+    for _ in range(args.random):
         q = int(rng.integers(2, 5))
-        w = float(rng.uniform(0.1, 1.0))
-        comb = comb_potential(q, w)
-        rep = gap_report(comb)
-        gap = rep.gap_intervals[int(rng.integers(0, len(rep.gap_intervals)))]
-        delta = 0.25 * gap.width
-        e = float(rng.uniform(gap.lo + delta, gap.hi - delta))
+        w, gap, u = float(rng.uniform(0.1, 1.0)), int(rng.integers(0, q - 1)), rng.random()
         m = int(rng.integers(1, 20))
-        k = m + int(rng.integers(8, 40))
-        draws.append([case, q, w, m, k, e, delta])
-        windows.append((comb.as_spec(), q, m, k, e, delta))
+        cases.append((comb_potential(q, w), w, gap, u, m, m + int(rng.integers(8, 40))))
+    edges = {}   # the cases' band edges, by case: one eigenvalue solve per period
+    for q in {P.q for P, *_ in cases}:
+        at = [i for i, (P, *_) in enumerate(cases) if P.q == q]
+        edges.update(zip(at, _band_edges([cases[i][0] for i in at]).tolist()))
+    draws, windows = [], []
+    for case, (P, w, gap, u, m, k) in enumerate(cases):
+        row = edges[case]
+        if any(b - a < 1e-10 for a, b in zip(row[1:-1:2], row[2::2])):
+            raise RuntimeError(f"comb block with coupling {w} reported a closed gap")
+        lo, hi = row[2 * gap + 1], row[2 * gap + 2]
+        delta = 0.25 * (hi - lo)
+        lo, hi = lo + delta, hi - delta
+        e = lo + (hi - lo) * u
+        draws.append([case, P.q, w, m, k, e, delta])
+        windows.append((P.as_spec(), P.q, m, k, e, delta))
     reports = _window_reports(windows)
     rows = [draw + [len(r.l_values), len(r.violations), "pass" if r.passed else "fail"]
             for draw, r in zip(draws, reports)]

@@ -27,6 +27,7 @@ int or real, never a bool or a string (`as_int`, `as_real`).
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -53,8 +54,8 @@ def staircase_level_value(level: int, k: int, m_l: int, lam: float) -> float:
 
 def _staircase_value(level: int, k, m_l: int, lam: float):
     """`staircase_level_value` of checked arguments, k an int or an array of
-    them: the flattening of a validated schedule calls it once a level with
-    that level's steps, on every coefficient lookup."""
+    them: the window table of a validated schedule calls it once a level
+    with that level's steps."""
     sign = -1.0 if level % 2 else 1.0
     return sign * (1.0 - 2.0 * k / m_l) * lam
 
@@ -75,6 +76,20 @@ class CoefficientSpec:
             object.__setattr__(self, "params", check_params(self.kind, self.params))
             if self.length_hint is not None:
                 as_int(self.length_hint, "length_hint", 1)
+
+    @functools.cached_property
+    def _windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A staircase_comb spec's window table, flattened from its schedule
+        one level at a time on the first lookup and kept: the half-open index
+        ranges (n_{l,k}, n_{l,k+1}], each as its right end, its staircase value
+        and the comb coupling of its level."""
+        p = self.params
+        sched = p["schedule"]
+        rows, steps = sched["rows"], [len(row) - 1 for row in sched["rows"]]
+        rights = np.array([right for row in rows for right in row[1:]])
+        stair = np.concatenate([_staircase_value(level, np.arange(k), m_l, p["lam"])
+                                for level, (k, m_l) in enumerate(zip(steps, sched["m"]), 1)])
+        return rights, stair, np.repeat(sched["w"][:len(rows)], steps)
 
     def to_dict(self) -> dict:
         params = dict(self.params)
@@ -267,23 +282,14 @@ def eval_coefficients(spec: CoefficientSpec, n: int) -> tuple[float, float]:
     return (float(a[0]), float(b[0]))
 
 
-def staircase_comb_parts(p: dict, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def staircase_comb_parts(spec: CoefficientSpec, n: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """The staircase part and the comb part w_l [q divides n] of b_n at the
-    indices n, none past the horizon, under staircase_comb params p.
-
-    The schedule is flattened, one level at a time, into windows, the
-    half-open index ranges (n_{l,k}, n_{l,k+1}], each with its right
-    endpoint, its staircase value and the comb coupling of its level; n is
-    looked up among the endpoints.
-    """
-    sched = p["schedule"]
-    rows, steps = sched["rows"], [len(row) - 1 for row in sched["rows"]]
-    rights = np.array([right for row in rows for right in row[1:]])
-    stair = np.concatenate([_staircase_value(level, np.arange(k), m_l, p["lam"])
-                            for level, (k, m_l) in enumerate(zip(steps, sched["m"]), 1)])
-    wcomb = np.repeat(sched["w"][:len(rows)], steps)
+    indices n, none past the horizon, of a staircase_comb spec, looked up
+    among the right ends of its window table (`CoefficientSpec._windows`)."""
+    rights, stair, wcomb = spec._windows
     idx = np.searchsorted(rights, n, side="left")
-    return stair[idx], np.where(n % p["q"] == 0, wcomb[idx], 0.0)
+    return stair[idx], np.where(n % spec.params["q"] == 0, wcomb[idx], 0.0)
 
 
 def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int
@@ -315,7 +321,7 @@ def coefficient_arrays(spec: CoefficientSpec, start: int, stop: int
         if stop - 1 > horizon:
             raise HorizonError(
                 f"index {stop - 1} beyond realized schedule horizon {horizon}")
-        stair, comb = staircase_comb_parts(p, n)
+        stair, comb = staircase_comb_parts(spec, n)
         return (np.ones(n.shape), stair + comb)
     if spec.kind == "explicit":
         if stop - 1 > len(p["a"]):

@@ -137,6 +137,8 @@ class Schedule:
 def staircase_comb_spec(schedule: Schedule) -> CoefficientSpec:
     """Coefficient rule b_n = staircase(n) + w_l * [q divides n] over the
     realized horizon; indices beyond it raise a horizon error."""
+    if not isinstance(schedule, Schedule):
+        raise TypeError(f"schedule must be a Schedule, got {schedule!r}")
     schedule.validate()
     return CoefficientSpec(
         "staircase_comb",
@@ -359,7 +361,7 @@ def staircase_bv_breakdown(spec: CoefficientSpec, horizon: int | None = None) ->
     q, lam, sched = (spec.params[key] for key in ("q", "lam", "schedule"))
     last = sched["rows"][-1][-1]
     horizon = last if horizon is None else min(as_int(horizon, "horizon", 1), last)
-    s_vals, w_vals = staircase_comb_parts(spec.params, np.arange(1, horizon + 1))
+    s_vals, w_vals = staircase_comb_parts(spec, np.arange(1, horizon + 1))
     dcomb = w_vals[q:] - w_vals[:-q]
     dstair = s_vals[1:] - s_vals[:-1]
     levels_used = len(sched["rows"])

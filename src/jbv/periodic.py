@@ -72,13 +72,21 @@ class PeriodicJacobi:
             return PeriodicJacobi.of(doc["q"], doc["a"], doc["b"])
 
 
+def _periodic(P, name: str = "P") -> PeriodicJacobi:
+    """P itself, or a TypeError naming it where it is no PeriodicJacobi: the
+    one check of a block argument, where an entry point first reads it."""
+    if not isinstance(P, PeriodicJacobi):
+        raise TypeError(f"{name} must be a PeriodicJacobi, got {P!r}")
+    return P
+
+
 def discriminant_value(P: PeriodicJacobi, z) -> complex:
     """Trace of the ordered one-step product over one period, by the transfer
     recursion; z may be a number or a numpy array of energies.
 
     Factors are applied from index 1 up to index q, index 1 rightmost.
     """
-    return block_product(P.a, P.b, z)[0].trace()
+    return block_product(_periodic(P).a, P.b, z)[0].trace()
 
 
 def _polymul(c1: list, c2: list) -> list:
@@ -117,7 +125,7 @@ def discriminant_polynomial(P: PeriodicJacobi) -> PolynomialReal:
     exact up to rounding; the leading coefficient is 1/(a_1 ... a_q).  Raises
     OverflowError where a coefficient leaves float range.
     """
-    row = _discriminant_coeffs(P.a, P.b)
+    row = _discriminant_coeffs(_periodic(P).a, P.b)
     if not all(map(math.isfinite, row)):
         raise OverflowError(f"the discriminant of a q={P.q} block leaves float range")
     return PolynomialReal(tuple(row))
@@ -125,9 +133,7 @@ def discriminant_polynomial(P: PeriodicJacobi) -> PolynomialReal:
 
 def spectral_bracket(P: PeriodicJacobi) -> tuple[float, float]:
     """Crude enclosure of the spectrum: [min b - 2 max a, max b + 2 max a]."""
-    if not isinstance(P, PeriodicJacobi):
-        raise TypeError(f"P must be a PeriodicJacobi, got {P!r}")
-    amax = max(P.a)
+    amax = max(_periodic(P).a)
     return (min(P.b) - 2.0 * amax, max(P.b) + 2.0 * amax)
 
 
@@ -334,9 +340,8 @@ def band_structure(P: PeriodicJacobi, tol: float = 1e-10) -> BandStructure:
     region is excluded from the q-interior.  Each grid is evaluated as one
     array Horner pass.
     """
-    tol, q = _check_tol(tol), P.q
-    poly = discriminant_polynomial(P)
-    dcoeffs = poly.derivative().coeffs
+    tol, poly = _check_tol(tol), discriminant_polynomial(P)
+    q, dcoeffs = P.q, poly.derivative().coeffs
     lo_b, hi_b = spectral_bracket(P)
     pad = 0.01 * (hi_b - lo_b) + 1e-6
     lo, hi = lo_b - pad, hi_b + pad
@@ -395,7 +400,7 @@ def gap_report(P: PeriodicJacobi, tol: float = 1e-10) -> GapReport:
     closed: those narrower than it.
     """
     tol = _check_tol(tol)
-    edges = _band_edges([P])[0].tolist()
+    edges = _band_edges([_periodic(P)])[0].tolist()
     gaps = [Gap(lo, hi, closed=(hi - lo) < tol)
             for lo, hi in zip(edges[1:-1:2], edges[2::2])]
     open_gaps = tuple(Interval.open(g.lo, g.hi) for g in gaps if not g.closed)
@@ -412,10 +417,7 @@ def same_discriminant(p1: PeriodicJacobi, p2: PeriodicJacobi,
     isospectral set.  Membership testing is all that is supported here; the
     geometry of that set is out of scope."""
     tol = as_real(tol, "tol")
-    for name, P in (("p1", p1), ("p2", p2)):
-        if not isinstance(P, PeriodicJacobi):
-            raise TypeError(f"{name} must be a PeriodicJacobi, got {P!r}")
-    if p1.q != p2.q:
+    if _periodic(p1, "p1").q != _periodic(p2, "p2").q:
         return False
     c1 = discriminant_polynomial(p1).coeffs
     c2 = discriminant_polynomial(p2).coeffs
@@ -451,8 +453,8 @@ def intersection_over_family(family: list[PeriodicJacobi], mode: str,
         raise ValueError(f"mode must be 'spectrum' or 'qinterior', got {mode!r}")
     tol = _check_tol(tol)
     by_q: dict[int, list[PeriodicJacobi]] = {}
-    for P in family:
-        by_q.setdefault(P.q, []).append(P)
+    for i, P in enumerate(family):
+        by_q.setdefault(_periodic(P, f"family[{i}]").q, []).append(P)
     if mode == "spectrum":
         los, his = [], []
         for edges in map(_band_edges, by_q.values()):

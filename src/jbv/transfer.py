@@ -87,7 +87,7 @@ from .coeffs import (CoefficientSpec, as_int, as_real,  # noqa: F401
 from .errors import DegenerateBlockError, NonDiagonalizableFrameError
 from .matrix2 import (_LN2, RESCALE_LIMIT, Matrix2, ScaledMatrix2,
                       _exp_saturating, _finite_energy, block_product)
-from .periodic import PeriodicJacobi
+from .periodic import PeriodicJacobi, _periodic
 
 __all__ = [
     "QStepBlock", "Diagonalization", "CouplingSeries", "GrowthScanner", "Scan",
@@ -775,7 +775,7 @@ def branch_sign_for_interval(P: PeriodicJacobi, lo: float, hi: float) -> int:
     """Branch sign from the derivative of the discriminant at the interval
     midpoint, D' = tr dT/dx from the transfer recursion: s = sign(-D'(mid)).
     Needs lo <= hi (ValueError)."""
-    slope = block_product(P.a, P.b, 0.5 * (lo + hi))[1].trace()
+    slope = block_product(_periodic(P).a, P.b, 0.5 * (lo + hi))[1].trace()
     if lo > hi:   # after the energy check, which names a non-finite end
         raise ValueError(f"need lo <= hi, got lo={lo!r} > hi={hi!r}")
     if slope == 0.0:

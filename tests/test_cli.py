@@ -5,7 +5,11 @@ import math
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import jbv.cli
+import jbv.coeffs
 from jbv import (CoefficientSpec, Interval, IntervalUnion, PeriodicJacobi, Schedule,
                  comb_potential, eval_coefficients, gap_report,
                  staircase_bv_breakdown)
@@ -516,6 +520,51 @@ def test_verify_random_needs_a_window(capsys, count):
     code, out, err = run(capsys, "verify", "--random", count)
     assert code == 2 and out == ""
     assert "--random" in err
+
+
+@given(q=st.sampled_from([2, 3, 4]), w=st.floats(0.1, 1.0, exclude_max=True))
+def test_every_gap_of_a_random_window_comb_is_open(q, w):
+    # verify --random draws a gap index over all q - 1 gaps of its comb before
+    # it solves the edges: gap_report's draw only while no gap is closed
+    rep = gap_report(comb_potential(q, w))
+    assert rep.all_open and rep.min_width > 1e-10
+
+
+def test_verify_random_closed_gap_fails_before_any_window_is_checked(capsys, monkeypatch):
+    def closed(group):   # every block's first gap shut
+        edges = band_edges(group)
+        edges[:, 2] = edges[:, 1]
+        return edges
+
+    def checked(windows):
+        raise AssertionError("a window was checked")
+
+    band_edges = jbv.cli._band_edges
+    monkeypatch.setattr("jbv.cli._band_edges", closed)
+    monkeypatch.setattr("jbv.cli._window_reports", checked)
+    code, out, err = run(capsys, "verify", "--random", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("numerical failure: comb block with coupling ")
+    assert err.endswith(" reported a closed gap\n")
+
+
+def test_staircase_density_grid_flattens_the_schedule_once(tmp_path, capsys, monkeypatch):
+    # the window table was flattened on every coefficient lookup: twice per
+    # grid point inside the band (block N, then the backward solve)
+    def counted(level, *args):
+        levels.append(level)
+        return staircase_value(level, *args)
+
+    levels, staircase_value = [], jbv.coeffs._staircase_value
+    monkeypatch.setattr("jbv.coeffs._staircase_value", counted)
+    p = tmp_path / "st.json"
+    p.write_text(json.dumps({"kind": "staircase_comb", "params": {
+        "lam": 0.5, "q": 2, "schedule": GOOD_SCHEDULE}}))
+    code, out, _ = run(capsys, "density", "--spec", str(p), "--q", "2", "--N", "3",
+                       "--grid=-2.4:2.4:25")
+    _, rows = read_csv(out)
+    assert code == 0 and len(rows) == 25
+    assert levels == [1, 2]   # one flattening: a call per level
 
 
 @pytest.mark.parametrize("argv", [

@@ -101,13 +101,27 @@ OBJECT_CALLS = {   # every public entry point that takes an approximant or a blo
                                  "aspec", "ApproximantSpec"),
     "eigen_branch": (lambda obj: jbv.eigen_branch(obj, 1), "block", "QStepBlock"),
     "weyl_branch_sign": (lambda obj: jbv.weyl_branch_sign(obj), "block", "QStepBlock"),
+    "gap_report": (lambda obj: jbv.gap_report(obj), "P", "PeriodicJacobi"),
+    "band_structure": (lambda obj: jbv.band_structure(obj), "P", "PeriodicJacobi"),
+    "discriminant_value": (lambda obj: jbv.discriminant_value(obj, 0.3), "P", "PeriodicJacobi"),
+    "discriminant_polynomial": (lambda obj: jbv.discriminant_polynomial(obj),
+                                "P", "PeriodicJacobi"),
+    "branch_sign_for_interval": (lambda obj: jbv.branch_sign_for_interval(obj, 0.1, 0.2),
+                                 "P", "PeriodicJacobi"),
+    "strip_margins": (lambda obj: jbv.strip_margins(obj, 0.1, 0.2), "P", "PeriodicJacobi"),
+    "intersection_over_family": (   # the second member
+        lambda obj: jbv.intersection_over_family([jbv.comb_potential(2, 0.5), obj],
+                                                 "spectrum"),
+        r"family\[1\]", "PeriodicJacobi"),
+    "staircase_comb_spec": (lambda obj: jbv.staircase_comb_spec(obj), "schedule", "Schedule"),
 }
 
 
 @pytest.mark.parametrize("obj", [None, {}], ids=["None", "dict"])
 @pytest.mark.parametrize("entry", sorted(OBJECT_CALLS))
 def test_a_wrong_object_is_a_type_error_naming_the_argument(entry, obj):
-    # each used to raise AttributeError on .base, .as_spec or .Delta
+    # each used to raise AttributeError on .base, .as_spec, .Delta, .q, .a or
+    # .validate
     call, name, kind = OBJECT_CALLS[entry]
     with pytest.raises(TypeError, match=f"^{name} must be an? {kind}, got "):
         call(obj)
