@@ -24,7 +24,7 @@ from .coeffs import CoefficientSpec, as_int, as_real
 from .constructions import (build_schedule, slow_cosine_spec,
                             staircase_comb_spec)
 from .density import ApproximantSpec, ac_density
-from .diagnostics import _window_reports, growth_statistic, verify_gap_window_growth
+from .diagnostics import _Window, _window_reports, growth_statistic, verify_gap_window_growth
 from .errors import (DegenerateBlockError, HorizonError, OutsideBandError,
                      PoleOfMError, PreconditionError, RootIsolationError)
 from .matrix2 import _exp_saturating
@@ -318,7 +318,9 @@ def _verify_random(args) -> int:
         lo, hi = lo + delta, hi - delta
         e = lo + (hi - lo) * u
         draws.append([case, P.q, w, m, k, e, delta])
-        windows.append((P.as_spec(), P.q, m, k, e, delta))
+        # [m, k] of P's sequence, read as a periodic spec reads it; P has the window's bands
+        r = (np.arange(m, k + 1) - 1) % P.q
+        windows.append(_Window(P.q, m, k, e, delta, np.ones(len(r)), np.asarray(P.b)[r], P))
     reports = _window_reports(windows)
     rows = [draw + [len(r.l_values), len(r.violations), "pass" if r.passed else "fail"]
             for draw, r in zip(draws, reports)]

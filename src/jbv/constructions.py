@@ -27,7 +27,7 @@ from .coeffs import (CoefficientSpec, as_int, as_real, check_params,
                      coefficient_arrays, params_errors, staircase_comb_parts,
                      staircase_level_value)
 from .periodic import comb_potential, gap_report
-from .transfer import GrowthScanner
+from .transfer import GrowthScanner, _step
 
 __all__ = [
     "Schedule", "build_schedule", "slow_cosine_spec", "staircase_comb_spec",
@@ -183,8 +183,8 @@ def build_schedule(q: int, lam: float, levels: int, growth_margin: float = 1.0,
       index and fed from the realized diagonal only when a decision needs
       its sum (`_catch_up`).  A step whose lanes' sums, where they stand,
       already clear their thresholds ends 5 indices after the last; only a
-      step that stays undecided once its lanes are caught up is searched
-      index by index (`_empirical_step`).
+      step still undecided once its lanes are caught up is searched, a lane
+      at a time, in Python floats by `feed`'s step (`_empirical_step`).
     """
     q, levels = as_int(q, "q", 2), as_int(levels, "levels", 1)
     cap = as_int(cap, "cap", 16)
@@ -281,32 +281,41 @@ def _empirical_step(q: int, v: float, w_l: float, lanes: GrowthScanner, step: sl
     n >= n0 + 5 at which the statistic (1/(n log^2 n)) sum_{n'<=n}
     ||T_{1,n'}||^2 at each of the step's lanes, `lanes` at the indices
     `step`, reaches growth_margin * level * n log^2 n (`_clears`); None when
-    no n <= cap does.  The step's realized b_n are appended to diag.
+    no n <= cap does.  The realized b_n of a step that ends go onto diag.
 
     The step ends at n0 + 5 when its lanes' sums, as they stand, clear the
     threshold there, then when they do once caught up (`_catch_up`).
     That is exact although a sum may lag, at the lane's own index, at most
     n0: a float log-sum never falls as terms are added, in any pieces
-    (`_log_sums` returns ref + log(x) with x >= 1 in the total,
-    `GrowthScanner.feed` hi + log1p(.)), and fl(S - c) is monotone in S, so
-    the sum at n0 + 5 clears `_clears` wherever a lagging one does.  Else
-    the lanes are copied to one-energy scanners, fed one index at a time."""
+    (`_log_sums` returns ref + log(x) with x >= 1 in the total, `_step`
+    hi + log1p(.)), and fl(S - c) is monotone in S, so the sum at n0 + 5
+    clears `_clears` wherever a lagging one does.  Else the lanes, read once
+    into Python floats, take turns: each is stepped (`transfer._step`) to its
+    first index at or past `end` where it clears, the new `end`, until all
+    clear at one: no index before a lane's first clearing one ends the step.
+    `_clears` runs only where a sum reaches the sum of `_growth_logs` at
+    `end` less 1e-9, far more than rounding moves: none below clears later."""
     if n0 + 5 > cap:
         return None
     if not _clears(lanes.log_sum[step].tolist(), n0 + 5, log_margin):
         _catch_up(lanes, step, diag, n0, log_margin, cap)
-    if _clears(lanes.log_sum[step].tolist(), n0 + 5, log_margin):
-        diag += [v + (w_l if n % q == 0 else 0.0) for n in range(n0 + 1, n0 + 6)]
-        return n0 + 5
-    scanners = [lanes._lane(i) for i in range(step.start, step.stop)]
-    for n in range(n0 + 1, cap + 1):
-        b_n = v + (w_l if n % q == 0 else 0.0)
-        diag.append(b_n)
-        for sc in scanners:
-            sc.feed(1.0, b_n)
-        if n >= n0 + 5 and _clears([sc.log_sum for sc in scanners], n, log_margin):
-            return n
-    return None
+    states = [] if _clears(lanes.log_sum[step].tolist(), n0 + 5, log_margin) else list(
+        zip(*(getattr(lanes, name)[step].tolist() for name in lanes.__slots__[:-1])))
+    end, i, settled = n0 + 5, 0, 0
+    while settled < len(states):   # each lane caught up to n0, then at its own n
+        x, n, t11, t12, t21, t22, e, s = states[i]
+        least = sum(_growth_logs(end, log_margin)) - 1e-9
+        for n in range(n + 1, cap + 1):
+            t11, t12, t21, t22, e, s = _step(x, 1.0, v + (w_l if n % q == 0 else 0.0),
+                                             t11, t12, t21, t22, e, s)
+            if s >= least and n >= end and _clears((s,), n, log_margin):
+                break
+        else:
+            return None
+        states[i] = x, n, t11, t12, t21, t22, e, s
+        settled, end, i = (settled + 1 if n == end else 1), n, (i + 1) % len(states)
+    diag += [v + (w_l if n % q == 0 else 0.0) for n in range(n0 + 1, end + 1)]
+    return end
 
 
 def _analytic_step(delta: float, n0: int, log_margin: float, cap: int) -> int | None:

@@ -13,6 +13,7 @@ and the Weyl function in the upper half plane is m(z) = -u_0[0] / u_0[1].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,12 @@ class ApproximantSpec:
 
     def as_spec(self) -> CoefficientSpec:
         return eventually_periodic_spec(self.base, self.q, self.N)
+
+    @functools.cached_property
+    def _run(self) -> tuple[np.ndarray, np.ndarray]:
+        """a and b over indices Nq down to 1, the backward solve's, kept."""
+        a, b = coefficient_arrays(self.base, 1, self.N * self.q + 1)
+        return a[::-1], b[::-1]
 
 
 def approximant_coefficients(aspec: ApproximantSpec, n: int) -> tuple[float, float]:
@@ -100,9 +107,8 @@ def _solve(aspec: ApproximantSpec, block_n: QStepBlock, s: int,
     diag = eigen_branch(block_n, s)
     seed = np.array([[diag.lam - block_n.D], [block_n.C]])
     q = aspec.q
-    a, b = coefficient_arrays(aspec.base, 1, aspec.N * q + 1)
     u0, values, done = (seed[:, 0], 0), [seed[:, 0].tolist()], 0
-    for scan in transfer_scan(a[::-1], b[::-1], block_n.z, Scan(seed, 0),
+    for scan in transfer_scan(*aspec._run, block_n.z, Scan(seed, 0),
                               prefixes=keep_values, inverse=True):
         u0 = scan.t[:, 0], scan.e
         if keep_values:

@@ -157,18 +157,18 @@ def _window(spec: CoefficientSpec, q: int, m: int, k: int, E: float,
 
 def _window_reports(windows: list[tuple]) -> list[GapWindowReport]:
     """`verify_gap_window_growth` on each window (spec, q, m, k, E, delta),
-    as if on one after the other: the first window that fails raises its
-    error.  The comparison blocks' edges come from one `_band_edges` call per
-    period q.  The norms come from prefix `transfer_scan` calls with a lane
-    per window, on groups of consecutive windows of at most `transfer.CHUNK`
-    padded lane-steps, the kernel's own: a group is one kernel call, so each
-    window's products are bit for bit those of a call on it alone.  The runs
-    are padded past a window's end with a = 1, b = 0, which no prefix of the
-    window reads."""
+    or `_Window` whose preconditions up to its block hold, as if on one after
+    the other: the first window that fails raises its error.  The comparison
+    blocks' edges come from one `_band_edges` call per period q.  The norms
+    come from prefix `transfer_scan` calls with a lane per window, on groups
+    of consecutive windows of at most `transfer.CHUNK` padded lane-steps, the
+    kernel's own: a group is one kernel call, so each window's products are
+    bit for bit those of a call on it alone.  The runs are padded past a
+    window's end with a = 1, b = 0, which no prefix of the window reads."""
     runs, failure = [], None
     for window in windows:
         try:
-            runs.append(_window(*window))
+            runs.append(window if isinstance(window, _Window) else _window(*window))
         except (ArithmeticError, TypeError, ValueError) as exc:
             failure = exc   # raised once the windows before it are checked
             break

@@ -64,9 +64,10 @@ the exponent adds on: 1.2-1.3 and 1.8 ms for 16384 steps, against 1.5 and
 that only multiplies takes 0.5 ms for 16384 steps, 0.7 ms with every level
 checked.  The checks left out save 2-3 % of a prefix call at one energy
 and more on an energy axis.
-`GrowthScanner.feed` takes one step in Python floats, rescaled by that rule:
-the sequential reference.  `GrowthScanner._advance` runs the kernel and
-`_log_sums` on one energy or on lanes, per step or in totals.
+`_step` takes one step in Python floats, rescaled by that rule: through
+`GrowthScanner.feed` the sequential reference, and the schedule search's
+step on lanes it reads into floats.  `GrowthScanner._advance` runs the
+kernel and `_log_sums` on one energy or on lanes, per step or in totals.
 """
 
 from __future__ import annotations
@@ -583,6 +584,40 @@ def _coefficient_error(x: float, a: float, b: float) -> ValueError:
                       f"(x - b)/a infinite at x = {x!r}")
 
 
+def _step(x: float, a: float, b: float, t11: float, t12: float, t21: float, t22: float,
+          e: int, log_sum: float) -> tuple[float, float, float, float, int, float]:
+    """One step (a, b) at energy x of the product (t11, t12; t21, t22) * 2**e
+    and of the log-sum of its squared norms, in Python floats: the new six.
+    a must be positive and finite, and the step's entries -1/a and (x - b)/a
+    finite, so b too (ValueError).  A step with an entry past RESCALE_LIMIT
+    is divided by a power of two first, as in the kernel."""
+    # after the test of a, one chained comparison: qv >= -limit, |p| <= limit
+    if not (0.0 < a <= RESCALE_LIMIT and (qv := -1.0 / a) >= -RESCALE_LIMIT
+            <= (p := (x - b) / a) <= RESCALE_LIMIT):
+        if not (0.0 < a <= _FLOAT_MAX and (qv := -1.0 / a) >= -_FLOAT_MAX
+                <= (p := (x - b) / a) <= _FLOAT_MAX):
+            raise _coefficient_error(x, a, b)
+        shift = math.frexp(max(abs(p), -qv, a))[1]
+        p, qv, a = math.ldexp(p, -shift), math.ldexp(qv, -shift), math.ldexp(a, -shift)
+        e += shift
+    t11, t12, t21, t22 = p * t11 + qv * t21, p * t12 + qv * t22, a * t11, a * t12
+    m = max(abs(t11), abs(t12), abs(t21), abs(t22))
+    # the kernel's range [1 / RESCALE_LIMIT, RESCALE_LIMIT]: a product of
+    # scaled steps has no determinant 1 and can shrink
+    if m > RESCALE_LIMIT or m * RESCALE_LIMIT < 1.0:
+        if m == 0.0:
+            raise FloatingPointError(_UNDERFLOW)
+        shift = math.frexp(m)[1]
+        t11, t12 = math.ldexp(t11, -shift), math.ldexp(t12, -shift)
+        t21, t22 = math.ldexp(t21, -shift), math.ldexp(t22, -shift)
+        e += shift
+    # log of the squared operator norm, by the formula of Matrix2.op_norm
+    p, s, r = t11 * t11 + t12 * t12, t21 * t21 + t22 * t22, t11 * t21 + t12 * t22
+    term = math.log(0.5 * (p + s + math.hypot(p - s, 2.0 * r))) + (2.0 * _LN2) * e
+    lo, hi = (term, log_sum) if term <= log_sum else (log_sum, term)
+    return t11, t12, t21, t22, e, hi + math.log1p(math.exp(lo - hi))
+
+
 class GrowthScanner:
     """Accumulates T_{1,n}(x) together with sum_{n' <= n} ||T_{1,n'}||^2.
 
@@ -608,43 +643,12 @@ class GrowthScanner:
             setattr(self, name, v if self.x.__class__ is float else np.full(x.shape, v))
 
     def feed(self, a: float, b: float) -> None:
-        """Take one step in Python floats: the sequential reference.  a must
-        be positive and finite, and the step's entries -1/a and (x - b)/a
-        finite, so b too (ValueError).  A step with an entry past
-        RESCALE_LIMIT is divided by a power of two first, as in the kernel."""
+        """Take one step in Python floats (`_step`): the sequential reference."""
         if self.x.__class__ is not float:
             raise TypeError("feed takes one energy; feed energy lanes with feed_arrays")
-        # after the test of a, one chained comparison: qv >= -limit, |p| <= limit
-        if not (0.0 < a <= RESCALE_LIMIT and (qv := -1.0 / a) >= -RESCALE_LIMIT
-                <= (p := (self.x - b) / a) <= RESCALE_LIMIT):
-            if not (0.0 < a <= _FLOAT_MAX and (qv := -1.0 / a) >= -_FLOAT_MAX
-                    <= (p := (self.x - b) / a) <= _FLOAT_MAX):
-                raise _coefficient_error(self.x, a, b)
-            shift = math.frexp(max(abs(p), -qv, a))[1]
-            p, qv, a = math.ldexp(p, -shift), math.ldexp(qv, -shift), math.ldexp(a, -shift)
-            self.e += shift
-        t11, t12, t21, t22 = self.t11, self.t12, self.t21, self.t22
-        r11, r12 = p * t11 + qv * t21, p * t12 + qv * t22
-        t21, t22 = a * t11, a * t12
-        t11, t12 = r11, r12
-        m = max(abs(t11), abs(t12), abs(t21), abs(t22))
-        # the kernel's range [1 / RESCALE_LIMIT, RESCALE_LIMIT]: a product of
-        # scaled steps has no determinant 1 and can shrink
-        if m > RESCALE_LIMIT or m * RESCALE_LIMIT < 1.0:
-            if m == 0.0:
-                raise FloatingPointError(_UNDERFLOW)
-            shift = math.frexp(m)[1]
-            t11, t12 = math.ldexp(t11, -shift), math.ldexp(t12, -shift)
-            t21, t22 = math.ldexp(t21, -shift), math.ldexp(t22, -shift)
-            self.e += shift
-        self.t11, self.t12, self.t21, self.t22 = t11, t12, t21, t22
+        self.t11, self.t12, self.t21, self.t22, self.e, self.log_sum = _step(
+            self.x, a, b, self.t11, self.t12, self.t21, self.t22, self.e, self.log_sum)
         self.n += 1
-        # log of the squared operator norm, by the formula of Matrix2.op_norm
-        p, s, r = t11 * t11 + t12 * t12, t21 * t21 + t22 * t22, t11 * t21 + t12 * t22
-        term = (math.log(0.5 * (p + s + math.hypot(p - s, 2.0 * r)))
-                + (2.0 * _LN2) * self.e)
-        lo, hi = (term, self.log_sum) if term <= self.log_sum else (self.log_sum, term)
-        self.log_sum = hi + math.log1p(math.exp(lo - hi))
         if self.n >= 2:
             self.running_max_log = max(self.running_max_log, self.statistic_log)
 
@@ -689,13 +693,6 @@ class GrowthScanner:
             else:
                 getattr(self, name)[at] = v
         return stats
-
-    def _lane(self, i: int) -> GrowthScanner:
-        """Lane i as a one-energy scanner, a copy."""
-        sc = GrowthScanner(float(self.x[i]))
-        for name in GrowthScanner.__slots__[1:]:
-            setattr(sc, name, getattr(self, name)[i].item())
-        return sc
 
     @property
     def statistic_log(self) -> float:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import jbv.cli
 import jbv.coeffs
+import jbv.density
 from jbv import (CoefficientSpec, Interval, IntervalUnion, PeriodicJacobi, Schedule,
                  comb_potential, eval_coefficients, gap_report,
                  staircase_bv_breakdown)
@@ -565,6 +566,40 @@ def test_staircase_density_grid_flattens_the_schedule_once(tmp_path, capsys, mon
     _, rows = read_csv(out)
     assert code == 0 and len(rows) == 25
     assert levels == [1, 2]   # one flattening: a call per level
+
+
+def test_verify_random_builds_each_comb_block_once(capsys, monkeypatch):
+    # the block was checked three times: by comb_potential, by as_spec() and
+    # as the window's comparison block, rebuilt from that spec
+    def counted(P):
+        blocks.append(P.q)
+        post_init(P)
+
+    blocks, post_init = [], PeriodicJacobi.__post_init__
+    monkeypatch.setattr(PeriodicJacobi, "__post_init__", counted)
+    monkeypatch.setattr(PeriodicJacobi, "as_spec", None)
+    code, out, err = run(capsys, "verify", "--random", "20", "--seed", "5")
+    monkeypatch.undo()
+    assert (code, out, err) == (*per_window_verify_random(20, 5), "")
+    assert len(blocks) == 20
+
+
+def test_density_grid_reads_the_backward_run_once(tmp_path, capsys, monkeypatch):
+    # the run 1 .. Nq of the backward solve was read again at every point
+    # inside the band
+    def counted(spec, start, stop):
+        runs.append((start, stop))
+        return coefficient_arrays(spec, start, stop)
+
+    runs, coefficient_arrays = [], jbv.density.coefficient_arrays
+    monkeypatch.setattr("jbv.density.coefficient_arrays", counted)
+    p = tmp_path / "cos.json"
+    p.write_text(json.dumps({"kind": "cosine_power", "params": {"lam": 0.5, "gamma": 0.4}}))
+    code, out, _ = run(capsys, "density", "--spec", str(p), "--q", "1", "--N", "500",
+                       "--grid=-1.9:1.9:39")
+    _, rows = read_csv(out)
+    assert code == 0 and len(rows) == 39 and sum(row[1] != "" for row in rows) > 30
+    assert runs == [(1, 501)]
 
 
 @pytest.mark.parametrize("argv", [

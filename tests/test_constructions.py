@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -233,6 +234,28 @@ def test_windows_look_like_constant_plus_comb(small_spec, small_schedule):
         dist = 0.5 * (np.max(stair) - np.min(stair))
         assert dist <= w_l + 2 * lam / m_l + 1e-12
         assert np.max(np.abs(stair)) <= lam + 1e-12
+
+
+# sha256 over the concatenated sha256 hex digests of each schedule's
+# Schedule.to_json() (none of these sets raises): the values of BENCH_25.json
+# and of every change since, none of which was meant to move a breakpoint
+PINNED_SCHEDULES = {
+    "0ef189529fa4589a982c148f2196716ff945bf9f70b3e2045b3cb05da9103b6d": [
+        ((2, .5, 5), {}), ((2, .5, 4), {}), ((3, .5, 3), {}), ((4, .3, 2), {}),
+        ((2, 1, 4), {}), ((3, 1.2, 3), {}), ((2, .5, 6), {}),
+        ((2, .5, 5), {"growth_margin": 1.5}), ((4, .5, 3), {"growth_margin": 1.5}),
+        ((2, .5, 5), {"cap": 777}), ((2, .5, 9), {"cap": 25000})],
+    "1aa7a399f19120a4d42fe3a69becc7edc5af0347e4bf6cee7e1b85ad413f3abe": [
+        ((2, .5, 5), {"cap": cap})
+        for cap in (16, 20, 50, 100, 101, 102, 103, 104, 105, 1001, 3000, 4300, 4319, 4320)],
+}
+
+
+@pytest.mark.parametrize("digest", PINNED_SCHEDULES, ids=["eleven", "caps"])
+def test_schedule_json_is_pinned(digest):
+    parts = [hashlib.sha256(build_schedule(*args, **kwargs).to_json().encode()).hexdigest()
+             for args, kwargs in PINNED_SCHEDULES[digest]]
+    assert hashlib.sha256("".join(parts).encode()).hexdigest() == digest
 
 
 def test_build_schedule_rejects_bad_parameters():

@@ -840,6 +840,64 @@ def test_capped_schedule_rows_equal_prefix_replay(cap):
     assert sched.rows == replayed_schedule_rows(sched)
 
 
+@pytest.mark.parametrize("q, levels", [(3, 3), (4, 3)])
+def test_searched_steps_of_several_lanes_equal_prefix_replay(q, levels, monkeypatch):
+    # a searched step's q - 1 lanes take turns, each stepped in Python floats
+    # to its first clearing index at or past the step's current end
+    def traced(*args):
+        stepped.clear()
+        end = empirical(*args)
+        searched.append(len(set(stepped)))
+        return end
+
+    searched, stepped = [], []
+    step, empirical = constructions._step, constructions._empirical_step
+    monkeypatch.setattr(constructions, "_step",
+                        lambda x, *args: stepped.append(x) or step(x, *args))
+    monkeypatch.setattr(constructions, "_empirical_step", traced)
+    sched = build_schedule(q, 0.5, levels)
+    assert searched.count(q - 1) >= 2 and max(searched) == q - 1
+    assert sched.rows == replayed_schedule_rows(sched)
+
+
+def test_a_lane_that_stops_clearing_keeps_its_step_open():
+    # lane 0 (x = 0, in the band of b = 0) starts with a sum that clears at
+    # n0 + 5 = 105 and then falls behind the rising threshold; lane 1 (x = 3,
+    # off band, from n0 on) clears later, where lane 0 no longer does
+    def search(lanes, cap=150):
+        sc = GrowthScanner(np.array([0.0, 3.0]))
+        sc.n[:], sc.log_sum[0] = 100, 15.5
+        return constructions._empirical_step(2, 0.0, 0.0, sc, lanes, 100, 0.0, cap, [0.0] * 100)
+
+    assert search(slice(0, 1)) == 105 and 105 < search(slice(1, 2)) < 150
+    assert search(slice(0, 2)) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.floats(-4.0, 4.0), steps=st.lists(st.tuples(
+    st.floats(0.2, 5.0), st.one_of(st.floats(-3.0, 3.0), st.sampled_from([1e150, -1e120]))),
+    min_size=1, max_size=400))
+@example(x=5.0, steps=[(1.0, 0.0)] * 300)   # the product passes 1e100: rescaled
+@example(x=0.3, steps=[(1.0, 0.1), (1.0, 1e200), (0.5, 0.0), (1.0, -1e150)])   # steps too
+def test_feed_takes_the_searchs_step_bit_for_bit(x, steps):
+    # `constructions._empirical_step` steps its lanes with transfer._step on
+    # Python floats, `feed` with it on its fields, then counts n and the
+    # running maximum of the statistic
+    sc, state, top = GrowthScanner(x), (1.0, 0.0, 0.0, 1.0, 0, -math.inf), -math.inf
+    for n, (a, b) in enumerate(steps, 1):
+        try:
+            state = transfer._step(x, a, b, *state)
+        except FloatingPointError:   # a product that underflows, as feed's
+            with pytest.raises(FloatingPointError):
+                sc.feed(a, b)
+            return
+        sc.feed(a, b)
+        if n >= 2:
+            top = max(top, state[-1] - math.log(n) - 2.0 * math.log(math.log(n)))
+        assert (sc.t11, sc.t12, sc.t21, sc.t22, sc.e, sc.log_sum, sc.n) == (*state, n)
+        assert sc.running_max_log == top
+
+
 def lane_kernel_calls(monkeypatch):
     """(coefficients, lanes) of every kernel call the schedule search makes."""
     calls = []
@@ -1030,7 +1088,7 @@ def test_lanes_catch_up_after_the_last_step_is_decided():
     # step that is none, and a catch-up reads and feeds no lane
     lanes = GrowthScanner(np.array([0.1, 0.2]))
     constructions._catch_up(lanes, slice(0, 2), [0.5] * 10, 10, 0.0, 10 ** 6)
-    assert [lanes._lane(i).n for i in range(2)] == [10, 10]
+    assert lanes.n.tolist() == [10, 10]
     before = [getattr(lanes, name).copy() for name in GrowthScanner.__slots__]
     constructions._catch_up(lanes, slice(2, 4), [0.5] * 10 + [0.3] * 7, 17, 0.0, 10 ** 6)
     for name, was in zip(GrowthScanner.__slots__, before):
